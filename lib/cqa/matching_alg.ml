@@ -4,9 +4,7 @@ module Solution_graph = Qlang.Solution_graph
    the whole component; every other fact gets a singleton id. *)
 let clique_ids (g : Solution_graph.t) =
   let member, n_comps = Solution_graph.components g in
-  let is_qc =
-    Array.init n_comps (fun c -> Solution_graph.is_quasi_clique g ~member ~comp:c)
-  in
+  let is_qc = Solution_graph.quasi_cliques g ~member ~n_comps in
   let n = Solution_graph.n_facts g in
   let clique_of = Array.make n (-1) in
   let next = ref 0 in

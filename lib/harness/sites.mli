@@ -37,11 +37,12 @@
       chaos schedules can fault the service loop itself, not just the
       solvers it drives.
     - {!vm} — the register-based evaluation VM ([Qlang.Vm]): one tick per
-      outer candidate row of a compiled scan program, the same cadence as
-      the checked [Qlang.Pattern.iter_pairs] loop it replaces under
-      [--engine vm]. A separate site from {!compile} so budgets and chaos
-      schedules can target (or spare) the unsafe-indexed hot loop
-      specifically.
+      outer candidate row of a compiled scan program. Under [--engine vm]
+      its nested pair scan stands in for the keyed join of
+      [Qlang.Pattern.iter_pairs], which ticks at the same cadence (once
+      per row of the first atom's range). A separate site from
+      {!compile} so budgets and chaos schedules can target (or spare)
+      the unsafe-indexed hot loop specifically.
 
     The empty string is the default label of a {!Budget.tick} call that
     does not name a site; no loop in this repository uses it, and the

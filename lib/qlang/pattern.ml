@@ -78,21 +78,105 @@ let match_atom p (tuple : int array) env trail =
 
 let undo env trail = List.iter (fun x -> env.(x) <- -1) !trail
 
+(* The filters of [match_atom] that hold for every environment: the arity
+   and the constants. *)
+let admits a (tuple : int array) =
+  Array.length tuple = Array.length a.slots
+  &&
+  let rec go i =
+    i >= Array.length tuple
+    || (match a.slots.(i) with
+       | Const c -> tuple.(i) = c
+       | Bind _ | Check _ -> true)
+       && go (i + 1)
+  in
+  go 0
+
+(* The join key: every position of [b] holding a [Check] of a variable that
+   [a] binds, paired with that variable's slot. Once an [a]-row matches, a
+   [b]-row can complete the pair only if it holds the bound values there. *)
+let join_key p =
+  let bound_by_a x =
+    Array.exists (function Bind y -> y = x | Const _ | Check _ -> false) p.pa.slots
+  in
+  let key = ref [] in
+  Array.iteri
+    (fun col -> function
+      | Check x when bound_by_a x -> key := (col, x) :: !key
+      | Const _ | Bind _ | Check _ -> ())
+    p.pb.slots;
+  (Array.of_list (List.rev_map fst !key), Array.of_list (List.rev_map snd !key))
+
+(* [key_hash v keys] mixes [v.(keys.(0))], [v.(keys.(1))], ... — the
+   values of a tuple at the key columns, or of the environment at the key
+   variables. *)
+let key_hash (v : int array) keys =
+  let h = ref 0 in
+  for k = 0 to Array.length keys - 1 do
+    h := (!h * 0x1000193) lxor v.(keys.(k))
+  done;
+  !h
+
+(* A hash index over the [b]-rows that pass [admits], in CSR form: the rows
+   of bucket [h] are [rows.(start.(h)) .. rows.(start.(h + 1) - 1)], in
+   ascending order. The bucket count is a power of two no smaller than the
+   range, so both arrays are sized to |B|. The first pass counts the rows
+   of each bucket into [start.(h)], and a running sum turns each count
+   into the end of its bucket. The second pass places rows from the top
+   down, stepping [start.(h)] back before each one, so it ends at the
+   bucket's first row. *)
+let index_b p cols blo bhi =
+  let tuples = p.plane.Compiled.tuples in
+  let n_buckets =
+    let rec grow m = if m >= bhi - blo then m else grow (2 * m) in
+    grow 1
+  in
+  let mask = n_buckets - 1 in
+  let start = Array.make (n_buckets + 1) 0 in
+  for j = blo to bhi - 1 do
+    if admits p.pb tuples.(j) then begin
+      let h = key_hash tuples.(j) cols land mask in
+      start.(h) <- start.(h) + 1
+    end
+  done;
+  for h = 1 to n_buckets do
+    start.(h) <- start.(h) + start.(h - 1)
+  done;
+  let rows = Array.make (max 1 start.(n_buckets)) 0 in
+  for j = bhi - 1 downto blo do
+    if admits p.pb tuples.(j) then begin
+      let h = key_hash tuples.(j) cols land mask in
+      start.(h) <- start.(h) - 1;
+      rows.(start.(h)) <- j
+    end
+  done;
+  (start, rows, mask)
+
+(* One keyed join. Each [a]-row that matches probes the one bucket its
+   bindings hash to; every row there is re-checked by [match_atom], so a
+   hash collision costs a failed match, never a wrong pair. Rows inside a
+   bucket ascend, so pairs come out in lexicographic order, exactly as a
+   nested loop over both ranges would emit them. *)
 let iter_pairs ?tick p f =
   if p.pa.ok && p.pb.ok then begin
     let plane = p.plane in
     let env = Array.make (max 1 p.n_vars) (-1) in
     let alo, ahi = plane.Compiled.rel_range.(p.pa.rel) in
     let blo, bhi = plane.Compiled.rel_range.(p.pb.rel) in
+    let cols, vars = join_key p in
+    let start, rows, mask = index_b p cols blo bhi in
     for i = alo to ahi - 1 do
       (match tick with Some tick -> tick () | None -> ());
       let trail_a = ref [] in
-      if match_atom p.pa plane.Compiled.tuples.(i) env trail_a then
-        for j = blo to bhi - 1 do
+      if match_atom p.pa plane.Compiled.tuples.(i) env trail_a then begin
+        let h = key_hash env vars land mask in
+        for s = start.(h) to start.(h + 1) - 1 do
+          let j = rows.(s) in
           let trail_b = ref [] in
           if match_atom p.pb plane.Compiled.tuples.(j) env trail_b then f i j;
           undo env trail_b
-        done;
+        done
+      end;
       undo env trail_a
     done
   end

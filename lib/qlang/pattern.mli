@@ -24,9 +24,23 @@ val pair : Relational.Compiled.t -> Atom.t -> Atom.t -> pair
 
 (** [iter_pairs ?tick p f] applies [f i j] to every solution pair — every
     [(i, j)] such that one assignment sends [a] to fact [i] and [b] to fact
-    [j] — in lexicographic index order. [tick] is invoked once per candidate
-    row (per fact matched against [a]); the degradation chain points it at
-    its budget. *)
+    [j] — in lexicographic index order.
+
+    The enumeration is one keyed join. The rows of [b]'s relation range
+    that have [b]'s arity and hold [b]'s constants are bucketed by a hash
+    of the columns where [b] repeats a variable [a] binds (the [Check]
+    slots of [a]'s variables; with no such column, every row shares one
+    bucket). The index is built per call, in arrays sized to the range,
+    with the rows of each bucket in ascending order. Each row of [a]'s
+    range that matches [a] probes the one bucket its bindings hash to, and
+    every candidate there is re-verified by the full matcher, so a hash
+    collision never yields a pair. The cost is O(facts + pairs), plus one
+    failed check per colliding candidate.
+
+    [tick] is invoked once per row of [a]'s relation range, matched or not
+    (a pattern whose relation or constants are unknown to the plane ticks
+    nothing); building the index ticks nothing. The degradation chain
+    points it at its budget, so step counts equal the [a]-range size. *)
 val iter_pairs : ?tick:(unit -> unit) -> pair -> (int -> int -> unit) -> unit
 
 (** [iter_pairs_fresh p ~fresh f] is {!iter_pairs} restricted to the pairs

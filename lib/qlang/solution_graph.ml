@@ -40,10 +40,10 @@ let of_compiled ?tick a b plane =
   }
 
 (* VM-built construction: the enumeration is a compiled [Vm] pair-scan
-   program instead of the closure-driven [Pattern.iter_pairs], and the
+   program instead of the keyed join of [Pattern.iter_pairs], and the
    adjacency lists are assembled from flat edge buffers instead of
    per-vertex cons-and-sort_uniq. Emission order is lexicographic (the VM
-   reproduces the checked loop's order exactly), so for a vertex [v] the
+   reproduces the join's order exactly), so for a vertex [v] the
    forward neighbours ([j] of emitted [(v, j)]) and the reverse neighbours
    ([i] of emitted [(i, v)]) each arrive ascending and duplicate-free — the
    sorted adjacency is a two-run merge-dedup, no comparison sort anywhere.
@@ -301,22 +301,40 @@ let components g =
   done;
   (comp, !next)
 
-let is_quasi_clique g ~member ~comp =
-  let vertices = ref [] in
-  Array.iteri (fun i c -> if c = comp then vertices := i :: !vertices) member;
-  let vs = !vertices in
-  List.for_all
-    (fun i ->
-      List.for_all
-        (fun j ->
-          i >= j || g.block_of.(i) = g.block_of.(j) || edge g i j)
-        vs)
-    vs
+(* Vertex [v] of component [c] meets the quasi-clique condition iff its
+   neighbours outside its own block and inside [c] are all of [c] outside
+   that block. Neighbour lists are duplicate-free and never hold [v], so
+   comparing the two counts decides it: the size of [c], less [v]'s
+   block-mates in [c] (itself included). The blocks partition the
+   vertices, so one pass over them, tallying each block's members by
+   component, visits every vertex once with its block-mates counted. *)
+let quasi_cliques g ~member ~n_comps =
+  let size = Array.make n_comps 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) member;
+  let flags = Array.make n_comps true in
+  let mates = Array.make n_comps 0 in
+  Array.iter
+    (fun block ->
+      Array.iter (fun v -> mates.(member.(v)) <- mates.(member.(v)) + 1) block;
+      Array.iter
+        (fun v ->
+          let c = member.(v) in
+          let across =
+            List.fold_left
+              (fun k w ->
+                if member.(w) = c && g.block_of.(w) <> g.block_of.(v) then k + 1
+                else k)
+              0 g.adj.(v)
+          in
+          if across <> size.(c) - mates.(c) then flags.(c) <- false)
+        block;
+      Array.iter (fun v -> mates.(member.(v)) <- 0) block)
+    g.blocks;
+  flags
 
 let is_clique_database g =
-  let member, n = components g in
-  let rec go c = c >= n || (is_quasi_clique g ~member ~comp:c && go (c + 1)) in
-  go 0
+  let member, n_comps = components g in
+  Array.for_all Fun.id (quasi_cliques g ~member ~n_comps)
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>";

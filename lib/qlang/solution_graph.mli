@@ -11,8 +11,9 @@
     The graph is constructed on the compiled execution plane
     ({!Relational.Compiled}): the vertex array and block partition are
     shared with the plane (which stores them in exactly the order this
-    graph defines), and the solution enumeration runs over compiled
-    patterns ({!Pattern}) — interned int tuples, no substitution maps.
+    graph defines), and the solution enumeration is the keyed join of
+    {!Pattern.iter_pairs} over interned int tuples — no substitution maps,
+    O(facts + pairs).
     {!of_atoms} compiles the database on the fly; callers holding a plane
     (sessions, the degradation chain) use {!of_compiled} /
     {!of_query_compiled} to build the graph without recompiling. Both
@@ -50,10 +51,11 @@ val of_query_compiled :
 
 (** {2 VM-built construction}
 
-    The same graph, enumerated by a compiled {!Vm} pair-scan program over
-    the structure-of-arrays plane instead of the closure-driven checked
-    loop, with the adjacency assembled from flat edge buffers by a
-    merge-dedup (the VM's lexicographic emission order makes each vertex's
+    The same graph, enumerated by a compiled {!Vm} pair-scan program (a
+    nested scan, quadratic in the relation's size) over the
+    structure-of-arrays plane instead of the keyed join, with the
+    adjacency assembled from flat edge buffers by a merge-dedup (the
+    VM's lexicographic emission order makes each vertex's
     forward and reverse neighbour streams ascending). Structurally {!equal}
     to {!of_compiled}'s graph — the [@vm-smoke] differential suite and the
     [vm-speedup] bench gate pin that; [Core.Solver] selects it under
@@ -122,10 +124,14 @@ val edge : t -> int -> int -> bool
     appearance. *)
 val components : t -> int array * int
 
-(** [is_quasi_clique g comp member] decides whether the component of id
-    [comp] (w.r.t. the assignment [member]) is a quasi-clique: any two
-    non-key-equal facts in it are adjacent (Section 10.1). *)
-val is_quasi_clique : t -> member:int array -> comp:int -> bool
+(** [quasi_cliques g ~member ~n_comps] flags every component of the
+    assignment [member] (ids [0 .. n_comps-1], as {!components} returns
+    them): [flags.(c)] holds iff component [c] is a quasi-clique, that is,
+    any two non-key-equal facts in it are adjacent (Section 10.1). One
+    pass for all components, O(facts + edges): each vertex's neighbours
+    outside its block are counted against the size of its component less
+    its block-mates there. *)
+val quasi_cliques : t -> member:int array -> n_comps:int -> bool array
 
 (** [is_clique_database g] decides whether every connected component is a
     quasi-clique — [db] is then a {e clique-database} for [q]. *)

@@ -15,7 +15,10 @@
       enumeration of solution pairs of a two-atom query, emitting [(i, j)]
       fact-index pairs in exactly the lexicographic order (and with exactly
       the tick cadence — once per outer candidate row) of
-      {!Pattern.iter_pairs}, the checked loop it replaces;
+      {!Pattern.iter_pairs}. It checks every outer row against the whole
+      inner range, so it is quadratic where the pattern's keyed join is
+      linear; it stays as the nested-loop oracle the join is tested
+      against;
     - a {e block scan} ({!assemble_single}) is the trivial-tier loop:
       emitting every block of the plane all of whose members match a single
       atom (the CERTAIN answer for one-atom queries).

@@ -28,6 +28,12 @@ let fixed_queries =
       "R(x | y z) R(z | x y)";
       "R(x x | y) R(x y | y)";
       "R(x y | y x) R(y x | x y)";
+      (* Edge shapes of the keyed join behind the pair scan. *)
+      "R(x | 5) R(5 | x)";
+      "R(x | y) R(u | v)";
+      "R(x | y y) R(y | u u)";
+      "R(x | y) R(y | 7)";
+      "R(x | y) R(y | 'absent')";
     ]
 
 let random_queries =

@@ -225,6 +225,65 @@ let test_not_clique_database () =
   let g = Solution_graph.of_query q3 db in
   Alcotest.(check bool) "not clique" false (Solution_graph.is_clique_database g)
 
+(* The per-component flags must agree with the definition read literally:
+   every two non-key-equal members of the component are adjacent. Small
+   domains give components of every shape, quasi-cliques and not. *)
+let test_quasi_clique_flags () =
+  let rng = Random.State.make [| 0x51C |] in
+  let saw_true = ref false and saw_false = ref false in
+  List.iter
+    (fun q ->
+      for n = 4 to 40 do
+        let db = Workload.Randdb.random_for_query rng q ~n_facts:n ~domain:3 in
+        let g = Solution_graph.of_query q db in
+        let member, n_comps = Solution_graph.components g in
+        let flags = Solution_graph.quasi_cliques g ~member ~n_comps in
+        let vertices = List.init (Solution_graph.n_facts g) Fun.id in
+        Array.iteri
+          (fun c flag ->
+            let vs = List.filter (fun v -> member.(v) = c) vertices in
+            let expected =
+              List.for_all
+                (fun i ->
+                  List.for_all
+                    (fun j ->
+                      i = j
+                      || g.Solution_graph.block_of.(i) = g.Solution_graph.block_of.(j)
+                      || Solution_graph.edge g i j)
+                    vs)
+                vs
+            in
+            if expected then saw_true := true else saw_false := true;
+            if flag <> expected then
+              Alcotest.failf "component %d of %s (%d facts): flag %b, definition %b"
+                c (Query.to_string q) n flag expected)
+          flags;
+        Alcotest.(check bool) "is_clique_database is the conjunction"
+          (Array.for_all Fun.id flags) (Solution_graph.is_clique_database g)
+      done)
+    Workload.Catalog.[ q3; q4; q5; q6 ];
+  Alcotest.(check bool) "both kinds of component seen" true (!saw_true && !saw_false)
+
+(* The join ticks once per row of [a]'s relation range, matched or not, and
+   building the index over [b] ticks nothing. *)
+let test_join_tick_cadence () =
+  let rng = Random.State.make [| 0x71C |] in
+  List.iter
+    (fun (q : Query.t) ->
+      let db = Workload.Randdb.random_for_query rng q ~n_facts:60 ~domain:4 in
+      let plane = Relational.Compiled.compile db in
+      let ticks = ref 0 in
+      Qlang.Pattern.iter_pairs
+        ~tick:(fun () -> incr ticks)
+        (Qlang.Pattern.pair plane q.Query.a q.Query.b)
+        (fun _ _ -> ());
+      let rel =
+        Option.get (Relational.Compiled.rel_index plane q.Query.a.Atom.rel)
+      in
+      let lo, hi = plane.Relational.Compiled.rel_range.(rel) in
+      Alcotest.(check int) (Query.to_string q) (hi - lo) !ticks)
+    Workload.Catalog.[ q3; q4; q5; q6 ]
+
 (* ------------------------------------------------------------------ *)
 (* Sjf *)
 
@@ -425,6 +484,8 @@ let () =
           Alcotest.test_case "structure" `Quick test_solution_graph_structure;
           Alcotest.test_case "components/cliques" `Quick test_components_and_cliques;
           Alcotest.test_case "non-clique db" `Quick test_not_clique_database;
+          Alcotest.test_case "quasi-clique flags" `Quick test_quasi_clique_flags;
+          Alcotest.test_case "join tick cadence" `Quick test_join_tick_cadence;
         ] );
       ( "sjf",
         [
