@@ -287,50 +287,14 @@ let analyze_source ~opts ~block_threshold ~sanitize ?db src =
       in
       source_diags @ plane_diags @ db_diags
 
-(* --dump-vm: assemble the query's pair-scan bytecode against the plane,
-   print the stable disassembly, then the PL114+ verification verdict. The
-   output is pinned by the CLI cram test — it is the human-readable face of
-   exactly what `cqa certain --engine vm` would execute (or refuse). *)
-let dump_vm_run ~db_path src =
-  match Qlang.Parse.query src with
-  | Error e ->
-      Format.eprintf "error: %s@." (Qlang.Parse.error_to_string e);
-      exit_error
-  | Ok q ->
-      let analyze db =
-        let plane = Relational.Compiled.compile db in
-        let prog = Qlang.Vm.assemble_query plane q in
-        print_string (Qlang.Vm.disassemble prog);
-        match Analysis.Verify_pattern.verify_vm plane prog with
-        | [] ->
-            Format.printf "vm verify: ok@.";
-            0
-        | diags ->
-            List.iter
-              (fun d -> Format.printf "%a@." Analysis.Lint.pp_diagnostic d)
-              diags;
-            1
-      in
-      (match db_path with
-      | None -> analyze (Relational.Database.of_facts [ q.Qlang.Query.schema ] [])
-      | Some path -> with_db path analyze)
-
 let analyze_run query_opt file_opt db_path merges block_threshold no_sanitize
-    dump_vm json =
+    json =
   guard @@ fun () ->
   let opts = opts_of_merges merges in
   let report = report_diagnostics ~json in
   let analyze =
     analyze_source ~opts ~block_threshold ~sanitize:(not no_sanitize)
   in
-  if dump_vm then begin
-    match (query_opt, file_opt) with
-    | Some src, None -> dump_vm_run ~db_path src
-    | _ ->
-        Format.eprintf "error: --dump-vm requires a single query argument@.";
-        exit_error
-  end
-  else
   match (query_opt, file_opt) with
   | Some _, Some _ ->
       Format.eprintf "error: pass either a query argument or --file, not both@.";
@@ -405,17 +369,6 @@ let analyze_cmd =
             "Skip the plane sanitizer and pattern verifier (PL codes); only \
              the source lints (QL codes) run.")
   in
-  let dump_vm_arg =
-    Arg.(
-      value & flag
-      & info [ "dump-vm" ]
-          ~doc:
-            "Assemble the query's evaluation-VM pair-scan bytecode against \
-             the compiled plane (the empty instance, or $(b,--db)), print \
-             its stable disassembly, and verify it with the PL114+ bytecode \
-             checker — exactly the licence $(b,cqa certain --engine vm) \
-             runs behind. Exit 1 when the bytecode is rejected.")
-  in
   let json =
     Arg.(
       value & flag
@@ -450,7 +403,7 @@ let analyze_cmd =
          ])
     Term.(
       const analyze_run $ query_arg $ file_arg $ db_arg $ merges_arg
-      $ block_threshold_arg $ no_sanitize_arg $ dump_vm_arg $ json)
+      $ block_threshold_arg $ no_sanitize_arg $ json)
 
 (* ------------------------------------------------------------------ *)
 (* certain *)
@@ -531,17 +484,10 @@ let journal_attempts journal outcome (attempts : Core.Solver.attempt list)
       ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
     ]
 
-let certain_run query db_path k exact_only engine_name timeout max_steps
-    estimate_flag trials seed verify verify_certificate no_sanitize
-    chaos_corrupt trace_out trace_capacity journal_out metrics_out explain =
+let certain_run query db_path k exact_only timeout max_steps estimate_flag
+    trials seed verify verify_certificate no_sanitize chaos_corrupt trace_out
+    trace_capacity journal_out metrics_out explain =
   guard @@ fun () ->
-  let engine =
-    match Core.Solver.engine_of_string engine_name with
-    | Some e -> e
-    | None ->
-        invalid_arg
-          (Printf.sprintf "unknown engine %S (use plane or vm)" engine_name)
-  in
   if chaos_corrupt then
     Relational.Compiled.set_test_corruption
       (Some Relational.Compiled.Unsafe.corrupt_first_cell_out_of_domain);
@@ -569,18 +515,10 @@ let certain_run query db_path k exact_only engine_name timeout max_steps
       let check_plane =
         if no_sanitize then None else Some Analysis.Sanitize.gate
       in
-      (* The bytecode gate for --engine vm: the independent PL114+ verifier
-         licences every assembled program before the unchecked interpreter
-         runs it; a rejection silently falls back to the checked plane
-         (visible as a vm_fallback trace attribute), never to unsafe
-         execution. With --no-sanitize the VM's internal check remains. *)
-      let check_vm =
-        if no_sanitize then None else Some Analysis.Verify_pattern.vm_gate
-      in
       let report = Core.Dichotomy.classify query in
       let outcome, attempts =
-        Core.Solver.solve ~k ~exact_only ~engine ?check_vm ?check_certificate
-          ?check_plane ~budget ~verify ?estimate_trials ~seed ?trace report db
+        Core.Solver.solve ~k ~exact_only ?check_certificate ?check_plane
+          ~budget ~verify ?estimate_trials ~seed ?trace report db
       in
       (* Surface degradation: any tier that did not decide is worth a note. *)
       List.iter
@@ -662,19 +600,6 @@ let certain_cmd =
             "Skip the PTIME tier even when the dichotomy designates one; \
              decide with the exact tiers (SAT reduction, then backtracking) \
              under the given budget.")
-  in
-  let engine_arg =
-    Arg.(
-      value & opt string "plane"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Evaluation engine for the matching loops: $(b,plane) (the \
-             checked pattern interpreter, default) or $(b,vm) (register \
-             bytecode over the structure-of-arrays plane — same verdicts, \
-             certificates and budget exhaustion points, faster scans). \
-             Under $(b,vm) every assembled program must pass the PL114+ \
-             bytecode verifier before it runs; a rejected program falls \
-             back to the checked plane.")
   in
   let timeout_arg =
     Arg.(
@@ -821,8 +746,8 @@ let certain_cmd =
            `P "124 — the wall-clock deadline passed with no answer.";
          ])
     Term.(
-      const certain_run $ query_arg $ db_arg $ k_arg $ exact_arg $ engine_arg
-      $ timeout_arg $ max_steps_arg $ estimate_arg $ trials_arg $ seed_arg
+      const certain_run $ query_arg $ db_arg $ k_arg $ exact_arg $ timeout_arg
+      $ max_steps_arg $ estimate_arg $ trials_arg $ seed_arg
       $ verify_arg $ verify_certificate_arg $ no_sanitize_arg
       $ chaos_corrupt_arg $ trace_arg $ trace_capacity_arg $ journal_arg
       $ metrics_arg $ explain_arg)
@@ -1654,52 +1579,6 @@ let obs_bench_run profile seed output budget_s =
   then 0
   else exit_error
 
-(* The vm-speedup profile: register-based VM matching against the checked
-   pattern plane, with the untimed byte-for-byte equivalence oracle per
-   case. A single [vm_equivalent = false] fails the run — the speedup
-   number is only reportable when the engines agree. *)
-let vm_bench_run profile seed output budget_s =
-  let report = Benchkit.Vm_suite.run ~profile ~seed ~budget_s () in
-  let ms (c : Benchkit.Report.case) alg =
-    match
-      List.find_opt (fun r -> r.Benchkit.Report.algorithm = alg) c.Benchkit.Report.runs
-    with
-    | Some r when r.Benchkit.Report.status = "ok" ->
-        Printf.sprintf "%.3f" r.Benchkit.Report.median_ms
-    | Some _ -> "timeout"
-    | None -> "-"
-  in
-  Format.printf "%-20s %8s %12s %12s %10s %6s@." "case" "facts" "plane(ms)"
-    "vm(ms)" "speedup" "equiv";
-  List.iter
-    (fun (c : Benchkit.Report.case) ->
-      Format.printf "%-20s %8d %12s %12s %10s %6s@." c.Benchkit.Report.name
-        c.Benchkit.Report.n_facts (ms c "match-plane") (ms c "match-vm")
-        (match c.Benchkit.Report.vm_speedup with
-        | Some s -> Printf.sprintf "%.1fx" s
-        | None -> "-")
-        (match c.Benchkit.Report.vm_equivalent with
-        | Some b -> string_of_bool b
-        | None -> "-"))
-    report.Benchkit.Report.cases;
-  (match report.Benchkit.Report.geomean_vm with
-  | Some s -> Format.printf "geomean vm speedup: %.1fx@." s
-  | None -> ());
-  (match report.Benchkit.Report.vm_equivalence with
-  | Some eq -> Format.printf "vm equivalence: %b@." eq
-  | None -> ());
-  (match Benchkit.Report.validate_round_trip report with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("benchmark report: " ^ msg));
-  let output = if output = "BENCH_certk.json" then "BENCH_vm.json" else output in
-  Benchkit.Report.write output report;
-  Format.printf "wrote %s@." output;
-  if
-    report.Benchkit.Report.agreement
-    && report.Benchkit.Report.vm_equivalence <> Some false
-  then 0
-  else exit_error
-
 (* The profile registry: one row per profile, shared by --list-profiles and
    the unknown-profile error so neither can drift from the dispatcher. *)
 let bench_profiles =
@@ -1711,8 +1590,6 @@ let bench_profiles =
     ("delta-smoke", "tiny delta-update variant for CI");
     ("obs-overhead", "metrics/journal cost vs a no-obs control (5% bar)");
     ("obs-overhead-smoke", "tiny obs-overhead variant for CI");
-    ("vm-speedup", "evaluation VM vs checked plane, with equivalence gate");
-    ("vm-smoke", "tiny vm-speedup variant for CI");
   ]
 
 let bench_run list_profiles profile seed output budget_s catalog =
@@ -1732,10 +1609,6 @@ let bench_run list_profiles profile seed output budget_s catalog =
     obs_bench_run Benchkit.Obs_suite.Default seed output budget_s
   else if profile = "obs-overhead-smoke" then
     obs_bench_run Benchkit.Obs_suite.Smoke seed output budget_s
-  else if profile = "vm-speedup" then
-    vm_bench_run Benchkit.Vm_suite.Default seed output budget_s
-  else if profile = "vm-smoke" then
-    vm_bench_run Benchkit.Vm_suite.Smoke seed output budget_s
   else
   match Benchkit.Certk_suite.profile_of_string profile with
   | None ->
@@ -1823,13 +1696,10 @@ let bench_cmd =
              BENCH_serve.json), $(b,delta-update) / $(b,delta-smoke) \
              (incremental plane maintenance vs full recompile after a fact \
              delta, with from-scratch equivalence oracles; writes \
-             BENCH_delta.json), $(b,obs-overhead) / \
+             BENCH_delta.json), or $(b,obs-overhead) / \
              $(b,obs-overhead-smoke) (sharded-metrics and journal cost vs a \
              no-obs control, failing above a 5% bar; writes \
-             BENCH_obs.json), or $(b,vm-speedup) / $(b,vm-smoke) (the \
-             register-based evaluation VM vs the checked pattern plane, with \
-             a per-case byte-for-byte equivalence gate; writes \
-             BENCH_vm.json). See $(b,--list-profiles).")
+             BENCH_obs.json). See $(b,--list-profiles).")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload generation seed.")
@@ -1884,4 +1754,13 @@ let main_cmd =
       bench_cmd;
     ]
 
-let () = exit (Cmd.eval' ~term_err:exit_error main_cmd)
+(* Every command-line error exits with the usage code: cmdliner's own
+   default for a parse error is 124, which this tool reserves for a real
+   wall-clock timeout. *)
+let () =
+  exit
+    (match Cmd.eval_value main_cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> exit_error
+    | Error `Exn -> Cmd.Exit.internal_error)

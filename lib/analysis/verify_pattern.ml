@@ -70,235 +70,3 @@ let verify_single plane p =
 
 let verify_query plane (q : Qlang.Query.t) =
   verify_pair plane (Pattern.pair plane q.Qlang.Query.a q.Qlang.Query.b)
-
-(* ------------------------------------------------------------------ *)
-(* VM bytecode verification (PL114+)                                   *)
-
-module Vm = Qlang.Vm
-
-(* The engine-selection licence for [Qlang.Vm] programs: an independent
-   re-derivation of the VM's internal memory-safety argument (structural
-   operand bounds plus the cursor-validity dataflow) under stable
-   diagnostic codes, extended with the semantic properties the internal
-   check deliberately omits (read-before-bind freedom over the register
-   file, interned constants). [Core.Solver] only executes a program this
-   function accepts; any diagnostic makes the engine fall back to the
-   checked [Pattern] plane.
-
-   The dataflow mirrors [Vm.sanity]: per instruction, path-insensitively
-   (meet = must hold on every incoming edge) we track whether each scan
-   cursor holds a valid index — only a loop guard's fallthrough validates
-   one, INIT/exit edges invalidate — and, additionally, which registers
-   have definitely been written. *)
-
-let verify_vm plane (p : Vm.t) =
-  let errs = ref [] in
-  let err code fmt =
-    Printf.ksprintf (fun m -> errs := diag code m :: !errs) fmt
-  in
-  match Vm.decode p with
-  | exception Invalid_argument m -> [ diag "PL115" m ]
-  | instrs ->
-      let soa = Compiled.soa plane in
-      let n = soa.Compiled.soa_n in
-      let width = soa.Compiled.soa_width in
-      let nblk = Compiled.n_blocks plane in
-      let n_values = Compiled.n_values plane in
-      let n_regs = Vm.n_regs p in
-      let ni = Array.length instrs in
-      (* structural pass: every operand against the plane's tables *)
-      let target pc t what =
-        if t < 0 || t >= ni then
-          err "PL115" "instr %d: %s target %d outside code [0, %d)" pc what t ni
-      in
-      let extent pc v what =
-        if v < 0 || v > n then
-          err "PL118" "instr %d: %s extent %d outside fact array [0, %d]" pc
-            what v n
-      in
-      let col pc c =
-        if c < 0 || c >= width then
-          err "PL119" "instr %d: column %d outside SoA width [0, %d)" pc c width
-      in
-      let reg pc r =
-        if r < 0 || r >= n_regs then
-          err "PL114" "instr %d: register %d outside file [0, %d)" pc r n_regs
-      in
-      Array.iteri
-        (fun pc (i : Vm.instr) ->
-          match i with
-          | Vm.Halt -> ()
-          | Vm.Init_a { lo } | Vm.Init_b { lo } -> extent pc lo "init"
-          | Vm.Next_a { hi; exit; _ } ->
-              extent pc hi "next.a";
-              target pc exit "exit"
-          | Vm.Next_b { hi; exit } ->
-              extent pc hi "next.b";
-              target pc exit "exit"
-          | Vm.Const_a { col = c; id; fail } | Vm.Const_b { col = c; id; fail }
-            ->
-              col pc c;
-              target pc fail "fail";
-              if id < 0 || id >= n_values then
-                err "PL117"
-                  "instr %d: constant id %d outside interner domain [0, %d)" pc
-                  id n_values
-          | Vm.Bind_a { col = c; reg = r } | Vm.Bind_b { col = c; reg = r } ->
-              col pc c;
-              reg pc r
-          | Vm.Check_a { col = c; reg = r; fail }
-          | Vm.Check_b { col = c; reg = r; fail } ->
-              col pc c;
-              reg pc r;
-              target pc fail "fail"
-          | Vm.Emit { next } -> target pc next "emit"
-          | Vm.Blk_next { count; exit } ->
-              if count <> nblk then
-                err "PL118"
-                  "instr %d: block count %d does not match the plane's %d" pc
-                  count nblk;
-              if count > 0 && not soa.Compiled.soa_block_safe then
-                err "PL118" "instr %d: plane block extents are not scan-safe" pc;
-              target pc exit "exit"
-          | Vm.Mem_next { matched; _ } -> target pc matched "matched"
-          | Vm.Emit_blk { next } -> target pc next "emit.blk"
-          | Vm.Rel_a { rel; fail } ->
-              if rel < 0 || rel >= Compiled.n_relations plane then
-                err "PL119" "instr %d: relation %d outside schema table [0, %d)"
-                  pc rel (Compiled.n_relations plane);
-              target pc fail "fail"
-          | Vm.Jmp { target = t } -> target pc t "jmp"
-          | Vm.Unknown op -> err "PL115" "instr %d: unknown opcode %d" pc op)
-        instrs;
-      (match instrs.(ni - 1) with
-      | Vm.Halt | Vm.Emit _ | Vm.Emit_blk _ | Vm.Jmp _ -> ()
-      | _ -> err "PL115" "instr %d: fallthrough off the end of the code" (ni - 1));
-      if !errs <> [] then List.rev !errs
-      else begin
-        (* dataflow pass: cursor validity (PL118) + definite register
-           writes (PL116), to a fixpoint *)
-        let bit_a = 1 and bit_b = 2 and bit_k = 4 in
-        let cursors = Array.make ni (-1) in
-        let bound = Array.make ni [||] in
-        cursors.(0) <- 0;
-        bound.(0) <- Array.make (max 1 n_regs) false;
-        let queue = Queue.create () in
-        Queue.add 0 queue;
-        let join pc cur bnd =
-          let changed = ref false in
-          if cursors.(pc) < 0 then begin
-            cursors.(pc) <- cur;
-            bound.(pc) <- Array.copy bnd;
-            changed := true
-          end
-          else begin
-            let cur' = cursors.(pc) land cur in
-            if cur' <> cursors.(pc) then begin
-              cursors.(pc) <- cur';
-              changed := true
-            end;
-            let b = bound.(pc) in
-            Array.iteri
-              (fun r v ->
-                if b.(r) && not v then begin
-                  b.(r) <- false;
-                  changed := true
-                end)
-              bnd
-          end;
-          if !changed then Queue.add pc queue
-        in
-        let flow = ref [] in
-        let seen = Hashtbl.create 8 in
-        let flow_err pc code m =
-          if not (Hashtbl.mem seen (pc, code)) then begin
-            Hashtbl.add seen (pc, code) ();
-            flow := diag code (Printf.sprintf "instr %d: %s" pc m) :: !flow
-          end
-        in
-        let need pc s bit what =
-          if s land bit = 0 then
-            flow_err pc "PL118"
-              (Printf.sprintf "cursor %s may be invalid at this access" what)
-        in
-        while not (Queue.is_empty queue) do
-          let pc = Queue.pop queue in
-          let s = cursors.(pc) in
-          let b = bound.(pc) in
-          match instrs.(pc) with
-          | Vm.Halt -> ()
-          | Vm.Init_a _ -> join (pc + 1) (s land lnot bit_a) b
-          | Vm.Init_b _ -> join (pc + 1) (s land lnot bit_b) b
-          | Vm.Next_a { exit; _ } ->
-              join exit (s land lnot bit_a) b;
-              if pc + 1 < ni then join (pc + 1) (s lor bit_a) b
-          | Vm.Next_b { exit; _ } ->
-              join exit (s land lnot bit_b) b;
-              if pc + 1 < ni then join (pc + 1) (s lor bit_b) b
-          | Vm.Const_a { fail; _ } | Vm.Rel_a { fail; _ } ->
-              need pc s bit_a "a";
-              join fail s b;
-              if pc + 1 < ni then join (pc + 1) s b
-          | Vm.Const_b { fail; _ } ->
-              need pc s bit_b "b";
-              join fail s b;
-              if pc + 1 < ni then join (pc + 1) s b
-          | Vm.Bind_a { reg = r; _ } ->
-              need pc s bit_a "a";
-              if pc + 1 < ni then begin
-                let b' = if b.(r) then b else Array.copy b in
-                b'.(r) <- true;
-                join (pc + 1) s b'
-              end
-          | Vm.Bind_b { reg = r; _ } ->
-              need pc s bit_b "b";
-              if pc + 1 < ni then begin
-                let b' = if b.(r) then b else Array.copy b in
-                b'.(r) <- true;
-                join (pc + 1) s b'
-              end
-          | Vm.Check_a { reg = r; fail; _ } ->
-              need pc s bit_a "a";
-              if not b.(r) then
-                flow_err pc "PL116"
-                  (Printf.sprintf "register %d may be read before any bind" r);
-              join fail s b;
-              if pc + 1 < ni then join (pc + 1) s b
-          | Vm.Check_b { reg = r; fail; _ } ->
-              need pc s bit_b "b";
-              if not b.(r) then
-                flow_err pc "PL116"
-                  (Printf.sprintf "register %d may be read before any bind" r);
-              join fail s b;
-              if pc + 1 < ni then join (pc + 1) s b
-          | Vm.Emit { next } ->
-              need pc s bit_a "a";
-              need pc s bit_b "b";
-              join next s b
-          | Vm.Blk_next { exit; _ } ->
-              join exit (s land lnot bit_k) b;
-              if pc + 1 < ni then
-                join (pc + 1) ((s lor bit_k) land lnot bit_a) b
-          | Vm.Mem_next { matched; _ } ->
-              need pc s bit_k "block";
-              join matched (s land lnot bit_a) b;
-              if pc + 1 < ni then join (pc + 1) (s lor bit_a) b
-          | Vm.Emit_blk { next } ->
-              need pc s bit_k "block";
-              join next s b
-          | Vm.Jmp { target } -> join target s b
-          | Vm.Unknown _ -> ()
-        done;
-        List.rev !flow
-      end
-
-let verify_vm_query plane (q : Qlang.Query.t) =
-  verify_vm plane (Vm.assemble_query plane q)
-
-let vm_gate plane p =
-  match verify_vm plane p with
-  | [] -> Ok ()
-  | diags ->
-      Error
-        (String.concat "; "
-           (List.map (fun (d : Lint.diagnostic) -> d.Lint.code ^ ": " ^ d.Lint.message) diags))

@@ -18,6 +18,9 @@
     - [PL113] {e error} — a program's relation index or arity disagrees with
       the plane's schema table.
 
+    [PL114]–[PL119] are retired (a removed bytecode verifier used them) and
+    must never be reused.
+
     Programs marked unsatisfiable ([ok = false]) are skipped: the matcher
     never executes them, so a [Const (-1)] placeholder in one is not a
     violation. *)
@@ -45,50 +48,3 @@ val verify_single :
     use. *)
 val verify_query :
   Relational.Compiled.t -> Qlang.Query.t -> Lint.diagnostic list
-
-(** {2 VM bytecode verification}
-
-    {!Qlang.Vm} lowers slot programs further, to register-based bytecode
-    executed over the plane's structure-of-arrays view with unchecked array
-    accesses. [verify_vm] is the engine-selection licence for that
-    interpreter: it re-derives the VM's memory-safety argument
-    independently (structural operand bounds, then a path-insensitive
-    cursor-validity dataflow in which only a loop guard's fallthrough edge
-    validates a scan cursor) and adds the semantic properties the VM's
-    internal check omits. {!Core.Solver} executes a program under
-    [--engine vm] only when this returns [[]]; any diagnostic makes the
-    engine fall back to the checked {!Qlang.Pattern} plane.
-
-    Stable codes, continuing the PL11x range:
-
-    - [PL114] {e error} — a register operand is outside the program's
-      register file.
-    - [PL115] {e error} — the instruction stream is malformed: bad code
-      length, unknown opcode, jump target out of bounds, or a fallthrough
-      off the end of the code.
-    - [PL116] {e error} — a register may be read ([check.a]/[check.b])
-      before any bind writes it, on some path.
-    - [PL117] {e error} — a [const] operand is outside the interner domain.
-    - [PL118] {e error} — a scan is not provably extent-safe: an init/next
-      extent lies outside the fact array, a block-scan's block count
-      disagrees with the plane, the plane's block extents are not
-      scan-safe, or a column/relation access may execute while its cursor
-      is invalid.
-    - [PL119] {e error} — a column operand is outside the SoA width, or a
-      relation operand outside the schema table. *)
-
-(** [verify_vm plane p] verifies [p]'s bytecode against [plane] (which must
-    be the plane [p] was assembled on). Returns [[]] iff every unchecked
-    access the interpreter would perform is provably in bounds. *)
-val verify_vm : Relational.Compiled.t -> Qlang.Vm.t -> Lint.diagnostic list
-
-(** [verify_vm_query plane q] assembles [q]'s pair-scan program and
-    verifies it — the whole-pipeline form [cqa analyze --dump-vm] uses. *)
-val verify_vm_query :
-  Relational.Compiled.t -> Qlang.Query.t -> Lint.diagnostic list
-
-(** [vm_gate plane p] is {!verify_vm} as the [(unit, string) result] shape
-    {!Core.Solver} takes for its [?check_vm] hook (core cannot depend on
-    this library, so the solver receives it as a closure). The error string
-    concatenates the diagnostics' codes and messages. *)
-val vm_gate : Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result

@@ -166,8 +166,6 @@ let run_case ~budget_s spec =
     delta_speedup = None;
     delta_equivalent = None;
     obs_overhead_pct = None;
-    vm_speedup = None;
-    vm_equivalent = None;
   }
 
 (* Agreement is between the Cert_k variants only — they compute the same
@@ -225,6 +223,4 @@ let run ?(extra_queries = []) ~profile ~seed ~budget_s () =
     obs_overhead_pct = None;
     obs_bar_pct = None;
     obs_within_bar = None;
-    vm_equivalence = None;
-    geomean_vm = None;
   }

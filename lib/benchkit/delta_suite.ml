@@ -181,8 +181,6 @@ let run_case ~budget_s spec =
     delta_speedup;
     delta_equivalent = Some delta_equivalent;
     obs_overhead_pct = None;
-    vm_speedup = None;
-    vm_equivalent = None;
   }
 
 let geomean = function
@@ -232,6 +230,4 @@ let run ~profile ~seed ~budget_s () =
     obs_overhead_pct = None;
     obs_bar_pct = None;
     obs_within_bar = None;
-    vm_equivalence = None;
-    geomean_vm = None;
   }

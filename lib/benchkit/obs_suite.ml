@@ -255,8 +255,6 @@ let run_case ~rng ~journal ~budget_s spec =
     delta_speedup = None;
     delta_equivalent = None;
     obs_overhead_pct;
-    vm_speedup = None;
-    vm_equivalent = None;
   }
 
 (* Instrumentation must not change semantics: every variant that finished
@@ -321,6 +319,4 @@ let run ?(bar_pct = default_bar_pct) ?budget_s ~profile ~seed () =
       (match obs_overhead_pct with
       | None -> None
       | Some p -> Some (p <= bar_pct));
-    vm_equivalence = None;
-    geomean_vm = None;
   }

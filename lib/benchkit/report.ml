@@ -7,10 +7,10 @@ module Json = Analysis.Json
    "delta_speedup", "delta_equivalent"; summary "delta_equivalence",
    "geomean_delta"); v5 added the observability-overhead split (per-case
    "obs_overhead_pct"; summary "obs_overhead_pct", "obs_bar_pct",
-   "obs_within_bar"); v6 added the evaluation-VM split (per-case
-   "vm_speedup", "vm_equivalent"; summary "vm_equivalence", "geomean_vm").
-   The decoder still accepts v1–v5 documents, reading the newer fields as
-   absent ([None]). *)
+   "obs_within_bar"); v6 added an evaluation-VM split whose four fields
+   were later dropped with the VM; the decoder ignores them. The decoder
+   still accepts v1–v5 documents, reading the newer fields as absent
+   ([None]). *)
 let schema_version = 6
 
 type run = {
@@ -39,8 +39,6 @@ type case = {
   delta_speedup : float option;
   delta_equivalent : bool option;
   obs_overhead_pct : float option;
-  vm_speedup : float option;
-  vm_equivalent : bool option;
 }
 
 type t = {
@@ -57,8 +55,6 @@ type t = {
   obs_overhead_pct : float option;
   obs_bar_pct : float option;
   obs_within_bar : bool option;
-  vm_equivalence : bool option;
-  geomean_vm : float option;
 }
 
 (* Encoding *)
@@ -95,8 +91,6 @@ let encode_case c =
       ("delta_speedup", opt (fun f -> Json.Float f) c.delta_speedup);
       ("delta_equivalent", opt (fun b -> Json.Bool b) c.delta_equivalent);
       ("obs_overhead_pct", opt (fun f -> Json.Float f) c.obs_overhead_pct);
-      ("vm_speedup", opt (fun f -> Json.Float f) c.vm_speedup);
-      ("vm_equivalent", opt (fun b -> Json.Bool b) c.vm_equivalent);
     ]
 
 let encode t =
@@ -124,8 +118,6 @@ let encode t =
               opt (fun f -> Json.Float f) t.obs_overhead_pct );
             ("obs_bar_pct", opt (fun f -> Json.Float f) t.obs_bar_pct);
             ("obs_within_bar", opt (fun b -> Json.Bool b) t.obs_within_bar);
-            ("vm_equivalence", opt (fun b -> Json.Bool b) t.vm_equivalence);
-            ("geomean_vm", opt (fun f -> Json.Float f) t.geomean_vm);
           ] );
     ]
 
@@ -201,9 +193,6 @@ let decode_case j =
   let* delta_equivalent = opt_field "delta_equivalent" Json.to_bool_opt j in
   (* obs_overhead_pct is absent before v5. *)
   let* obs_overhead_pct = opt_field "obs_overhead_pct" Json.to_float_opt j in
-  (* vm_speedup / vm_equivalent are absent before v6. *)
-  let* vm_speedup = opt_field "vm_speedup" Json.to_float_opt j in
-  let* vm_equivalent = opt_field "vm_equivalent" Json.to_bool_opt j in
   Ok
     {
       name;
@@ -221,8 +210,6 @@ let decode_case j =
       delta_speedup;
       delta_equivalent;
       obs_overhead_pct;
-      vm_speedup;
-      vm_equivalent;
     }
 
 let decode j =
@@ -254,8 +241,6 @@ let decode j =
   in
   let* obs_bar_pct = opt_field "obs_bar_pct" Json.to_float_opt summary in
   let* obs_within_bar = opt_field "obs_within_bar" Json.to_bool_opt summary in
-  let* vm_equivalence = opt_field "vm_equivalence" Json.to_bool_opt summary in
-  let* geomean_vm = opt_field "geomean_vm" Json.to_float_opt summary in
   Ok
     {
       suite;
@@ -271,8 +256,6 @@ let decode j =
       obs_overhead_pct;
       obs_bar_pct;
       obs_within_bar;
-      vm_equivalence;
-      geomean_vm;
     }
 
 let of_string s =

@@ -8,9 +8,10 @@
 
     Schema (version 6, one object per file; v2 added the per-run ["sites"]
     object, v3 the compile-phase split, v4 the incremental-maintenance
-    split, v5 the observability-overhead split, v6 the evaluation-VM split
-    — older documents still decode, with empty sites and absent
-    compile/delta/obs/vm fields):
+    split, v5 the observability-overhead split, v6 an evaluation-VM split
+    that is no longer written — older documents still decode, with empty
+    sites and absent compile/delta/obs fields, and the decoder ignores the
+    VM fields of older v6 documents):
     {v
     { "schema_version": 6,
       "suite": "certk-fixpoint" | "delta-update" | "obs-overhead",
@@ -31,9 +32,7 @@
           "delta_us": <float> | null,
           "delta_speedup": <float> | null,
           "delta_equivalent": <bool> | null,
-          "obs_overhead_pct": <float> | null,
-          "vm_speedup": <float> | null,
-          "vm_equivalent": <bool> | null } ],
+          "obs_overhead_pct": <float> | null } ],
       "summary": { "cases": <int>, "agreement": <bool>,
                    "plane_equivalence": <bool> | null,
                    "geomean_speedup_vs_rounds": <float> | null,
@@ -42,9 +41,7 @@
                    "geomean_delta": <float> | null,
                    "obs_overhead_pct": <float> | null,
                    "obs_bar_pct": <float> | null,
-                   "obs_within_bar": <bool> | null,
-                   "vm_equivalence": <bool> | null,
-                   "geomean_vm": <float> | null } }
+                   "obs_within_bar": <bool> | null } }
     v} *)
 
 val schema_version : int
@@ -108,18 +105,6 @@ type case = {
           control being the identical solve with no observability attached.
           [None] outside the [obs-overhead] suite and in pre-v5
           documents. *)
-  vm_speedup : float option;
-      (** [match-plane median / match-vm median]: how much faster the
-          register-VM scan enumerates the case's solution pairs (and builds
-          the graph) than the checked pattern interpreter over the same
-          compiled plane. [None] outside the [vm-speedup] suite and in
-          pre-v6 documents. *)
-  vm_equivalent : bool option;
-      (** The VM engine reproduced the checked engine exactly on this case:
-          structurally equal solution graphs, identical pair enumerations,
-          equal [Cert_k] verdicts, antichains and certificates, and equal
-          seeded Monte-Carlo estimates. [None] outside the [vm-speedup]
-          suite. *)
 }
 
 type t = {
@@ -151,12 +136,6 @@ type t = {
       (** [obs_overhead_pct <= obs_bar_pct]. A [false] here fails
           [cqa bench] and the [@bench-smoke] alias, exactly like
           [plane_equivalence]. *)
-  vm_equivalence : bool option;
-      (** [vm_equivalent] held on every case ([None] outside the
-          [vm-speedup] suite). A [false] here fails [cqa bench] and the
-          [@bench-smoke] alias, exactly like [plane_equivalence]. *)
-  geomean_vm : float option;
-      (** Geometric mean of the per-case [vm_speedup]s. *)
 }
 
 val encode : t -> Analysis.Json.t

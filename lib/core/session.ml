@@ -8,15 +8,12 @@ type t = {
   report : Dichotomy.report;
   database : Database.t;
   check_plane : (Compiled.t -> (unit, string) result) option;
-  engine : Solver.engine;
-  check_vm : (Compiled.t -> Qlang.Vm.t -> (unit, string) result) option;
   plane : Compiled.t Lazy.t;
   graph : Solution_graph.t Lazy.t;
   answer : (int, bool * Solver.algorithm) Hashtbl.t;  (* keyed by k *)
 }
 
-let of_report ?check_plane ?(engine = Solver.Engine_plane) ?check_vm report
-    database =
+let of_report ?check_plane report database =
   let q = report.Dichotomy.query in
   let plane =
     lazy
@@ -33,20 +30,17 @@ let of_report ?check_plane ?(engine = Solver.Engine_plane) ?check_vm report
     report;
     database;
     check_plane;
-    engine;
-    check_vm;
     plane;
-    graph =
-      lazy (Solver.build_query_graph ~engine ?check_vm q (Lazy.force plane));
+    graph = lazy (Solution_graph.of_query_compiled q (Lazy.force plane));
     answer = Hashtbl.create 4;
   }
 
-let create ?opts ?check_plane ?engine ?check_vm q db =
+let create ?opts ?check_plane q db =
   (* Fail fast on schema mismatches. *)
   List.iter
     (fun f -> ignore (Relational.Fact.key (Database.schema_of db f) f))
     (Database.facts db);
-  of_report ?check_plane ?engine ?check_vm (Dichotomy.classify ?opts q) db
+  of_report ?check_plane (Dichotomy.classify ?opts q) db
 
 let query s = s.report.Dichotomy.query
 let report s = s.report
@@ -60,8 +54,7 @@ let database s = s.database
 let update s (d : Delta.t) =
   let database = Delta.apply s.database d in
   if not (Lazy.is_val s.plane) then
-    of_report ?check_plane:s.check_plane ~engine:s.engine ?check_vm:s.check_vm
-      s.report database
+    of_report ?check_plane:s.check_plane s.report database
   else begin
     let q = s.report.Dichotomy.query in
     let old_plane = Lazy.force s.plane in
@@ -82,7 +75,7 @@ let update s (d : Delta.t) =
         lazy (Solution_graph.repair q ~old:old_graph (Lazy.force patched))
       else
         lazy
-          (Solver.build_query_graph ~engine:s.engine ?check_vm:s.check_vm q
+          (Solution_graph.of_query_compiled q
              (Lazy.force patched).Compiled.plane)
     in
     {

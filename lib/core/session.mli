@@ -22,19 +22,10 @@ type t
     recompilations after {!add_fact}/{!remove_fact} — and a rejection
     surfaces as [Invalid_argument] from whichever operation first forces the
     plane.
-
-    [engine] selects how the session builds its solution graphs (default
-    [Solver.Engine_plane]); under [Solver.Engine_vm] each full graph build
-    runs assembled {!Qlang.Vm} bytecode gated by [check_vm] (see
-    {!Solver.build_query_graph}). Incremental graph {e repairs} after
-    {!update} stay on the checked edge-incremental path regardless of
-    engine — only from-scratch builds are engine-selected.
     @raise Invalid_argument if facts of [db] do not fit the query schema. *)
 val create :
   ?opts:Tripath_search.options ->
   ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
-  ?engine:Solver.engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
   Qlang.Query.t ->
   Relational.Database.t ->
   t

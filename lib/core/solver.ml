@@ -20,30 +20,6 @@ let pp_algorithm ppf = function
   | Alg_exact_backtracking -> Format.pp_print_string ppf "exact (backtracking)"
   | Alg_exact_sat -> Format.pp_print_string ppf "exact (SAT)"
 
-(* ------------------------------------------------------------------ *)
-(* Engine selection: how the matching-heavy inner loops execute. *)
-
-type engine = Engine_plane | Engine_vm
-
-let engine_label = function Engine_plane -> "plane" | Engine_vm -> "vm"
-
-let engine_of_string = function
-  | "plane" -> Some Engine_plane
-  | "vm" -> Some Engine_vm
-  | _ -> None
-
-let pp_engine ppf e = Format.pp_print_string ppf (engine_label e)
-
-(* The VM licence: [Engine_vm] executes a program only after some checker
-   accepted it. [check_vm] is the independent verifier from the analysis
-   layer, injected as a closure (core cannot depend on analysis); without
-   it the VM's internal sanity check is the licence. Rejection is not an
-   error — the caller falls back to the checked pattern plane. *)
-let vm_licence ?check_vm plane prog =
-  match check_vm with
-  | Some check -> check plane prog
-  | None -> Qlang.Vm.sanity plane prog
-
 (* A fact [a] satisfies [∃μ. μ(A) = a = μ(B)] iff its positions respect the
    equalities forced by ONE assignment matching both atoms: [a_i = μ(A[i])]
    and [a_i = μ(B[i])], so two positions must be equal whenever they are
@@ -108,23 +84,8 @@ let certain_one_atom_plane atom plane =
 
 let certain_one_atom atom db = certain_one_atom_plane atom (Compiled.compile db)
 
-(* The trivial tier under [Engine_vm]: the per-block all-members scan runs
-   as a compiled block-scan program over the SoA view. A licence rejection
-   falls back to the checked per-block pattern test — same verdict, slower
-   loop. *)
-let certain_one_atom_vm ?check_vm ?tick atom plane =
-  let prog = Qlang.Vm.assemble_single plane atom in
-  match vm_licence ?check_vm plane prog with
-  | Ok () -> Qlang.Vm.exists_matching_block ?tick plane prog
-  | Error _ -> certain_one_atom_plane atom plane
-
-let certain_trivial ?(engine = Engine_plane) ?check_vm ?tick (q : Query.t)
-    triviality plane =
-  let one_atom atom =
-    match engine with
-    | Engine_plane -> certain_one_atom_plane atom plane
-    | Engine_vm -> certain_one_atom_vm ?check_vm ?tick atom plane
-  in
+let certain_trivial (q : Query.t) triviality plane =
+  let one_atom atom = certain_one_atom_plane atom plane in
   match triviality with
   | Query.Hom_a_to_b -> one_atom q.Query.b
   | Query.Hom_b_to_a -> one_atom q.Query.a
@@ -133,26 +94,13 @@ let certain_trivial ?(engine = Engine_plane) ?check_vm ?tick (q : Query.t)
       | None -> false (* no single fact can match both atoms *)
       | Some c -> one_atom c)
 
-(* Engine-selected solution-graph construction. Under [Engine_vm] the
-   assembled pair-scan program must pass its licence before the interpreter
-   (whose hot path is unchecked array accesses) runs it; rejection is a
-   clean fallback to the checked pattern plane, stamped on the trace — a
-   program no checker accepts is never executed unsafely. [vm_tick] ticks
-   at site {!Harness.Sites.vm} (once per outer candidate row, the cadence
-   [tick] has at site ["compile"] on the checked path). *)
-let build_query_graph ~engine ?check_vm ?trace ?tick ?vm_tick q plane =
-  match engine with
-  | Engine_plane -> Qlang.Solution_graph.of_query_compiled ?tick q plane
-  | Engine_vm -> (
-      let prog = Qlang.Vm.assemble_query plane q in
-      match vm_licence ?check_vm plane prog with
-      | Ok () -> Qlang.Solution_graph.of_vm_prog ?tick:vm_tick prog plane
-      | Error msg ->
-          (match trace with
-          | None -> ()
-          | Some tr ->
-              Obs.Trace.add_attr tr "vm_fallback" (Obs.Trace.String msg));
-          Qlang.Solution_graph.of_query_compiled ?tick q plane)
+(* Kept only because the end-to-end benchmark's replay (bench/e2e/replay.ml)
+   names the engine and is frozen with the benchmark; drop both with the
+   next benchmark change. *)
+type engine = Engine_plane
+
+let build_query_graph ~engine:Engine_plane =
+  Qlang.Solution_graph.of_query_compiled
 
 (* The dispatch core: both planes arrive lazily so each verdict forces only
    what it needs — the trivial tier touches the compiled plane but never
@@ -381,21 +329,16 @@ let run_tiers ?(verify = false) ?fallback ?budget ?trace tiers =
   in
   (outcome, attempts)
 
-let tiers ?(k = 3) ?(exact_only = false) ?(engine = Engine_plane) ?check_vm
-    ?check_certificate ~budget (report : Dichotomy.report) ~plane ~graph =
+let tiers ?(k = 3) ?(exact_only = false) ?check_certificate ~budget
+    (report : Dichotomy.report) ~plane ~graph =
   let q = report.Dichotomy.query in
-  let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
   let ptime =
     if exact_only then []
     else
       match report.Dichotomy.verdict with
       | Dichotomy.Ptime (Dichotomy.Trivial t) ->
           [
-            ( Tier_ptime,
-              Alg_one_atom,
-              fun () ->
-                certain_trivial ~engine ?check_vm ~tick:vm_tick q t (plane ())
-            );
+            (Tier_ptime, Alg_one_atom, fun () -> certain_trivial q t (plane ()));
           ]
       | Dichotomy.Ptime Dichotomy.Cert2 ->
           [
@@ -489,9 +432,9 @@ let apply_plane_gate check_plane p =
       | Ok () -> ()
       | Error msg -> invalid_arg ("compiled plane rejected: " ^ msg))
 
-let solve ?k ?exact_only ?(engine = Engine_plane) ?check_vm ?check_certificate
-    ?check_plane ?(budget = Harness.Budget.unlimited ()) ?verify
-    ?estimate_trials ?(seed = 0) ?trace (report : Dichotomy.report) db =
+let solve ?k ?exact_only ?check_certificate ?check_plane
+    ?(budget = Harness.Budget.unlimited ()) ?verify ?estimate_trials
+    ?(seed = 0) ?trace (report : Dichotomy.report) db =
   let fallback =
     Option.map
       (fun trials () ->
@@ -541,29 +484,22 @@ let solve ?k ?exact_only ?(engine = Engine_plane) ?check_vm ?check_certificate
             apply_plane_gate check_plane p;
             p))
   in
-  let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
   let graph =
     memo (fun () ->
         let p = plane () in
         in_compile_span "graph"
+          (fun () -> [ ("facts", Obs.Trace.Int (Compiled.n_facts p)) ])
           (fun () ->
-            [
-              ("facts", Obs.Trace.Int (Compiled.n_facts p));
-              ("engine", Obs.Trace.String (engine_label engine));
-            ])
-          (fun () ->
-            build_query_graph ~engine ?check_vm ?trace ~tick ~vm_tick
-              report.Dichotomy.query p))
+            Qlang.Solution_graph.of_query_compiled ~tick report.Dichotomy.query
+              p))
   in
   in_solve_span ?trace report budget (fun () ->
       run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ~engine ?check_vm ?check_certificate ~budget
-           report ~plane ~graph))
+        (tiers ?k ?exact_only ?check_certificate ~budget report ~plane ~graph))
 
-let solve_plane ?k ?exact_only ?(engine = Engine_plane) ?check_vm
-    ?check_certificate ?check_plane ?(budget = Harness.Budget.unlimited ())
-    ?verify ?estimate_trials ?(seed = 0) ?trace (report : Dichotomy.report)
-    plane =
+let solve_plane ?k ?exact_only ?check_certificate ?check_plane
+    ?(budget = Harness.Budget.unlimited ()) ?verify ?estimate_trials
+    ?(seed = 0) ?trace (report : Dichotomy.report) plane =
   let q = report.Dichotomy.query in
   (* The gate verdict is computed at most once; every tier (and the
      fallback's graph build) re-raises it, so a corrupt cached plane cannot
@@ -581,14 +517,13 @@ let solve_plane ?k ?exact_only ?(engine = Engine_plane) ?check_vm
      the fallback runs the shared budget is exhausted, and the estimate is
      the last resort. *)
   let graph_cache = ref None in
-  let build_graph ?tick ?vm_tick () =
+  let build_graph ?tick () =
     match !graph_cache with
     | Some g -> g
     | None ->
         let build () =
           let g =
-            build_query_graph ~engine ?check_vm ?trace ?tick ?vm_tick q
-              (gated_plane ())
+            Qlang.Solution_graph.of_query_compiled ?tick q (gated_plane ())
           in
           graph_cache := Some g;
           g
@@ -605,8 +540,7 @@ let solve_plane ?k ?exact_only ?(engine = Engine_plane) ?check_vm
               build)
   in
   let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
-  let vm_tick () = Harness.Budget.tick ~site:Harness.Sites.vm budget in
-  let graph () = build_graph ~tick ~vm_tick () in
+  let graph () = build_graph ~tick () in
   let fallback =
     Option.map
       (fun trials () ->
@@ -616,14 +550,13 @@ let solve_plane ?k ?exact_only ?(engine = Engine_plane) ?check_vm
   in
   in_solve_span ?trace report budget (fun () ->
       run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ~engine ?check_vm ?check_certificate ~budget
-           report ~plane:gated_plane ~graph))
+        (tiers ?k ?exact_only ?check_certificate ~budget report
+           ~plane:gated_plane ~graph))
 
-let solve_query ?opts ?k ?exact_only ?engine ?check_vm ?check_certificate
-    ?check_plane ?budget ?verify ?estimate_trials ?seed ?trace q db =
-  solve ?k ?exact_only ?engine ?check_vm ?check_certificate ?check_plane
-    ?budget ?verify ?estimate_trials ?seed ?trace (Dichotomy.classify ?opts q)
-    db
+let solve_query ?opts ?k ?exact_only ?check_certificate ?check_plane ?budget
+    ?verify ?estimate_trials ?seed ?trace q db =
+  solve ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
+    ?estimate_trials ?seed ?trace (Dichotomy.classify ?opts q) db
 
 (* Bridge a chain's attempts into a metrics registry: per-tier latency and
    step histograms plus status counters, alongside the per-site tick

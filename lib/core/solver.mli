@@ -18,43 +18,16 @@ type algorithm =
 
 val pp_algorithm : Format.formatter -> algorithm -> unit
 
-(** {2 Engine selection}
+(** The single graph engine, named only so the end-to-end benchmark's
+    replay (bench/e2e/replay.ml), which is frozen with the benchmark, keeps
+    compiling. New code calls {!Qlang.Solution_graph.of_query_compiled}. *)
+type engine = Engine_plane
 
-    The matching-heavy inner loops — the solution-pair enumeration behind
-    the graph build and the trivial tier's per-block scan — exist twice:
-    the checked {!Qlang.Pattern} interpreter (the {e plane} engine, default)
-    and the register-based {!Qlang.Vm} bytecode over the plane's
-    structure-of-arrays view (the {e vm} engine, [cqa ... --engine vm]).
-    Verdicts, certificates and budget exhaustion points are identical by
-    construction; the VM is the fast path, the plane the differential
-    oracle. *)
-
-type engine =
-  | Engine_plane  (** Checked slot-program interpreter (default). *)
-  | Engine_vm  (** Register bytecode over the SoA view, unchecked loads. *)
-
-(** ["plane"] / ["vm"] — the stable label used by [--engine] and traces. *)
-val engine_label : engine -> string
-
-val engine_of_string : string -> engine option
-val pp_engine : Format.formatter -> engine -> unit
-
-(** [build_query_graph ~engine q plane] builds [q]'s solution graph with the
-    selected engine. Under [Engine_vm] the assembled pair-scan bytecode must
-    pass its licence — [check_vm] when injected (the analysis verifier,
-    e.g. [Analysis.Verify_pattern.vm_gate]), the VM's internal
-    {!Qlang.Vm.sanity} otherwise — before the unchecked interpreter runs it;
-    a rejected program falls back to the checked
-    {!Qlang.Solution_graph.of_query_compiled} build (recording a
-    [vm_fallback] attribute on [trace]), so it is never executed unsafely.
-    [tick] is the checked path's per-candidate-row tick; [vm_tick] the VM
-    path's (the solver wires them to sites ["compile"] and ["vm"]). *)
+(** [build_query_graph ~engine:Engine_plane] is
+    {!Qlang.Solution_graph.of_query_compiled}. *)
 val build_query_graph :
   engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
-  ?trace:Obs.Trace.t ->
   ?tick:(unit -> unit) ->
-  ?vm_tick:(unit -> unit) ->
   Qlang.Query.t ->
   Relational.Compiled.t ->
   Qlang.Solution_graph.t
@@ -77,18 +50,6 @@ val certain_one_atom : Qlang.Atom.t -> Relational.Database.t -> bool
     scan runs over the plane's int-tuple block partition with a compiled
     {!Qlang.Pattern}, never touching the persistent database. *)
 val certain_one_atom_plane : Qlang.Atom.t -> Relational.Compiled.t -> bool
-
-(** [certain_one_atom_vm atom plane] is {!certain_one_atom_plane} with the
-    per-block scan executed as a {!Qlang.Vm} block-scan program. [check_vm]
-    is the injected licence (defaults to the VM's internal sanity check);
-    on rejection the checked plane scan answers instead. [tick] is called
-    once per scanned member row (site ["vm"] when the solver wires it). *)
-val certain_one_atom_vm :
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
-  ?tick:(unit -> unit) ->
-  Qlang.Atom.t ->
-  Relational.Compiled.t ->
-  bool
 
 (** [certain ?k report db] answers CERTAIN for the classified query on [db],
     returning the algorithm used. [k] bounds the fixpoint parameter of
@@ -248,16 +209,6 @@ val run_tiers :
     success-only: a transient injected fault during compilation fails only
     the current tier, and the next tier retries the build.
 
-    [engine] selects how the matching loops execute (default
-    [Engine_plane]). Under [Engine_vm] the graph build and the trivial tier
-    run assembled {!Qlang.Vm} programs, ticking [budget] at site
-    {!Harness.Sites.vm} once per outer candidate row; [check_vm] is the
-    injected bytecode licence (the CLI passes
-    [Analysis.Verify_pattern.vm_gate]; defaults to the VM's internal sanity
-    check). A rejected program is {e never} executed: the engine falls back
-    to the checked plane for that build, recording a [vm_fallback] trace
-    attribute, and the verdict is unaffected.
-
     [trace] makes the run explain itself: a root [solve] span (attrs:
     [query], [verdict], [outcome], [total_steps]) wrapping the per-tier
     spans of {!run_tiers} — the machine-readable record of which tier ran,
@@ -266,8 +217,6 @@ val run_tiers :
 val solve :
   ?k:int ->
   ?exact_only:bool ->
-  ?engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
   ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
   ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
   ?budget:Harness.Budget.t ->
@@ -290,8 +239,6 @@ val solve :
 val solve_plane :
   ?k:int ->
   ?exact_only:bool ->
-  ?engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
   ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
   ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
   ?budget:Harness.Budget.t ->
@@ -308,8 +255,6 @@ val solve_query :
   ?opts:Tripath_search.options ->
   ?k:int ->
   ?exact_only:bool ->
-  ?engine:engine ->
-  ?check_vm:(Relational.Compiled.t -> Qlang.Vm.t -> (unit, string) result) ->
   ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
   ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
   ?budget:Harness.Budget.t ->

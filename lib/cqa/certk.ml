@@ -300,19 +300,6 @@ let paper_k q =
 let certain_plane ?budget ~k q plane =
   run ?budget ~k (Solution_graph.of_query_compiled q plane)
 
-let certain_plane_vm ?budget ~k q plane =
-  (* The wake/match work — solution enumeration — runs as a compiled VM
-     scan program, ticking the budget at its own site so chaos schedules
-     and step budgets cover the unsafe-indexed loop like any other solver
-     loop; the fixpoint on the resulting graph is shared with
-     [certain_plane]. *)
-  let tick =
-    Option.map
-      (fun b () -> Harness.Budget.tick ~site:Harness.Sites.vm b)
-      budget
-  in
-  run ?budget ~k (Solution_graph.of_query_vm ?tick q plane)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental resumption                                              *)
 

@@ -70,25 +70,12 @@ val paper_k : Qlang.Query.t -> int
 (** [certain_plane ?budget ~k q plane] is {!certain_query} on the compiled
     execution plane ([Relational.Compiled]): the solution graph is built
     directly on the plane's interned arrays, with no recompilation of the
-    database. Verdicts are identical to the persistent-plane path (pinned by
-    the differential suite). *)
+    database. Verdicts are identical to the persistent-plane path: the
+    cross-plane differential test compares them, and the antichains of
+    {!derived}, against the graph of the frozen
+    [Qlang.Solution_graph.of_atoms_reference] and the {!Certk_rounds} and
+    {!Certk_naive} oracles. *)
 val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool
-
-(** [certain_plane_vm ?budget ~k q plane] is {!certain_plane} with the
-    wake/match inner loop — the solution enumeration feeding the fixpoint —
-    executed as a compiled [Qlang.Vm] scan program over the
-    structure-of-arrays view. [budget] is ticked once per outer candidate
-    row at site ["vm"] ([Harness.Sites.vm]) during the scan, then as usual
-    at ["certk"] during the fixpoint. Verdicts are identical to
-    {!certain_plane} (the [@vm-smoke] differential suite pins this).
-    @raise Invalid_argument if the assembled program fails the VM's
-    internal memory-safety check. *)
-val certain_plane_vm :
   ?budget:Harness.Budget.t ->
   k:int ->
   Qlang.Query.t ->

@@ -8,13 +8,11 @@ let brute = "brute"
 let exact = "exact"
 let montecarlo = "montecarlo"
 let serve = "serve"
-let vm = "vm"
 
 let all =
   [
     serve;
     compile;
-    vm;
     certk;
     certk_rounds;
     certk_naive;

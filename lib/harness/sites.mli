@@ -12,9 +12,13 @@
 
     - {!compile} — construction of the compiled execution plane
       ([Relational.Compiled.compile] ticks once per fact) and of the solution
-      graph built on it ([Qlang.Solution_graph] ticks once per candidate
-      fact row). The degradation chain compiles once and shares the result
-      across its tiers, so these ticks are charged at most once per solve.
+      graph built on it (the keyed join of [Qlang.Pattern.iter_pairs], the
+      one solution enumeration, ticks once per row of the first atom's
+      relation range). The degradation chain compiles once and shares the
+      result across its tiers, so these ticks are charged at most once per
+      solve. The join's oracles ([Qlang.Solutions.query_pairs],
+      [Qlang.Solution_graph.of_atoms_reference]) run only in tests and
+      tick nothing.
     - {!certk} — the delta-driven [Cqa.Certk] worklist (one tick per
       derivation step explored).
     - {!certk_rounds} — the frozen round-driven baseline
@@ -36,13 +40,6 @@
       ([Serve.Daemon] ticks once per accepted frame before routing it), so
       chaos schedules can fault the service loop itself, not just the
       solvers it drives.
-    - {!vm} — the register-based evaluation VM ([Qlang.Vm]): one tick per
-      outer candidate row of a compiled scan program. Under [--engine vm]
-      its nested pair scan stands in for the keyed join of
-      [Qlang.Pattern.iter_pairs], which ticks at the same cadence (once
-      per row of the first atom's range). A separate site from
-      {!compile} so budgets and chaos schedules can target (or spare)
-      the unsafe-indexed hot loop specifically.
 
     The empty string is the default label of a {!Budget.tick} call that
     does not name a site; no loop in this repository uses it, and the
@@ -59,7 +56,6 @@ val brute : string
 val exact : string
 val montecarlo : string
 val serve : string
-val vm : string
 
 (** All canonical site names, in request order (the serve admission point
     first, then the shared compilation, then PTIME loops, then SAT, then

@@ -208,13 +208,18 @@ let snapshot (t : t) =
         s.s_counters;
       Hashtbl.iter
         (fun name h ->
+          (* The writer may bump a bucket between any two of our reads, so
+             the buckets are read once and the count is their sum: a
+             mid-run snapshot is stale but coherent, never count <> sum. *)
+          let counts = Array.copy h.h_counts in
+          let count = Array.fold_left ( + ) 0 counts in
           match Hashtbl.find_opt histograms name with
           | None ->
               Hashtbl.add histograms name
                 {
                   h_bounds = h.h_bounds;
-                  h_counts = Array.copy h.h_counts;
-                  h_count = h.h_count;
+                  h_counts = counts;
+                  h_count = count;
                   h_sum = h.h_sum;
                 }
           | Some acc ->
@@ -226,8 +231,8 @@ let snapshot (t : t) =
                      name);
               Array.iteri
                 (fun i n -> acc.h_counts.(i) <- acc.h_counts.(i) + n)
-                h.h_counts;
-              acc.h_count <- acc.h_count + h.h_count;
+                counts;
+              acc.h_count <- acc.h_count + count;
               acc.h_sum <- acc.h_sum +. h.h_sum)
         s.s_histograms;
       Mutex.unlock s.s_lock)

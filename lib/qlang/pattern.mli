@@ -40,7 +40,13 @@ val pair : Relational.Compiled.t -> Atom.t -> Atom.t -> pair
     [tick] is invoked once per row of [a]'s relation range, matched or not
     (a pattern whose relation or constants are unknown to the plane ticks
     nothing); building the index ticks nothing. The degradation chain
-    points it at its budget, so step counts equal the [a]-range size. *)
+    points it at its budget, so step counts equal the [a]-range size.
+
+    This is the only solution enumeration the solvers run. Its oracles
+    live outside the hot path: {!Solutions.query_pairs} (substitution-based,
+    on the persistent database) and {!Solution_graph.of_atoms_reference};
+    the cross-plane differential test holds the join to both, pair for
+    pair and in order, on a seeded pool and on every catalogue query. *)
 val iter_pairs : ?tick:(unit -> unit) -> pair -> (int -> int -> unit) -> unit
 
 (** [iter_pairs_fresh p ~fresh f] is {!iter_pairs} restricted to the pairs

@@ -39,93 +39,6 @@ let of_compiled ?tick a b plane =
     directed = List.rev !directed;
   }
 
-(* VM-built construction: the enumeration is a compiled [Vm] pair-scan
-   program instead of the keyed join of [Pattern.iter_pairs], and the
-   adjacency lists are assembled from flat edge buffers instead of
-   per-vertex cons-and-sort_uniq. Emission order is lexicographic (the VM
-   reproduces the join's order exactly), so for a vertex [v] the
-   forward neighbours ([j] of emitted [(v, j)]) and the reverse neighbours
-   ([i] of emitted [(i, v)]) each arrive ascending and duplicate-free — the
-   sorted adjacency is a two-run merge-dedup, no comparison sort anywhere.
-   The result is structurally [equal] to [of_compiled]'s graph; the
-   [@vm-smoke] differential suite pins that. *)
-let of_vm_prog ?tick prog plane =
-  let n = Compiled.n_facts plane in
-  let src = ref (Array.make 64 0) and dst = ref (Array.make 64 0) in
-  let len = ref 0 in
-  Vm.iter_pairs ?tick plane prog (fun i j ->
-      if !len = Array.length !src then begin
-        let cap' = 2 * Array.length !src in
-        let src' = Array.make cap' 0 and dst' = Array.make cap' 0 in
-        Array.blit !src 0 src' 0 !len;
-        Array.blit !dst 0 dst' 0 !len;
-        src := src';
-        dst := dst'
-      end;
-      !src.(!len) <- i;
-      !dst.(!len) <- j;
-      incr len);
-  let m = !len in
-  let src = !src and dst = !dst in
-  let self = Array.make n false in
-  let deg_f = Array.make (n + 1) 0 and deg_r = Array.make (n + 1) 0 in
-  for e = 0 to m - 1 do
-    let i = src.(e) and j = dst.(e) in
-    if i = j then self.(i) <- true
-    else begin
-      deg_f.(i) <- deg_f.(i) + 1;
-      deg_r.(j) <- deg_r.(j) + 1
-    end
-  done;
-  (* prefix sums turn the degree counts into segment offsets *)
-  let off_f = Array.make (n + 1) 0 and off_r = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off_f.(v + 1) <- off_f.(v) + deg_f.(v);
-    off_r.(v + 1) <- off_r.(v) + deg_r.(v)
-  done;
-  let buf_f = Array.make (max 1 off_f.(n)) 0 in
-  let buf_r = Array.make (max 1 off_r.(n)) 0 in
-  let cur_f = Array.sub off_f 0 (max 1 n) in
-  let cur_r = Array.sub off_r 0 (max 1 n) in
-  for e = 0 to m - 1 do
-    let i = src.(e) and j = dst.(e) in
-    if i <> j then begin
-      buf_f.(cur_f.(i)) <- j;
-      cur_f.(i) <- cur_f.(i) + 1;
-      buf_r.(cur_r.(j)) <- i;
-      cur_r.(j) <- cur_r.(j) + 1
-    end
-  done;
-  let adj =
-    Array.init n (fun v ->
-        (* merge the two ascending runs back-to-front so consing yields the
-           ascending duplicate-free list *)
-        let fl = off_f.(v) and rl = off_r.(v) in
-        let rec go fi ri acc =
-          if fi < fl then
-            if ri < rl then acc else go fi (ri - 1) (buf_r.(ri) :: acc)
-          else if ri < rl then go (fi - 1) ri (buf_f.(fi) :: acc)
-          else
-            let x = buf_f.(fi) and y = buf_r.(ri) in
-            if x = y then go (fi - 1) (ri - 1) (x :: acc)
-            else if x > y then go (fi - 1) ri (x :: acc)
-            else go fi (ri - 1) (y :: acc)
-        in
-        go (off_f.(v + 1) - 1) (off_r.(v + 1) - 1) [])
-  in
-  let directed = List.init m (fun e -> (src.(e), dst.(e))) in
-  {
-    facts = plane.Compiled.facts;
-    block_of = plane.Compiled.block_of;
-    blocks = plane.Compiled.blocks;
-    adj;
-    self;
-    directed;
-  }
-
-let of_vm ?tick a b plane = of_vm_prog ?tick (Vm.assemble_atoms plane a b) plane
-let of_query_vm ?tick (q : Query.t) plane = of_vm ?tick q.Query.a q.Query.b plane
-
 let of_atoms ?tick a b db = of_compiled ?tick a b (Compiled.compile ?tick db)
 let of_query ?tick (q : Query.t) db = of_atoms ?tick q.Query.a q.Query.b db
 

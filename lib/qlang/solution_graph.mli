@@ -18,8 +18,9 @@
     (sessions, the degradation chain) use {!of_compiled} /
     {!of_query_compiled} to build the graph without recompiling. Both
     constructions produce a graph structurally identical to the frozen
-    persistent-plane reference {!of_atoms_reference}, which the
-    plane-equivalence tests pin via {!equal}. *)
+    persistent-plane reference {!of_atoms_reference}, the oracle the
+    cross-plane differential test compares against via {!equal} on a
+    seeded pool and on every catalogue query. *)
 
 type t = private {
   facts : Relational.Fact.t array;  (** Vertex [i] is [facts.(i)]. *)
@@ -48,32 +49,6 @@ val of_compiled :
 (** [of_query_compiled q plane] is [of_compiled q.a q.b plane]. *)
 val of_query_compiled :
   ?tick:(unit -> unit) -> Query.t -> Relational.Compiled.t -> t
-
-(** {2 VM-built construction}
-
-    The same graph, enumerated by a compiled {!Vm} pair-scan program (a
-    nested scan, quadratic in the relation's size) over the
-    structure-of-arrays plane instead of the keyed join, with the
-    adjacency assembled from flat edge buffers by a merge-dedup (the
-    VM's lexicographic emission order makes each vertex's
-    forward and reverse neighbour streams ascending). Structurally {!equal}
-    to {!of_compiled}'s graph — the [@vm-smoke] differential suite and the
-    [vm-speedup] bench gate pin that; [Core.Solver] selects it under
-    [--engine vm] only after [Analysis.Verify_pattern.verify_vm] accepts
-    the program. [tick] fires once per outer candidate row (site ["vm"]).
-    @raise Invalid_argument if the program fails [Vm]'s internal
-    memory-safety check against the plane. *)
-
-(** [of_vm_prog prog plane] runs an already-assembled (and typically
-    already-verified) program — the entry point the solver uses, so the
-    bytecode that was licensed is exactly the bytecode that runs. *)
-val of_vm_prog : ?tick:(unit -> unit) -> Vm.t -> Relational.Compiled.t -> t
-
-(** [of_vm a b plane] assembles [a ∧ b] and runs it. *)
-val of_vm : ?tick:(unit -> unit) -> Atom.t -> Atom.t -> Relational.Compiled.t -> t
-
-(** [of_query_vm q plane] is [of_vm q.a q.b plane]. *)
-val of_query_vm : ?tick:(unit -> unit) -> Query.t -> Relational.Compiled.t -> t
 
 (** [repair q ~old patch] rebuilds the solution graph after
     [Relational.Compiled.apply_delta_patch]: pairs between two surviving

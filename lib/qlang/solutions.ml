@@ -59,12 +59,6 @@ let pairs_compiled a b plane =
   Pattern.iter_pairs (Pattern.pair plane a b) (fun i j -> acc := (i, j) :: !acc);
   List.rev !acc
 
-let pairs_vm a b plane =
-  let acc = ref [] in
-  Vm.iter_pairs plane (Vm.assemble_atoms plane a b) (fun i j ->
-      acc := (i, j) :: !acc);
-  List.rev !acc
-
 let holds a b db f g = Database.mem db f && Database.mem db g && solution_pair a b f g
 let query_pairs (q : Query.t) db = pairs q.Query.a q.Query.b db
 let query_satisfies (q : Query.t) facts = satisfies q.Query.a q.Query.b facts

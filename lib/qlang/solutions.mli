@@ -28,12 +28,6 @@ val pairs : Atom.t -> Atom.t -> Relational.Database.t -> (Relational.Fact.t * Re
 val pairs_compiled :
   Atom.t -> Atom.t -> Relational.Compiled.t -> (int * int) list
 
-(** [pairs_vm a b plane] is {!pairs_compiled} enumerated by a compiled
-    {!Vm} pair-scan program over the structure-of-arrays view: the same
-    index pairs in the same lexicographic order. The [@vm-smoke]
-    differential suite pins the agreement. *)
-val pairs_vm : Atom.t -> Atom.t -> Relational.Compiled.t -> (int * int) list
-
 (** [satisfies a b facts] decides [facts ⊨ a ∧ b] for a set of facts given as
     a list (e.g. a repair). *)
 val satisfies : Atom.t -> Atom.t -> Relational.Fact.t list -> bool

@@ -1,12 +1,3 @@
-type soa = {
-  soa_n : int;
-  soa_width : int;
-  soa_cols : int array array;
-  soa_block_lo : int array;
-  soa_block_hi : int array;
-  soa_block_safe : bool;
-}
-
 type t = {
   interner : Interner.t;
   schemas : Schema.t array;
@@ -17,7 +8,6 @@ type t = {
   blocks : int array array;
   block_of : int array;
   adom : int array;
-  mutable soa_cache : soa option;
 }
 
 (* Chaos-injection hook: applied to every compiled plane so tests can model
@@ -82,74 +72,9 @@ let compile ?tick db =
   let adom = Array.init (Interner.size interner) Fun.id in
   let c =
     { interner; schemas; facts; tuples; rel_of; rel_range; blocks; block_of;
-      adom; soa_cache = None }
+      adom }
   in
   match !test_corruption with None -> c | Some f -> f c
-
-(* ------------------------------------------------------------------ *)
-(* Structure-of-arrays view                                            *)
-
-(* Column-major image of [tuples], built lazily and cached on the plane.
-   Column [p] holds cell [p] of every fact (padded with -1 past a fact's
-   arity — the VM never reads those cells because a scan program is pinned
-   to one relation, but the padding keeps every [cols.(p).(i)] access with
-   [i < n] in bounds regardless). Blocks are consecutive runs of the sorted
-   fact array, so the block partition flattens to per-block extents
-   [lo, hi). [soa_block_safe] records that the runs really are consecutive,
-   nonempty and in bounds; when a hand-built (Unsafe) plane violates that,
-   the extents are zeroed so a block scan is empty rather than out of
-   bounds, and the flag lets the VM licence checks reject loudly. *)
-let soa c =
-  match c.soa_cache with
-  | Some s -> s
-  | None ->
-      let n = Array.length c.tuples in
-      let width =
-        Array.fold_left (fun w (s : Schema.t) -> max w s.Schema.arity) 1 c.schemas
-      in
-      let cols = Array.init width (fun _ -> Array.make (max n 1) (-1)) in
-      for i = 0 to n - 1 do
-        let t = c.tuples.(i) in
-        let stop = min (Array.length t) width in
-        for p = 0 to stop - 1 do
-          cols.(p).(i) <- t.(p)
-        done
-      done;
-      let nb = Array.length c.blocks in
-      let lo = Array.make (max nb 1) 0 and hi = Array.make (max nb 1) 0 in
-      let safe = ref true in
-      Array.iteri
-        (fun b members ->
-          let len = Array.length members in
-          if len = 0 then safe := false
-          else begin
-            let l = members.(0) in
-            if l < 0 || l + len > n then safe := false
-            else begin
-              lo.(b) <- l;
-              hi.(b) <- l + len;
-              for d = 0 to len - 1 do
-                if members.(d) <> l + d then safe := false
-              done
-            end
-          end)
-        c.blocks;
-      if not !safe then begin
-        Array.fill lo 0 (Array.length lo) 0;
-        Array.fill hi 0 (Array.length hi) 0
-      end;
-      let s =
-        {
-          soa_n = n;
-          soa_width = width;
-          soa_cols = cols;
-          soa_block_lo = lo;
-          soa_block_hi = hi;
-          soa_block_safe = !safe;
-        }
-      in
-      c.soa_cache <- Some s;
-      s
 
 let rel_index c name =
   (* [schemas] is sorted by name; binary search. *)
@@ -412,7 +337,6 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
         blocks = blocks';
         block_of = block_of';
         adom;
-        soa_cache = None;
       }
     in
     let plane =
@@ -452,13 +376,12 @@ module Unsafe = struct
   let of_parts ~interner ~schemas ~facts ~tuples ~rel_of ~rel_range ~blocks
       ~block_of ~adom =
     { interner; schemas; facts; tuples; rel_of; rel_range; blocks; block_of;
-      adom; soa_cache = None }
+      adom }
 
   let corrupt_first_cell_out_of_domain c =
     if Array.length c.tuples = 0 || Array.length c.tuples.(0) = 0 then
       invalid_arg "Compiled.Unsafe.corrupt_first_cell_out_of_domain: empty plane";
     let tuples = Array.map Array.copy c.tuples in
     tuples.(0).(0) <- Interner.size c.interner;
-    (* the derived column cache must not survive the mutation *)
-    { c with tuples; soa_cache = None }
+    { c with tuples }
 end

@@ -29,31 +29,6 @@
     fresh interner (sessions cache the plane, so this happens once per
     database state, not once per solver). *)
 
-(** The structure-of-arrays view of the fact store, consumed by the
-    register VM ([Qlang.Vm]): the row-major [tuples] transposed into
-    column-major int arrays plus the block partition flattened to per-block
-    extents. Derived lazily by {!soa} and cached on the plane (planes are
-    immutable apart from this cache), so the transposition cost is paid at
-    most once per plane, like compilation itself. *)
-type soa = {
-  soa_n : int;  (** Fact count ([n_facts]). *)
-  soa_width : int;  (** Max arity over all schemas (at least 1). *)
-  soa_cols : int array array;
-      (** [soa_cols.(p).(i)] is cell [p] of fact [i]; [soa_width] columns,
-          each of length [max soa_n 1], padded with [-1] beyond a fact's
-          arity so any in-range [(p, i)] access is in bounds. *)
-  soa_block_lo : int array;
-      (** Per block, the first member index (blocks are consecutive runs of
-          the sorted fact array). Length [max n_blocks 1]. *)
-  soa_block_hi : int array;  (** Per block, one past the last member. *)
-  soa_block_safe : bool;
-      (** Every block is a nonempty consecutive in-bounds run, i.e. the
-          extents faithfully describe [blocks]. Always true for planes from
-          {!compile}/{!apply_delta}; an [Unsafe.of_parts] plane violating
-          it gets {e zeroed} extents (empty scans) and [false] here, which
-          the VM licence checks turn into a loud rejection. *)
-}
-
 type t = private {
   interner : Interner.t;  (** Owns the id [<->] value bijection. *)
   schemas : Schema.t array;  (** Sorted by relation name. *)
@@ -65,13 +40,7 @@ type t = private {
   blocks : int array array;  (** Block partition, [Database.blocks] order. *)
   block_of : int array;  (** Block id of each fact. *)
   adom : int array;  (** Active domain as sorted interned ids. *)
-  mutable soa_cache : soa option;
-      (** Lazily built column view; use {!soa}, never read this directly. *)
 }
-
-(** [soa c] is the cached structure-of-arrays view of the plane, building
-    it on first use. *)
-val soa : t -> soa
 
 (** [compile ?tick db] compiles the database; [tick] (when given) is invoked
     once per fact, which is how the degradation chain charges compilation to

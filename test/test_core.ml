@@ -321,6 +321,30 @@ let test_solver_trivial_queries () =
   let empty = Database.of_facts [ q.Query.schema ] [] in
   Alcotest.(check bool) "not certain on empty db" false (fst (Solver.certain report empty))
 
+(* The one-atom tier against the exact oracle, on the catalogue's two
+   trivial queries: the per-block test must answer what the falsifying-repair
+   search answers, and must be the algorithm that answered. *)
+let prop_one_atom_tier_exact =
+  let trivial =
+    Array.of_list
+      (List.map
+         (fun name ->
+           let q = (Workload.Catalog.find name).Workload.Catalog.query in
+           (q, Dichotomy.classify q))
+         [ "triv-hom"; "triv-key" ])
+  in
+  QCheck2.Test.make ~name:"one-atom tier = exact oracle" ~count:80
+    QCheck2.Gen.(
+      pair (int_range 0 99999) (int_range 0 (Array.length trivial - 1)))
+    (fun (seed, i) ->
+      let q, report = trivial.(i) in
+      let db =
+        Workload.Randdb.random_for_query (Random.State.make [| seed |]) q
+          ~n_facts:40 ~domain:4
+      in
+      Solver.certain report db
+      = (Cqa.Exact.certain_query q db, Solver.Alg_one_atom))
+
 let () =
   Alcotest.run "core"
     [
@@ -362,5 +386,6 @@ let () =
           Alcotest.test_case "one-atom certain" `Quick test_certain_one_atom;
           Alcotest.test_case "dispatch" `Slow test_solver_dispatch;
           Alcotest.test_case "trivial queries" `Quick test_solver_trivial_queries;
+          QCheck_alcotest.to_alcotest prop_one_atom_tier_exact;
         ] );
     ]

@@ -58,6 +58,18 @@ let instances =
         Workload.Designs.db_of_triples Workload.Designs.fano_lines;
       ]
 
+(* Every catalogue query on five seeded 40-fact databases over a domain of
+   4: large enough for multi-member blocks and multi-row join buckets, and
+   the only instances of the catalogue's wide shapes (arity 5 and 14). *)
+let catalog_instances =
+  List.concat_map
+    (fun (e : Catalog.entry) ->
+      List.init 5 (fun _ ->
+          ( e.Catalog.query,
+            Workload.Randdb.random_for_query rng e.Catalog.query ~n_facts:40
+              ~domain:4 )))
+    Catalog.all
+
 let test_three_way_verdict_agreement () =
   List.iter
     (fun (q, db) ->
@@ -110,11 +122,12 @@ let test_sound_vs_exact () =
    solution graphs must be structurally identical, the solution-pair
    enumerations must coincide index-for-index, the Cert_k minimal antichains
    must match set-for-set, and seeded Monte-Carlo estimates must agree
-   sample-for-sample. *)
+   sample-for-sample. The catalogue pool skips [Certk_naive], whose Cert_3
+   materialises every 3-set and takes minutes at 40 facts. *)
 let test_cross_plane_agreement () =
   let checked = ref 0 in
   List.iter
-    (fun ((q : Query.t), db) ->
+    (fun (naive, ((q : Query.t), db)) ->
       let plane = Relational.Compiled.compile db in
       let g_ref = Solution_graph.of_atoms_reference q.Query.a q.Query.b db in
       let g = Solution_graph.of_query_compiled q plane in
@@ -141,10 +154,15 @@ let test_cross_plane_agreement () =
               ( Printf.sprintf "certk-rounds-%d" k,
                 Cqa.Certk_rounds.run ~k g_ref,
                 Cqa.Certk_rounds.certain_plane ~k q plane );
-              ( Printf.sprintf "certk-naive-%d" k,
-                Cqa.Certk_naive.run ~k g_ref,
-                Cqa.Certk_naive.certain_plane ~k q plane );
             ]
+            @
+            if naive then
+              [
+                ( Printf.sprintf "certk-naive-%d" k,
+                  Cqa.Certk_naive.run ~k g_ref,
+                  Cqa.Certk_naive.certain_plane ~k q plane );
+              ]
+            else []
           in
           List.iter
             (fun (name, persistent, compiled) ->
@@ -184,8 +202,58 @@ let test_cross_plane_agreement () =
         Alcotest.failf "seeded Monte-Carlo estimates differ across planes on %s"
           (Query.to_string q);
       incr checked)
-    instances;
+    (List.map (fun i -> (true, i)) instances
+    @ List.map (fun i -> (false, i)) catalog_instances);
   if !checked = 0 then Alcotest.fail "cross-plane suite saw no instances"
+
+(* The cross-plane law again as qcheck properties over the whole
+   catalogue: where [catalog_instances] is fixed, every run draws fresh
+   seeds for its 40-fact, domain-4 databases. *)
+let catalog = Array.of_list Catalog.all
+
+let gen_case =
+  QCheck2.Gen.(pair (int_range 0 99999) (int_range 0 (Array.length catalog - 1)))
+
+let db_of seed q =
+  Workload.Randdb.random_for_query (Random.State.make [| seed |]) q ~n_facts:40
+    ~domain:4
+
+let prop_compiled_plane =
+  QCheck2.Test.make ~name:"compiled plane = reference plane (graphs, Cert_k, MC)"
+    ~count:80 gen_case
+    (fun (seed, qi) ->
+      let q = catalog.(qi).Catalog.query in
+      let db = db_of seed q in
+      let plane = Relational.Compiled.compile db in
+      let g_r = Solution_graph.of_atoms_reference q.Query.a q.Query.b db in
+      let g_p = Solution_graph.of_query_compiled q plane in
+      let k = 2 in
+      let e_db =
+        Cqa.Montecarlo.estimate (Random.State.make [| seed; 99 |]) ~trials:40 q db
+      in
+      let e_g =
+        Cqa.Montecarlo.estimate_g (Random.State.make [| seed; 99 |]) ~trials:40
+          g_p
+      in
+      Solution_graph.equal g_p g_r
+      && Cqa.Certk.certain_plane ~k q plane = Cqa.Certk.run ~k g_r
+      && Cqa.Certk.derived ~k g_p = Cqa.Certk.derived ~k g_r
+      && Cqa.Certk.certificate ~k g_p = Cqa.Certk.certificate ~k g_r
+      && e_db.Cqa.Montecarlo.satisfying = e_g.Cqa.Montecarlo.satisfying
+      && e_db.Cqa.Montecarlo.counterexample = e_g.Cqa.Montecarlo.counterexample)
+
+let prop_pairs_compiled =
+  QCheck2.Test.make ~name:"pairs_compiled enumerates exactly query_pairs"
+    ~count:80 gen_case
+    (fun (seed, qi) ->
+      let q = catalog.(qi).Catalog.query in
+      let db = db_of seed q in
+      let plane = Relational.Compiled.compile db in
+      let g_r = Solution_graph.of_atoms_reference q.Query.a q.Query.b db in
+      Qlang.Solutions.pairs_compiled q.Query.a q.Query.b plane
+      = List.map
+          (fun (f1, f2) -> (Solution_graph.index g_r f1, Solution_graph.index g_r f2))
+          (Qlang.Solutions.query_pairs q db))
 
 (* Structural soundness of a Cert_k derivation certificate: every leaf is a
    genuine solution of the instance, every internal node covers its block,
@@ -249,7 +317,7 @@ let test_derivation_certificates_valid () =
                 validate_derivation g ~k cert;
                 incr validated)
         [ 1; 2; 3 ])
-    instances;
+    (instances @ catalog_instances);
   if !validated = 0 then
     Alcotest.fail "pool produced no certain instance — suite is vacuous"
 
@@ -309,8 +377,6 @@ let test_bench_report_round_trip () =
             delta_speedup = Some 80.0;
             delta_equivalent = Some true;
             obs_overhead_pct = Some 1.25;
-            vm_speedup = Some 2.125;
-            vm_equivalent = Some true;
           };
         ];
       agreement = true;
@@ -322,8 +388,6 @@ let test_bench_report_round_trip () =
       obs_overhead_pct = Some 1.25;
       obs_bar_pct = Some 5.0;
       obs_within_bar = Some true;
-      vm_equivalence = Some true;
-      geomean_vm = Some 2.125;
     }
   in
   match Benchkit.Report.validate_round_trip report with
@@ -345,6 +409,9 @@ let () =
           Alcotest.test_case "derivation certificates valid" `Quick
             test_derivation_certificates_valid;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_compiled_plane; prop_pairs_compiled ] );
       ( "artefacts",
         [
           Alcotest.test_case "classification certificates pass check" `Quick
