@@ -189,7 +189,8 @@ let e5_thm4 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:12 ~domain:3 in
-        if Cqa.Certk.certain_query ~k:2 q db = Cqa.Exact.certain_query q db then incr agree;
+        if Cqa.Certk.run ~k:2 (Solution_graph.of_query q db) = Cqa.Exact.certain_query q db
+        then incr agree;
         if Core.Syntactic.zigzag_holds q db then incr zigzag
       done;
       Format.printf "%-18s Cert_2 = CERTAIN: %d/%d   zig-zag property (Lemma 5): %d/%d@."
@@ -209,7 +210,8 @@ let e6_thm9 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:12 ~domain:3 in
-        if Cqa.Certk.certain_query ~k:3 q db = Cqa.Exact.certain_query q db then incr agree
+        if Cqa.Certk.run ~k:3 (Solution_graph.of_query q db) = Cqa.Exact.certain_query q db
+        then incr agree
       done;
       Format.printf "%-10s Cert_3 = CERTAIN on %d/%d random databases@." name !agree trials)
     [ "q5"; "swap" ]
@@ -270,7 +272,10 @@ let e9_thm18 () =
       let trials = 60 in
       for _ = 1 to trials do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:10 ~domain:3 in
-        if Cqa.Combined.certain_query ~k:2 q db = Cqa.Exact.certain_query q db then
+        if
+          Cqa.Combined.run ~k:2 (Solution_graph.of_query q db)
+          = Cqa.Exact.certain_query q db
+        then
           incr agree
       done;
       Format.printf "%-12s combined(k=2) = CERTAIN on %d/%d random databases@." name

@@ -62,6 +62,16 @@ let query_arg =
     & pos 0 (some query_conv) None
     & info [] ~docv:"QUERY" ~doc:"Two-atom self-join query, e.g. \"R(x u | x y) R(u y | x z)\".")
 
+(* The DB of every command that solves over a database. A plain string, not
+   cmdliner's [file] converter, which would refuse '-'; [with_db] reports an
+   unreadable path itself. *)
+let db_arg =
+  Arg.(
+    required
+    & pos 1 (some string) None
+    & info [] ~docv:"DB"
+        ~doc:"Database file: one fact per line, e.g. \"R(1 | 2)\"; '-' reads stdin.")
+
 let merges_arg =
   Arg.(
     value & opt int 2
@@ -582,13 +592,6 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
           exit_error)
 
 let certain_cmd =
-  let db_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"DB"
-          ~doc:"Database file: one fact per line, e.g. \"R(1 | 2)\"; '-' reads stdin.")
-  in
   let k_arg =
     Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Fixpoint parameter of Cert_k.")
   in
@@ -912,9 +915,6 @@ let answers_run query db_path free_spec =
         2)
 
 let answers_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let free_arg =
     Arg.(
       required
@@ -956,9 +956,6 @@ let explain_run query db_path k =
               0))
 
 let explain_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Cert_k parameter.") in
   Cmd.v
     (Cmd.info "explain"
@@ -976,9 +973,6 @@ let dot_run query db_path directed =
       0
 
 let dot_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let directed_arg =
     Arg.(value & flag & info [ "directed" ] ~doc:"Draw directed solutions q(a b).")
   in
@@ -1039,9 +1033,6 @@ let estimate_run query db_path trials seed =
       0
 
 let estimate_cmd =
-  let db_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"DB" ~doc:"Database file.")
-  in
   let trials_arg =
     Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N" ~doc:"Number of sampled repairs.")
   in

@@ -68,5 +68,5 @@ let () =
   (* What would it take to make mutual mentoring certain? Drop the wiki's
      claim about ada. *)
   let db' = Db.remove db (fact "ada" "hedy") in
-  let answer, _ = Core.Solver.certain_query mentors db' in
+  let answer, _ = Core.Solver.certain (Core.Dichotomy.classify mentors) db' in
   Format.printf "@.after retracting M(ada | hedy): mutual mentoring certain = %b@." answer

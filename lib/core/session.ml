@@ -18,12 +18,7 @@ let of_report ?check_plane report database =
   let plane =
     lazy
       (let p = Compiled.compile database in
-       (match check_plane with
-       | None -> ()
-       | Some check -> (
-           match check p with
-           | Ok () -> ()
-           | Error msg -> invalid_arg ("compiled plane rejected: " ^ msg)));
+       Solver.apply_plane_gate check_plane p;
        p)
   in
   {
@@ -61,12 +56,7 @@ let update s (d : Delta.t) =
     let patched =
       lazy
         (let p = Compiled.apply_delta_patch old_plane d in
-         (match s.check_plane with
-         | None -> ()
-         | Some check -> (
-             match check p.Compiled.plane with
-             | Ok () -> ()
-             | Error msg -> invalid_arg ("compiled plane rejected: " ^ msg)));
+         Solver.apply_plane_gate s.check_plane p.Compiled.plane;
          p)
     in
     let graph =

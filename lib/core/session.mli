@@ -17,11 +17,11 @@
 type t
 
 (** [create ?opts ?check_plane q db] classifies [q] and attaches the initial
-    database. [check_plane] is the plane gate (see {!Solver.solve}): it
-    validates every compiled plane the session builds — including the
-    recompilations after {!add_fact}/{!remove_fact} — and a rejection
-    surfaces as [Invalid_argument] from whichever operation first forces the
-    plane.
+    database. [check_plane] is the chain's plane gate
+    ({!Solver.apply_plane_gate}): it validates every compiled plane the
+    session builds — including the recompilations after
+    {!add_fact}/{!remove_fact} — and a rejection surfaces as
+    [Invalid_argument] from whichever operation first forces the plane.
     @raise Invalid_argument if facts of [db] do not fit the query schema. *)
 val create :
   ?opts:Tripath_search.options ->
@@ -55,7 +55,8 @@ val add_fact : t -> Relational.Fact.t -> t
 val remove_fact : t -> Relational.Fact.t -> t
 
 (** [certain ?k s] answers CERTAIN with the algorithm the verdict
-    designates, memoized per session state. *)
+    designates ({!Solver.certain_graph} on the cached plane and graph),
+    memoized per session state. *)
 val certain : ?k:int -> t -> bool * Solver.algorithm
 
 (** [estimate s rng ~trials] is the Monte-Carlo repair-sampling estimate,

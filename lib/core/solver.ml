@@ -76,16 +76,14 @@ let conjunction_atom (q : Query.t) =
     Some (Atom.of_array q.Query.a.Atom.rel args)
   with Conflict -> None
 
-let certain_one_atom_plane atom plane =
+let certain_one_atom atom plane =
   let p = Qlang.Pattern.single plane atom in
   Array.exists
     (fun members -> Array.for_all (Qlang.Pattern.matches p) members)
     plane.Compiled.blocks
 
-let certain_one_atom atom db = certain_one_atom_plane atom (Compiled.compile db)
-
 let certain_trivial (q : Query.t) triviality plane =
-  let one_atom atom = certain_one_atom_plane atom plane in
+  let one_atom atom = certain_one_atom atom plane in
   match triviality with
   | Query.Hom_a_to_b -> one_atom q.Query.b
   | Query.Hom_b_to_a -> one_atom q.Query.a
@@ -102,40 +100,36 @@ type engine = Engine_plane
 let build_query_graph ~engine:Engine_plane =
   Qlang.Solution_graph.of_query_compiled
 
-(* The dispatch core: both planes arrive lazily so each verdict forces only
-   what it needs — the trivial tier touches the compiled plane but never
-   builds the solution graph. *)
-let certain_lazy ?(k = 3) ?(exact = `Backtracking) ?budget
-    (report : Dichotomy.report) ~plane ~graph =
+(* The one dispatch from a PTIME verdict to the algorithm it designates,
+   shared by [certain] and the chain's PTIME tier. The decide thunk forces
+   only what its algorithm reads: the one-atom test touches the plane but
+   never builds the solution graph. [None] for a coNP-complete verdict. *)
+let designated ?(k = 3) ?budget (report : Dichotomy.report) ~plane ~graph =
   let q = report.Dichotomy.query in
   match report.Dichotomy.verdict with
   | Dichotomy.Ptime (Dichotomy.Trivial t) ->
-      (certain_trivial q t (Lazy.force plane), Alg_one_atom)
+      Some (Alg_one_atom, fun () -> certain_trivial q t (plane ()))
   | Dichotomy.Ptime Dichotomy.Cert2 ->
-      (Cqa.Certk.run ?budget ~k:2 (Lazy.force graph), Alg_cert2)
+      Some (Alg_cert2, fun () -> Cqa.Certk.run ?budget ~k:2 (graph ()))
   | Dichotomy.Ptime Dichotomy.Certk_no_tripath ->
-      (Cqa.Certk.run ?budget ~k (Lazy.force graph), Alg_certk k)
+      Some (Alg_certk k, fun () -> Cqa.Certk.run ?budget ~k (graph ()))
   | Dichotomy.Ptime (Dichotomy.Combined_triangle _) ->
-      (Cqa.Combined.run ?budget ~k (Lazy.force graph), Alg_combined k)
-  | Dichotomy.Conp_complete _ -> (
-      match exact with
-      | `Backtracking ->
-          (Cqa.Exact.certain ?budget (Lazy.force graph), Alg_exact_backtracking)
-      | `Sat -> (Cqa.Satreduce.certain ?budget (Lazy.force graph), Alg_exact_sat))
+      Some (Alg_combined k, fun () -> Cqa.Combined.run ?budget ~k (graph ()))
+  | Dichotomy.Conp_complete _ -> None
 
-let certain_graph ?k ?exact ?budget report ~plane ~graph =
-  certain_lazy ?k ?exact ?budget report ~plane ~graph
+let certain_graph ?k report ~plane ~graph =
+  let graph () = Lazy.force graph in
+  match designated ?k report ~plane:(fun () -> Lazy.force plane) ~graph with
+  | Some (algorithm, decide) -> (decide (), algorithm)
+  | None -> (Cqa.Exact.certain (graph ()), Alg_exact_backtracking)
 
-let certain_plane ?k ?exact ?budget (report : Dichotomy.report) plane =
-  let q = report.Dichotomy.query in
-  certain_lazy ?k ?exact ?budget report ~plane:(lazy plane)
-    ~graph:(lazy (Qlang.Solution_graph.of_query_compiled q plane))
-
-let certain ?k ?exact ?budget (report : Dichotomy.report) db =
-  certain_plane ?k ?exact ?budget report (Compiled.compile db)
-
-let certain_query ?opts ?k ?exact ?budget q db =
-  certain ?k ?exact ?budget (Dichotomy.classify ?opts q) db
+let certain ?k (report : Dichotomy.report) db =
+  let plane = lazy (Compiled.compile db) in
+  certain_graph ?k report ~plane
+    ~graph:
+      (lazy
+        (Qlang.Solution_graph.of_query_compiled report.Dichotomy.query
+           (Lazy.force plane)))
 
 (* ------------------------------------------------------------------ *)
 (* The budgeted degradation chain. *)
@@ -329,59 +323,34 @@ let run_tiers ?(verify = false) ?fallback ?budget ?trace tiers =
   in
   (outcome, attempts)
 
-let tiers ?(k = 3) ?(exact_only = false) ?check_certificate ~budget
-    (report : Dichotomy.report) ~plane ~graph =
-  let q = report.Dichotomy.query in
-  let ptime =
-    if exact_only then []
-    else
-      match report.Dichotomy.verdict with
-      | Dichotomy.Ptime (Dichotomy.Trivial t) ->
-          [
-            (Tier_ptime, Alg_one_atom, fun () -> certain_trivial q t (plane ()));
-          ]
-      | Dichotomy.Ptime Dichotomy.Cert2 ->
-          [
-            ( Tier_ptime,
-              Alg_cert2,
-              fun () -> Cqa.Certk.run ~budget ~k:2 (graph ()) );
-          ]
-      | Dichotomy.Ptime Dichotomy.Certk_no_tripath ->
-          [
-            ( Tier_ptime,
-              Alg_certk k,
-              fun () -> Cqa.Certk.run ~budget ~k (graph ()) );
-          ]
-      | Dichotomy.Ptime (Dichotomy.Combined_triangle _) ->
-          [
-            ( Tier_ptime,
-              Alg_combined k,
-              fun () -> Cqa.Combined.run ~budget ~k (graph ()) );
-          ]
-      | Dichotomy.Conp_complete _ -> []
-  in
+let tiers ?k ~exact_only ?check_certificate ~budget (report : Dichotomy.report)
+    ~plane ~graph =
   (* The certificate gate: before trusting the classifier-designated PTIME
      algorithm, re-validate the certificate that licensed it with the
      (injected, independent) checker. A rejected certificate makes the PTIME
      tier fail — recorded in the attempt trace — and the chain degrades to
      the exact tiers, which do not rely on the classification. The checker is
      injected as a closure so [core] does not depend on [analysis]. *)
-  let ptime =
+  let certificate_gate () =
     match check_certificate with
-    | None -> ptime
-    | Some check ->
-        List.map
-          (fun (tier, algorithm, decide) ->
-            ( tier,
-              algorithm,
-              fun () ->
-                (match check report with
-                | Ok () -> ()
-                | Error errors ->
-                    invalid_arg
-                      ("certificate rejected: " ^ String.concat "; " errors));
-                decide () ))
-          ptime
+    | None -> ()
+    | Some check -> (
+        match check report with
+        | Ok () -> ()
+        | Error errors ->
+            invalid_arg ("certificate rejected: " ^ String.concat "; " errors))
+  in
+  let ptime =
+    match designated ?k ~budget report ~plane ~graph with
+    | Some (algorithm, decide) when not exact_only ->
+        [
+          ( Tier_ptime,
+            algorithm,
+            fun () ->
+              certificate_gate ();
+              decide () );
+        ]
+    | Some _ | None -> []
   in
   ptime
   @ [
@@ -399,8 +368,8 @@ let outcome_label : outcome -> string = function
   | Harness.Outcome.Budget_exhausted -> "budget-exhausted"
   | Harness.Outcome.Solver_error _ -> "solver-error"
 
-(* The root [solve] span shared by every chain entry point: wraps [run] and
-   stamps the outcome and total budget steps once the chain returns. *)
+(* The chain's root [solve] span: wraps [run] and stamps the outcome and
+   total budget steps once the chain returns. *)
 let in_solve_span ?trace (report : Dichotomy.report) budget run =
   match trace with
   | None -> run ()
@@ -432,140 +401,98 @@ let apply_plane_gate check_plane p =
       | Ok () -> ()
       | Error msg -> invalid_arg ("compiled plane rejected: " ^ msg))
 
-let solve ?k ?exact_only ?check_certificate ?check_plane
+let in_compile_span ?trace phase attrs f =
+  match trace with
+  | None -> f ()
+  | Some tr ->
+      Obs.Trace.with_span tr "compile"
+        ~attrs:(("phase", Obs.Trace.String phase) :: attrs ())
+        f
+
+(* Success-only memoization: unlike [lazy], a transient injected fault is
+   not cached, so it fails only the current tier and the next tier retries
+   the build. [tick] reaches the build on a miss only. *)
+let memo build =
+  let cache = ref None in
+  fun ?tick () ->
+    match !cache with
+    | Some v -> v
+    | None ->
+        let v = build ?tick () in
+        cache := Some v;
+        v
+
+(* The one chain body behind [solve] and [solve_plane]. [plane ?tick ()]
+   yields the gated plane. The whole chain shares ONE plane and ONE
+   solution graph, built on first demand {e inside} the tier that needs
+   them, so compile-phase budget exhaustion or chaos is charged to that
+   tier's attempt. The estimate fallback samples the graph a tier built, or
+   builds it without ticking: by the time it runs the shared budget is
+   exhausted, and the estimate is the last resort. A rejected plane
+   therefore fails the fallback too. *)
+let chain ?k ?(exact_only = false) ?check_certificate
     ?(budget = Harness.Budget.unlimited ()) ?verify ?estimate_trials
-    ?(seed = 0) ?trace (report : Dichotomy.report) db =
-  let fallback =
-    Option.map
-      (fun trials () ->
-        let rng = Random.State.make [| seed; 0xE571 |] in
-        Cqa.Montecarlo.estimate rng ~trials report.Dichotomy.query db)
-      estimate_trials
-  in
-  (* The whole chain shares ONE compiled plane and ONE solution graph,
-     built on first demand by whichever tier needs them. Memoization is
-     success-only (not [lazy], which would also memoize a transient
-     injected fault and poison every later tier); the thunks are forced
-     {e inside} a tier's [decide], so compile-phase budget exhaustion or
-     chaos is charged to that tier's attempt, exactly as the per-solver
-     index builds used to be. *)
-  let memo f =
-    let cache = ref None in
-    fun () ->
-      match !cache with
-      | Some v -> v
-      | None ->
-          let v = f () in
-          cache := Some v;
-          v
-  in
-  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
-  let in_compile_span phase attrs f =
-    match trace with
-    | None -> f ()
-    | Some tr ->
-        Obs.Trace.with_span tr "compile"
-          ~attrs:(("phase", Obs.Trace.String phase) :: attrs ())
-          f
-  in
-  let plane =
-    memo (fun () ->
-        in_compile_span "plane"
-          (fun () -> [ ("facts", Obs.Trace.Int (Database.size db)) ])
-          (fun () ->
-            let p = Compiled.compile ~tick db in
-            (match trace with
-            | None -> ()
-            | Some tr ->
-                Obs.Trace.add_attr tr "blocks"
-                  (Obs.Trace.Int (Compiled.n_blocks p));
-                Obs.Trace.add_attr tr "values"
-                  (Obs.Trace.Int (Compiled.n_values p)));
-            apply_plane_gate check_plane p;
-            p))
-  in
+    ?(seed = 0) ?trace (report : Dichotomy.report) ~plane =
+  let plane = memo plane in
   let graph =
-    memo (fun () ->
-        let p = plane () in
-        in_compile_span "graph"
+    memo (fun ?tick () ->
+        let p = plane ?tick () in
+        in_compile_span ?trace "graph"
           (fun () -> [ ("facts", Obs.Trace.Int (Compiled.n_facts p)) ])
           (fun () ->
-            Qlang.Solution_graph.of_query_compiled ~tick report.Dichotomy.query
+            Qlang.Solution_graph.of_query_compiled ?tick report.Dichotomy.query
               p))
   in
-  in_solve_span ?trace report budget (fun () ->
-      run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ?check_certificate ~budget report ~plane ~graph))
-
-let solve_plane ?k ?exact_only ?check_certificate ?check_plane
-    ?(budget = Harness.Budget.unlimited ()) ?verify ?estimate_trials
-    ?(seed = 0) ?trace (report : Dichotomy.report) plane =
-  let q = report.Dichotomy.query in
-  (* The gate verdict is computed at most once; every tier (and the
-     fallback's graph build) re-raises it, so a corrupt cached plane cannot
-     answer through any path. *)
-  let gate_verdict = lazy (apply_plane_gate check_plane plane) in
-  let gated_plane () =
-    Lazy.force gate_verdict;
-    plane
-  in
-  (* The plane arrives pre-compiled (typically from a serve-side cache that
-     charged its own compilation when it first built it), so only the
-     solution graph is built here — memoized success-only, exactly as in
-     {!solve}. The estimate fallback reuses the cached graph when a tier
-     already built it, and otherwise builds it {e unbudgeted}: by the time
-     the fallback runs the shared budget is exhausted, and the estimate is
-     the last resort. *)
-  let graph_cache = ref None in
-  let build_graph ?tick () =
-    match !graph_cache with
-    | Some g -> g
-    | None ->
-        let build () =
-          let g =
-            Qlang.Solution_graph.of_query_compiled ?tick q (gated_plane ())
-          in
-          graph_cache := Some g;
-          g
-        in
-        (match trace with
-        | None -> build ()
-        | Some tr ->
-            Obs.Trace.with_span tr "compile"
-              ~attrs:
-                [
-                  ("phase", Obs.Trace.String "graph");
-                  ("facts", Obs.Trace.Int (Compiled.n_facts plane));
-                ]
-              build)
-  in
   let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
-  let graph () = build_graph ~tick () in
   let fallback =
     Option.map
       (fun trials () ->
         let rng = Random.State.make [| seed; 0xE571 |] in
-        Cqa.Montecarlo.estimate_g rng ~trials (build_graph ()))
+        Cqa.Montecarlo.estimate_g rng ~trials (graph ()))
       estimate_trials
   in
   in_solve_span ?trace report budget (fun () ->
       run_tiers ?verify ?fallback ~budget ?trace
-        (tiers ?k ?exact_only ?check_certificate ~budget report
-           ~plane:gated_plane ~graph))
+        (tiers ?k ~exact_only ?check_certificate ~budget report
+           ~plane:(plane ~tick) ~graph:(graph ~tick)))
 
-let solve_query ?opts ?k ?exact_only ?check_certificate ?check_plane ?budget
-    ?verify ?estimate_trials ?seed ?trace q db =
-  solve ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
-    ?estimate_trials ?seed ?trace (Dichotomy.classify ?opts q) db
+let solve ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
+    ?estimate_trials ?seed ?trace report db =
+  let plane ?tick () =
+    in_compile_span ?trace "plane"
+      (fun () -> [ ("facts", Obs.Trace.Int (Database.size db)) ])
+      (fun () ->
+        let p = Compiled.compile ?tick db in
+        (match trace with
+        | None -> ()
+        | Some tr ->
+            Obs.Trace.add_attr tr "blocks" (Obs.Trace.Int (Compiled.n_blocks p));
+            Obs.Trace.add_attr tr "values" (Obs.Trace.Int (Compiled.n_values p)));
+        apply_plane_gate check_plane p;
+        p)
+  in
+  chain ?k ?exact_only ?check_certificate ?budget ?verify ?estimate_trials ?seed
+    ?trace report ~plane
+
+(* The plane arrives compiled (typically by a serve-side cache that charged
+   its own compilation), so it is gated once and the verdict, a rejection
+   included, answers every later force. *)
+let solve_plane ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
+    ?estimate_trials ?seed ?trace report plane =
+  let gate = lazy (apply_plane_gate check_plane plane) in
+  chain ?k ?exact_only ?check_certificate ?budget ?verify ?estimate_trials ?seed
+    ?trace report ~plane:(fun ?tick:_ () ->
+      Lazy.force gate;
+      plane)
 
 (* Bridge a chain's attempts into a metrics registry: per-tier latency and
    step histograms plus status counters, alongside the per-site tick
    counters the budget sink already recorded. Lives here (not in the
    front-ends) so the CLI and the serve daemon meter identically under the
-   names documented in the manual's "Observability" section. *)
-let step_bounds = [ 1.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. ]
-
+   names documented in the manual's "Observability" section. Step
+   histograms bucket by decades from 1 to 10^6 steps. *)
 let record_metrics metrics outcome (attempts : attempt list) =
+  let bounds = [ 1.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. ] in
   List.iter
     (fun (a : attempt) ->
       let tier = Format.asprintf "%a" pp_tier a.tier in
@@ -574,7 +501,7 @@ let record_metrics metrics outcome (attempts : attempt list) =
       Obs.Metrics.observe metrics
         (Printf.sprintf "solver.tier.%s.ms" tier)
         (a.wall_s *. 1000.);
-      Obs.Metrics.observe metrics ~bounds:step_bounds
+      Obs.Metrics.observe metrics ~bounds
         (Printf.sprintf "solver.tier.%s.steps" tier)
         (float_of_int a.steps))
     attempts;

@@ -1,4 +1,4 @@
-(** Certain-answer solver front-end: classify the query, then dispatch to the
+(** Certain-answer solver front-end: dispatch a classified query to the
     algorithm the dichotomy designates.
 
     For PTIME queries the designated polynomial algorithm is used ([Cert_2],
@@ -6,7 +6,15 @@
     exponential solver is used (backtracking search for a falsifying repair,
     or the SAT encoding). For queries equivalent to a one-atom query the
     answer is computed directly: a one-atom query [R(C)] is certain iff some
-    block consists entirely of facts matching [C]. *)
+    block consists entirely of facts matching [C].
+
+    One dispatch maps a PTIME verdict to its algorithm, and two front doors
+    use it: {!certain} answers once, unbudgeted, and {!solve} /
+    {!solve_plane} run the budgeted degradation chain over a database or a
+    pre-compiled plane. The decision procedures in [Cqa] take the solution
+    graph; to run one directly, build the graph with
+    {!Qlang.Solution_graph.of_query} or
+    {!Qlang.Solution_graph.of_query_compiled}. *)
 
 type algorithm =
   | Alg_one_atom  (** Per-block matching test for trivial queries. *)
@@ -40,67 +48,31 @@ val build_query_graph :
     match (conflicting constants). *)
 val conjunction_atom : Qlang.Query.t -> Qlang.Atom.t option
 
-(** [certain_one_atom atom db] decides certainty of the one-atom query
-    [∃* atom]: some block has all its facts matching [atom]. Compiles [db]
-    on the fly; use {!certain_one_atom_plane} when a compiled plane is
-    already at hand. *)
-val certain_one_atom : Qlang.Atom.t -> Relational.Database.t -> bool
-
-(** {!certain_one_atom} on an already-compiled execution plane: the block
-    scan runs over the plane's int-tuple block partition with a compiled
-    {!Qlang.Pattern}, never touching the persistent database. *)
-val certain_one_atom_plane : Qlang.Atom.t -> Relational.Compiled.t -> bool
+(** [certain_one_atom atom plane] decides certainty of the one-atom query
+    [∃* atom] on a compiled execution plane: some block has all its facts
+    matching [atom]. The block scan runs over the plane's int-tuple block
+    partition with a compiled {!Qlang.Pattern}. *)
+val certain_one_atom : Qlang.Atom.t -> Relational.Compiled.t -> bool
 
 (** [certain ?k report db] answers CERTAIN for the classified query on [db],
-    returning the algorithm used. [k] bounds the fixpoint parameter of
-    [Cert_k] (default 3; the paper's bound {!Cqa.Certk.paper_k} is
-    astronomically larger but never needed on practical instances — see
-    EXPERIMENTS.md). For coNP-complete queries [exact] selects the
-    exponential solver (default [`Backtracking]). When [budget] is given it
-    is threaded into the designated algorithm and {!Harness.Budget.Budget_exceeded}
-    propagates; use {!solve} for the graceful-degradation behaviour.
+    returning the algorithm used: the PTIME algorithm the verdict
+    designates, or the exact backtracking search for a coNP-complete
+    verdict. [k] bounds the fixpoint parameter of [Cert_k] (default 3; the
+    paper's bound {!Cqa.Certk.paper_k} is astronomically larger but never
+    needed on practical instances — see EXPERIMENTS.md). Unbudgeted: use
+    {!solve} for budgets and graceful degradation. The solution graph is
+    built only when the designated algorithm needs it (trivial queries
+    never build it). *)
+val certain : ?k:int -> Dichotomy.report -> Relational.Database.t -> bool * algorithm
 
-    Compiles [db] once and dispatches through {!certain_plane}. *)
-val certain :
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Dichotomy.report ->
-  Relational.Database.t ->
-  bool * algorithm
-
-(** [certain_plane report plane] is {!certain} on a pre-compiled execution
-    plane: the solution graph is built from [plane] only when the designated
-    algorithm needs it (trivial queries never build it). *)
-val certain_plane :
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Dichotomy.report ->
-  Relational.Compiled.t ->
-  bool * algorithm
-
-(** [certain_graph report ~plane ~graph] is the fully-shared form: both the
-    compiled plane and the solution graph arrive as lazy values (typically
-    cached in a {!Session.t}), and only what the designated algorithm needs
-    is forced. *)
+(** [certain_graph report ~plane ~graph] is {!certain} over a plane and a
+    solution graph that arrive as lazy values (typically cached in a
+    {!Session.t}); only what the designated algorithm needs is forced. *)
 val certain_graph :
   ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
   Dichotomy.report ->
   plane:Relational.Compiled.t Lazy.t ->
   graph:Qlang.Solution_graph.t Lazy.t ->
-  bool * algorithm
-
-(** [certain_query ?opts ?k ?exact q db] classifies then solves. *)
-val certain_query :
-  ?opts:Tripath_search.options ->
-  ?k:int ->
-  ?exact:[ `Backtracking | `Sat ] ->
-  ?budget:Harness.Budget.t ->
-  Qlang.Query.t ->
-  Relational.Database.t ->
   bool * algorithm
 
 (** {2 Budgeted degradation chain}
@@ -173,6 +145,15 @@ val run_tiers :
   (tier * algorithm * (unit -> bool)) list ->
   outcome * attempt list
 
+(** [apply_plane_gate check_plane plane] runs the plane gate (see {!solve})
+    when one is given.
+    @raise Invalid_argument ["compiled plane rejected: ..."] when the
+    checker rejects [plane]. *)
+val apply_plane_gate :
+  (Relational.Compiled.t -> (unit, string) result) option ->
+  Relational.Compiled.t ->
+  unit
+
 (** [solve report db] runs the degradation chain for a classified query.
     [estimate_trials] enables the Monte Carlo fallback tier with that many
     sampled repairs (seeded by [seed], default 0). [verify] additionally
@@ -195,9 +176,10 @@ val run_tiers :
     the injected checker validates the compiled execution plane right after
     it is built and before any tier consumes it; on rejection every
     plane-consuming tier fails ([Attempt_failed] carrying the checker's
-    message) and the run ends in [Solver_error] — a corrupt plane must
-    never produce a verdict. The CLI and the serve daemon pass
-    [Analysis.Sanitize.gate] unless [--no-sanitize] is given.
+    message) and the run ends in [Solver_error] — the estimate fallback
+    included: a corrupt plane must never produce a verdict or an estimate.
+    The CLI passes [Analysis.Sanitize.gate] unless [--no-sanitize] is
+    given.
 
     The chain compiles the database {e once}: the compiled execution plane
     and the solution graph built on it are shared by every tier, created on
@@ -207,7 +189,10 @@ val run_tiers :
     in the attempts' per-site breakdown, and — when traced — as nested
     [compile] spans (attrs [phase=plane] / [phase=graph]). Memoization is
     success-only: a transient injected fault during compilation fails only
-    the current tier, and the next tier retries the build.
+    the current tier, and the next tier retries the build. The Monte-Carlo
+    fallback samples that graph ({!Cqa.Montecarlo.estimate_g}); when no
+    tier built it, the fallback builds it without ticking, since the budget
+    is spent by then.
 
     [trace] makes the run explain itself: a root [solve] span (attrs:
     [query], [verdict], [outcome], [total_steps]) wrapping the per-tier
@@ -230,12 +215,11 @@ val solve :
 
 (** [solve_plane report plane] is {!solve} atop a {e pre-compiled} execution
     plane: the plane is taken as-is (its compilation was charged by whoever
-    built it — typically a serve-side plane cache), and only the solution
-    graph is built here, memoized success-only and charged to [budget] at
-    site {!Harness.Sites.compile}. The Monte-Carlo fallback samples on the
-    graph ({!Cqa.Montecarlo.estimate_g}), which agrees with the
-    persistent-plane estimator for equal seeds — so degraded answers are
-    byte-identical whichever entry point served them. *)
+    built it — typically a serve-side plane cache) and gated once, and only
+    the solution graph is built here. Everything else — the tiers, the
+    graph's [compile] span and ticks, the estimate fallback — is {!solve}'s
+    one chain, so both entry points return the same outcome and the same
+    attempts on the same instance. *)
 val solve_plane :
   ?k:int ->
   ?exact_only:bool ->
@@ -249,26 +233,6 @@ val solve_plane :
   Dichotomy.report ->
   Relational.Compiled.t ->
   outcome * attempt list
-
-(** [solve_query q db] classifies then runs {!solve}. *)
-val solve_query :
-  ?opts:Tripath_search.options ->
-  ?k:int ->
-  ?exact_only:bool ->
-  ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
-  ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
-  ?budget:Harness.Budget.t ->
-  ?verify:bool ->
-  ?estimate_trials:int ->
-  ?seed:int ->
-  ?trace:Obs.Trace.t ->
-  Qlang.Query.t ->
-  Relational.Database.t ->
-  outcome * attempt list
-
-(** Bucket bounds used for the [solver.tier.<tier>.steps] histograms:
-    decades from 1 to 10^6 steps. *)
-val step_bounds : float list
 
 (** [record_metrics m outcome attempts] meters one finished chain into [m]:
     a [solver.attempt.<tier>.<status>] counter per attempt, per-tier

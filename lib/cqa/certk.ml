@@ -222,7 +222,6 @@ let fixpoint ?budget (g : Solution_graph.t) ~k =
   st
 
 let run ?budget ~k g = (fixpoint ?budget g ~k).empty_derived
-let certain_query ?budget ~k q db = run ?budget ~k (Solution_graph.of_query q db)
 
 let derived ~k g =
   let st = fixpoint g ~k in
@@ -296,9 +295,6 @@ let paper_k q =
   let kap = kappa q in
   if kap >= 30 then max_int
   else (1 lsl ((2 * kap) + 1)) + kap - 1
-
-let certain_plane ?budget ~k q plane =
-  run ?budget ~k (Solution_graph.of_query_compiled q plane)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resumption                                              *)

@@ -24,11 +24,6 @@
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query ?budget ~k q db] builds the solution graph and runs
-    [Cert_k]. *)
-val certain_query :
-  ?budget:Harness.Budget.t -> k:int -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** [derived ~k g] exposes the fixpoint's minimal sets (sorted vertex lists),
     for inspection and tests. [run] returns [true] iff this contains [[]]. *)
 val derived : k:int -> Qlang.Solution_graph.t -> int list list
@@ -66,21 +61,6 @@ val kappa : Qlang.Query.t -> int
     Proposition 10 and Theorem 18 are stated. Saturates at [max_int] for
     large key lengths. *)
 val paper_k : Qlang.Query.t -> int
-
-(** [certain_plane ?budget ~k q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]): the solution graph is built
-    directly on the plane's interned arrays, with no recompilation of the
-    database. Verdicts are identical to the persistent-plane path: the
-    cross-plane differential test compares them, and the antichains of
-    {!derived}, against the graph of the frozen
-    [Qlang.Solution_graph.of_atoms_reference] and the {!Certk_rounds} and
-    {!Certk_naive} oracles. *)
-val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool
 
 (** {2 Incremental resumption}
 

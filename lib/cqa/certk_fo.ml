@@ -108,5 +108,3 @@ let run (g : Solution_graph.t) =
     done
   done;
   S.mem s "Delta0" []
-
-let certain_query q db = run (Solution_graph.of_query q db)

@@ -27,5 +27,3 @@ val structure : Qlang.Solution_graph.t -> Folog.Structure.t
 
 (** [run g] computes [D ⊨ Cert_2(q)] by the FO fixpoint. *)
 val run : Qlang.Solution_graph.t -> bool
-
-val certain_query : Qlang.Query.t -> Relational.Database.t -> bool

@@ -78,6 +78,3 @@ let fixpoint ?(budget = Harness.Budget.unlimited ()) (g : Solution_graph.t) ~k =
 
 let run ?budget ~k g = Set_set.mem [] (fixpoint ?budget g ~k)
 let delta ?budget ~k g = Set_set.elements (fixpoint ?budget g ~k)
-
-let certain_plane ?budget ~k q plane =
-  run ?budget ~k (Solution_graph.of_query_compiled q plane)

@@ -19,12 +19,3 @@ val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
 (** [delta ~k g] exposes the full fixpoint (sorted vertex lists). *)
 val delta :
   ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> int list list
-
-(** [certain_plane ?budget ~k q plane] runs the literal fixpoint on a graph
-    built from the compiled execution plane ([Relational.Compiled]). *)
-val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool

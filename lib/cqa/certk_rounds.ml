@@ -131,8 +131,4 @@ let fixpoint ?(budget = Harness.Budget.unlimited ()) (g : Solution_graph.t) ~k =
   state
 
 let run ?budget ~k g = (fixpoint ?budget g ~k).empty_derived
-let certain_query ?budget ~k q db = run ?budget ~k (Solution_graph.of_query q db)
 let derived ~k g = Int_list_set.elements (fixpoint g ~k).minimal
-
-let certain_plane ?budget ~k q plane =
-  run ?budget ~k (Solution_graph.of_query_compiled q plane)

@@ -19,23 +19,6 @@
     @raise Invalid_argument when [k < 1]. *)
 val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query ?budget ~k q db] builds the solution graph and runs
-    {!run}. *)
-val certain_query :
-  ?budget:Harness.Budget.t -> k:int -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** [derived ~k g] is the minimal antichain of the fixpoint, as sorted vertex
     lists in lexicographic order — comparable 1:1 with {!Certk.derived}. *)
 val derived : k:int -> Qlang.Solution_graph.t -> int list list
-
-(** [certain_plane ?budget ~k q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]): the solution graph is built
-    directly on the plane's interned arrays, with no recompilation of the
-    database. Verdicts are identical to the persistent-plane path (pinned by
-    the differential suite). *)
-val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool

@@ -7,8 +7,3 @@ let explain ?budget ~k g =
 
 let run ?budget ~k g =
   match explain ?budget ~k g with Via_certk | Via_matching -> true | Neither -> false
-
-let certain_query ?budget ~k q db = run ?budget ~k (Qlang.Solution_graph.of_query q db)
-
-let certain_plane ?budget ~k q plane =
-  run ?budget ~k (Qlang.Solution_graph.of_query_compiled q plane)

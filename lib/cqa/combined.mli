@@ -14,11 +14,6 @@
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query ~k q db] builds the solution graph and runs the
-    combination. *)
-val certain_query :
-  ?budget:Harness.Budget.t -> k:int -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** Which disjunct answered, for explanation output. *)
 type witness =
   | Via_certk  (** [Cert_k] derived the empty set. *)
@@ -26,12 +21,3 @@ type witness =
   | Neither  (** Both algorithms answered no. *)
 
 val explain : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> witness
-
-(** [certain_plane ?budget ~k q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]). *)
-val certain_plane :
-  ?budget:Harness.Budget.t ->
-  k:int ->
-  Qlang.Query.t ->
-  Relational.Compiled.t ->
-  bool

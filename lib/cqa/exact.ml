@@ -67,6 +67,3 @@ let certain_enum ?(budget = Harness.Budget.unlimited ()) q db =
   Relational.Repair.for_all db (fun r ->
       Harness.Budget.tick ~site:Harness.Sites.exact budget;
       Qlang.Solutions.query_satisfies q r)
-
-let certain_plane ?budget q plane =
-  certain ?budget (Solution_graph.of_query_compiled q plane)

@@ -18,7 +18,8 @@ val falsifying_repair :
     Same budget contract as {!falsifying_repair}. *)
 val certain : ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query q db] builds the solution graph and runs {!certain}. *)
+(** [certain_query q db] builds the solution graph and runs {!certain}: the
+    Database-level oracle the tests hold the other solvers to. *)
 val certain_query :
   ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Database.t -> bool
 
@@ -31,8 +32,3 @@ val certain_sjf :
     @raise Invalid_argument if [db] has more than [2^20] repairs. *)
 val certain_enum :
   ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Database.t -> bool
-
-(** [certain_plane ?budget q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]). *)
-val certain_plane :
-  ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Compiled.t -> bool

@@ -40,8 +40,3 @@ let run ?(budget = Harness.Budget.unlimited ()) g =
   let h = bipartite g in
   let tick () = Harness.Budget.tick ~site:Harness.Sites.matching budget in
   Graphs.Matching.saturates_left h (Graphs.Matching.hopcroft_karp ~tick h)
-
-let certain_query ?budget q db = not (run ?budget (Solution_graph.of_query q db))
-
-let certain_plane ?budget q plane =
-  not (run ?budget (Solution_graph.of_query_compiled q plane))

@@ -20,16 +20,6 @@
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val run : ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> bool
 
-(** [certain_query ?budget q db] is [not (run ...)], i.e. the sound
-    approximation [¬MATCHING(q)] of CERTAIN. *)
-val certain_query :
-  ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** [bipartite g] exposes the graph [H(D, q)] for inspection: the left side
     indexes blocks, the right side indexes cliques. *)
 val bipartite : Qlang.Solution_graph.t -> Graphs.Bipartite.t
-
-(** [certain_plane ?budget q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]). *)
-val certain_plane :
-  ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Compiled.t -> bool

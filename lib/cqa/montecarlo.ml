@@ -72,17 +72,6 @@ let estimate_g ?budget rng ~trials g =
     counterexample = !counterexample;
   }
 
-let refute_g ?budget rng ~trials g =
-  if trials < 1 then invalid_arg "Montecarlo.refute_g: trials must be >= 1";
-  let rec go i =
-    if i > trials then None
-    else
-      let () = tick budget in
-      let chosen = sample_g rng g in
-      if satisfied_g g chosen then go (i + 1) else Some (repair_of g chosen)
-  in
-  go 1
-
 let refute ?budget rng ~trials q db =
   if trials < 1 then invalid_arg "Montecarlo.refute: trials must be >= 1";
   (* One falsifying repair settles the question — stop sampling there

@@ -16,10 +16,7 @@ type estimate = {
 }
 
 (** [estimate rng ~trials q db] samples [trials] repairs. When [budget] is
-    given, one tick (site ["montecarlo"]) is spent per sample — the
-    degradation chain's estimate fallback deliberately omits it, because by
-    then the shared budget is already exhausted and the estimate is the
-    last resort.
+    given, one tick (site ["montecarlo"]) is spent per sample.
     @raise Invalid_argument when [trials < 1] — a zero-trial estimate would
     read as "certain" (frequency 1.0) with no evidence at all. *)
 val estimate :
@@ -35,7 +32,10 @@ val estimate :
     graph's block partition and satisfaction is read off the self-loop and
     adjacency structure. The RNG consumption is identical to {!estimate} —
     one uniform choice per block in block order — so a seeded estimate
-    agrees with the persistent-plane one, counterexample included. *)
+    agrees with the persistent-plane one, counterexample included. This is
+    the degradation chain's estimate fallback ([Core.Solver.solve]), which
+    runs it without a budget: by then the shared budget is exhausted, and
+    the estimate is the last resort. *)
 val estimate_g :
   ?budget:Harness.Budget.t ->
   Random.State.t ->
@@ -56,13 +56,4 @@ val refute :
   trials:int ->
   Qlang.Query.t ->
   Relational.Database.t ->
-  Relational.Repair.t option
-
-(** [refute_g rng ~trials g] is {!refute} on a solution graph; same
-    cross-plane agreement guarantee as {!estimate_g}. *)
-val refute_g :
-  ?budget:Harness.Budget.t ->
-  Random.State.t ->
-  trials:int ->
-  Qlang.Solution_graph.t ->
   Relational.Repair.t option

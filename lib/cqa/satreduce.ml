@@ -30,7 +30,3 @@ let falsifying_repair ?budget g =
       Some (Array.to_list (Array.map pick g.Solution_graph.blocks))
 
 let certain ?budget g = Option.is_none (falsifying_repair ?budget g)
-let certain_query ?budget q db = certain ?budget (Solution_graph.of_query q db)
-
-let certain_plane ?budget q plane =
-  certain ?budget (Solution_graph.of_query_compiled q plane)

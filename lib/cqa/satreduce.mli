@@ -17,15 +17,7 @@ val encode : Qlang.Solution_graph.t -> Satsolver.Cnf.t
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val certain : ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> bool
 
-val certain_query :
-  ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Database.t -> bool
-
 (** [falsifying_repair g] extracts one vertex per block from a model, if the
     encoding is satisfiable. Same budget contract as {!certain}. *)
 val falsifying_repair :
   ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> int list option
-
-(** [certain_plane ?budget q plane] is {!certain_query} on the compiled
-    execution plane ([Relational.Compiled]). *)
-val certain_plane :
-  ?budget:Harness.Budget.t -> Qlang.Query.t -> Relational.Compiled.t -> bool

@@ -4,9 +4,10 @@
     Vertices are the facts of [D] (indexed [0 .. n-1]); there is an undirected
     edge between distinct facts [a], [b] iff [D ⊨ q{ab}], and a self-loop on
     [a] iff [D ⊨ q(aa)]. The structure also records the block partition and
-    the full directed solution list, and is the common input of all CERTAIN
-    solvers in the [cqa] library: both a genuine self-join query and its
-    self-join-free variant reduce to it.
+    the full directed solution list, and is the one input of the CERTAIN
+    solvers in the [cqa] library (only the test oracles and repair sampling
+    read a database): both a genuine self-join query and its self-join-free
+    variant reduce to it.
 
     The graph is constructed on the compiled execution plane
     ({!Relational.Compiled}): the vertex array and block partition are

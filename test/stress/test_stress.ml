@@ -25,6 +25,7 @@ module Database = Relational.Database
 module Query = Qlang.Query
 
 let q3 = Qlang.Parse.query_exn "R(x | y) R(y | z)"
+let r3 = Core.Dichotomy.classify q3
 
 let failures = ref 0
 
@@ -48,7 +49,7 @@ let db_certain =
 let force_edge name ~sites ~expect =
   let chaos = Chaos.make ~fail_p:1.0 ~sites () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget r3 db_certain in
   check name (expect outcome)
 
 let deterministic () =
@@ -67,21 +68,21 @@ let deterministic () =
   let chaos = Chaos.make ~fail_p:1.0 ~sites:all_sites () in
   let budget = Budget.make ~chaos () in
   let outcome, _ =
-    Solver.solve_query ~budget ~estimate_trials:50 q3 db_certain
+    Solver.solve ~budget ~estimate_trials:50 r3 db_certain
   in
   check "edge: all faulted -> estimate"
     (match outcome with Outcome.Estimated _ -> true | _ -> false);
   let chaos = Chaos.make ~fail_p:1.0 ~sites:all_sites () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget r3 db_certain in
   check "edge: all faulted, no fallback -> solver error"
     (match outcome with Outcome.Solver_error _ -> true | _ -> false);
   let budget = Budget.make ~max_steps:1 () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget r3 db_certain in
   check "edge: step budget -> budget exhausted"
     (match outcome with Outcome.Budget_exhausted -> true | _ -> false);
   let budget = Budget.make ~timeout:0.0 ~check_every:1 () in
-  let outcome, _ = Solver.solve_query ~budget q3 db_certain in
+  let outcome, _ = Solver.solve ~budget r3 db_certain in
   check "edge: deadline -> timeout"
     (match outcome with Outcome.Timeout -> true | _ -> false)
 
@@ -90,24 +91,25 @@ let deterministic () =
    on fano-minus, Theorem 14), then sever or exhaust it. *)
 
 let q6 = Qlang.Parse.query_exn "R(x | y z) R(z | x y)"
+let r6 = Core.Dichotomy.classify q6
 let fano = Workload.Designs.fano_minus 0
 
 let matching_edges () =
-  let outcome, _ = Solver.solve_query ~k:2 q6 fano in
+  let outcome, _ = Solver.solve ~k:2 r6 fano in
   check "matching: baseline decides via the combined tier"
     (match outcome with
     | Outcome.Decided (true, Solver.Alg_combined 2) -> true
     | _ -> false);
   let chaos = Chaos.make ~fail_p:1.0 ~sites:[ "matching" ] () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~k:2 ~budget q6 fano in
+  let outcome, _ = Solver.solve ~k:2 ~budget r6 fano in
   check "edge: matching fault -> sat"
     (match outcome with
     | Outcome.Decided (true, Solver.Alg_exact_sat) -> true
     | _ -> false);
   let chaos = Chaos.make ~pressure_p:1.0 ~sites:[ "matching" ] () in
   let budget = Budget.make ~chaos () in
-  let outcome, _ = Solver.solve_query ~k:2 ~budget q6 fano in
+  let outcome, _ = Solver.solve ~k:2 ~budget r6 fano in
   check "edge: matching budget pressure -> budget exhausted"
     (match outcome with Outcome.Budget_exhausted -> true | _ -> false)
 
@@ -134,7 +136,7 @@ let sweep () =
     in
     let budget = Budget.make ~max_steps:5_000 ~chaos () in
     let outcome, attempts =
-      Solver.solve_query ~budget ~estimate_trials:10 ~seed q3 db
+      Solver.solve ~budget ~estimate_trials:10 ~seed r3 db
     in
     List.iter
       (fun (a : Solver.attempt) ->

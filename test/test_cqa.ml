@@ -96,7 +96,8 @@ let test_certk_kappa () =
 
 let test_certk_simple_yes () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 1 ] ] in
-  Alcotest.(check bool) "certain by Cert_2" true (Cqa.Certk.certain_query ~k:2 q3 db)
+  Alcotest.(check bool) "certain by Cert_2" true
+    (Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 db))
 
 let test_certk_derived_minimal_sets () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ] ] in
@@ -125,7 +126,8 @@ let prop_certk_sound =
           rows
       in
       let db = db_of q facts in
-      (not (Cqa.Certk.certain_query ~k q db)) || Cqa.Exact.certain_query q db)
+      (not (Cqa.Certk.run ~k (Solution_graph.of_query q db)))
+      || Cqa.Exact.certain_query q db)
 
 let prop_cert2_exact_on_thm4_class =
   (* Theorem 4: for q3 (shared variable inside key(B)), Cert_2 = CERTAIN. *)
@@ -137,7 +139,7 @@ let prop_cert2_exact_on_thm4_class =
       return (List.map2 (fun k v -> fact [ k; v ]) ks vs))
     (fun facts ->
       let db = db_of q3 facts in
-      Cqa.Certk.certain_query ~k:2 q3 db = Cqa.Exact.certain_query q3 db)
+      Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 db) = Cqa.Exact.certain_query q3 db)
 
 let prop_cert2_exact_on_q4 =
   let q4 = Parse.query_exn "R(x x | y) R(x y | y)" in
@@ -148,7 +150,7 @@ let prop_cert2_exact_on_q4 =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q4 facts in
-      Cqa.Certk.certain_query ~k:2 q4 db = Cqa.Exact.certain_query q4 db)
+      Cqa.Certk.run ~k:2 (Solution_graph.of_query q4 db) = Cqa.Exact.certain_query q4 db)
 
 (* ------------------------------------------------------------------ *)
 (* Matching *)
@@ -203,7 +205,8 @@ let prop_combined_sound =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q6 facts in
-      (not (Cqa.Combined.certain_query ~k:2 q6 db)) || Cqa.Exact.certain_query q6 db)
+      (not (Cqa.Combined.run ~k:2 (Solution_graph.of_query q6 db)))
+      || Cqa.Exact.certain_query q6 db)
 
 let prop_combined_exact_q6 =
   (* Theorem 18 for q6: the combination is exact (here already thanks to the
@@ -215,7 +218,8 @@ let prop_combined_exact_q6 =
       return (List.map (fun (a, b, c) -> fact [ a; b; c ]) tuples))
     (fun facts ->
       let db = db_of q6 facts in
-      Cqa.Combined.certain_query ~k:2 q6 db = Cqa.Exact.certain_query q6 db)
+      Cqa.Combined.run ~k:2 (Solution_graph.of_query q6 db)
+      = Cqa.Exact.certain_query q6 db)
 
 let prop_sat_equals_backtracking =
   QCheck2.Test.make ~name:"SAT solver = backtracking solver" ~count:150

@@ -68,8 +68,12 @@ let prop_partition_certk_distributes =
     (fun facts ->
       let db = db_of q3 facts in
       let parts = Cqa.Partition.split q3 db in
-      let some_part = List.exists (fun c -> Cqa.Certk.certain_query ~k:2 q3 c) parts in
-      (not some_part) || Cqa.Certk.certain_query ~k:2 q3 db)
+      let some_part =
+        List.exists
+          (fun c -> Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 c))
+          parts
+      in
+      (not some_part) || Cqa.Certk.run ~k:2 (Solution_graph.of_query q3 db))
 
 (* ------------------------------------------------------------------ *)
 (* Naive Cert_k as an oracle for the antichain implementation *)

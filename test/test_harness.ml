@@ -162,7 +162,7 @@ let test_budget_reaches_certk () =
   let db = some_db q3 30 in
   let b = Budget.make ~max_steps:2 () in
   check_raises_budget "certk ticks" Budget.Steps (fun () ->
-      Cqa.Certk.certain_query ~budget:b ~k:2 q3 db)
+      Cqa.Certk.run ~budget:b ~k:2 (Qlang.Solution_graph.of_query q3 db))
 
 (* ------------------------------------------------------------------ *)
 (* The degradation chain *)
@@ -173,7 +173,8 @@ let db_certain = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 1 ]; fact [ 2; 3 ]; fact [ 
 let db_not_certain = db_of q3 [ fact [ 1; 2 ]; fact [ 1; 5 ]; fact [ 2; 3 ] ]
 
 let solve ?exact_only ?budget ?verify ?estimate_trials db =
-  Solver.solve_query ?exact_only ?budget ?verify ?estimate_trials q3 db
+  Solver.solve ?exact_only ?budget ?verify ?estimate_trials
+    (Core.Dichotomy.classify q3) db
 
 let test_chain_ptime_decides () =
   let outcome, attempts = solve db_certain in
@@ -295,7 +296,7 @@ let test_chain_conp_query_budgeted () =
       ]
   in
   let budget = Budget.make ~max_steps:1 () in
-  let outcome, _ = Solver.solve_query ~budget q_conp db in
+  let outcome, _ = Solver.solve ~budget (Core.Dichotomy.classify q_conp) db in
   match outcome with
   | Outcome.Budget_exhausted -> ()
   | _ -> Alcotest.fail "expected Budget_exhausted"
