@@ -549,7 +549,9 @@ let do_load t ~mreq ~name ~text =
    site, one tick per surviving or inserted fact) and re-keyed under the
    rolling fingerprint: the cached XOR accumulator absorbs the digests of
    exactly the net-toggled facts, so the new key — provably equal to
-   [Plane_cache.fingerprint new_db] — costs O(|delta|). Only after the
+   [Plane_cache.fingerprint new_db] — costs O(|delta|). The cache's lookup
+   check re-derives keys from that accumulator rather than from the facts,
+   so this fold is what keeps a patched entry honest. Only after the
    patched entry passes the sanitize gate does the registry flip to the new
    state; any fault before that (chaos mid-patch, budget stop, corrupt
    plane) leaves both the cache and the name serving the pre-delta

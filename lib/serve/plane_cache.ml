@@ -67,7 +67,8 @@ type entry = {
   fingerprint : string;
   facts_xor : string;
       (* the XOR-of-fact-digests accumulator behind [fingerprint]; carried
-         so an update can roll the key in O(|delta|) *)
+         so an update can roll the key in O(|delta|) and [validate] can
+         re-check it in O(relations) *)
   db : Relational.Database.t;
   plane : Relational.Compiled.t;
 }
@@ -108,12 +109,15 @@ let touch t slot =
   t.tick <- t.tick + 1;
   slot.used <- t.tick
 
-(* A cached entry is served only if its content still hashes to the key it
-   is stored under. A mismatch means the entry went stale (however it got
-   there — an injection, a future mutable backing store, a bug): serving it
-   would answer for the wrong database, so it is evicted instead. *)
+(* A cached entry is served only if its stored accumulator re-derives the
+   key it is filed under: O(relations), not one digest per fact (see the
+   trust boundary in the interface). A mismatch means the entry went stale
+   (however it got there — an injection, a wrong key handed to [replace],
+   a bug): serving it would answer for the wrong database, so it is
+   evicted instead. *)
 let validate t fp slot =
-  if String.equal (fingerprint slot.entry.db) fp then true
+  let { db; facts_xor; _ } = slot.entry in
+  if String.equal (Fingerprint.finish db ~facts_xor) fp then true
   else begin
     Hashtbl.remove t.slots fp;
     t.stale <- t.stale + 1;
@@ -127,6 +131,7 @@ let find t fp =
   | Some slot when not (validate t fp slot) -> None
   | Some slot ->
       touch t slot;
+      t.hits <- t.hits + 1;
       Some slot.entry
 
 let evict_lru t =
@@ -156,12 +161,9 @@ let sanitize_or_reject t plane =
 
 let find_or_compile ?tick t db =
   let facts_xor, fp = Fingerprint.of_db db in
-  match Hashtbl.find_opt t.slots fp with
-  | Some slot when validate t fp slot ->
-      touch t slot;
-      t.hits <- t.hits + 1;
-      (slot.entry, true)
-  | Some _ | None ->
+  match find t fp with
+  | Some entry -> (entry, true)
+  | None ->
       (* Compile before touching the table: a chaos fault or budget stop
          raised mid-compilation must leave the cache unchanged. *)
       let plane = Relational.Compiled.compile ?tick db in

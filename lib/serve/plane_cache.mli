@@ -7,9 +7,10 @@
     database pays the interning (charged to that request's budget at site
     ["compile"]), every later request — whether it named the database or
     inlined byte-identical facts — reuses the plane. The key is a
-    content fingerprint (digest of the canonical sorted-fact rendering), so
-    equality is semantic: two databases with equal fact sets and schemas
-    share one plane regardless of how they reached the daemon.
+    content fingerprint (a digest over the schemas, the XOR of per-fact
+    digests and the fact count), so equality is semantic: two databases
+    with equal fact sets and schemas share one plane regardless of how they
+    reached the daemon or in which order their facts arrived.
 
     Capacity is bounded; eviction is least-recently-used. The cache stores
     the authoring-plane database alongside the compiled plane so evicted
@@ -21,7 +22,20 @@
     the same key; and the fact set enters the digest as an XOR of per-fact
     digests, so a delta update re-keys an entry in O(|delta|) by folding the
     toggled facts' digests into the cached accumulator ({!Fingerprint},
-    used by the daemon's [update] op through {!replace}). *)
+    used by the daemon's [update] op through {!replace}).
+
+    {b Trust boundary.} A lookup re-derives the key from the entry's
+    stored accumulator — [Fingerprint.finish entry.db
+    ~facts_xor:entry.facts_xor] — and compares it with the key the entry
+    is stored under: O(relations), never one digest per fact. The check
+    catches any entry filed under a key its own fields do not produce (a
+    wedged {!inject}, a wrong key handed to {!replace}). It trusts one
+    invariant: an entry's [facts_xor] is the XOR of {!Fingerprint.fact_digest}
+    over its [db]'s facts. {!find_or_compile} establishes it by
+    construction ({!Fingerprint.of_db}); a caller of {!replace} must
+    establish it itself — the daemon's [update] folds exactly the
+    net-toggled facts' digests into the cached accumulator, and a test
+    pins that the rolled key equals the from-scratch {!fingerprint}. *)
 
 (** The fingerprint algebra. [of_db db] computes the accumulator and the
     key; an update computes
@@ -56,7 +70,8 @@ type entry = {
   fingerprint : string;
   facts_xor : string;
       (** The XOR accumulator behind [fingerprint], carried so an update
-          can roll the key in O(|delta|). *)
+          can roll the key in O(|delta|) and a lookup can re-check it in
+          O(relations). *)
   db : Relational.Database.t;
   plane : Relational.Compiled.t;
 }
@@ -83,21 +98,25 @@ val make :
     the converse hold up to digest collision — no separator ambiguity. *)
 val fingerprint : Relational.Database.t -> string
 
-(** [find t fp] returns the cached entry and marks it most recently used.
-    The entry's content fingerprint is recomputed first: an entry whose
-    content no longer hashes to [fp] is {e stale} — it is evicted (counted
-    in {!type:stats}[.stale]) and [None] is returned, never served. *)
+(** [find t fp] returns the cached entry, marks it most recently used and
+    counts a hit in {!type:stats}[.hits]. The key is re-derived from the
+    entry's stored accumulator first (O(relations), see the trust boundary
+    above): an entry whose schemas, accumulator and fact count do not
+    produce [fp] is {e stale} — it is evicted (counted in
+    {!type:stats}[.stale] and [.evictions]) and [None] is returned, never
+    served. A lookup that finds nothing counts neither a hit nor a miss. *)
 val find : t -> string -> entry option
 
-(** [find_or_compile ?tick t db] returns the entry for [db]'s fingerprint,
-    compiling (and caching, evicting the LRU entry if full) on a miss; the
-    boolean is [true] on a hit. [tick] is threaded into
-    {!Relational.Compiled.compile} on the miss path, so the requesting
-    budget is charged one tick per fact — and a chaos fault or budget stop
-    during compilation caches nothing. A stale hit (see {!find}) is evicted
-    and recompiled. A freshly compiled plane passes the [sanitize] gate
-    before it is cached; rejection raises {!Corrupt_plane} and caches
-    nothing.
+(** [find_or_compile ?tick t db] fingerprints [db] in full (one digest per
+    fact) and looks the key up with {!find}, so a hit is counted and
+    validated exactly as there; on a miss it compiles (and caches, evicting
+    the LRU entry if full) and counts a miss. The boolean is [true] on a
+    hit. [tick] is threaded into {!Relational.Compiled.compile} on the
+    miss path, so the requesting budget is charged one tick per fact — and
+    a chaos fault or budget stop during compilation caches nothing. A
+    stale hit (see {!find}) is evicted and recompiled. A freshly compiled
+    plane passes the [sanitize] gate before it is cached; rejection raises
+    {!Corrupt_plane} and caches nothing.
     @raise Corrupt_plane when the sanitize gate rejects the plane. *)
 val find_or_compile :
   ?tick:(unit -> unit) -> t -> Relational.Database.t -> entry * bool
@@ -105,10 +124,11 @@ val find_or_compile :
 (** [inject t ~fingerprint entry] stores [entry] under [fingerprint]
     verbatim — no validation, no sanitizing, wrong keys welcome. This is a
     test hook: it is how the stale-eviction regression test plants an entry
-    whose content does not match its key. Capacity {e is} enforced:
-    planting a new key into a full cache evicts the LRU victim first, so
-    the table never exceeds [capacity] (the pre-fix bypass grew it without
-    bound). *)
+    under a key that [Fingerprint.finish entry.db ~facts_xor:entry.facts_xor]
+    does not produce, which the next {!find} evicts. Capacity {e is}
+    enforced: planting a new key into a full cache evicts the LRU victim
+    first, so the table never exceeds [capacity] (the pre-fix bypass grew
+    it without bound). *)
 val inject : t -> fingerprint:string -> entry -> unit
 
 (** [replace t ~old_fingerprint entry] re-keys a cached entry after an
@@ -117,14 +137,21 @@ val inject : t -> fingerprint:string -> entry -> unit
     [entry.fingerprint], most recently used, evicting the LRU victim if the
     insertion would exceed capacity. The [sanitize] gate runs on
     [entry.plane] {e before} any slot changes, so a rejected patched plane
-    leaves the cache unchanged.
+    leaves the cache unchanged. The caller owns the trust boundary:
+    [entry.facts_xor] must be the accumulator of [entry.db]. An
+    [entry.fingerprint] that [Fingerprint.finish entry.db
+    ~facts_xor:entry.facts_xor] does not produce is stored, but the next
+    {!find} under it evicts the entry as stale instead of serving it.
     @raise Corrupt_plane when the sanitize gate rejects the plane. *)
 val replace : t -> old_fingerprint:string -> entry -> unit
 
 type stats = {
   entries : int;
   hits : int;
-  misses : int;
+      (** Lookups that returned a cached entry: every successful {!find},
+          whether a named read, an [update]'s lookup of the entry it
+          patches, or the hit branch of {!find_or_compile}. *)
+  misses : int;  (** {!find_or_compile} calls that compiled a plane. *)
   evictions : int;  (** Capacity evictions {e plus} stale evictions. *)
   stale : int;  (** Entries evicted because content no longer matched key. *)
   rejected : int;  (** Planes refused by the sanitize-on-insert gate. *)

@@ -43,6 +43,24 @@ let random_for_query rng (q : Query.t) ~n_facts ~domain =
   in
   Database.of_facts [ schema ] facts
 
+let random_delta rng q db ~domain ~len =
+  let facts = Database.facts db in
+  let n = List.length facts in
+  let fresh () =
+    List.hd (Database.facts (random_for_query rng q ~n_facts:1 ~domain))
+  in
+  List.init len (fun _ ->
+      match Random.State.int rng 4 with
+      | 0 -> Relational.Delta.Insert (fresh ())
+      | 1 when n > 0 ->
+          Relational.Delta.Retract (List.nth facts (Random.State.int rng n))
+      | 2 when n > 0 ->
+          (* Redundant insert: the fact is already present. *)
+          Relational.Delta.Insert (List.nth facts (Random.State.int rng n))
+      | _ ->
+          (* Retract of a fact that is (almost surely) absent. *)
+          Relational.Delta.Retract (fresh ()))
+
 let random_sjf rng (s : Qlang.Sjf.t) ~n_facts ~domain =
   let facts =
     List.init n_facts (fun i ->

@@ -25,6 +25,18 @@ val random_for_query :
   domain:int ->
   Relational.Database.t
 
+(** [random_delta rng q db ~domain ~len] draws a trace of [len] delta ops
+    against [db]: inserts of fresh facts drawn as in {!random_for_query},
+    retracts of present facts, and redundant ops that must be net no-ops
+    (inserting a present fact, retracting an almost surely absent one). *)
+val random_delta :
+  Random.State.t ->
+  Qlang.Query.t ->
+  Relational.Database.t ->
+  domain:int ->
+  len:int ->
+  Relational.Delta.t
+
 (** [random_sjf rng s ~n_facts ~domain] draws a two-relation database for
     the self-join-free variant of a query, planting atom images as in
     {!random_for_query}. *)

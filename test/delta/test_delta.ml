@@ -19,29 +19,6 @@ module Catalog = Workload.Catalog
 let entries =
   [ ("q3", Catalog.q3, 2); ("q5", Catalog.q5, 2); ("q6", Catalog.q6, 3) ]
 
-(* A random delta trace against [db]: inserts of fresh facts, retracts of
-   present facts, and occasional redundant ops (inserting a present fact,
-   retracting an absent one) that must be net no-ops. *)
-let random_delta rng q db ~domain ~len =
-  let facts = Database.facts db in
-  let n = List.length facts in
-  List.init len (fun _ ->
-      match Random.State.int rng 4 with
-      | 0 ->
-          Delta.Insert
-            (List.hd
-               (Database.facts (Randdb.random_for_query rng q ~n_facts:1 ~domain)))
-      | 1 when n > 0 ->
-          Delta.Retract (List.nth facts (Random.State.int rng n))
-      | 2 when n > 0 ->
-          (* Redundant insert: the fact is already present. *)
-          Delta.Insert (List.nth facts (Random.State.int rng n))
-      | _ ->
-          (* Retract of a fact that is (almost surely) absent. *)
-          Delta.Retract
-            (List.hd
-               (Database.facts (Randdb.random_for_query rng q ~n_facts:1 ~domain))))
-
 let check_equivalent ~name q ~k db delta =
   let base_plane = Compiled.compile db in
   let base_graph = SG.of_query_compiled q base_plane in
@@ -110,7 +87,7 @@ let law_tests =
           let domain = max 2 (n / 4) in
           let db = Randdb.random_for_query rng q ~n_facts:n ~domain in
           let len = 1 + (len_seed mod 8) in
-          let delta = random_delta rng q db ~domain ~len in
+          let delta = Randdb.random_delta rng q db ~domain ~len in
           check_equivalent ~name q ~k db delta;
           true))
     entries

@@ -330,6 +330,68 @@ let test_plane_cache_stale () =
   checki "second stale lookup counted" 2
     (Serve.Plane_cache.stats cache).Serve.Plane_cache.stale
 
+(* Regression: [find] is how named reads, [analyze] on a named database and
+   [update] reach their entry, so a hit through it must count — before the
+   fix only [find_or_compile] bumped [hits], and these two lookups read 0. *)
+let test_plane_cache_find_counts_hits () =
+  let cache = Serve.Plane_cache.make () in
+  let d1 = db_of_text "R(1 | 2)\nR(1 | 3)" in
+  let entry, _ = Serve.Plane_cache.find_or_compile cache d1 in
+  let fp = entry.Serve.Plane_cache.fingerprint in
+  checkb "first find hits" true (Serve.Plane_cache.find cache fp <> None);
+  checkb "second find hits" true (Serve.Plane_cache.find cache fp <> None);
+  let stats = Serve.Plane_cache.stats cache in
+  checki "both finds counted" 2 stats.Serve.Plane_cache.hits;
+  checki "the compile is the only miss" 1 stats.Serve.Plane_cache.misses;
+  checkb "absent key" true (Serve.Plane_cache.find cache "absent" = None);
+  checki "an absent key is not a hit" 2
+    (Serve.Plane_cache.stats cache).Serve.Plane_cache.hits
+
+(* A hit re-derives its key from the stored accumulator — one digest over
+   schemas, accumulator and fact count — instead of re-hashing every fact.
+   Re-hashing a 3,200-fact database allocates hundreds of thousands of
+   minor words (a buffer and a digest per fact); the accumulator check
+   allocates under a hundred. Counting words rather than timing keeps the
+   bound deterministic. *)
+let test_plane_cache_hit_does_not_rehash () =
+  let rng = Random.State.make [| 42 |] in
+  let db =
+    Workload.Randdb.random_for_query rng Workload.Catalog.q5 ~n_facts:3200
+      ~domain:400
+  in
+  checkb "a large database" true (Relational.Database.size db > 3000);
+  let cache = Serve.Plane_cache.make () in
+  let entry, _ = Serve.Plane_cache.find_or_compile cache db in
+  let fp = entry.Serve.Plane_cache.fingerprint in
+  let before = Gc.minor_words () in
+  let found = Serve.Plane_cache.find cache fp in
+  let words = Gc.minor_words () -. before in
+  checkb "the lookup hits" true (found <> None);
+  if words >= 1000.0 then
+    Alcotest.failf "a hit allocated %.0f minor words (bound 1000)" words
+
+(* A key handed to [replace] that the entry's own fields do not produce is
+   filed, but never answers: the next [find] under it evicts the entry as
+   stale. *)
+let test_plane_cache_replace_wrong_key () =
+  let cache = Serve.Plane_cache.make () in
+  let d1 = db_of_text "R(1 | 2)" in
+  let d2 = db_of_text "R(9 | 9)" in
+  let entry, _ = Serve.Plane_cache.find_or_compile cache d1 in
+  let wrong = Serve.Plane_cache.fingerprint d2 in
+  Serve.Plane_cache.replace cache
+    ~old_fingerprint:entry.Serve.Plane_cache.fingerprint
+    { entry with Serve.Plane_cache.fingerprint = wrong };
+  let before = Serve.Plane_cache.stats cache in
+  checkb "wrong key never answers" true
+    (Serve.Plane_cache.find cache wrong = None);
+  let after = Serve.Plane_cache.stats cache in
+  checki "one stale eviction" (before.Serve.Plane_cache.stale + 1)
+    after.Serve.Plane_cache.stale;
+  checki "counted as an eviction" (before.Serve.Plane_cache.evictions + 1)
+    after.Serve.Plane_cache.evictions;
+  checki "the slot is gone" 0 after.Serve.Plane_cache.entries
+
 (* Regression: [inject] must enforce capacity like every other insertion
    path. The pre-fix bypass grew the table without bound, so a test (or any
    future caller) planting entries could silently defeat the LRU bound. *)
@@ -838,6 +900,98 @@ let test_daemon_update () =
   checks "evicted entry recompiles" "recompiled" (str_field "cache" j);
   checki "recompiled facts" 2 (int_field "facts" j)
 
+(* Schema lines then one [Fact.to_string] per line: the text round-trips
+   through [Serve.Ingest]. *)
+let db_source db =
+  String.concat "\n"
+    (List.map
+       (fun (s : Relational.Schema.t) ->
+         Printf.sprintf "%s[%d,%d]" s.Relational.Schema.name
+           s.Relational.Schema.arity s.Relational.Schema.key_len)
+       (Relational.Database.schemas db)
+    @ List.map Relational.Fact.to_string (Relational.Database.facts db))
+
+(* The law the plane cache's O(relations) lookup check trusts: the key the
+   daemon's [update] rolls from the cached accumulator equals the
+   from-scratch fingerprint of the updated database, and the entry filed
+   under it answers the next named read from the cache. Sixty fixed-seed
+   cases over q3/q5/q6, each a random database and a random delta trace
+   with redundant ops (inserting a present fact, retracting an absent one)
+   mixed in. *)
+let test_daemon_rolled_key () =
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. 1.0;
+    !now
+  in
+  let d = Serve.Daemon.create ~clock base_config in
+  let frame fields = Json.to_string (Json.Obj fields) in
+  let queries =
+    Workload.Catalog.[ ("q3", q3); ("q5", q5); ("q6", q6) ]
+  in
+  for case = 0 to 59 do
+    let name, q = List.nth queries (case mod 3) in
+    let label = Printf.sprintf "case %d (%s)" case name in
+    let rng = Random.State.make [| 15; case |] in
+    let n = 10 + Random.State.int rng 51 in
+    let domain = max 2 (n / 4) in
+    let db = Workload.Randdb.random_for_query rng q ~n_facts:n ~domain in
+    let ops =
+      Workload.Randdb.random_delta rng q db ~domain
+        ~len:(1 + Random.State.int rng 8)
+    in
+    (* The daemon applies an update's inserts, then its retracts. *)
+    let inserts, retracts =
+      List.partition_map
+        (function
+          | Relational.Delta.Insert f -> Either.Left f
+          | Relational.Delta.Retract f -> Either.Right f)
+        ops
+    in
+    let delta =
+      List.map (fun f -> Relational.Delta.Insert f) inserts
+      @ List.map (fun f -> Relational.Delta.Retract f) retracts
+    in
+    let facts_field key = function
+      | [] -> []
+      | fs ->
+          [
+            ( key,
+              Json.String
+                (String.concat "\n" (List.map Relational.Fact.to_string fs)) );
+          ]
+    in
+    expect_code d (label ^ ": load") Protocol.Ok_code
+      (frame
+         [
+           ("op", Json.String "load");
+           ("name", Json.String "db");
+           ("facts", Json.String (db_source db));
+         ]);
+    let code, j =
+      handle d
+        (frame
+           ([ ("op", Json.String "update"); ("db", Json.String "db") ]
+           @ facts_field "insert" inserts
+           @ facts_field "retract" retracts))
+    in
+    checks (label ^ ": update ok") "ok" (Protocol.code_name code);
+    checks (label ^ ": entry patched") "patched" (str_field "cache" j);
+    checks (label ^ ": rolled key = from-scratch key")
+      (Serve.Plane_cache.fingerprint (Relational.Delta.apply db delta))
+      (str_field "fingerprint" j);
+    let _, j =
+      handle d
+        (frame
+           [
+             ("op", Json.String "certain");
+             ("query", Json.String (Qlang.Query.to_string q));
+             ("db", Json.String "db");
+           ])
+    in
+    checks (label ^ ": next named read hits") "hit" (str_field "cache" j)
+  done
+
 let test_request_isolation () =
   (* A request that dies mid-flight merges nothing beyond its own counters:
      the fault response and the successful one see disjoint per-request
@@ -1001,6 +1155,12 @@ let () =
             test_plane_cache_inject_capacity;
           Alcotest.test_case "unambiguous fingerprint" `Quick
             test_fingerprint_unambiguous;
+          Alcotest.test_case "find counts hits" `Quick
+            test_plane_cache_find_counts_hits;
+          Alcotest.test_case "hit does not re-hash" `Quick
+            test_plane_cache_hit_does_not_rehash;
+          Alcotest.test_case "wrong replace key never answers" `Quick
+            test_plane_cache_replace_wrong_key;
         ] );
       ("retry", [ Alcotest.test_case "backoff + transience" `Quick test_retry ]);
       ( "metrics",
@@ -1015,6 +1175,8 @@ let () =
           Alcotest.test_case "analyze op" `Quick test_daemon_analyze;
           Alcotest.test_case "corrupt plane" `Quick test_daemon_corrupt_plane;
           Alcotest.test_case "update op" `Quick test_daemon_update;
+          Alcotest.test_case "rolled key = from-scratch key" `Quick
+            test_daemon_rolled_key;
           Alcotest.test_case "request isolation" `Quick test_request_isolation;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Quick test_soak ]);
