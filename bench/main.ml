@@ -652,6 +652,38 @@ let e14_certk_suite () =
   Format.printf "wrote BENCH_certk.json@."
 
 (* ------------------------------------------------------------------ *)
+(* E24: compile time per fact, which a linear partition pass keeps flat *)
+
+let e24_compile () =
+  section "E24 Compiling to the plane: time per fact from 200 to 3200 facts (q3)";
+  let rows =
+    List.map
+      (fun n ->
+        let db =
+          Workload.Randdb.random_for_query
+            (Random.State.make [| 42; n |])
+            Catalog.q3 ~n_facts:n ~domain:(4 * n)
+        in
+        ignore (Relational.Compiled.compile db);
+        let times =
+          List.init 30 (fun _ ->
+              snd (timed (fun () -> Relational.Compiled.compile db)))
+          |> List.sort Float.compare
+        in
+        let median_ms = 1000. *. List.nth times 15 in
+        (n, Db.size db, median_ms, 1000. *. median_ms /. float_of_int (Db.size db)))
+      [ 200; 400; 800; 1600; 3200 ]
+  in
+  let _, _, _, per_fact_400 = List.find (fun (n, _, _, _) -> n = 400) rows in
+  Format.printf "%8s %8s %12s %12s %10s@." "n" "facts" "median(ms)" "us/fact"
+    "vs n=400";
+  List.iter
+    (fun (n, facts, median_ms, per_fact) ->
+      Format.printf "%8d %8d %12.3f %12.3f %9.2fx@." n facts median_ms per_fact
+        (per_fact /. per_fact_400))
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let experiments =
@@ -670,6 +702,7 @@ let experiments =
     ("atlas", e12_atlas);
     ("ablation", e13_ablation);
     ("certk-suite", e14_certk_suite);
+    ("compile", e24_compile);
   ]
 
 let usage () =

@@ -1472,57 +1472,6 @@ let serve_bench_run seed output =
   Format.printf "wrote %s@." output;
   0
 
-(* The delta-update profile: the incremental-maintenance pipeline
-   (apply_delta + graph repair + Cert_k resume) against a full
-   recompile-and-resolve, per case. A delta-equivalence regression fails
-   the run exactly like a plane-equivalence one. *)
-let delta_bench_run profile seed output budget_s =
-  let report = Benchkit.Delta_suite.run ~profile ~seed ~budget_s () in
-  Format.printf "%-28s %8s %12s %12s %10s %6s@." "case" "facts"
-    "recompile(ms)" "delta(us)" "speedup" "equiv";
-  List.iter
-    (fun (c : Benchkit.Report.case) ->
-      let full =
-        match
-          List.find_opt
-            (fun r -> r.Benchkit.Report.algorithm = "recompile-resolve")
-            c.Benchkit.Report.runs
-        with
-        | Some r when r.Benchkit.Report.status = "ok" ->
-            Printf.sprintf "%.2f" r.Benchkit.Report.median_ms
-        | Some _ -> "timeout"
-        | None -> "-"
-      in
-      Format.printf "%-28s %8d %12s %12s %10s %6s@." c.Benchkit.Report.name
-        c.Benchkit.Report.n_facts full
-        (match c.Benchkit.Report.delta_us with
-        | Some us -> Printf.sprintf "%.1f" us
-        | None -> "-")
-        (match c.Benchkit.Report.delta_speedup with
-        | Some s -> Printf.sprintf "%.1fx" s
-        | None -> "-")
-        (match c.Benchkit.Report.delta_equivalent with
-        | Some b -> string_of_bool b
-        | None -> "-"))
-    report.Benchkit.Report.cases;
-  (match report.Benchkit.Report.geomean_delta with
-  | Some s -> Format.printf "geomean delta-update speedup: %.1fx@." s
-  | None -> ());
-  (match report.Benchkit.Report.delta_equivalence with
-  | Some eq -> Format.printf "delta equivalence: %b@." eq
-  | None -> ());
-  (match Benchkit.Report.validate_round_trip report with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("benchmark report: " ^ msg));
-  let output = if output = "BENCH_certk.json" then "BENCH_delta.json" else output in
-  Benchkit.Report.write output report;
-  Format.printf "wrote %s@." output;
-  if
-    report.Benchkit.Report.agreement
-    && report.Benchkit.Report.delta_equivalence <> Some false
-  then 0
-  else exit_error
-
 (* The observability-overhead profile: the same seeded solve under a no-obs
    control and three instrumented variants (sharded metrics sink, journal,
    both); the report carries the worst instrumented-vs-control slowdown and
@@ -1577,8 +1526,6 @@ let bench_profiles =
     ("smoke", "tiny CI-friendly Cert_k suite (writes BENCH_certk.json)");
     ("default", "full Cert_k suite: delta-driven vs round-driven fixpoint");
     ("serve-throughput", "drive the serve daemon in-process; requests/sec by tier");
-    ("delta-update", "incremental plane maintenance vs full recompile");
-    ("delta-smoke", "tiny delta-update variant for CI");
     ("obs-overhead", "metrics/journal cost vs a no-obs control (5% bar)");
     ("obs-overhead-smoke", "tiny obs-overhead variant for CI");
   ]
@@ -1592,10 +1539,6 @@ let bench_run list_profiles profile seed output budget_s catalog =
     0
   end
   else if profile = "serve-throughput" then serve_bench_run seed output
-  else if profile = "delta-update" then
-    delta_bench_run Benchkit.Delta_suite.Default seed output budget_s
-  else if profile = "delta-smoke" then
-    delta_bench_run Benchkit.Delta_suite.Smoke seed output budget_s
   else if profile = "obs-overhead" then
     obs_bench_run Benchkit.Obs_suite.Default seed output budget_s
   else if profile = "obs-overhead-smoke" then
@@ -1684,10 +1627,7 @@ let bench_cmd =
             "Workload profile: $(b,smoke) (tiny, CI-friendly), $(b,default), \
              $(b,serve-throughput) (drive the serve daemon in-process and \
              measure requests/sec by tier plus shed/downgrade counts; writes \
-             BENCH_serve.json), $(b,delta-update) / $(b,delta-smoke) \
-             (incremental plane maintenance vs full recompile after a fact \
-             delta, with from-scratch equivalence oracles; writes \
-             BENCH_delta.json), or $(b,obs-overhead) / \
+             BENCH_serve.json), or $(b,obs-overhead) / \
              $(b,obs-overhead-smoke) (sharded-metrics and journal cost vs a \
              no-obs control, failing above a 5% bar; writes \
              BENCH_obs.json). See $(b,--list-profiles).")

@@ -162,9 +162,6 @@ let run_case ~budget_s spec =
     speedup_vs_rounds = ratio "certk-rounds" "certk-delta";
     speedup_e2e = ratio "certk-e2e-persistent" "certk-e2e-compiled";
     plane_equivalent = Some plane_equivalent;
-    delta_us = None;
-    delta_speedup = None;
-    delta_equivalent = None;
     obs_overhead_pct = None;
   }
 
@@ -218,8 +215,6 @@ let run ?(extra_queries = []) ~profile ~seed ~budget_s () =
     geomean_speedup =
       geomean (List.filter_map (fun c -> c.Report.speedup_vs_rounds) cases);
     geomean_e2e = geomean (List.filter_map (fun c -> c.Report.speedup_e2e) cases);
-    delta_equivalence = None;
-    geomean_delta = None;
     obs_overhead_pct = None;
     obs_bar_pct = None;
     obs_within_bar = None;

@@ -14,14 +14,9 @@ let median sorted =
     let arr = Array.of_list sorted in
     if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
 
-let sample ?budget_s ?(stabilize = false) ~repeats f =
+let sample ?budget_s ~repeats f =
   if repeats < 1 then invalid_arg "Measure.sample: repeats must be >= 1";
   let one () =
-    (* Empty the minor heap outside the timed region so a sub-millisecond
-       run is not charged a collection triggered by a previous repeat's
-       garbage. Both algorithms of a case get the same treatment, so the
-       reported ratio is unaffected by who happened to inherit the debt. *)
-    if stabilize then Gc.minor ();
     let budget =
       match budget_s with
       | None -> Harness.Budget.unlimited ()

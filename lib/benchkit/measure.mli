@@ -20,18 +20,13 @@ type outcome = {
           benchmarked algorithm actually spent its budget in. *)
 }
 
-(** [sample ?budget_s ?stabilize ~repeats f] times [f] (given a fresh
-    budget with wall-clock allowance [budget_s] seconds, unlimited if
-    absent) [repeats] times. [Budget_exceeded] is absorbed into
-    [timed_out]; other exceptions propagate. With [stabilize] (default
-    false), the minor heap is emptied before each repeat so sub-millisecond
-    runs are not charged a collection of an earlier repeat's garbage —
-    apply it to every algorithm of a case or to none, so reported ratios
-    stay meaningful.
+(** [sample ?budget_s ~repeats f] times [f] (given a fresh budget with
+    wall-clock allowance [budget_s] seconds, unlimited if absent) [repeats]
+    times. [Budget_exceeded] is absorbed into [timed_out]; other
+    exceptions propagate.
     @raise Invalid_argument when [repeats < 1]. *)
 val sample :
   ?budget_s:float ->
-  ?stabilize:bool ->
   repeats:int ->
   (Harness.Budget.t -> bool) ->
   outcome

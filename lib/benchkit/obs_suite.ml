@@ -251,9 +251,6 @@ let run_case ~rng ~journal ~budget_s spec =
     speedup_vs_rounds = None;
     speedup_e2e = None;
     plane_equivalent = None;
-    delta_us = None;
-    delta_speedup = None;
-    delta_equivalent = None;
     obs_overhead_pct;
   }
 
@@ -311,8 +308,6 @@ let run ?(bar_pct = default_bar_pct) ?budget_s ~profile ~seed () =
     plane_equivalence = None;
     geomean_speedup = None;
     geomean_e2e = None;
-    delta_equivalence = None;
-    geomean_delta = None;
     obs_overhead_pct;
     obs_bar_pct = Some bar_pct;
     obs_within_bar =

@@ -3,14 +3,13 @@ module Json = Analysis.Json
 (* v2 added the per-run "sites" object (per-site budget step breakdown);
    v3 added the compile-phase split (per-case "compile_ms", "speedup_e2e",
    "plane_equivalent"; summary "plane_equivalence", "geomean_e2e");
-   v4 added the incremental-maintenance split (per-case "delta_us",
+   v4 added an incremental-maintenance split (per-case "delta_us",
    "delta_speedup", "delta_equivalent"; summary "delta_equivalence",
-   "geomean_delta"); v5 added the observability-overhead split (per-case
-   "obs_overhead_pct"; summary "obs_overhead_pct", "obs_bar_pct",
-   "obs_within_bar"); v6 added an evaluation-VM split whose four fields
-   were later dropped with the VM; the decoder ignores them. The decoder
-   still accepts v1–v5 documents, reading the newer fields as absent
-   ([None]). *)
+   "geomean_delta") and v6 an evaluation-VM split, both later dropped with
+   the code they measured; the decoder ignores their fields. v5 added the
+   observability-overhead split (per-case "obs_overhead_pct"; summary
+   "obs_overhead_pct", "obs_bar_pct", "obs_within_bar"). The decoder still
+   accepts v1–v5 documents, reading the newer fields as absent ([None]). *)
 let schema_version = 6
 
 type run = {
@@ -35,9 +34,6 @@ type case = {
   speedup_vs_rounds : float option;
   speedup_e2e : float option;
   plane_equivalent : bool option;
-  delta_us : float option;
-  delta_speedup : float option;
-  delta_equivalent : bool option;
   obs_overhead_pct : float option;
 }
 
@@ -50,8 +46,6 @@ type t = {
   plane_equivalence : bool option;
   geomean_speedup : float option;
   geomean_e2e : float option;
-  delta_equivalence : bool option;
-  geomean_delta : float option;
   obs_overhead_pct : float option;
   obs_bar_pct : float option;
   obs_within_bar : bool option;
@@ -87,9 +81,6 @@ let encode_case c =
       ("speedup_vs_rounds", opt (fun f -> Json.Float f) c.speedup_vs_rounds);
       ("speedup_e2e", opt (fun f -> Json.Float f) c.speedup_e2e);
       ("plane_equivalent", opt (fun b -> Json.Bool b) c.plane_equivalent);
-      ("delta_us", opt (fun f -> Json.Float f) c.delta_us);
-      ("delta_speedup", opt (fun f -> Json.Float f) c.delta_speedup);
-      ("delta_equivalent", opt (fun b -> Json.Bool b) c.delta_equivalent);
       ("obs_overhead_pct", opt (fun f -> Json.Float f) c.obs_overhead_pct);
     ]
 
@@ -111,9 +102,6 @@ let encode t =
             ( "geomean_speedup_vs_rounds",
               opt (fun f -> Json.Float f) t.geomean_speedup );
             ("geomean_e2e", opt (fun f -> Json.Float f) t.geomean_e2e);
-            ( "delta_equivalence",
-              opt (fun b -> Json.Bool b) t.delta_equivalence );
-            ("geomean_delta", opt (fun f -> Json.Float f) t.geomean_delta);
             ( "obs_overhead_pct",
               opt (fun f -> Json.Float f) t.obs_overhead_pct );
             ("obs_bar_pct", opt (fun f -> Json.Float f) t.obs_bar_pct);
@@ -187,10 +175,6 @@ let decode_case j =
   let* speedup_vs_rounds = opt_field "speedup_vs_rounds" Json.to_float_opt j in
   let* speedup_e2e = opt_field "speedup_e2e" Json.to_float_opt j in
   let* plane_equivalent = opt_field "plane_equivalent" Json.to_bool_opt j in
-  (* delta_us / delta_speedup / delta_equivalent are absent before v4. *)
-  let* delta_us = opt_field "delta_us" Json.to_float_opt j in
-  let* delta_speedup = opt_field "delta_speedup" Json.to_float_opt j in
-  let* delta_equivalent = opt_field "delta_equivalent" Json.to_bool_opt j in
   (* obs_overhead_pct is absent before v5. *)
   let* obs_overhead_pct = opt_field "obs_overhead_pct" Json.to_float_opt j in
   Ok
@@ -206,9 +190,6 @@ let decode_case j =
       speedup_vs_rounds;
       speedup_e2e;
       plane_equivalent;
-      delta_us;
-      delta_speedup;
-      delta_equivalent;
       obs_overhead_pct;
     }
 
@@ -232,10 +213,6 @@ let decode j =
     opt_field "geomean_speedup_vs_rounds" Json.to_float_opt summary
   in
   let* geomean_e2e = opt_field "geomean_e2e" Json.to_float_opt summary in
-  let* delta_equivalence =
-    opt_field "delta_equivalence" Json.to_bool_opt summary
-  in
-  let* geomean_delta = opt_field "geomean_delta" Json.to_float_opt summary in
   let* obs_overhead_pct =
     opt_field "obs_overhead_pct" Json.to_float_opt summary
   in
@@ -251,8 +228,6 @@ let decode j =
       plane_equivalence;
       geomean_speedup;
       geomean_e2e;
-      delta_equivalence;
-      geomean_delta;
       obs_overhead_pct;
       obs_bar_pct;
       obs_within_bar;

@@ -7,14 +7,15 @@
     report.
 
     Schema (version 6, one object per file; v2 added the per-run ["sites"]
-    object, v3 the compile-phase split, v4 the incremental-maintenance
-    split, v5 the observability-overhead split, v6 an evaluation-VM split
-    that is no longer written — older documents still decode, with empty
-    sites and absent compile/delta/obs fields, and the decoder ignores the
-    VM fields of older v6 documents):
+    object, v3 the compile-phase split, v4 an incremental-maintenance
+    split, v5 the observability-overhead split, v6 an evaluation-VM split;
+    the v4 and v6 fields are no longer written. Older documents still
+    decode, with empty sites and absent compile/obs fields, and the decoder
+    ignores the [delta_*] fields of v4–v6 documents and the VM fields of
+    older v6 ones):
     {v
     { "schema_version": 6,
-      "suite": "certk-fixpoint" | "delta-update" | "obs-overhead",
+      "suite": "certk-fixpoint" | "obs-overhead",
       "profile": "smoke" | "default",
       "seed": <int>,
       "cases": [
@@ -29,16 +30,11 @@
           "speedup_vs_rounds": <float> | null,
           "speedup_e2e": <float> | null,
           "plane_equivalent": <bool> | null,
-          "delta_us": <float> | null,
-          "delta_speedup": <float> | null,
-          "delta_equivalent": <bool> | null,
           "obs_overhead_pct": <float> | null } ],
       "summary": { "cases": <int>, "agreement": <bool>,
                    "plane_equivalence": <bool> | null,
                    "geomean_speedup_vs_rounds": <float> | null,
                    "geomean_e2e": <float> | null,
-                   "delta_equivalence": <bool> | null,
-                   "geomean_delta": <float> | null,
                    "obs_overhead_pct": <float> | null,
                    "obs_bar_pct": <float> | null,
                    "obs_within_bar": <bool> | null } }
@@ -82,22 +78,6 @@ type case = {
       (** The compiled-plane solution graph is structurally identical
           ({!Qlang.Solution_graph.equal}) to the persistent-plane
           reference one. [None] in pre-v3 documents. *)
-  delta_us : float option;
-      (** Median wall-clock, in {e microseconds}, of re-answering after a
-          fact delta down the incremental path: plane patch
-          ([Compiled.apply_delta]), graph repair, [Certk.resume]. [None]
-          outside the [delta-update] suite and in pre-v4 documents. *)
-  delta_speedup : float option;
-      (** [recompile-path median / delta-path median]: how much faster the
-          incremental path re-answers than a full recompile + resolve.
-          [None] outside the [delta-update] suite. *)
-  delta_equivalent : bool option;
-      (** The incremental path reproduced the from-scratch state exactly:
-          equal verdicts (also against the frozen {!Cqa.Certk_rounds}
-          oracle), an identical antichain, a repaired graph structurally
-          equal to the rebuilt one, and a patched plane passing
-          {!Analysis.Sanitize.run} plus the PL109 delta-image check.
-          [None] outside the [delta-update] suite. *)
   obs_overhead_pct : float option;
       (** Worst instrumented-vs-control slowdown of the case, in percent:
           [max] over the instrumented variants (sharded metrics, journal,
@@ -121,12 +101,6 @@ type t = {
       (** Geometric mean of the per-case speedups. *)
   geomean_e2e : float option;
       (** Geometric mean of the per-case end-to-end speedups. *)
-  delta_equivalence : bool option;
-      (** [delta_equivalent] held on every case ([None] outside the
-          [delta-update] suite). A [false] here fails [cqa bench] and the
-          [@bench-smoke] alias, exactly like [plane_equivalence]. *)
-  geomean_delta : float option;
-      (** Geometric mean of the per-case [delta_speedup]s. *)
   obs_overhead_pct : float option;
       (** Worst per-case [obs_overhead_pct] across the suite ([None]
           outside the [obs-overhead] suite). *)

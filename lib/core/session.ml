@@ -40,39 +40,32 @@ let create ?opts ?check_plane q db =
 let query s = s.report.Dichotomy.query
 let report s = s.report
 let database s = s.database
-(* Delta updates keep the classification always and the compiled artifacts
-   whenever they exist: a session whose plane was already forced patches it
-   with [Compiled.apply_delta] instead of recompiling, and a forced solution
-   graph is repaired edge-incrementally on top of the patch. The answer memo
-   is dropped (facts changed); [check_plane] gates the patched plane exactly
-   as it gates a fresh compile, surfacing on first force. *)
+(* Delta updates keep the classification, and a plane that was already
+   forced is patched with [Compiled.apply_delta] instead of recompiled;
+   [check_plane] gates the patched plane exactly as it gates a fresh
+   compile, surfacing on first force. The solution graph and the answer
+   memo are dropped (facts changed), and the graph is rebuilt lazily on
+   the patched plane. *)
 let update s (d : Delta.t) =
   let database = Delta.apply s.database d in
   if not (Lazy.is_val s.plane) then
     of_report ?check_plane:s.check_plane s.report database
   else begin
-    let q = s.report.Dichotomy.query in
     let old_plane = Lazy.force s.plane in
-    let patched =
+    let plane =
       lazy
-        (let p = Compiled.apply_delta_patch old_plane d in
-         Solver.apply_plane_gate s.check_plane p.Compiled.plane;
+        (let p = Compiled.apply_delta old_plane d in
+         Solver.apply_plane_gate s.check_plane p;
          p)
-    in
-    let graph =
-      if Lazy.is_val s.graph then
-        let old_graph = Lazy.force s.graph in
-        lazy (Solution_graph.repair q ~old:old_graph (Lazy.force patched))
-      else
-        lazy
-          (Solution_graph.of_query_compiled q
-             (Lazy.force patched).Compiled.plane)
     in
     {
       s with
       database;
-      plane = lazy (Lazy.force patched).Compiled.plane;
-      graph;
+      plane;
+      graph =
+        lazy
+          (Solution_graph.of_query_compiled s.report.Dichotomy.query
+             (Lazy.force plane));
       answer = Hashtbl.create 4;
     }
   end

@@ -11,16 +11,17 @@
     ({!Relational.Compiled.t}) and the solution graph built on it, lazily:
     the first operation that needs them pays the compilation, every later
     one — [certain], [estimate], [certificate], [falsifying_repair] —
-    reuses them. Updating the database invalidates both (facts changed),
-    but keeps the classification. *)
+    reuses them. Updating the database keeps the classification, patches a
+    compiled plane in place of recompiling it, and drops the graph, which
+    the next operation that needs it rebuilds on the patched plane. *)
 
 type t
 
 (** [create ?opts ?check_plane q db] classifies [q] and attaches the initial
     database. [check_plane] is the chain's plane gate
     ({!Solver.apply_plane_gate}): it validates every compiled plane the
-    session builds — including the recompilations after
-    {!add_fact}/{!remove_fact} — and a rejection surfaces as
+    session builds — including the planes patched by {!update},
+    {!add_fact} and {!remove_fact} — and a rejection surfaces as
     [Invalid_argument] from whichever operation first forces the plane.
     @raise Invalid_argument if facts of [db] do not fit the query schema. *)
 val create :
@@ -41,10 +42,11 @@ val compiled : t -> Relational.Compiled.t
 (** [update s d] applies a fact delta: the classification is always reused,
     the cached answer memo is invalidated, and — when the session's plane
     was already compiled — the plane is {e patched} with
-    {!Relational.Compiled.apply_delta} (and a forced solution graph
-    repaired with {!Qlang.Solution_graph.repair}) instead of recompiled.
-    [check_plane] gates the patched plane like any fresh compile; a
-    rejection surfaces as [Invalid_argument] on first force.
+    {!Relational.Compiled.apply_delta} instead of recompiled, and the
+    solution graph is rebuilt lazily on it
+    ({!Qlang.Solution_graph.of_query_compiled}). [check_plane] gates the
+    patched plane like any fresh compile; a rejection surfaces as
+    [Invalid_argument] on first force.
     @raise Invalid_argument if an inserted fact names an undeclared relation
     or has the wrong arity. *)
 val update : t -> Relational.Delta.t -> t

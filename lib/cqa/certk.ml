@@ -103,7 +103,7 @@ let mark_dirty st s =
       end)
     s
 
-let add_set ?(wake = true) st s reason =
+let add_set st s reason =
   if subsumed st s then false
   else begin
     let id = intern st s in
@@ -130,7 +130,7 @@ let add_set ?(wake = true) st s reason =
         st.minimal <- Int_set.add id st.minimal;
         List.iter (fun v -> st.by_vertex.(v) <- Int_set.add id st.by_vertex.(v)) s);
     if not (Hashtbl.mem st.provenance id) then Hashtbl.add st.provenance id reason;
-    if wake then mark_dirty st s;
+    mark_dirty st s;
     true
   end
 
@@ -187,11 +187,9 @@ let init_state (g : Solution_graph.t) =
 (* Initial sets: minimal k-sets satisfying q — solution pairs across
    distinct blocks, and singletons for self-loop solutions. Each admission
    seeds the worklist with the blocks it touches. *)
-let seed_initial ?keep (g : Solution_graph.t) ~k st =
-  let keep = match keep with None -> fun _ _ -> true | Some f -> f in
+let seed_initial (g : Solution_graph.t) ~k st =
   List.iter
     (fun (i, j) ->
-      if keep i j then
       let s =
         if i = j then Some [ i ]
         else if g.Solution_graph.block_of.(i) <> g.Solution_graph.block_of.(j) then
@@ -233,7 +231,8 @@ let derived ~k g =
    solutions. Derivations are acyclic by construction (every premise was
    added strictly before the conclusion, and a pruned set is never
    re-admitted), so the recursion terminates. *)
-let certificate_of_state st =
+let certificate ~k g =
+  let st = fixpoint g ~k in
   if not st.empty_derived then None
   else
     let reason_of set =
@@ -253,8 +252,6 @@ let certificate_of_state st =
           else None
     in
     build []
-
-let certificate ~k g = certificate_of_state (fixpoint g ~k)
 
 let rec pp_certificate_aux g indent ppf cert =
   let pp_set ppf s =
@@ -295,184 +292,3 @@ let paper_k q =
   let kap = kappa q in
   if kap >= 30 then max_int
   else (1 lsl ((2 * kap) + 1)) + kap - 1
-
-(* ------------------------------------------------------------------ *)
-(* Incremental resumption                                              *)
-
-type snapshot = { st : state; graph : Solution_graph.t; k : int }
-
-let snapshot ?budget ~k g = { st = fixpoint ?budget g ~k; graph = g; k }
-let verdict snap = snap.st.empty_derived
-let snapshot_graph snap = snap.graph
-let snapshot_k snap = snap.k
-
-let snapshot_derived snap =
-  Int_set.elements snap.st.minimal
-  |> List.map (fun id -> snap.st.sets.(id))
-  |> List.sort (List.compare Int.compare)
-
-let snapshot_certificate snap = certificate_of_state snap.st
-
-(* A derivation recorded in the old fixpoint replays verbatim on the new
-   graph iff its whole provenance tree stays inside untouched blocks: the
-   vertices of every set in the tree survive under the same block structure,
-   an [Initial] pair is still a solution (facts keep their values across a
-   patch), and a [Via_block] step re-derives because the block's membership
-   is unchanged and every premise is itself valid. The walk is memoized per
-   set id; derivations are acyclic (premises were admitted strictly before
-   their conclusions), so it terminates. *)
-let valid_survivor old ~touched =
-  let memo : (int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let untouched_vertex v = not touched.(old.block_of.(v)) in
-  let rec valid id =
-    match Hashtbl.find_opt memo id with
-    | Some r -> r
-    | None ->
-        (* Pre-seed false: a cycle (impossible by construction) would come
-           out conservatively invalid instead of looping. *)
-        Hashtbl.replace memo id false;
-        let r =
-          List.for_all untouched_vertex old.sets.(id)
-          &&
-          match Hashtbl.find_opt old.provenance id with
-          | None -> false
-          | Some (Initial (i, j)) -> untouched_vertex i && untouched_vertex j
-          | Some (Via_block (b, choices)) ->
-              (not touched.(b))
-              && List.for_all
-                   (fun (u, t) ->
-                     untouched_vertex u
-                     &&
-                     match Hashtbl.find_opt old.ids t with
-                     | None -> false
-                     | Some tid -> valid tid)
-                   choices
-        in
-        Hashtbl.replace memo id r;
-        r
-  in
-  valid
-
-let resume ?budget snap ~graph:g ~(patch : Relational.Compiled.patch) =
-  let old = snap.st in
-  let k = snap.k in
-  let o2n = patch.Relational.Compiled.old_to_new in
-  let touched = patch.Relational.Compiled.touched_old_blocks in
-  let nbo = patch.Relational.Compiled.new_block_of_old in
-  let st = init_state g in
-  (* Migrate the survivors first, silently: a valid survivor's derivation
-     already propagated in the old run, so re-installing it into the
-     antichain must not wake its blocks. Remapping is total on valid
-     survivors: their vertices live in untouched blocks, which keep at
-     least that member, so [old_to_new] and [new_block_of_old] are both
-     defined. *)
-  let valid = valid_survivor old ~touched in
-  let remap_set s = List.map (fun v -> o2n.(v)) s in
-  let remap_reason = function
-    | Initial (i, j) -> Initial (o2n.(i), o2n.(j))
-    | Via_block (b, choices) ->
-        Via_block (nbo.(b), List.map (fun (u, t) -> (o2n.(u), remap_set t)) choices)
-  in
-  (* Install the provenance closure of a valid survivor: the set's own
-     reason plus, transitively, its premises' (all valid by definition of
-     [valid_survivor]). Certificates reconstructed from the resumed state
-     unfold exactly through these, so nothing outside the closure of the
-     migrated antichain is ever dereferenced — walking the full [n_sets]
-     universe (which includes every partial union [derive_for_block] ever
-     interned) would dominate the whole resume on large fixpoints. *)
-  let rec install id =
-    let s' = remap_set old.sets.(id) in
-    let id' = intern st s' in
-    if not (Hashtbl.mem st.provenance id') then begin
-      let why = Hashtbl.find old.provenance id in
-      Hashtbl.add st.provenance id' (remap_reason why);
-      match why with
-      | Initial _ -> ()
-      | Via_block (_, choices) ->
-          List.iter
-            (fun (_, t) ->
-              match Hashtbl.find_opt old.ids t with
-              | Some tid -> install tid
-              | None -> ())
-            choices
-    end
-  in
-  (* [old.minimal] is an antichain and the remap preserves inclusion, so
-     the surviving members re-enter the new antichain by direct insertion —
-     no subsumption probe, no superset sweep, and no waking. A surviving ∅
-     can only be the antichain's sole member, so the collapse case never
-     interferes with other installs. *)
-  let install_minimal s =
-    match s with
-    | [] ->
-        st.minimal <- Int_set.singleton (intern st []);
-        st.empty_derived <- true
-    | s ->
-        let id' = intern st s in
-        st.minimal <- Int_set.add id' st.minimal;
-        List.iter
-          (fun v -> st.by_vertex.(v) <- Int_set.add id' st.by_vertex.(v))
-          s
-  in
-  let all_minimal_valid = ref true in
-  Int_set.iter
-    (fun id ->
-      if Hashtbl.mem old.provenance id && valid id then begin
-        install_minimal (remap_set old.sets.(id));
-        install id
-      end
-      else all_minimal_valid := false)
-    old.minimal;
-  if st.empty_derived then
-    (* ∅'s old derivation replays verbatim on the new graph, so the fresh
-       fixpoint collapses to the same singleton antichain; every initial
-       set would be admitted into [subsumed] and every drained block would
-       no-op. Skip straight to the answer. *)
-    { st; graph = g; k }
-  else begin
-  (* Complete by construction: initial sets are re-offered exactly as a
-     fresh run would — resumption is a speedup, not a filter. While every
-     old minimal set survived, a pair between two surviving facts was
-     already covered in the old run by an antichain that migrated intact,
-     so re-offering it is a guaranteed subsumption no-op: only pairs
-     incident to a fresh fact can admit anything and they are seeded alone.
-     Once any old minimal set died, a surviving pair's cover may have died
-     with it, so the whole pair list is re-offered wholesale. *)
-  (if !all_minimal_valid then begin
-     let fresh_v =
-       Array.make (Array.length g.Solution_graph.block_of) false
-     in
-     Array.iter
-       (fun v -> fresh_v.(v) <- true)
-       patch.Relational.Compiled.fresh;
-     seed_initial ~keep:(fun i j -> fresh_v.(i) || fresh_v.(j)) g ~k st
-   end
-   else seed_initial g ~k st);
-  (* Wake the blocks the delta itself perturbed: membership changed there
-     (a retraction makes covering strictly easier; a fresh member adds
-     choices), so their derivations must be retried even when no new set
-     was admitted. *)
-  let wake_block b =
-    if b >= 0 && not st.queued.(b) then begin
-      st.queued.(b) <- true;
-      Queue.add b st.queue
-    end
-  in
-  Array.iteri (fun b t -> if t then wake_block nbo.(b)) touched;
-  Array.iter
-    (fun v -> wake_block g.Solution_graph.block_of.(v))
-    patch.Relational.Compiled.fresh;
-  (* Narrow waking is complete only while every old minimal set survived:
-     then any derivation at an unwoken block replays an old one, whose
-     output is still covered by the migrated antichain. If some minimal
-     set was invalidated, a block whose old outputs were covered by it may
-     now produce an uncovered set, and nothing local to that block
-     betrays it — so fall back to waking every block touched by the
-     migrated antichain. Each such block re-derives once against the full
-     final antichain (heavily subsumption-pruned), which is still far
-     cheaper than growing it from scratch. *)
-  if not !all_minimal_valid then
-    Int_set.iter (fun id' -> mark_dirty st st.sets.(id')) st.minimal;
-  drain ?budget g ~k st;
-  { st; graph = g; k }
-  end

@@ -61,53 +61,3 @@ val kappa : Qlang.Query.t -> int
     Proposition 10 and Theorem 18 are stated. Saturates at [max_int] for
     large key lengths. *)
 val paper_k : Qlang.Query.t -> int
-
-(** {2 Incremental resumption}
-
-    A {!snapshot} captures the fixpoint state of one run so that, after a
-    database delta, {!resume} re-answers without re-deriving the untouched
-    part of the fixpoint. Soundness and completeness both reduce to the
-    fresh run: resumption re-offers {e every} initial set of the new graph
-    (so nothing derivable is lost, even when a migrated set's subsumer was
-    invalidated), and migrates only the old sets whose whole provenance tree
-    lives in untouched blocks — those derivations replay verbatim on the new
-    graph, because an untouched block keeps exactly its membership. The
-    verdict therefore always equals a from-scratch run (the frozen
-    {!Certk_rounds} stays the differential oracle in the delta suite); the
-    saving is that only blocks woken by the delta or by migrated sets
-    re-enter the worklist. *)
-
-type snapshot
-
-(** [snapshot ?budget ~k g] runs the fixpoint and captures its state.
-    @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
-val snapshot : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> snapshot
-
-(** The captured run's answer: was [∅] derived? *)
-val verdict : snapshot -> bool
-
-val snapshot_graph : snapshot -> Qlang.Solution_graph.t
-val snapshot_k : snapshot -> int
-
-(** The captured antichain, as {!derived} would report it. *)
-val snapshot_derived : snapshot -> int list list
-
-(** The captured derivation of [∅], as {!certificate} would build it (also
-    available on resumed snapshots: migrated provenance is kept even for
-    sets pruned on admission). *)
-val snapshot_certificate : snapshot -> certificate option
-
-(** [resume ?budget snap ~graph ~patch] continues a captured run across a
-    delta: [graph] must be the (repaired or rebuilt) solution graph of the
-    same query over [patch.plane], and [patch] the
-    {!Relational.Compiled.apply_delta_patch} result that led from the
-    snapshot's plane to it. Verdict-equivalent to [snapshot ~k graph] but
-    touched work only: valid survivors are re-admitted with remapped
-    vertices and block ids, and the worklist drains from the woken blocks.
-    @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
-val resume :
-  ?budget:Harness.Budget.t ->
-  snapshot ->
-  graph:Qlang.Solution_graph.t ->
-  patch:Relational.Compiled.patch ->
-  snapshot

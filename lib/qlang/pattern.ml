@@ -181,46 +181,6 @@ let iter_pairs ?tick p f =
     done
   end
 
-(* Restricted enumeration for incremental graph repair: only the solution
-   pairs with at least one endpoint in [fresh] (a sorted array of fact
-   indices), still in lexicographic order. A fresh row [i] scans the whole
-   [b] range; a surviving row only scans the fresh slice of it — so a
-   retract-only delta (empty [fresh]) matches nothing at all. *)
-let iter_pairs_fresh ?tick p ~fresh f =
-  if (p.pa.ok && p.pb.ok) && Array.length fresh > 0 then begin
-    let plane = p.plane in
-    let n = Array.length plane.Compiled.facts in
-    let is_fresh = Array.make n false in
-    Array.iter (fun v -> is_fresh.(v) <- true) fresh;
-    let env = Array.make (max 1 p.n_vars) (-1) in
-    let alo, ahi = plane.Compiled.rel_range.(p.pa.rel) in
-    let blo, bhi = plane.Compiled.rel_range.(p.pb.rel) in
-    (* Fresh indices inside [b]'s range, ascending. *)
-    let fresh_b =
-      Array.of_list
-        (List.filter (fun v -> v >= blo && v < bhi) (Array.to_list fresh))
-    in
-    for i = alo to ahi - 1 do
-      if is_fresh.(i) || Array.length fresh_b > 0 then begin
-        (match tick with Some tick -> tick () | None -> ());
-        let trail_a = ref [] in
-        if match_atom p.pa plane.Compiled.tuples.(i) env trail_a then begin
-          let try_b j =
-            let trail_b = ref [] in
-            if match_atom p.pb plane.Compiled.tuples.(j) env trail_b then f i j;
-            undo env trail_b
-          in
-          if is_fresh.(i) then
-            for j = blo to bhi - 1 do
-              try_b j
-            done
-          else Array.iter try_b fresh_b
-        end;
-        undo env trail_a
-      end
-    done
-  end
-
 let single plane a =
   let vars = Hashtbl.create 8 in
   let satom = compile_atom plane vars a in

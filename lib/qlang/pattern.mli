@@ -49,18 +49,6 @@ val pair : Relational.Compiled.t -> Atom.t -> Atom.t -> pair
     pair and in order, on a seeded pool and on every catalogue query. *)
 val iter_pairs : ?tick:(unit -> unit) -> pair -> (int -> int -> unit) -> unit
 
-(** [iter_pairs_fresh p ~fresh f] is {!iter_pairs} restricted to the pairs
-    with at least one endpoint in [fresh] (a sorted array of fact indices of
-    the pattern's plane), still in lexicographic index order and with no
-    pair emitted twice. This is the enumeration behind incremental
-    solution-graph repair: after [Compiled.apply_delta], pairs between two
-    surviving facts are remapped from the old graph and only the fresh ones
-    are matched — a fresh row against the full [b] range, a surviving row
-    against the fresh slice only, so a retract-only delta matches nothing.
-    [tick] fires once per candidate row examined. *)
-val iter_pairs_fresh :
-  ?tick:(unit -> unit) -> pair -> fresh:int array -> (int -> int -> unit) -> unit
-
 (** [single plane a] compiles one atom. *)
 val single : Relational.Compiled.t -> Atom.t -> single
 

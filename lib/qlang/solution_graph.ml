@@ -84,89 +84,6 @@ let of_atoms_reference a b db =
   let adj = Array.map (List.sort_uniq Int.compare) adj_sets in
   { facts; block_of; blocks; adj; self; directed }
 
-(* Incremental rebuild after [Compiled.apply_delta]: the surviving solution
-   pairs of the old graph are remapped through [old_to_new] (dropping pairs
-   that lost an endpoint), only pairs incident to a fresh vertex are
-   re-matched, and the two lexicographically sorted streams are merged.
-   [old_to_new] is strictly increasing on survivors, so the remap preserves
-   lex order, and no pair occurs in both streams (survivor pairs have two
-   old endpoints; re-matched pairs have at least one fresh endpoint). The
-   result is structurally [equal] to a fresh [of_compiled] on the patched
-   plane: matching is decided by values, facts keep their values across the
-   patch, and a constant the old interner lacked occurs only in fresh facts,
-   so every newly possible pair has a fresh endpoint. *)
-let repair_atoms ?tick a b ~old (patch : Compiled.patch) =
-  let plane = patch.Compiled.plane in
-  let n = Compiled.n_facts plane in
-  let o2n = patch.Compiled.old_to_new in
-  let survivors =
-    List.filter_map
-      (fun (i, j) ->
-        let i' = o2n.(i) and j' = o2n.(j) in
-        if i' >= 0 && j' >= 0 then Some (i', j') else None)
-      old.directed
-  in
-  let fresh_pairs = ref [] in
-  Pattern.iter_pairs_fresh ?tick
-    (Pattern.pair plane a b)
-    ~fresh:patch.Compiled.fresh
-    (fun i j -> fresh_pairs := (i, j) :: !fresh_pairs);
-  let fresh_pairs = List.rev !fresh_pairs in
-  let rec merge acc xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> List.rev_append acc l
-    | ((xi, xj) as x) :: xt, ((yi, yj) as y) :: yt ->
-        if xi < yi || (xi = yi && xj < yj) then merge (x :: acc) xt ys
-        else merge (y :: acc) xs yt
-  in
-  let directed = merge [] survivors fresh_pairs in
-  let self = Array.make n false in
-  (* The adjacency of a surviving vertex is its old (sorted, duplicate-free)
-     neighbour list with retracted endpoints dropped — [old_to_new] is
-     strictly increasing on survivors, so the remap preserves sortedness and
-     no re-sort is needed. Only endpoints of re-matched fresh pairs are then
-     merged in, keeping the rebuild proportional to the delta's incidence
-     rather than to the edge count times its log. *)
-  let adj = Array.make n [] in
-  Array.iteri
-    (fun i l ->
-      let i' = o2n.(i) in
-      if i' >= 0 then begin
-        adj.(i') <-
-          List.filter_map
-            (fun j ->
-              let j' = o2n.(j) in
-              if j' >= 0 then Some j' else None)
-            l;
-        if old.self.(i) then self.(i') <- true
-      end)
-    old.adj;
-  let rec insert_sorted x = function
-    | [] -> [ x ]
-    | y :: _ as l when x < y -> x :: l
-    | y :: _ as l when x = y -> l
-    | y :: t -> y :: insert_sorted x t
-  in
-  List.iter
-    (fun (i, j) ->
-      if i = j then self.(i) <- true
-      else begin
-        adj.(i) <- insert_sorted j adj.(i);
-        adj.(j) <- insert_sorted i adj.(j)
-      end)
-    fresh_pairs;
-  {
-    facts = plane.Compiled.facts;
-    block_of = plane.Compiled.block_of;
-    blocks = plane.Compiled.blocks;
-    adj;
-    self;
-    directed;
-  }
-
-let repair ?tick (q : Query.t) ~old patch =
-  repair_atoms ?tick q.Query.a q.Query.b ~old patch
-
 let equal g1 g2 =
   Array.length g1.facts = Array.length g2.facts
   && Array.for_all2 Fact.equal g1.facts g2.facts

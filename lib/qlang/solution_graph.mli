@@ -51,29 +51,6 @@ val of_compiled :
 val of_query_compiled :
   ?tick:(unit -> unit) -> Query.t -> Relational.Compiled.t -> t
 
-(** [repair q ~old patch] rebuilds the solution graph after
-    [Relational.Compiled.apply_delta_patch]: pairs between two surviving
-    vertices are remapped from [old] through the patch's index
-    correspondence (no re-matching), only pairs incident to a freshly
-    inserted vertex are matched against the patched plane
-    ({!Pattern.iter_pairs_fresh}), and the two sorted streams merge into
-    the full directed list. The result is {!equal} to
-    [of_query_compiled q patch.plane] — the delta qcheck suite pins this —
-    at the cost of the touched edges only. [old] must be the graph of the
-    same query over the pre-patch plane. [tick] fires once per candidate
-    row examined during the fresh matching. *)
-val repair :
-  ?tick:(unit -> unit) -> Query.t -> old:t -> Relational.Compiled.patch -> t
-
-(** [repair_atoms a b ~old patch] is {!repair} for an explicit atom pair. *)
-val repair_atoms :
-  ?tick:(unit -> unit) ->
-  Atom.t ->
-  Atom.t ->
-  old:t ->
-  Relational.Compiled.patch ->
-  t
-
 (** The frozen pre-compilation builder ([Fact.Map] index preamble +
     substitution-based {!Solutions.pairs}), kept as the reference the
     plane-equivalence suite and the benchmark's persistent-plane baseline

@@ -15,11 +15,51 @@ type t = {
 let test_corruption : (t -> t) option ref = ref None
 let set_test_corruption f = test_corruption := f
 
+(* The relation ranges and the block partition of a sorted plane, shared by
+   [compile] and [apply_delta]. Sorted fact order is (relation, tuple) order
+   and keys are tuple prefixes, so both are consecutive runs of the fact
+   array: one forward walk finds the ranges, another the blocks, numbered
+   in the (relation, key) order of [Database.blocks]. *)
+let partition schemas tuples rel_of =
+  let n = Array.length tuples in
+  let rel_range = Array.make (Array.length schemas) (0, 0) in
+  let cursor = ref 0 in
+  Array.iteri
+    (fun r _ ->
+      let start = !cursor in
+      while !cursor < n && rel_of.(!cursor) = r do
+        incr cursor
+      done;
+      rel_range.(r) <- (start, !cursor))
+    schemas;
+  let same_block i j =
+    rel_of.(i) = rel_of.(j)
+    &&
+    let l = schemas.(rel_of.(i)).Schema.key_len in
+    let rec eq p = p >= l || (tuples.(i).(p) = tuples.(j).(p) && eq (p + 1)) in
+    eq 0
+  in
+  let block_of = Array.make n (-1) in
+  let blocks = ref [] and n_blocks = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let start = !i in
+    incr i;
+    while !i < n && same_block start !i do
+      incr i
+    done;
+    for v = start to !i - 1 do
+      block_of.(v) <- !n_blocks
+    done;
+    incr n_blocks;
+    blocks := Array.init (!i - start) (fun d -> start + d) :: !blocks
+  done;
+  (rel_range, Array.of_list (List.rev !blocks), block_of)
+
 let compile ?tick db =
   let schemas = Array.of_list (Database.schemas db) in
   let facts = Array.of_list (Database.facts db) in
   let n = Array.length facts in
-  let n_rels = Array.length schemas in
   let interner = Interner.create ~initial_size:(max 64 (2 * n)) () in
   let tuples =
     Array.map
@@ -28,47 +68,20 @@ let compile ?tick db =
         Array.map (Interner.intern interner) f.Fact.tuple)
       facts
   in
-  (* Sorted fact order is (relation, tuple) order and [schemas] is sorted by
-     name, so one forward walk assigns both [rel_of] and the ranges. *)
+  (* [schemas] is sorted by name, so one forward walk over the sorted facts
+     assigns [rel_of]. *)
   let rel_of = Array.make n (-1) in
-  let rel_range = Array.make n_rels (0, 0) in
   let cursor = ref 0 in
   Array.iteri
     (fun r (s : Schema.t) ->
-      let start = !cursor in
       while
         !cursor < n && String.equal facts.(!cursor).Fact.rel s.Schema.name
       do
         rel_of.(!cursor) <- r;
         incr cursor
-      done;
-      rel_range.(r) <- (start, !cursor))
+      done)
     schemas;
-  (* Keys are tuple prefixes, so blocks are consecutive runs of facts with
-     equal relation and key prefix — and the runs appear in exactly the
-     (relation, key) order of [Database.blocks]. *)
-  let block_of = Array.make n (-1) in
-  let same_block i j =
-    rel_of.(i) = rel_of.(j)
-    &&
-    let l = schemas.(rel_of.(i)).Schema.key_len in
-    let rec eq p = p >= l || (tuples.(i).(p) = tuples.(j).(p) && eq (p + 1)) in
-    eq 0
-  in
-  let blocks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let b = List.length !blocks in
-    incr i;
-    while !i < n && same_block start !i do
-      incr i
-    done;
-    let members = Array.init (!i - start) (fun d -> start + d) in
-    Array.iter (fun v -> block_of.(v) <- b) members;
-    blocks := members :: !blocks
-  done;
-  let blocks = Array.of_list (List.rev !blocks) in
+  let rel_range, blocks, block_of = partition schemas tuples rel_of in
   let adom = Array.init (Interner.size interner) Fun.id in
   let c =
     { interner; schemas; facts; tuples; rel_of; rel_range; blocks; block_of;
@@ -91,15 +104,6 @@ let rel_index c name =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance                                             *)
-
-type patch = {
-  plane : t;
-  old_to_new : int array;
-  new_to_old : int array;
-  fresh : int array;
-  touched_old_blocks : bool array;
-  new_block_of_old : int array;
-}
 
 (* Same structured errors as [Database.add], so the plane-side delta raises
    exactly when the authoring-plane [Delta.apply] would. *)
@@ -125,18 +129,7 @@ let find_fact c f =
   done;
   if !found >= 0 then Some !found else None
 
-let identity_patch c =
-  let n = Array.length c.facts in
-  {
-    plane = c;
-    old_to_new = Array.init n Fun.id;
-    new_to_old = Array.init n Fun.id;
-    fresh = [||];
-    touched_old_blocks = Array.make (Array.length c.blocks) false;
-    new_block_of_old = Array.init (Array.length c.blocks) Fun.id;
-  }
-
-let apply_delta_patch ?tick c (ops : Delta.t) =
+let apply_delta ?tick c (ops : Delta.t) =
   let tick () = match tick with Some tick -> tick () | None -> () in
   (* Net effect of the trace (last op naming a fact wins — [add]/[remove]
      are idempotent and membership-driven), validating every insert op the
@@ -159,15 +152,14 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
       | Some i, false -> retracts := i :: !retracts
       | _ -> ())
     final;
-  (* [Fact.Map.iter] is ascending, so after the reversal both lists are in
+  (* [Fact.Map.iter] is ascending, so after the reversal both arrays are in
      fact order — which for the retract indices is array order. *)
   let ins_arr = Array.of_list (List.rev !inserts) in
-  let retracts = List.rev !retracts in
-  if Array.length ins_arr = 0 && retracts = [] then identity_patch c
+  let ret_arr = Array.of_list (List.rev !retracts) in
+  let n_ins = Array.length ins_arr and n_ret = Array.length ret_arr in
+  if n_ins = 0 && n_ret = 0 then c
   else begin
     let n_old = Array.length c.facts in
-    let n_ins = Array.length ins_arr in
-    let n_ret = List.length retracts in
     let n_new = n_old - n_ret + n_ins in
     (* Copy-on-patch: every array below is fresh and the interner is copied
        before the first new id is minted, so the pre-delta plane stays fully
@@ -181,24 +173,10 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
       then Interner.copy c.interner
       else c.interner
     in
-    let old_to_new = Array.make n_old (-1) in
-    let new_to_old = Array.make (max n_new 1) (-1) in
-    let fresh = Array.make n_ins (-1) in
     let dummy = if n_old > 0 then c.facts.(0) else fst ins_arr.(0) in
-    let facts' = Array.make (max n_new 1) dummy in
-    let tuples' = Array.make (max n_new 1) [||] in
-    let rel_of' = Array.make (max n_new 1) (-1) in
-    let w = ref 0 and fi = ref 0 in
-    let emit_ins (f, r) =
-      tick ();
-      facts'.(!w) <- f;
-      tuples'.(!w) <- Array.map (Interner.intern interner) f.Fact.tuple;
-      rel_of'.(!w) <- r;
-      fresh.(!fi) <- !w;
-      incr fi;
-      new_to_old.(!w) <- -1;
-      incr w
-    in
+    let facts' = Array.make n_new dummy in
+    let tuples' = Array.make n_new [||] in
+    let rel_of' = Array.make n_new (-1) in
     (* Each insert's slot in the old order is found once by binary search;
        the merge below then advances on integer comparisons alone instead
        of a [Fact.compare] per surviving fact. Inserts are ascending (the
@@ -216,15 +194,18 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
           !lo)
         ins_arr
     in
-    let ret_arr = Array.of_list retracts in
-    let n_ret_arr = Array.length ret_arr in
-    let oi = ref 0 and ii = ref 0 and ri = ref 0 in
+    let w = ref 0 and oi = ref 0 and ii = ref 0 and ri = ref 0 in
     while !oi < n_old || !ii < n_ins do
       if !ii < n_ins && ins_pos.(!ii) <= !oi then begin
-        emit_ins ins_arr.(!ii);
+        tick ();
+        let f, r = ins_arr.(!ii) in
+        facts'.(!w) <- f;
+        tuples'.(!w) <- Array.map (Interner.intern interner) f.Fact.tuple;
+        rel_of'.(!w) <- r;
+        incr w;
         incr ii
       end
-      else if !ri < n_ret_arr && ret_arr.(!ri) = !oi then begin
+      else if !ri < n_ret && ret_arr.(!ri) = !oi then begin
         tick ();
         incr oi;
         incr ri
@@ -232,100 +213,22 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
       else begin
         (* Maximal run of consecutive survivors up to the next insert slot
            or retract: moved wholesale with [Array.blit] (one write-barrier
-           check per segment instead of one per pointer write), with the
-           index correspondences filled by plain int stores. *)
+           check per segment instead of one per pointer write). *)
         let stop = ref n_old in
         if !ii < n_ins && ins_pos.(!ii) < !stop then stop := ins_pos.(!ii);
-        if !ri < n_ret_arr && ret_arr.(!ri) < !stop then stop := ret_arr.(!ri);
+        if !ri < n_ret && ret_arr.(!ri) < !stop then stop := ret_arr.(!ri);
         let len = !stop - !oi in
         Array.blit c.facts !oi facts' !w len;
         Array.blit c.tuples !oi tuples' !w len;
         Array.blit c.rel_of !oi rel_of' !w len;
-        for d = 0 to len - 1 do
-          old_to_new.(!oi + d) <- !w + d;
-          new_to_old.(!w + d) <- !oi + d
-        done;
         w := !w + len;
         oi := !stop
       end
     done;
-    let facts' = Array.sub facts' 0 n_new in
-    let tuples' = Array.sub tuples' 0 n_new in
-    let rel_of' = Array.sub rel_of' 0 n_new in
-    let new_to_old = Array.sub new_to_old 0 n_new in
-    let n_rels = Array.length c.schemas in
-    let rel_range' = Array.make n_rels (0, 0) in
-    let cursor = ref 0 in
-    for r = 0 to n_rels - 1 do
-      let start = !cursor in
-      while !cursor < n_new && rel_of'.(!cursor) = r do
-        incr cursor
-      done;
-      rel_range'.(r) <- (start, !cursor)
-    done;
-    (* Blocks are consecutive key-equal runs of the sorted array, exactly as
-       in [compile]; the interner copy preserves ids, so prefix equality of
-       interned tuples is value equality. *)
-    let block_of' = Array.make (max n_new 1) (-1) in
-    let same_block i j =
-      rel_of'.(i) = rel_of'.(j)
-      &&
-      let l = c.schemas.(rel_of'.(i)).Schema.key_len in
-      let rec eq p =
-        p >= l || (tuples'.(i).(p) = tuples'.(j).(p) && eq (p + 1))
-      in
-      eq 0
-    in
-    let blocks = ref [] in
-    let n_blocks = ref 0 in
-    let i = ref 0 in
-    while !i < n_new do
-      let start = !i in
-      let b = !n_blocks in
-      incr n_blocks;
-      incr i;
-      while !i < n_new && same_block start !i do
-        incr i
-      done;
-      let members = Array.init (!i - start) (fun d -> start + d) in
-      Array.iter (fun v -> block_of'.(v) <- b) members;
-      blocks := members :: !blocks
-    done;
-    let blocks' = Array.of_list (List.rev !blocks) in
-    let block_of' = Array.sub block_of' 0 n_new in
-    let adom = Array.init (Interner.size interner) Fun.id in
-    (* An old block is touched iff it lost a member or a fresh vertex joined
-       its key run; surviving members of one old block always land in one
-       new block (key equality is preserved), giving the old -> new block
-       map. *)
-    let n_old_blocks = Array.length c.blocks in
-    let touched = Array.make n_old_blocks false in
-    List.iter (fun i -> touched.(c.block_of.(i)) <- true) retracts;
-    let old_block_behind b' =
-      let members = blocks'.(b') in
-      let r = ref (-1) in
-      (try
-         Array.iter
-           (fun w ->
-             if new_to_old.(w) >= 0 then begin
-               r := c.block_of.(new_to_old.(w));
-               raise Exit
-             end)
-           members
-       with Exit -> ());
-      !r
-    in
-    Array.iter
-      (fun v ->
-        let b = old_block_behind block_of'.(v) in
-        if b >= 0 then touched.(b) <- true)
-      fresh;
-    let new_block_of_old = Array.make n_old_blocks (-1) in
-    Array.iteri
-      (fun b' _ ->
-        let b = old_block_behind b' in
-        if b >= 0 then new_block_of_old.(b) <- b')
-      blocks';
+    (* The interner copy preserves ids, so prefix equality of interned
+       tuples is value equality and [partition] finds the blocks a fresh
+       compile would. *)
+    let rel_range, blocks, block_of = partition c.schemas tuples' rel_of' in
     let plane =
       {
         interner;
@@ -333,20 +236,18 @@ let apply_delta_patch ?tick c (ops : Delta.t) =
         facts = facts';
         tuples = tuples';
         rel_of = rel_of';
-        rel_range = rel_range';
-        blocks = blocks';
-        block_of = block_of';
-        adom;
+        rel_range;
+        blocks;
+        block_of;
+        adom = Array.init (Interner.size interner) Fun.id;
       }
     in
-    let plane =
-      match !test_corruption with None -> plane | Some f -> f plane
-    in
-    { plane; old_to_new; new_to_old; fresh; touched_old_blocks = touched;
-      new_block_of_old }
+    match !test_corruption with None -> plane | Some f -> f plane
   end
 
-let apply_delta ?tick c ops = (apply_delta_patch ?tick c ops).plane
+type patch = { plane : t }
+
+let apply_delta_patch ?tick c ops = { plane = apply_delta ?tick c ops }
 
 let decompile c =
   let fact_of_tuple i =

@@ -25,9 +25,11 @@
       facts, so compiling equal databases yields identical planes.
 
     The interner belongs to the plane and lives exactly as long as it: ids
-    never migrate between planes, and recompiling after an update yields a
-    fresh interner (sessions cache the plane, so this happens once per
-    database state, not once per solver). *)
+    never migrate between planes. An update patches the plane with
+    {!apply_delta}, which shares the interner until an insert brings a
+    value it lacks and then copies it; the solution graph over the patched
+    plane is rebuilt from scratch by whoever next needs it (sessions and
+    the serve plane cache build it lazily, once per database state). *)
 
 type t = private {
   interner : Interner.t;  (** Owns the id [<->] value bijection. *)
@@ -58,8 +60,9 @@ val decompile : t -> Database.t
     recompiling: surviving facts keep their interned tuple rows, inserts may
     mint new adom ids (on a {e copied} interner — see below), retractions
     never shrink the interner (stale value ids are legal; nothing requires
-    every interned value to occur in a fact), and the block partition and
-    [block_of] are repaired by one linear scan. The discipline is
+    every interned value to occur in a fact), and the relation ranges and
+    block partition are recomputed by the linear scan {!compile} uses. The
+    discipline is
     {e copy-on-patch}: the input plane shares its interner and tuple rows
     with the result but none of its top-level arrays, and the interner is
     copied before the first new id is minted — so a fault raised anywhere
@@ -68,42 +71,26 @@ val decompile : t -> Database.t
 
     The governing law, pinned by the delta qcheck suite with
     [Analysis.Sanitize.run] as the invariant oracle:
-    [apply_delta plane d] and [compile (Delta.apply db d)] agree on
-    verdicts, certificates and solution graphs for every query. The planes
-    themselves may differ in interner id assignment (a fresh compile interns
-    in first-occurrence order; a patch appends), which no solver observes. *)
+    [apply_delta plane d] decompiles to [Delta.apply db d] and agrees with
+    [compile (Delta.apply db d)] on verdicts, certificates and solution
+    graphs for every query. The planes themselves may differ in interner
+    id assignment (a fresh compile interns in first-occurrence order; a
+    patch appends), which no solver observes. *)
 
-(** What {!apply_delta_patch} returns besides the plane: the index
-    correspondence that downstream incremental repairs
-    ([Qlang.Solution_graph.repair], [Cqa.Certk.resume]) consume. *)
-type patch = {
-  plane : t;  (** The patched plane. *)
-  old_to_new : int array;
-      (** Old fact index -> new fact index; [-1] for retracted facts.
-          Strictly increasing on survivors. *)
-  new_to_old : int array;
-      (** New fact index -> old fact index; [-1] for inserted facts. *)
-  fresh : int array;  (** New indices of inserted facts, ascending. *)
-  touched_old_blocks : bool array;
-      (** Per old block id: the block lost a member or a fresh vertex
-          joined its key run. Untouched blocks have identical membership
-          before and after (modulo [old_to_new]). *)
-  new_block_of_old : int array;
-      (** Old block id -> new block id ([-1] when every member was
-          retracted). *)
-}
-
-(** [apply_delta c d] is the plane of [apply_delta_patch c d]. [tick] is
-    invoked once per insert and once per retract actually applied — the
-    incremental analogue of {!compile}'s once-per-fact charge.
+(** [apply_delta c d] patches [c] under the net effect of [d]. [tick] is
+    invoked once per net insert and once per net retract; surviving facts
+    are moved in runs without ticks, and a net no-op ticks nothing and
+    returns [c] itself.
     @raise Invalid_argument on an insert whose relation is undeclared or
     whose arity is wrong (the same structured error [Database.add] raises);
     deltas cannot change the schema set. *)
 val apply_delta : ?tick:(unit -> unit) -> t -> Delta.t -> t
 
-(** [apply_delta_patch c d] is {!apply_delta} plus the correspondence
-    arrays. A net-no-op delta returns the input plane itself under an
-    identity patch. *)
+(** The result of {!apply_delta_patch}: the patched plane, nothing else. *)
+type patch = { plane : t }
+
+(** [apply_delta_patch c d] is [{ plane = apply_delta c d }], kept for the
+    end-to-end benchmark's replay, which names it. *)
 val apply_delta_patch : ?tick:(unit -> unit) -> t -> Delta.t -> patch
 
 val n_facts : t -> int

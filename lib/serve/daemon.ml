@@ -544,12 +544,13 @@ let do_load t ~mreq ~name ~text =
             @ retries_fields retries ))
 
 (* The update op: apply a fact delta to a named database without paying a
-   recompile. The cached plane is patched in place with
-   [Compiled.apply_delta] (charged to the request budget at the compile
-   site, one tick per surviving or inserted fact) and re-keyed under the
-   rolling fingerprint: the cached XOR accumulator absorbs the digests of
-   exactly the net-toggled facts, so the new key — provably equal to
-   [Plane_cache.fingerprint new_db] — costs O(|delta|). The cache's lookup
+   recompile. The cached plane is patched with [Compiled.apply_delta]
+   (charged to the request budget at the compile site, one tick per net
+   insert and one per net retract; the surviving facts are moved without
+   ticks) and re-keyed under the rolling fingerprint: the cached XOR
+   accumulator absorbs the digests of exactly the net-toggled facts, so the
+   new key — provably equal to [Plane_cache.fingerprint new_db] — costs
+   O(|delta|). The cache's lookup
    check re-derives keys from that accumulator rather than from the facts,
    so this fold is what keeps a patched entry honest. Only after the
    patched entry passes the sanitize gate does the registry flip to the new

@@ -91,9 +91,10 @@ type request =
           are facts text (one fact per line, [#] comments tolerated, no
           schema declarations — facts are validated against the named
           database's schema). At least one of the two must be non-empty.
-          The daemon patches the cached plane in place
+          The daemon patches the cached plane
           ({!Relational.Compiled.apply_delta}) and re-keys it under the
-          rolling fingerprint instead of evicting and recompiling. *)
+          rolling fingerprint instead of evicting and recompiling; the
+          next read rebuilds the solution graph and re-solves. *)
   | Stats
   | Trace of { last : int }
       (** Return the last [last] (default 10, must be positive) request

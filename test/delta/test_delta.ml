@@ -4,9 +4,9 @@
    antichain, the frozen Certk_rounds oracle, and the static sanitizer all
    agree. Exercised as a qcheck property over random databases and delta
    traces for the catalogue queries, plus directed edge cases (net no-ops,
-   emptying retractions, undeclared-relation retracts) and a chaos case
-   showing a fault in mid-patch leaves the pre-delta plane intact
-   (copy-on-patch). *)
+   the budget charge, emptying retractions, undeclared-relation retracts)
+   and a chaos case showing a fault in mid-patch leaves the pre-delta plane
+   intact (copy-on-patch). *)
 
 module Compiled = Relational.Compiled
 module Database = Relational.Database
@@ -21,55 +21,46 @@ let entries =
 
 let check_equivalent ~name q ~k db delta =
   let base_plane = Compiled.compile db in
-  let base_graph = SG.of_query_compiled q base_plane in
-  let base_snap = Cqa.Certk.snapshot ~k base_graph in
   let new_db = Delta.apply db delta in
-  let patch = Compiled.apply_delta_patch base_plane delta in
-  let repaired = SG.repair q ~old:base_graph patch in
-  let resumed = Cqa.Certk.resume base_snap ~graph:repaired ~patch in
-  let fresh_plane = Compiled.compile new_db in
-  let fresh_graph = SG.of_query_compiled q fresh_plane in
-  (* Plane-level: the patched plane decompiles to the updated database and
-     carries the same block structure as a fresh compile. *)
+  let patched = Compiled.apply_delta base_plane delta in
+  let graph = SG.of_query_compiled q patched in
+  let fresh_graph = SG.of_query_compiled q (Compiled.compile new_db) in
+  (* Plane-level: the patched plane decompiles to the updated database, and
+     the graph rebuilt on it equals the graph of a fresh compile. *)
   Alcotest.(check bool)
     (name ^ ": patched plane decompiles to updated db")
     true
-    (Database.equal (Compiled.decompile patch.Compiled.plane) new_db);
+    (Database.equal (Compiled.decompile patched) new_db);
   Alcotest.(check bool)
-    (name ^ ": repaired graph structurally equals fresh graph")
+    (name ^ ": patched graph structurally equals fresh graph")
     true
-    (SG.equal repaired fresh_graph);
-  (* Solver-level: resumed verdict and antichain match a from-scratch run
-     and the frozen rounds oracle. *)
-  let fresh_verdict = Cqa.Certk.run ~k fresh_graph in
+    (SG.equal graph fresh_graph);
+  (* Solver-level: the verdict and antichain on the patched plane match a
+     from-scratch run and the frozen rounds oracle. *)
+  let verdict = Cqa.Certk.run ~k graph in
   Alcotest.(check bool)
-    (name ^ ": resumed verdict = fresh Certk verdict")
-    fresh_verdict
-    (Cqa.Certk.verdict resumed);
+    (name ^ ": patched verdict = fresh Certk verdict")
+    (Cqa.Certk.run ~k fresh_graph)
+    verdict;
   Alcotest.(check bool)
-    (name ^ ": resumed verdict = Certk_rounds verdict")
+    (name ^ ": patched verdict = Certk_rounds verdict")
     (Cqa.Certk_rounds.run ~k fresh_graph)
-    (Cqa.Certk.verdict resumed);
-  let sets l = List.sort compare l in
+    verdict;
   Alcotest.(check bool)
-    (name ^ ": resumed minimal antichain = fresh antichain")
+    (name ^ ": patched minimal antichain = fresh antichain")
     true
-    (sets (Cqa.Certk.snapshot_derived resumed) = sets (Cqa.Certk.derived ~k fresh_graph));
+    (Cqa.Certk.derived ~k graph = Cqa.Certk.derived ~k fresh_graph);
   (* Analyzer-level: the patched plane passes the full sanitizer and the
      PL109 delta-image check. *)
+  let codes = List.map (fun (d : Analysis.Lint.diagnostic) -> d.Analysis.Lint.code) in
   Alcotest.(check (list Alcotest.string))
     (name ^ ": sanitizer clean on patched plane")
     []
-    (List.map
-       (fun (d : Analysis.Lint.diagnostic) -> d.Analysis.Lint.code)
-       (Analysis.Sanitize.run ~query:q patch.Compiled.plane));
+    (codes (Analysis.Sanitize.run ~query:q patched));
   Alcotest.(check (list Alcotest.string))
     (name ^ ": delta-image check clean")
     []
-    (List.map
-       (fun (d : Analysis.Lint.diagnostic) -> d.Analysis.Lint.code)
-       (Analysis.Sanitize.check_delta ~before:base_plane ~delta
-          patch.Compiled.plane))
+    (codes (Analysis.Sanitize.check_delta ~before:base_plane ~delta patched))
 
 (* One qcheck cell per catalogue entry, each trial a fresh database and a
    delta trace of random length (1-8 ops, so both single-fact updates and
@@ -92,32 +83,59 @@ let law_tests =
           true))
     entries
 
+(* Net no-op traces around a present fact [f]: empty, redundant insert,
+   retract-then-reinsert. *)
+let noop_traces f =
+  [
+    ("empty", []);
+    ("redundant insert", [ Delta.Insert f ]);
+    ("toggle", [ Delta.Retract f; Delta.Insert f ]);
+  ]
+
 let test_noop_delta () =
   let rng = Random.State.make [| 5 |] in
   let q = Catalog.q3 in
   let db = Randdb.random_for_query rng q ~n_facts:30 ~domain:6 in
   let plane = Compiled.compile db in
-  let f = List.hd (Database.facts db) in
-  (* Net no-op traces: empty, redundant insert, retract-then-reinsert. *)
   List.iter
     (fun (label, delta) ->
-      let patch = Compiled.apply_delta_patch plane delta in
       Alcotest.(check bool)
         (label ^ ": net no-op returns the input plane itself")
         true
-        (patch.Compiled.plane == plane);
-      Alcotest.(check bool)
-        (label ^ ": identity correspondence")
-        true
-        (Array.to_list patch.Compiled.old_to_new
-         = List.init (Compiled.n_facts plane) Fun.id
-        && patch.Compiled.fresh = [||]
-        && Array.for_all not patch.Compiled.touched_old_blocks))
-    [
-      ("empty", []);
-      ("redundant insert", [ Delta.Insert f ]);
-      ("toggle", [ Delta.Retract f; Delta.Insert f ]);
-    ]
+        (Compiled.apply_delta plane delta == plane))
+    (noop_traces (List.hd (Database.facts db)))
+
+(* The budget charge the daemon's update op pays: one tick per net insert
+   and one per net retract, none for the survivors moved around them, and
+   none at all (with the input plane returned itself) for a net no-op. *)
+let test_tick_charge () =
+  let rng = Random.State.make [| 10 |] in
+  let q = Catalog.q3 in
+  let db = Randdb.random_for_query rng q ~n_facts:1600 ~domain:6400 in
+  let plane = Compiled.compile db in
+  let patch delta =
+    let ticks = ref 0 in
+    let p = Compiled.apply_delta ~tick:(fun () -> incr ticks) plane delta in
+    (!ticks, p)
+  in
+  let f = List.hd (Database.facts db) in
+  let absent =
+    Fact.make q.Qlang.Query.schema.Relational.Schema.name
+      Relational.Value.[ Int (-1); Int (-1) ]
+  in
+  Alcotest.(check bool) "absent fact is absent" false
+    (Fact.Set.mem absent (Database.fact_set db));
+  let ticks, p = patch [ Delta.Insert absent; Delta.Retract f ] in
+  Alcotest.(check int) "fresh insert + present retract: 2 ticks" 2 ticks;
+  Alcotest.(check int) "patched plane keeps its size" (Compiled.n_facts plane)
+    (Compiled.n_facts p);
+  List.iter
+    (fun (label, delta) ->
+      let ticks, p = patch delta in
+      Alcotest.(check int) (label ^ ": 0 ticks") 0 ticks;
+      Alcotest.(check bool) (label ^ ": returns the input plane itself") true
+        (p == plane))
+    (noop_traces f @ [ ("absent retract", [ Delta.Retract absent ]) ])
 
 let test_retract_all () =
   let rng = Random.State.make [| 6 |] in
@@ -127,11 +145,10 @@ let test_retract_all () =
       let delta = List.map (fun f -> Delta.Retract f) (Database.facts db) in
       check_equivalent ~name:(name ^ "/retract-all") q ~k db delta;
       let plane = Compiled.compile db in
-      let patch = Compiled.apply_delta_patch plane delta in
       Alcotest.(check int)
         (name ^ ": emptied plane has no facts")
         0
-        (Compiled.n_facts patch.Compiled.plane))
+        (Compiled.n_facts (Compiled.apply_delta plane delta)))
     entries
 
 let test_undeclared_retract () =
@@ -208,6 +225,8 @@ let () =
       ( "edge",
         [
           Alcotest.test_case "net no-op deltas" `Quick test_noop_delta;
+          Alcotest.test_case "apply_delta budget charge" `Quick
+            test_tick_charge;
           Alcotest.test_case "retract everything" `Quick test_retract_all;
           Alcotest.test_case "undeclared-relation retract" `Quick
             test_undeclared_retract;

@@ -447,9 +447,6 @@ let test_bench_report_round_trip () =
             speedup_vs_rounds = None;
             speedup_e2e = Some 1.75;
             plane_equivalent = Some true;
-            delta_us = Some 12.5;
-            delta_speedup = Some 80.0;
-            delta_equivalent = Some true;
             obs_overhead_pct = Some 1.25;
           };
         ];
@@ -457,8 +454,6 @@ let test_bench_report_round_trip () =
       plane_equivalence = Some true;
       geomean_speedup = Some 2.5000000000000004;
       geomean_e2e = Some 1.75;
-      delta_equivalence = Some true;
-      geomean_delta = Some 80.0;
       obs_overhead_pct = Some 1.25;
       obs_bar_pct = Some 5.0;
       obs_within_bar = Some true;
@@ -467,6 +462,28 @@ let test_bench_report_round_trip () =
   match Benchkit.Report.validate_round_trip report with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
+
+(* The reports committed at the repository root must still decode: a v3
+   Cert_k suite, and a v5 obs suite whose null [delta_*] fields belong to
+   a split the schema no longer carries. *)
+let test_committed_bench_reports_decode () =
+  List.iter
+    (fun (path, suite) ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Benchkit.Report.of_string text with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok report ->
+          Alcotest.(check string) (path ^ ": suite") suite
+            report.Benchkit.Report.suite;
+          Alcotest.(check bool) (path ^ ": has cases") true
+            (report.Benchkit.Report.cases <> []);
+          (match Benchkit.Report.validate_round_trip report with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" path e))
+    [
+      ("../BENCH_certk.json", "certk-fixpoint");
+      ("../BENCH_obs.json", "obs-overhead");
+    ]
 
 let () =
   Alcotest.run "differential"
@@ -496,5 +513,7 @@ let () =
             test_classification_certificates_pass_check;
           Alcotest.test_case "bench report round-trips" `Quick
             test_bench_report_round_trip;
+          Alcotest.test_case "committed bench reports decode" `Quick
+            test_committed_bench_reports_decode;
         ] );
     ]
