@@ -684,6 +684,55 @@ let e24_compile () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* E25: the Cert_2 fixpoint alone, in time and minor allocation         *)
+
+(* [runs] timed [Certk.run ~k:2] calls after one warm-up: the median in ms
+   and the minor heap allocated per run in MB. *)
+let certk_cost ~runs g =
+  let run () = ignore (Sys.opaque_identity (Cqa.Certk.run ~k:2 g)) in
+  run ();
+  let words0 = Gc.minor_words () in
+  let times = List.init runs (fun _ -> snd (timed run)) |> List.sort Float.compare in
+  let words = (Gc.minor_words () -. words0) /. float_of_int runs in
+  (1000. *. List.nth times (runs / 2), words *. float_of_int (Sys.word_size / 8) /. 1e6)
+
+let e25_certk () =
+  section "E25 Cert_2 fixpoint: median time and minor allocation per run (q3)";
+  let shape = Random.State.make [| Hashtbl.hash "fixpoint-bound" |] in
+  let fixpoint =
+    List.map
+      (fun c ->
+        (Printf.sprintf "components-%d" c, Workload.Randdb.q3_components shape ~components:c))
+      [ 2; 4; 6; 8; 10; 12; 16 ]
+  in
+  let inline =
+    List.map
+      (fun n ->
+        ( Printf.sprintf "inline-%d" n,
+          Workload.Randdb.random_for_query
+            (Random.State.make [| 42; n |])
+            Catalog.q3 ~n_facts:n ~domain:n ))
+      [ 150; 250; 350; 450 ]
+  in
+  Format.printf "%-16s %6s %7s %6s %11s %13s@." "graph" "facts" "steps" "runs" "median(ms)"
+    "minor MB/run";
+  let row ~runs (name, db) =
+    let g = Solution_graph.of_query Catalog.q3 db in
+    let budget = Harness.Budget.unlimited () in
+    ignore (Cqa.Certk.run ~budget ~k:2 g);
+    let median_ms, minor_mb = certk_cost ~runs g in
+    Format.printf "%-16s %6d %7d %6d %11.3f %13.3f@." name (Solution_graph.n_facts g)
+      (Harness.Budget.steps budget) runs median_ms minor_mb
+  in
+  List.iter (row ~runs:30) (fixpoint @ inline);
+  (* The explain repro: a 378-fact q3 database whose Cert_2 derivation
+     shares premises heavily. *)
+  row ~runs:3
+    ( "repro-600/25",
+      Workload.Randdb.random_for_query (Random.State.make [| 42 |]) Catalog.q3 ~n_facts:600
+        ~domain:25 )
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let experiments =
@@ -703,6 +752,7 @@ let experiments =
     ("ablation", e13_ablation);
     ("certk-suite", e14_certk_suite);
     ("compile", e24_compile);
+    ("certk", e25_certk);
   ]
 
 let usage () =

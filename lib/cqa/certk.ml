@@ -1,5 +1,4 @@
 module Solution_graph = Qlang.Solution_graph
-module Int_set = Set.Make (Int)
 
 type reason =
   | Initial of int * int
@@ -7,253 +6,588 @@ type reason =
 
 type certificate = { set : int list; why : reason; premises : certificate list }
 
-(* Sorted-list utilities for k-sets. *)
+(* The fixpoint state.
 
-let rec union_sorted xs ys =
-  match (xs, ys) with
-  | [], l | l, [] -> l
-  | x :: xs', y :: ys' ->
-      if x = y then x :: union_sorted xs' ys'
-      else if x < y then x :: union_sorted xs' ys
-      else y :: union_sorted xs ys'
+   k-sets live in one int arena, appended in id order: set [id] is the
+   sorted vertex slice [arena.(off.(id)) .. arena.(off.(id + 1) - 1)], and
+   [off.(n_sets)] is the arena's used length. [table] interns
+   slices to dense ids by open addressing (linear probing, load at most
+   one half) on a bit-mixing hash; a slot holds [base + id] and the set's
+   hash side by side, and a value below [base] marks the slot empty. Ids
+   are handed out in first-interning order at fixed points (the empty set
+   at the start of every block derivation, every candidate union that
+   passes the k-set and subsumption tests, and every admitted seed), so
+   they, and everything ordered by them, are a function of the graph
+   alone.
 
-let rec is_subset xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs', y :: ys' ->
-      if x = y then is_subset xs' ys'
-      else if x > y then is_subset xs ys'
-      else false
+   The antichain of minimal derived sets is the ids whose [minimal] flag
+   is set; [by_vertex.(v)] lists those containing [v] as an ascending id
+   array. A bucket is never edited in place: a change installs a new
+   array. [derive_for_block] walks the bucket of [u] while the admissions
+   it makes prune and extend buckets (admitting [S] can prune [S ∪ {u}]
+   from the very bucket being walked), and the walk must see the bucket as
+   it was when the walk began.
 
-let remove x l = List.filter (fun y -> y <> x) l
+   [subsumed S] asks whether a minimal set is a subset of [S]. It takes the
+   cheaper of two exact checks: look each nonempty subset of [S] up in
+   [table] and test its [minimal] flag (2^|S| - 1 lookups), or scan the
+   buckets of [S]'s vertices for a subset (their summed length). Both give
+   the same answer, so the choice changes only the time.
 
-(* A set of vertices is a k-set iff it has at most k elements and at most one
-   vertex per block (so it extends to a repair). *)
-let is_kset (g : Solution_graph.t) ~k s =
-  List.length s <= k
-  &&
-  let blocks = List.map (fun v -> g.Solution_graph.block_of.(v)) s in
-  List.length (List.sort_uniq Int.compare blocks) = List.length s
+   [prov.(id)] records how an admitted set was derived and never shrinks,
+   so certificates survive antichain pruning. The worklist [queue] holds
+   the dirty blocks: a block re-derives only when a new minimal set
+   touching one of its vertices was admitted since its last run.
+   [visited] memoises [derive_for_block]'s exploration on (remaining
+   facts, partial union) keys; a slot counts only when its stamp is the
+   current block derivation's generation, so no derivation clears it.
 
-(* The fixpoint state. k-sets are interned: the sorted vertex list is the
-   canonical form, [ids]/[sets] map it to a dense integer id and back, and
-   all antichain bookkeeping ([minimal], [by_vertex], the [visited] memo in
-   [derive_for_block]) compares ids instead of lists. The worklist [queue]
-   holds the dirty blocks: a block re-derives only when a new minimal set
-   touching one of its vertices was admitted since its last run. *)
+   Each domain keeps one state between runs, so a run allocates no array
+   above the minor-heap limit once that state fits it; a fresh state per
+   run would allocate its arrays on the major heap every run, and pay for
+   the major collections that drives. [reset] empties the pooled state in
+   time proportional to the graph, not to the arrays an earlier, larger
+   run grew: [base] moves past every id interned before, and the visited
+   and block stamps only grow. [release] pools a state only once it holds
+   nothing of its run (no provenance, no bucket, not the graph's
+   [block_of]), and only while all its arrays together stay within
+   [retain_words]. *)
+
+type provenance =
+  | Unadmitted
+  | Seed of int * int  (* the solution pair the set covers *)
+  | Derived of int * int array  (* block, flat (u, premise id) pairs *)
+
 type state = {
-  ids : (int list, int) Hashtbl.t;  (* canonical sorted list -> id *)
-  mutable sets : int list array;  (* id -> canonical sorted list *)
+  mutable k : int;
+  mutable block_of : int array;
+  mutable arena : int array;
+  mutable off : int array;  (* id -> offset in [arena] *)
+  mutable minimal : bool array;  (* id -> in the antichain *)
+  mutable prov : provenance array;
   mutable n_sets : int;
-  mutable minimal : Int_set.t;  (* antichain of minimal derived sets *)
-  by_vertex : Int_set.t array;  (* minimal members containing a vertex *)
+  mutable table : int array;  (* slot i: base + id at 2i, hash at 2i + 1 *)
+  mutable base : int;
+  mutable by_vertex : int array array;  (* copy-on-write, ascending ids *)
   mutable empty_derived : bool;
-  provenance : (int, reason) Hashtbl.t;
-      (* how each set ever added was derived; never shrinks, so certificates
-         survive antichain pruning *)
-  block_of : int array;
+  mutable cand : int array;  (* work buffer: a candidate union or seed *)
+  mutable sub : int array;  (* work buffer: a subset of a candidate *)
+  mutable chosen : int array;  (* derive_for_block's (u, premise id) stack *)
+  mutable block_seen : int array;  (* block -> stamp of the last k-set test *)
+  mutable block_stamp : int;
+  mutable visited : int array;  (* slot i: key at 2i, generation at 2i + 1 *)
+  mutable n_visited : int;
+  mutable generation : int;
   queue : int Queue.t;  (* dirty blocks, FIFO *)
-  queued : bool array;
+  mutable queued : bool array;
 }
 
-let intern st s =
-  match Hashtbl.find_opt st.ids s with
-  | Some id -> id
-  | None ->
-      let id = st.n_sets in
-      if id = Array.length st.sets then begin
-        let bigger = Array.make (max 64 (2 * id)) [] in
-        Array.blit st.sets 0 bigger 0 id;
-        st.sets <- bigger
-      end;
-      st.sets.(id) <- s;
-      Hashtbl.add st.ids s id;
-      st.n_sets <- id + 1;
-      id
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 29)) * 0x1CE4E5B9BF58476D in
+  h lxor (h lsr 32)
 
-exception Found_subset
+let hash_slice a o l =
+  let h = ref l in
+  for i = o to o + l - 1 do
+    h := mix (!h lxor a.(i))
+  done;
+  !h
 
-(* Any nonempty subset of [s] in the antichain contains some vertex of [s],
-   so only the (small) [by_vertex] buckets of [s]'s own vertices need
-   scanning — never the whole antichain. The empty set is covered by the
-   [empty_derived] flag. *)
-let subsumed st s =
+let size st id = st.off.(id + 1) - st.off.(id)
+
+let slice_equal st id a o l =
+  size st id = l
+  &&
+  let arena = st.arena and p = st.off.(id) in
+  let i = ref 0 in
+  while !i < l && arena.(p + !i) = a.(o + !i) do
+    incr i
+  done;
+  !i = l
+
+(* The id in slot [i], or [-1] when the slot is empty. *)
+let slot_id st i =
+  let v = st.table.(2 * i) in
+  if v < st.base then -1 else v - st.base
+
+(* The slot holding set [a.(o) .. a.(o + l - 1)] (hash [h]), or the empty
+   slot where it belongs. *)
+let rec probe st a o l h i =
+  let id = slot_id st i in
+  if id < 0 || (st.table.((2 * i) + 1) = h && slice_equal st id a o l) then i
+  else probe st a o l h ((i + 1) land ((Array.length st.table / 2) - 1))
+
+let slot_of st h = h land ((Array.length st.table / 2) - 1)
+
+(* The id of a set, or [-1] when it was never interned. *)
+let find st a o l =
+  let h = hash_slice a o l in
+  slot_id st (probe st a o l h (slot_of st h))
+
+let grow_table st =
+  let old = st.table in
+  st.table <- Array.make (2 * Array.length old) (-1);
+  for i = 0 to (Array.length old / 2) - 1 do
+    let v = old.(2 * i) in
+    if v >= st.base then begin
+      let h = old.((2 * i) + 1) in
+      let j = ref (slot_of st h) in
+      while slot_id st !j >= 0 do
+        j := (!j + 1) land ((Array.length st.table / 2) - 1)
+      done;
+      st.table.(2 * !j) <- v;
+      st.table.((2 * !j) + 1) <- h
+    end
+  done
+
+(* An array of at least [need] elements that starts with [a]'s first
+   [used]. *)
+let grow a ~used ~need fill =
+  let b = Array.make (max need (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 used;
+  b
+
+(* The id of [cand.(0) .. cand.(l - 1)], interning it if new. *)
+let intern st l =
+  let cand = st.cand in
+  let h = hash_slice cand 0 l in
+  let i = probe st cand 0 l h (slot_of st h) in
+  let id = slot_id st i in
+  if id >= 0 then id
+  else begin
+    let id = st.n_sets and p = st.off.(st.n_sets) in
+    if id + 1 = Array.length st.off then begin
+      st.off <- grow st.off ~used:(id + 1) ~need:0 0;
+      st.prov <- grow st.prov ~used:id ~need:0 Unadmitted;
+      st.minimal <- grow st.minimal ~used:id ~need:0 false
+    end;
+    if p + l > Array.length st.arena then st.arena <- grow st.arena ~used:p ~need:(p + l) 0;
+    Array.blit cand 0 st.arena p l;
+    st.off.(id + 1) <- p + l;
+    st.prov.(id) <- Unadmitted;
+    st.minimal.(id) <- false;
+    st.n_sets <- id + 1;
+    st.table.(2 * i) <- st.base + id;
+    st.table.((2 * i) + 1) <- h;
+    if 2 * st.n_sets > Array.length st.table / 2 then grow_table st;
+    id
+  end
+
+(* Is set [tid] a subset of the sorted slice [a.(o) .. a.(o + l - 1)]? *)
+let id_subset st tid a o l =
+  let arena = st.arena and p = st.off.(tid) and n = size st tid in
+  let i = ref 0 and j = ref 0 in
+  while !i < n && !j < l && arena.(p + !i) >= a.(o + !j) do
+    if arena.(p + !i) = a.(o + !j) then incr i;
+    incr j
+  done;
+  !i = n
+
+(* Some minimal set among the nonempty subsets of the slice, by lookup. *)
+let subset_minimal st a o l =
+  let sub = st.sub and last = (1 lsl l) - 1 in
+  let found = ref false and m = ref 1 in
+  while (not !found) && !m <= last do
+    let n = ref 0 in
+    for i = 0 to l - 1 do
+      if !m land (1 lsl i) <> 0 then begin
+        sub.(!n) <- a.(o + i);
+        incr n
+      end
+    done;
+    let id = find st sub 0 !n in
+    found := id >= 0 && st.minimal.(id);
+    incr m
+  done;
+  !found
+
+(* Some minimal set in the buckets of the slice's vertices is a subset of
+   it. Every nonempty minimal subset contains one of those vertices. *)
+let bucket_subset st a o l =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < l do
+    let bucket = st.by_vertex.(a.(o + !i)) in
+    let j = ref 0 in
+    while (not !found) && !j < Array.length bucket do
+      found := id_subset st bucket.(!j) a o l;
+      incr j
+    done;
+    incr i
+  done;
+  !found
+
+(* Is the sorted slice a superset of some derived set? The empty set is
+   covered by the [empty_derived] flag. *)
+let subsumed st a o l =
   st.empty_derived
   ||
-  try
-    List.iter
-      (fun v ->
-        Int_set.iter
-          (fun tid -> if is_subset st.sets.(tid) s then raise Found_subset)
-          st.by_vertex.(v))
-      s;
-    false
-  with Found_subset -> true
+  let scan = ref 0 in
+  for i = o to o + l - 1 do
+    scan := !scan + Array.length st.by_vertex.(a.(i))
+  done;
+  if l < Sys.int_size - 2 && (1 lsl l) - 1 <= !scan then subset_minimal st a o l
+  else bucket_subset st a o l
 
-(* A freshly admitted set can only enable new derivations at blocks holding
-   one of its vertices (a useful premise [T_u] must contain [u]). *)
-let mark_dirty st s =
-  List.iter
-    (fun v ->
+(* A set of vertices is a k-set iff it has at most k elements and at most
+   one vertex per block (so it extends to a repair); [cand.(0 .. l - 1)]
+   already has at most k. *)
+let distinct_blocks st l =
+  st.block_stamp <- st.block_stamp + 1;
+  let stamp = st.block_stamp in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < l do
+    let b = st.block_of.(st.cand.(!i)) in
+    if st.block_seen.(b) = stamp then ok := false else st.block_seen.(b) <- stamp;
+    incr i
+  done;
+  !ok
+
+(* [cand] := set [acc] ∪ (set [tid] \ {u}); its size, or [-1] beyond k. *)
+let union_without st acc tid u =
+  let arena = st.arena and cand = st.cand and k = st.k in
+  let i = ref st.off.(acc) and j = ref st.off.(tid) in
+  let ie = st.off.(acc + 1) and je = st.off.(tid + 1) in
+  let n = ref 0 in
+  while !n >= 0 && (!i < ie || !j < je) do
+    if !j < je && arena.(!j) = u then incr j
+    else begin
+      let x =
+        if !j >= je || (!i < ie && arena.(!i) < arena.(!j)) then begin
+          let x = arena.(!i) in
+          incr i;
+          x
+        end
+        else begin
+          let y = arena.(!j) in
+          if !i < ie && arena.(!i) = y then incr i;
+          incr j;
+          y
+        end
+      in
+      if !n = k then n := -1
+      else begin
+        cand.(!n) <- x;
+        incr n
+      end
+    end
+  done;
+  !n
+
+(* [bucket] without the sets pruned from the antichain; [bucket] itself
+   when it has none. *)
+let without_pruned st bucket =
+  let live = ref 0 in
+  for j = 0 to Array.length bucket - 1 do
+    if st.minimal.(bucket.(j)) then incr live
+  done;
+  if !live = Array.length bucket then bucket
+  else begin
+    let b = Array.make !live 0 and n = ref 0 in
+    for j = 0 to Array.length bucket - 1 do
+      if st.minimal.(bucket.(j)) then begin
+        b.(!n) <- bucket.(j);
+        incr n
+      end
+    done;
+    b
+  end
+
+let with_id bucket id =
+  let n = Array.length bucket in
+  let at = ref 0 in
+  while !at < n && bucket.(!at) < id do
+    incr at
+  done;
+  let b = Array.make (n + 1) id in
+  Array.blit bucket 0 b 0 !at;
+  Array.blit bucket !at b (!at + 1) (n - !at);
+  b
+
+(* Make set [id], which no derived set subsumes, a member of the
+   antichain. A freshly admitted set can only enable new derivations at
+   blocks holding one of its vertices (a useful premise [T_u] must contain
+   [u]), so those blocks become dirty. *)
+let install st id =
+  let p = st.off.(id) and l = size st id in
+  if l = 0 then begin
+    (* ∅ subsumes everything: collapse the antichain and stop. *)
+    Array.fill st.minimal 0 st.n_sets false;
+    st.minimal.(id) <- true;
+    Array.fill st.by_vertex 0 (Array.length st.block_of) [||];
+    st.empty_derived <- true
+  end
+  else begin
+    (* Remove supersets of the new minimal set from the antichain (their
+       provenance is kept for certificate reconstruction). Every superset
+       contains the first vertex, so its bucket lists all candidates. *)
+    let bucket = st.by_vertex.(st.arena.(p)) in
+    let pruned = ref false in
+    for j = 0 to Array.length bucket - 1 do
+      if id_subset st id st.arena st.off.(bucket.(j)) (size st bucket.(j)) then begin
+        st.minimal.(bucket.(j)) <- false;
+        pruned := true
+      end
+    done;
+    if !pruned then
+      for j = 0 to Array.length bucket - 1 do
+        let tid = bucket.(j) in
+        if not (st.minimal.(tid)) then
+          for i = st.off.(tid) to st.off.(tid + 1) - 1 do
+            let v = st.arena.(i) in
+            st.by_vertex.(v) <- without_pruned st st.by_vertex.(v)
+          done
+      done;
+    for i = p to p + l - 1 do
+      let v = st.arena.(i) in
+      st.by_vertex.(v) <- with_id st.by_vertex.(v) id;
       let b = st.block_of.(v) in
       if not st.queued.(b) then begin
         st.queued.(b) <- true;
         Queue.add b st.queue
-      end)
-    s
+      end
+    done;
+    st.minimal.(id) <- true
+  end
 
-let add_set st s reason =
-  if subsumed st s then false
-  else begin
-    let id = intern st s in
-    (match s with
-    | [] ->
-        (* ∅ subsumes everything: collapse the antichain and stop. *)
-        st.minimal <- Int_set.singleton id;
-        Array.fill st.by_vertex 0 (Array.length st.by_vertex) Int_set.empty;
-        st.empty_derived <- true
-    | v0 :: _ ->
-        (* Remove supersets of the new minimal set from the antichain (their
-           provenance is kept for certificate reconstruction). Every superset
-           contains [v0], so its [by_vertex] bucket lists all candidates. *)
-        let supersets =
-          Int_set.filter (fun tid -> is_subset s st.sets.(tid)) st.by_vertex.(v0)
-        in
-        Int_set.iter
-          (fun tid ->
-            List.iter
-              (fun v -> st.by_vertex.(v) <- Int_set.remove tid st.by_vertex.(v))
-              st.sets.(tid))
-          supersets;
-        st.minimal <- Int_set.diff st.minimal supersets;
-        st.minimal <- Int_set.add id st.minimal;
-        List.iter (fun v -> st.by_vertex.(v) <- Int_set.add id st.by_vertex.(v)) s);
-    if not (Hashtbl.mem st.provenance id) then Hashtbl.add st.provenance id reason;
-    mark_dirty st s;
+let certk_site = Some Harness.Sites.certk
+let visited_slot st key = mix key land ((Array.length st.visited / 2) - 1)
+
+(* Memoise a (remaining facts, partial union) key in the current
+   generation, probing from slot [i]; [false] when it was already there. *)
+let rec visit st key i =
+  let v = st.visited in
+  if v.((2 * i) + 1) <> st.generation then begin
+    v.(2 * i) <- key;
+    v.((2 * i) + 1) <- st.generation;
+    st.n_visited <- st.n_visited + 1;
+    if 4 * st.n_visited > Array.length v then grow_visited st;
     true
   end
+  else v.(2 * i) <> key && visit st key ((i + 1) land ((Array.length v / 2) - 1))
+
+and grow_visited st =
+  let old = st.visited in
+  st.visited <- Array.make (2 * Array.length old) 0;
+  st.n_visited <- 0;
+  for j = 0 to (Array.length old / 2) - 1 do
+    if old.((2 * j) + 1) = st.generation then
+      ignore (visit st old.(2 * j) (visited_slot st old.(2 * j)))
+  done
 
 (* The inductive step for one block: derive S = union over u in B of
    (T_u \ {u}) for each choice of T_u in Delta containing u. Choices where
    T_u does not contain u are redundant: T_u ⊆ S then, so S is subsumed by
    the member T_u and yields no new minimal set. Partial unions that are
    already subsumed are pruned for the same reason: every extension of a
-   subsumed union is subsumed. *)
-let derive_for_block (g : Solution_graph.t) ~k ~budget st block =
-  let members = Array.to_list g.Solution_graph.blocks.(block) in
-  let changed = ref false in
-  (* Distinct choice sequences frequently produce the same partial union;
-     memoising on (remaining facts, partial union id) keeps the exploration
-     polynomial in the size of the antichain instead of exponential in the
-     block size. *)
-  let visited = Hashtbl.create 64 in
-  let rec choose acc acc_id chosen rem_n = function
-    | [] ->
-        if add_set st acc (Via_block (block, List.rev chosen)) then changed := true
-    | u :: rest ->
-        Harness.Budget.tick ~site:Harness.Sites.certk budget;
-        let key = (rem_n, acc_id) in
-        if not (Hashtbl.mem visited key) then begin
-          Hashtbl.add visited key ();
-          Int_set.iter
-            (fun tid ->
-              let t = st.sets.(tid) in
-              let acc' = union_sorted acc (remove u t) in
-              if is_kset g ~k acc' && not (subsumed st acc') then
-                choose acc' (intern st acc') ((u, t) :: chosen) (rem_n - 1) rest)
-            st.by_vertex.(u)
+   subsumed union is subsumed. Distinct choice sequences frequently
+   produce the same partial union; memoising on (remaining facts, partial
+   union) keeps the exploration polynomial in the size of the antichain
+   instead of exponential in the block size. *)
+let rec choose st budget members block depth acc =
+  let n = Array.length members in
+  if depth = n then begin
+    if not (subsumed st st.arena st.off.(acc) (size st acc)) then begin
+      install st acc;
+      st.prov.(acc) <- Derived (block, Array.sub st.chosen 0 (2 * n))
+    end
+  end
+  else begin
+    Harness.Budget.tick ?site:certk_site budget;
+    let key = (acc * (n + 1)) + depth in
+    if visit st key (visited_slot st key) then begin
+      let u = members.(depth) in
+      let bucket = st.by_vertex.(u) in
+      for j = 0 to Array.length bucket - 1 do
+        let tid = bucket.(j) in
+        let l = union_without st acc tid u in
+        if l >= 0 && distinct_blocks st l && not (subsumed st st.cand 0 l) then begin
+          let acc' = intern st l in
+          st.chosen.(2 * depth) <- u;
+          st.chosen.((2 * depth) + 1) <- tid;
+          choose st budget members block (depth + 1) acc'
         end
-  in
-  choose [] (intern st []) [] (List.length members) members;
-  !changed
+      done
+    end
+  end
 
-let init_state (g : Solution_graph.t) =
-  let n = Solution_graph.n_facts g in
-  let n_blocks = Solution_graph.n_blocks g in
+let derive_for_block (g : Solution_graph.t) ~budget st block =
+  let empty = intern st 0 in
+  st.generation <- st.generation + 1;
+  st.n_visited <- 0;
+  choose st budget g.Solution_graph.blocks.(block) block 0 empty
+
+let fresh_state () =
   {
-    ids = Hashtbl.create 256;
-    sets = Array.make 64 [];
+    k = 1;
+    block_of = [||];
+    arena = Array.make 256 0;
+    off = Array.make 64 0;
+    minimal = Array.make 64 false;
+    prov = Array.make 64 Unadmitted;
     n_sets = 0;
-    minimal = Int_set.empty;
-    by_vertex = Array.make (max n 1) Int_set.empty;
+    table = Array.make 256 (-1);
+    base = 0;
+    by_vertex = [||];
     empty_derived = false;
-    provenance = Hashtbl.create 64;
-    block_of = g.Solution_graph.block_of;
+    cand = [||];
+    sub = [||];
+    chosen = [||];
+    block_seen = [||];
+    block_stamp = 0;
+    visited = Array.make 256 0;
+    n_visited = 0;
+    generation = 0;
     queue = Queue.create ();
-    queued = Array.make (max n_blocks 1) false;
+    queued = [||];
   }
+
+(* Empty [st], which holds nothing of an earlier run, for a run of
+   [Cert_k] on [g]. *)
+let reset st (g : Solution_graph.t) ~k =
+  let n = Solution_graph.n_facts g and n_blocks = Solution_graph.n_blocks g in
+  let widest = Array.fold_left (fun w b -> max w (Array.length b)) 0 g.Solution_graph.blocks in
+  st.k <- k;
+  st.block_of <- g.Solution_graph.block_of;
+  st.base <- st.base + st.n_sets;
+  st.n_sets <- 0;
+  st.off.(0) <- 0;
+  st.empty_derived <- false;
+  Queue.clear st.queue;
+  if Array.length st.by_vertex < n then st.by_vertex <- Array.make n [||];
+  if Array.length st.queued < n_blocks then st.queued <- Array.make n_blocks false
+  else Array.fill st.queued 0 n_blocks false;
+  if Array.length st.block_seen < n_blocks then st.block_seen <- Array.make n_blocks 0;
+  if Array.length st.cand < min k n + 2 then begin
+    st.cand <- Array.make (min k n + 2) 0;
+    st.sub <- Array.make (min k n + 2) 0
+  end;
+  if Array.length st.chosen < 2 * widest then st.chosen <- Array.make (2 * widest) 0
+
+(* Admit [cand.(0 .. l - 1)] as the initial set of solution [(i, j)]. *)
+let seed_set st l i j =
+  if not (subsumed st st.cand 0 l) then begin
+    let id = intern st l in
+    install st id;
+    st.prov.(id) <- Seed (i, j)
+  end
 
 (* Initial sets: minimal k-sets satisfying q — solution pairs across
    distinct blocks, and singletons for self-loop solutions. Each admission
    seeds the worklist with the blocks it touches. *)
-let seed_initial (g : Solution_graph.t) ~k st =
-  List.iter
-    (fun (i, j) ->
-      let s =
-        if i = j then Some [ i ]
-        else if g.Solution_graph.block_of.(i) <> g.Solution_graph.block_of.(j) then
-          Some (List.sort_uniq Int.compare [ i; j ])
-        else None
-      in
-      match s with
-      | Some s when is_kset g ~k s -> ignore (add_set st s (Initial (i, j)))
-      | Some _ | None -> ())
-    g.Solution_graph.directed
+let rec seed_initial st = function
+  | [] -> ()
+  | (i, j) :: rest ->
+      if i = j then begin
+        st.cand.(0) <- i;
+        seed_set st 1 i j
+      end
+      else if st.block_of.(i) <> st.block_of.(j) && st.k >= 2 then begin
+        st.cand.(0) <- min i j;
+        st.cand.(1) <- max i j;
+        seed_set st 2 i j
+      end;
+      seed_initial st rest
 
 (* Drain the worklist. Untouched blocks stay untouched: a block whose
    members all have empty [by_vertex] buckets can derive nothing, and it
    only becomes derivable once a set touching it is admitted — which
    enqueues it. *)
-let drain ?(budget = Harness.Budget.unlimited ()) (g : Solution_graph.t) ~k st =
+let drain ?(budget = Harness.Budget.unlimited ()) (g : Solution_graph.t) st =
   while (not st.empty_derived) && not (Queue.is_empty st.queue) do
     let b = Queue.pop st.queue in
     st.queued.(b) <- false;
-    ignore (derive_for_block g ~k ~budget st b)
+    derive_for_block g ~budget st b
   done
 
-let fixpoint ?budget (g : Solution_graph.t) ~k =
-  if k < 1 then invalid_arg "Certk: k must be >= 1";
-  let st = init_state g in
-  seed_initial g ~k st;
-  drain ?budget g ~k st;
-  st
+(* About three times the state the largest fixpoint-bound graph (16 q3
+   components, 673 facts) leaves after Cert_2. *)
+let retain_words = 1 lsl 18
 
-let run ?budget ~k g = (fixpoint ?budget g ~k).empty_derived
+let pool = Domain.DLS.new_key (fun () -> ref None)
+
+let release slot st =
+  let words =
+    Array.length st.arena + Array.length st.off + Array.length st.minimal
+    + Array.length st.prov + Array.length st.table + Array.length st.by_vertex
+    + Array.length st.cand + Array.length st.sub + Array.length st.chosen
+    + Array.length st.block_seen + Array.length st.visited + Array.length st.queued
+  in
+  if words <= retain_words then begin
+    Array.fill st.prov 0 st.n_sets Unadmitted;
+    Array.fill st.by_vertex 0 (Array.length st.block_of) [||];
+    st.block_of <- [||];
+    slot := Some st
+  end
+
+(* Saturate [Cert_k] on [g] in the domain's pooled state (a fresh one when
+   a run holds it or it was dropped), hand the state to [f], then pool it.
+   A run that raises leaves its state to the collector. *)
+let with_fixpoint ?budget (g : Solution_graph.t) ~k f =
+  if k < 1 then invalid_arg "Certk: k must be >= 1";
+  let slot = Domain.DLS.get pool in
+  let st = match !slot with Some st -> st | None -> fresh_state () in
+  slot := None;
+  reset st g ~k;
+  seed_initial st g.Solution_graph.directed;
+  drain ?budget g st;
+  let result = f st in
+  release slot st;
+  result
+
+let run ?budget ~k g = with_fixpoint ?budget g ~k (fun st -> st.empty_derived)
+
+let set_list st id = List.init (size st id) (fun i -> st.arena.(st.off.(id) + i))
 
 let derived ~k g =
-  let st = fixpoint g ~k in
-  Int_set.elements st.minimal
-  |> List.map (fun id -> st.sets.(id))
-  |> List.sort (List.compare Int.compare)
+  with_fixpoint g ~k (fun st ->
+      let sets = ref [] in
+      for id = st.n_sets - 1 downto 0 do
+        if st.minimal.(id) then sets := set_list st id :: !sets
+      done;
+      List.sort (List.compare Int.compare) !sets)
 
-(* Certificates: unfold provenance from the target set down to the initial
+(* Certificates: follow provenance from the empty set down to the initial
    solutions. Derivations are acyclic by construction (every premise was
    added strictly before the conclusion, and a pruned set is never
-   re-admitted), so the recursion terminates. *)
+   re-admitted), so the recursion terminates; each id's node is built once
+   and shared by every derivation that uses it. *)
 let certificate ~k g =
-  let st = fixpoint g ~k in
-  if not st.empty_derived then None
-  else
-    let reason_of set =
-      match Hashtbl.find_opt st.ids set with
-      | None -> None
-      | Some id -> Hashtbl.find_opt st.provenance id
-    in
-    let rec build set =
-      match reason_of set with
-      | None -> None
-      | Some (Initial _ as why) -> Some { set; why; premises = [] }
-      | Some (Via_block (_, choices) as why) ->
-          let premises =
-            List.filter_map (fun (_, t) -> build t) choices
-          in
-          if List.length premises = List.length choices then Some { set; why; premises }
-          else None
-    in
-    build []
+  with_fixpoint g ~k (fun st ->
+      if not st.empty_derived then None
+      else
+        let memo = Array.make st.n_sets None and built = Array.make st.n_sets false in
+        let rec build id =
+          if not built.(id) then begin
+            built.(id) <- true;
+            memo.(id) <-
+              (match st.prov.(id) with
+              | Unadmitted -> None
+              | Seed (i, j) -> Some { set = set_list st id; why = Initial (i, j); premises = [] }
+              | Derived (b, choices) ->
+                  let n = Array.length choices / 2 in
+                  let premises = List.init n (fun c -> build choices.((2 * c) + 1)) in
+                  if List.exists Option.is_none premises then None
+                  else
+                    Some
+                      {
+                        set = set_list st id;
+                        why =
+                          Via_block
+                            ( b,
+                              List.init n (fun c ->
+                                  (choices.(2 * c), set_list st choices.((2 * c) + 1))) );
+                        premises = List.filter_map Fun.id premises;
+                      })
+          end;
+          memo.(id)
+        in
+        build (find st st.cand 0 0))
 
-let rec pp_certificate_aux g indent ppf cert =
+(* A premise whose set was printed before is printed once more as
+   "(derived above)", without its sub-derivation: a shared premise would
+   otherwise be printed once per use, exponentially often. *)
+let rec pp_certificate_aux g printed indent ppf cert =
   let pp_set ppf s =
     if s = [] then Format.pp_print_string ppf "{}"
     else
@@ -263,24 +597,29 @@ let rec pp_certificate_aux g indent ppf cert =
               (fun v -> Relational.Fact.to_string g.Solution_graph.facts.(v))
               s))
   in
-  (match cert.why with
-  | Initial (i, j) ->
-      Format.fprintf ppf "%s%a satisfies q: solution (%s, %s)@," indent pp_set cert.set
-        (Relational.Fact.to_string g.Solution_graph.facts.(i))
-        (Relational.Fact.to_string g.Solution_graph.facts.(j))
-  | Via_block (b, choices) ->
-      Format.fprintf ppf "%s%a derived via block %d using:@," indent pp_set cert.set b;
-      List.iter
-        (fun (u, t) ->
-          Format.fprintf ppf "%s  fact %s with premise %a@," indent
-            (Relational.Fact.to_string g.Solution_graph.facts.(u))
-            pp_set t)
-        choices);
-  List.iter (pp_certificate_aux g (indent ^ "  ") ppf) cert.premises
+  if Hashtbl.mem printed cert.set then
+    Format.fprintf ppf "%s%a (derived above)@," indent pp_set cert.set
+  else begin
+    Hashtbl.add printed cert.set ();
+    (match cert.why with
+    | Initial (i, j) ->
+        Format.fprintf ppf "%s%a satisfies q: solution (%s, %s)@," indent pp_set cert.set
+          (Relational.Fact.to_string g.Solution_graph.facts.(i))
+          (Relational.Fact.to_string g.Solution_graph.facts.(j))
+    | Via_block (b, choices) ->
+        Format.fprintf ppf "%s%a derived via block %d using:@," indent pp_set cert.set b;
+        List.iter
+          (fun (u, t) ->
+            Format.fprintf ppf "%s  fact %s with premise %a@," indent
+              (Relational.Fact.to_string g.Solution_graph.facts.(u))
+              pp_set t)
+          choices);
+    List.iter (pp_certificate_aux g printed (indent ^ "  ") ppf) cert.premises
+  end
 
 let pp_certificate g ppf cert =
   Format.fprintf ppf "@[<v>";
-  pp_certificate_aux g "" ppf cert;
+  pp_certificate_aux g (Hashtbl.create 64) "" ppf cert;
   Format.fprintf ppf "@]"
 
 let kappa (q : Qlang.Query.t) =

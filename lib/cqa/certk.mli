@@ -14,7 +14,10 @@
 
     The implementation maintains only the {e minimal} sets of [Δ_k(q, D)]
     (an antichain): a set [S] is in the fixpoint iff it contains a minimal
-    derived set, so this loses nothing and keeps the state small. *)
+    derived set, so this loses nothing and keeps the state small. The state
+    is flat int arrays (an arena of interned k-sets, per-vertex id buckets),
+    reused by the next call on the same domain once it holds nothing of
+    its run. *)
 
 (** [run ?budget ~k g] runs [Cert_k] on a solution graph. [k >= 1] required.
     One budget tick (site ["certk"]) is spent per derivation step; when the
@@ -48,10 +51,20 @@ type certificate = {
   premises : certificate list;  (** Sub-derivations of the [Via_block] premises. *)
 }
 
-(** [certificate ~k g] is the derivation of [∅], when [run ~k g] holds. *)
+(** [certificate ~k g] is the derivation of [∅], when [run ~k g] holds.
+    Every derived set has one node, built once and shared by every
+    derivation that uses it as a premise, so the value is a DAG whose size
+    is linear in the number of derived sets, although unfolding it as a
+    tree can be exponential. Structural equality ([=]) sees the unfolded
+    tree. *)
 val certificate : k:int -> Qlang.Solution_graph.t -> certificate option
 
-(** [pp_certificate g ppf cert] prints the derivation with fact names. *)
+(** [pp_certificate g ppf cert] prints the derivation with fact names, one
+    node per line, premises indented under the set they derive. A premise
+    whose set was already printed is printed once more as
+    [{...} (derived above)], without its sub-derivation, so the output is
+    linear in the number of distinct sets; a certificate with no repeated
+    set prints in full. *)
 val pp_certificate : Qlang.Solution_graph.t -> Format.formatter -> certificate -> unit
 
 (** [kappa q] is the paper's [κ = l^l] where [l] is the key length. *)

@@ -12,18 +12,27 @@ let falsifying_repair ?(budget = Harness.Budget.unlimited ()) (g : Solution_grap
   let candidates b =
     Array.to_list g.Solution_graph.blocks.(b) |> List.filter available
   in
-  (* Fewest-candidates-first over the unassigned blocks. *)
+  let n_candidates b =
+    let block = g.Solution_graph.blocks.(b) and c = ref 0 in
+    for i = 0 to Array.length block - 1 do
+      if available block.(i) then incr c
+    done;
+    !c
+  in
+  (* Fewest-candidates-first over the unassigned blocks; the first such
+     block on a tie. *)
   let next_block () =
-    let best = ref None in
+    let best = ref (-1) and best_c = ref 0 in
     for b = 0 to n_blocks - 1 do
       if not assigned.(b) then begin
-        let c = List.length (candidates b) in
-        match !best with
-        | Some (_, c') when c' <= c -> ()
-        | Some _ | None -> best := Some (b, c)
+        let c = n_candidates b in
+        if !best < 0 || c < !best_c then begin
+          best := b;
+          best_c := c
+        end
       end
     done;
-    !best
+    if !best < 0 then None else Some (!best, !best_c)
   in
   let rec solve remaining =
     Harness.Budget.tick ~site:Harness.Sites.exact budget;

@@ -44,8 +44,8 @@ let random_for_query rng (q : Query.t) ~n_facts ~domain =
   Database.of_facts [ schema ] facts
 
 let random_delta rng q db ~domain ~len =
-  let facts = Database.facts db in
-  let n = List.length facts in
+  let facts = Array.of_list (Database.facts db) in
+  let n = Array.length facts in
   let fresh () =
     List.hd (Database.facts (random_for_query rng q ~n_facts:1 ~domain))
   in
@@ -53,13 +53,25 @@ let random_delta rng q db ~domain ~len =
       match Random.State.int rng 4 with
       | 0 -> Relational.Delta.Insert (fresh ())
       | 1 when n > 0 ->
-          Relational.Delta.Retract (List.nth facts (Random.State.int rng n))
+          Relational.Delta.Retract facts.(Random.State.int rng n)
       | 2 when n > 0 ->
           (* Redundant insert: the fact is already present. *)
-          Relational.Delta.Insert (List.nth facts (Random.State.int rng n))
+          Relational.Delta.Insert facts.(Random.State.int rng n)
       | _ ->
           (* Retract of a fact that is (almost surely) absent. *)
           Relational.Delta.Retract (fresh ()))
+
+let q3_components rng ~components =
+  let fact k v = Fact.make "R" [ Value.int k; Value.int v ] in
+  let component c =
+    let value () = (c * 1000) + Random.State.int rng 7 in
+    let draws = List.init 60 (fun _ -> (value (), value ())) in
+    let keys = List.sort_uniq compare (List.map fst draws) in
+    List.map (fun (k, v) -> fact k v) draws
+    @ List.map (fun k -> fact k (1_000_000 + k)) keys
+  in
+  Database.of_facts [ Catalog.q3.Query.schema ]
+    (List.concat (List.init components component))
 
 let random_sjf rng (s : Qlang.Sjf.t) ~n_facts ~domain =
   let facts =

@@ -37,6 +37,14 @@ val random_delta :
   len:int ->
   Relational.Delta.t
 
+(** [q3_components rng ~components] draws [components] disjoint random
+    components over {!Catalog.q3}'s schema, each of 60 fact draws over its
+    own 7 values plus one "escape" fact per block whose value is no key. The
+    escapes make the database not certain, so Cert_2 runs its fixpoint to
+    saturation, and its cost is a sum over independent components: the
+    shape of the end-to-end benchmark's fixpoint-bound databases. *)
+val q3_components : Random.State.t -> components:int -> Relational.Database.t
+
 (** [random_sjf rng s ~n_facts ~domain] draws a two-relation database for
     the self-join-free variant of a query, planting atom images as in
     {!random_for_query}. *)

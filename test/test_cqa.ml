@@ -107,6 +107,20 @@ let test_certk_derived_minimal_sets () =
      blocks are singletons so the empty set is eventually derived. *)
   Alcotest.(check bool) "empty set derived" true (List.mem [] derived)
 
+(* Cert_k keeps one state per domain between runs; the kept state must
+   not hold the last run's graph alive. *)
+let test_certk_pool_drops_graph () =
+  let w = Weak.create 1 in
+  let run_once () =
+    let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ]; fact [ 2; 4 ] ] in
+    let g = Solution_graph.of_query q3 db in
+    Weak.set w 0 (Some g.Solution_graph.block_of);
+    ignore (Cqa.Certk.run ~k:2 g)
+  in
+  run_once ();
+  Gc.full_major ();
+  Alcotest.(check bool) "graph collected after the run" false (Weak.check w 0)
+
 let prop_certk_sound =
   (* Cert_k is an under-approximation of CERTAIN for every k and query. *)
   QCheck2.Test.make ~name:"Cert_k implies CERTAIN (q3, q6; k in 1..3)" ~count:120
@@ -266,6 +280,7 @@ let () =
           Alcotest.test_case "kappa / paper k" `Quick test_certk_kappa;
           Alcotest.test_case "simple yes" `Quick test_certk_simple_yes;
           Alcotest.test_case "minimal sets" `Quick test_certk_derived_minimal_sets;
+          Alcotest.test_case "pooled state drops the graph" `Quick test_certk_pool_drops_graph;
         ]
         @ qt [ prop_certk_sound; prop_cert2_exact_on_thm4_class; prop_cert2_exact_on_q4 ] );
       ( "matching",

@@ -210,6 +210,21 @@ let test_certificate_printable () =
       let s = Format.asprintf "%a" (Cqa.Certk.pp_certificate g) c in
       Alcotest.(check bool) "non-empty rendering" true (String.length s > 10)
 
+(* A q3 database whose Cert_2 derivation of the empty set reuses premises
+   so often that its unfolded tree has 884,524 nodes over 1,595 distinct
+   sets; printed once per use, it ran to 118 MB. *)
+let test_certificate_shared_premises () =
+  let db =
+    Workload.Randdb.random_for_query (Random.State.make [| 42 |]) q3 ~n_facts:600 ~domain:25
+  in
+  let g = Solution_graph.of_query q3 db in
+  match Cqa.Certk.certificate ~k:2 g with
+  | None -> Alcotest.fail "expected a certificate"
+  | Some c ->
+      let s = Format.asprintf "%a" (Cqa.Certk.pp_certificate g) c in
+      Alcotest.(check bool) "each derivation printed once: under 1 MB" true
+        (String.length s < 1_000_000)
+
 (* ------------------------------------------------------------------ *)
 (* DOT export *)
 
@@ -360,6 +375,8 @@ let () =
         [
           Alcotest.test_case "exists iff yes" `Quick test_certificate_exists_iff_yes;
           Alcotest.test_case "printable" `Quick test_certificate_printable;
+          Alcotest.test_case "shared premises printed once" `Quick
+            test_certificate_shared_premises;
         ]
         @ qt [ prop_certificates_well_formed ] );
       ( "dot",
