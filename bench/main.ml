@@ -308,13 +308,18 @@ let e10_sat () =
       done;
       Format.printf "%-10s SAT = backtracking on %d/%d random databases@." name !agree trials)
     [ "q3"; "q6"; "q2" ];
-  let agree = ref 0 in
+  let dpll = ref 0 and cdcl = ref 0 in
   let trials = 40 in
   for _ = 1 to trials do
     let f = Satsolver.Threesat.random rng ~n_vars:8 ~n_clauses:20 in
-    if Satsolver.Dpll.is_sat f = Satsolver.Brute.is_sat f then incr agree
+    let expected = Satsolver.Brute.is_sat f in
+    if Satsolver.Dpll.is_sat f = expected then incr dpll;
+    match Satsolver.Cdcl.solve (Satsolver.Cdcl.of_cnf f) with
+    | Satsolver.Cdcl.Sat m -> if expected && Cnf.eval f m then incr cdcl
+    | Satsolver.Cdcl.Unsat -> if not expected then incr cdcl
   done;
-  Format.printf "DPLL = exhaustive SAT oracle on %d/%d random 3-CNFs@." !agree trials
+  Format.printf "DPLL = exhaustive SAT oracle on %d/%d random 3-CNFs@." !dpll trials;
+  Format.printf "CDCL = exhaustive SAT oracle on %d/%d random 3-CNFs@." !cdcl trials
 
 (* ------------------------------------------------------------------ *)
 (* E11: scaling shape — PTIME algorithms vs exponential baselines      *)
@@ -733,6 +738,83 @@ let e25_certk () =
         ~domain:25 )
 
 (* ------------------------------------------------------------------ *)
+(* E26: the coNP tier on Theorem-12 gadgets                             *)
+
+(* One run of [f] under a wall-clock cap: its time in ms, or None past it. *)
+let capped_ms ~cap f =
+  Option.map
+    (fun t -> 1000. *. t)
+    (with_timeout cap (fun () -> snd (timed (fun () -> Sys.opaque_identity (f ())))))
+
+(* The median of [runs] timed runs of [f] after one warm-up, in ms. *)
+let median_ms ~runs f =
+  ignore (Sys.opaque_identity (f ()));
+  let times =
+    List.init runs (fun _ -> snd (timed (fun () -> Sys.opaque_identity (f ()))))
+    |> List.sort Float.compare
+  in
+  Some (1000. *. List.nth times (runs / 2))
+
+let pp_ms ppf = function
+  | None -> Format.fprintf ppf "%10s" "> cap"
+  | Some ms -> Format.fprintf ppf "%10.2f" ms
+
+(* The SAT tier (Satreduce.certain), DPLL on the same encoding, and Exact,
+   on the seven chain gadgets of bench/e2e's conp-gadget workload (before
+   its value renaming) and on the @stress suite's normalized random
+   gadgets (same seed, same draws). The chain rows are medians of 21 runs;
+   the random rows are one run each, capped at 5 s. [build] is
+   Gadget.database. *)
+let e26_conp () =
+  section "E26 coNP tier: SAT tier, DPLL on its encoding, and Exact (q2 gadgets)";
+  let gadget =
+    match Core.Gadget.of_tripath Catalog.q2_nice_fork_tripath with
+    | Ok g -> g
+    | Error msg -> failwith msg
+  in
+  let chains =
+    List.mapi
+      (fun i n ->
+        let sat = i mod 2 = 0 in
+        (Printf.sprintf "chain-%d-%s" n (if sat then "sat" else "unsat"), Satsolver.Threesat.chain ~sat n))
+      [ 4; 5; 6; 8; 10; 12; 14 ]
+  in
+  let rng = Random.State.make [| 0x3_5A7 |] in
+  let rec draw ~n_vars ~n_clauses =
+    match Satsolver.Threesat.normalize (Satsolver.Threesat.random rng ~n_vars ~n_clauses) with
+    | Satsolver.Threesat.Decided _ -> draw ~n_vars ~n_clauses
+    | Satsolver.Threesat.Formula phi -> phi
+  in
+  let randoms =
+    List.concat_map
+      (fun n_vars ->
+        List.concat_map
+          (fun ratio ->
+            let n_clauses = int_of_float (ratio *. float_of_int n_vars) in
+            List.init 2 (fun _ ->
+                (Printf.sprintf "random-%d/%d" n_vars n_clauses, draw ~n_vars ~n_clauses)))
+          [ 4.26; 5.5 ])
+      [ 20; 30; 40 ]
+  in
+  Format.printf "%-16s %6s %6s %6s %7s %7s %9s %10s %10s %10s@." "gadget" "facts" "blocks"
+    "edges" "certain" "ticks" "build(s)" "sat(ms)" "dpll(ms)" "exact(ms)";
+  let row ~cell (name, phi) =
+    let db, build_s = timed (fun () -> Core.Gadget.database gadget phi) in
+    let g = Solution_graph.of_query Catalog.q2 db in
+    let edges = Array.fold_left (fun acc ns -> acc + List.length ns) 0 g.Solution_graph.adj / 2 in
+    let budget = Harness.Budget.unlimited () in
+    let certain = Cqa.Satreduce.certain ~budget g in
+    let sat = cell (fun () -> Cqa.Satreduce.certain g) in
+    let dpll = cell (fun () -> Satsolver.Dpll.is_sat (Cqa.Satreduce.encode g)) in
+    let exact = cell (fun () -> Cqa.Exact.certain g) in
+    Format.printf "%-16s %6d %6d %6d %7b %7d %9.2f %a %a %a@." name (Solution_graph.n_facts g)
+      (Solution_graph.n_blocks g) edges certain (Harness.Budget.steps budget) build_s pp_ms sat
+      pp_ms dpll pp_ms exact
+  in
+  List.iter (row ~cell:(median_ms ~runs:21)) chains;
+  List.iter (row ~cell:(capped_ms ~cap:5.)) randoms
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let experiments =
@@ -753,6 +835,7 @@ let experiments =
     ("certk-suite", e14_certk_suite);
     ("compile", e24_compile);
     ("certk", e25_certk);
+    ("conp", e26_conp);
   ]
 
 let usage () =

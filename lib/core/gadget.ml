@@ -160,15 +160,22 @@ let pad_singletons (q : Query.t) db =
       [] (Database.blocks db)
   in
   let db' = List.fold_left Database.add db padded in
-  (* Soundness check: padding facts participate in no solution. *)
-  let pairs = Qlang.Solutions.query_pairs q db' in
+  (* Soundness check: padding facts participate in no solution. The facts
+     that do are those with a self-loop or an edge in the solution graph,
+     built on the compiled keyed join. *)
+  let in_solution =
+    let g = Qlang.Solution_graph.of_query_compiled q (Relational.Compiled.compile db') in
+    let marked = ref Fact.Set.empty in
+    Array.iteri
+      (fun v f ->
+        if g.Qlang.Solution_graph.self.(v) || g.Qlang.Solution_graph.adj.(v) <> []
+        then marked := Fact.Set.add f !marked)
+      g.Qlang.Solution_graph.facts;
+    !marked
+  in
   List.iter
     (fun p ->
-      if
-        List.exists
-          (fun (s, t) -> Fact.equal s p || Fact.equal t p)
-          pairs
-      then
+      if Fact.Set.mem p in_solution then
         invalid_arg
           (Format.asprintf
              "Gadget.database: padding fact %a forms a solution — the tripath \

@@ -29,7 +29,14 @@
     - {!certk_naive} — the enumerate-everything oracle [Cqa.Certk_naive].
     - {!matching} — [Cqa.Matching_alg] and the Hopcroft–Karp phases it
       drives in [Graphs.Matching].
-    - {!dpll} — one tick per DPLL branching decision in [Satsolver.Dpll].
+    - {!dpll} — the SAT tier, [Satsolver.Cdcl]: one tick on entry, one per
+      decision and one per conflict (a conflict at level 0 included), so
+      every call ticks at least once. The oracle [Satsolver.Dpll], which no
+      tier runs, ticks the same site once per search node, unit-propagation
+      and pure-literal steps included. The deadline is polled every
+      [check_every] ticks (see {!Budget.make}), and a CDCL tick covers all
+      the propagation after its decision, so one poll spans more work than
+      a DPLL node did.
     - {!brute} — one tick per assignment enumerated by [Satsolver.Brute].
     - {!exact} — one tick per repair node explored by the backtracking
       falsifier search in [Cqa.Exact].

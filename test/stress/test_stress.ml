@@ -6,7 +6,11 @@
       degradation chain down each specific edge, and the run asserts the
       expected outcome shape.
 
-   2. A randomized chaos sweep: many seeds, moderate fault / delay /
+   2. Hard coNP instances: Theorem-12 gadgets of normalized random 3-SAT
+      formulas of 20-40 variables, decided by the served chain under the
+      daemon's heavy budget, checked against Lemma 13.
+
+   3. A randomized chaos sweep: many seeds, moderate fault / delay /
       pressure probabilities at every tick site. Whatever the injections do,
       a [Decided] outcome must match the chaos-free exact reference — chaos
       may degrade availability, never correctness. The sweep also checks
@@ -114,7 +118,60 @@ let matching_edges () =
     (match outcome with Outcome.Budget_exhausted -> true | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* 2. Randomized chaos sweep *)
+(* 2. Hard coNP instances *)
+
+(* Lemma 13: q2 is certain on D(phi) iff phi is unsatisfiable, with DPLL on
+   the raw formula as the oracle. Draws at 4.26 clauses per variable are
+   mixed and at 5.5 mostly unsatisfiable; each size must see both
+   verdicts, and every gadget must be decided by the SAT tier within the
+   budget the daemon gives coNP requests. *)
+let hard_gadgets () =
+  let q2 = Workload.Catalog.q2 in
+  let report = Core.Dichotomy.classify q2 in
+  let gadget =
+    match Core.Gadget.of_tripath Workload.Catalog.q2_nice_fork_tripath with
+    | Ok g -> g
+    | Error msg -> failwith msg
+  in
+  let rng = Random.State.make [| 0x3_5A7 |] in
+  let rec draw ~n_vars ~n_clauses =
+    let phi = Satsolver.Threesat.random rng ~n_vars ~n_clauses in
+    match Satsolver.Threesat.normalize phi with
+    | Satsolver.Threesat.Decided _ -> draw ~n_vars ~n_clauses
+    | Satsolver.Threesat.Formula phi' -> (phi, phi')
+  in
+  List.iter
+    (fun n_vars ->
+      let verdicts = ref [] in
+      List.iter
+        (fun ratio ->
+          for _ = 1 to 2 do
+            let n_clauses = int_of_float (ratio *. float_of_int n_vars) in
+            let phi, phi' = draw ~n_vars ~n_clauses in
+            let db = Core.Gadget.database gadget phi' in
+            let expected = not (Satsolver.Dpll.is_sat phi) in
+            let budget = Budget.make ~timeout:10. ~max_steps:5_000_000 () in
+            let t0 = Unix.gettimeofday () in
+            let outcome, _ = Solver.solve ~budget report db in
+            let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+            Printf.printf "gadget: %d vars, %d clauses, %d facts: certain=%b in %.0f ms\n%!"
+              n_vars n_clauses (Database.size db) expected ms;
+            verdicts := expected :: !verdicts;
+            check
+              (Printf.sprintf "gadget %d vars / %d clauses: SAT tier gives Lemma 13's verdict"
+                 n_vars n_clauses)
+              (match outcome with
+              | Outcome.Decided (answer, Solver.Alg_exact_sat) -> answer = expected
+              | _ -> false)
+          done)
+        [ 4.26; 5.5 ];
+      check
+        (Printf.sprintf "gadgets of %d vars: both verdicts drawn" n_vars)
+        (List.mem true !verdicts && List.mem false !verdicts))
+    [ 20; 30; 40 ]
+
+(* ------------------------------------------------------------------ *)
+(* 3. Randomized chaos sweep *)
 
 type edge_seen = {
   mutable ptime : bool;
@@ -167,6 +224,7 @@ let sweep () =
 let () =
   deterministic ();
   matching_edges ();
+  hard_gadgets ();
   sweep ();
   if !failures > 0 then begin
     Printf.printf "%d stress check(s) failed\n%!" !failures;

@@ -253,14 +253,30 @@ let prop_sat_equals_backtracking =
       let g = Solution_graph.of_query q db in
       Cqa.Satreduce.certain g = Cqa.Exact.certain g)
 
-let test_sat_falsifying_repair_valid () =
-  let db = random_db q3 ~n:16 ~domain:4 in
-  let g = Solution_graph.of_query q3 db in
-  match Cqa.Satreduce.falsifying_repair g with
-  | None -> Alcotest.(check bool) "certain then" true (Cqa.Exact.certain g)
-  | Some picks ->
-      let facts = List.map (fun i -> g.Solution_graph.facts.(i)) picks in
-      Alcotest.(check bool) "picks falsify" false (Solutions.query_satisfies q3 facts)
+(* Every repair the SAT tier returns is a falsifying repair, and it returns
+   one exactly when the exact solver says "not certain": the catalogue
+   against fresh 40-fact, domain-4 databases. *)
+let catalog = Array.of_list Workload.Catalog.all
+
+let prop_sat_falsifying_repair =
+  QCheck2.Test.make ~name:"sat falsifier" ~count:120
+    QCheck2.Gen.(pair (int_range 0 99999) (int_range 0 (Array.length catalog - 1)))
+    (fun (seed, qi) ->
+      let q = catalog.(qi).Workload.Catalog.query in
+      let db =
+        Workload.Randdb.random_for_query (Random.State.make [| seed |]) q
+          ~n_facts:40 ~domain:4
+      in
+      let g = Solution_graph.of_query q db in
+      match Cqa.Satreduce.falsifying_repair g with
+      | None -> Cqa.Exact.certain g
+      | Some picks ->
+          let blocks = List.map (fun i -> g.Solution_graph.block_of.(i)) picks in
+          (not (Cqa.Exact.certain g))
+          && blocks = List.init (Solution_graph.n_blocks g) Fun.id
+          && not
+               (Solutions.query_satisfies q
+                  (List.map (fun i -> g.Solution_graph.facts.(i)) picks)))
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -290,6 +306,11 @@ let () =
         ]
         @ qt [ prop_matching_sound; prop_matching_exact_on_clique_query ] );
       ( "combined+sat",
-        [ Alcotest.test_case "sat falsifier" `Quick test_sat_falsifying_repair_valid ]
-        @ qt [ prop_combined_sound; prop_combined_exact_q6; prop_sat_equals_backtracking ] );
+        qt
+          [
+            prop_combined_sound;
+            prop_combined_exact_q6;
+            prop_sat_equals_backtracking;
+            prop_sat_falsifying_repair;
+          ] );
     ]

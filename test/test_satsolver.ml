@@ -1,7 +1,10 @@
-(* Tests for the SAT substrate: CNF representation, DPLL vs brute force,
-   the 3-SAT gadget-shape normalizer and the DIMACS-ish parser. *)
+(* Tests for the SAT substrate: CNF representation, DPLL and the CDCL
+   against brute force and each other, the 3-SAT gadget-shape normalizer and
+   the DIMACS-ish parser. *)
 
+module Budget = Harness.Budget
 module Cnf = Satsolver.Cnf
+module Cdcl = Satsolver.Cdcl
 module Dpll = Satsolver.Dpll
 module Brute = Satsolver.Brute
 module Threesat = Satsolver.Threesat
@@ -77,6 +80,83 @@ let prop_dpll_equals_brute =
 let prop_dpll_model_valid =
   QCheck2.Test.make ~name:"DPLL models satisfy the formula" ~count:400 random_cnf_gen
     (fun f -> match Dpll.solve f with Dpll.Unsat -> true | Dpll.Sat m -> Cnf.eval f m)
+
+(* The CDCL, on its own terms and against the two reference solvers. *)
+
+let cdcl_solve ?budget f = Cdcl.solve ?budget (Cdcl.of_cnf f)
+
+let prop_cdcl_equals_brute =
+  QCheck2.Test.make ~name:"CDCL agrees with exhaustive enumeration" ~count:400
+    random_cnf_gen (fun f ->
+      match cdcl_solve f with
+      | Cdcl.Unsat -> not (Brute.is_sat f)
+      | Cdcl.Sat m -> Brute.is_sat f && Cnf.eval f m)
+
+(* Past Brute's guard: random 3-CNFs of 15-40 variables at clause ratios
+   around the threshold 4.26, where both verdicts occur. *)
+let test_cdcl_equals_dpll () =
+  let rng = Random.State.make [| 4_26 |] in
+  let sat = ref 0 and unsat = ref 0 in
+  for i = 0 to 59 do
+    let n_vars = 15 + (i mod 26) in
+    let ratio = [| 3.9; 4.26; 4.6 |].(i mod 3) in
+    let f =
+      Threesat.random rng ~n_vars
+        ~n_clauses:(int_of_float (ratio *. float_of_int n_vars))
+    in
+    let expected = Dpll.is_sat f in
+    (match cdcl_solve f with
+    | Cdcl.Unsat -> Alcotest.(check bool) "CDCL unsat = DPLL" expected false
+    | Cdcl.Sat m ->
+        Alcotest.(check bool) "CDCL sat = DPLL" expected true;
+        Alcotest.(check bool) "CDCL model" true (Cnf.eval f m));
+    incr (if expected then sat else unsat)
+  done;
+  Alcotest.(check bool) "both verdicts drawn" true (!sat > 0 && !unsat > 0)
+
+let test_cdcl_add_clause () =
+  let s = Cdcl.create ~n_vars:2 in
+  (* A tautology is dropped, a repeated literal counts once. *)
+  Cdcl.add_clause s [ 1; -1; 2 ];
+  Cdcl.add_clause s [ -2; -2 ];
+  Cdcl.add_clause s [ 1; 1; 2; 2 ];
+  (match Cdcl.solve s with
+  | Cdcl.Sat m -> Alcotest.(check (array bool)) "model" [| false; true; false |] m
+  | Cdcl.Unsat -> Alcotest.fail "satisfiable");
+  Alcotest.check_raises "used once"
+    (Invalid_argument "Cdcl.add_clause: the solver was already used") (fun () ->
+      Cdcl.add_clause s [ 1 ]);
+  let s = Cdcl.create ~n_vars:1 in
+  Cdcl.add_clause s [];
+  Alcotest.(check bool) "empty clause" true (Cdcl.solve s = Cdcl.Unsat);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Cdcl.add_clause: literal 2 out of range") (fun () ->
+      Cdcl.add_clause (Cdcl.create ~n_vars:1) [ 1; 2 ])
+
+(* The budget reaches the CDCL: one tick on entry, one per decision, one per
+   conflict, at the ["dpll"] site. *)
+let test_budget_reaches_cdcl () =
+  let phi =
+    (* No unit clauses: the search must decide. *)
+    cnf 8 [ [ 1; 2 ]; [ -1; 3 ]; [ 4; 5 ]; [ -4; 6 ]; [ 7; 8 ]; [ -7; -8 ] ]
+  in
+  (match cdcl_solve ~budget:(Budget.make ~max_steps:2 ()) phi with
+  | _ -> Alcotest.fail "expected the step budget to run out"
+  | exception Budget.Budget_exceeded Budget.Steps -> ());
+  (* Decided at level 0, by a conflict and by propagation alone: the entry
+     tick still meets a chaos schedule at the site. *)
+  List.iter
+    (fun (name, f, ticks) ->
+      let chaos = Harness.Chaos.make ~fail_p:1.0 ~sites:[ Harness.Sites.dpll ] () in
+      (match cdcl_solve ~budget:(Budget.make ~chaos ()) f with
+      | _ -> Alcotest.fail (name ^ ": expected an injected fault")
+      | exception Harness.Chaos.Injected_fault site ->
+          Alcotest.(check string) (name ^ ": faulting site") Harness.Sites.dpll site);
+      let b = Budget.make () in
+      ignore (cdcl_solve ~budget:b f);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": ticks") [ (Harness.Sites.dpll, ticks) ] (Budget.steps_by_site b))
+    [ ("level-0 conflict", Cnf.falsum, 2); ("level-0 model", cnf 2 [ [ 1 ]; [ -1; 2 ] ], 1) ]
 
 let test_normalize_shapes () =
   let f = cnf 4 [ [ 1; 2; 3; 4 ]; [ -1; -2 ]; [ 1; -3 ]; [ 2; 3; -4 ]; [ -2; 4 ]; [ 1; 3 ] ] in
@@ -163,6 +243,15 @@ let () =
           Alcotest.test_case "brute count" `Quick test_brute_count;
         ]
         @ qt [ prop_dpll_equals_brute; prop_dpll_model_valid ] );
+      ( "cdcl",
+        [
+          Alcotest.test_case "agrees with DPLL past the brute guard" `Quick
+            test_cdcl_equals_dpll;
+          Alcotest.test_case "add_clause dedupes and drops tautologies" `Quick
+            test_cdcl_add_clause;
+          Alcotest.test_case "budget reaches the CDCL" `Quick test_budget_reaches_cdcl;
+        ]
+        @ qt [ prop_cdcl_equals_brute ] );
       ( "threesat",
         [
           Alcotest.test_case "chain family" `Quick test_chain_family;
