@@ -335,28 +335,71 @@ let median_time f =
   in
   List.nth times (runs / 2)
 
+(* A cell that gives up raises [Cell_timeout]; its enclosing [with_timeout]
+   reports it as [None]. *)
 exception Cell_timeout
 
-(* Wall-clock guard for a single measurement cell: the algorithms allocate
-   constantly, so the signal is delivered promptly. *)
+(* The deadline of the [with_timeout] call at this depth (1 = outermost)
+   has passed. *)
+exception Expired of int
+
+(* Absolute deadlines of the active [with_timeout] calls, innermost first.
+   One ITIMER_REAL serves them all: it is armed for the nearest. *)
+let deadlines = ref []
+
+let arm () =
+  let it_value =
+    match !deadlines with
+    | [] -> 0.0
+    | ds ->
+        (* Never 0, which disarms: a deadline already passed fires at once. *)
+        Float.max 1e-3 (List.fold_left Float.min infinity ds -. Unix.gettimeofday ())
+  in
+  ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value; it_interval = 0.0 })
+
+(* The outermost passed deadline wins, so an experiment budget that runs
+   out inside a cell stops the experiment instead of capping the cell. *)
+let on_alarm _ =
+  let now = Unix.gettimeofday () in
+  let rec outermost depth = function
+    | [] -> None
+    | d :: inner -> if d <= now then Some depth else outermost (depth + 1) inner
+  in
+  match outermost 1 (List.rev !deadlines) with
+  | Some depth -> raise (Expired depth)
+  | None -> arm ()
+
+(* Wall-clock guard: [Some (f ())], or [None] once [seconds] have passed.
+   The algorithms allocate constantly, so the signal is delivered
+   promptly. Calls nest; on the way out the enclosing deadline is re-armed
+   with the time it has left. *)
 let with_timeout seconds f =
-  let previous =
-    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Cell_timeout))
+  let outer = !deadlines in
+  let depth = List.length outer + 1 in
+  deadlines := (Unix.gettimeofday () +. seconds) :: outer;
+  Sys.set_signal Sys.sigalrm (Sys.Signal_handle on_alarm);
+  arm ();
+  let restore () =
+    deadlines := outer;
+    arm ()
   in
-  let reset () =
-    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = 0.0; it_interval = 0.0 });
-    Sys.set_signal Sys.sigalrm previous
-  in
-  ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = seconds; it_interval = 0.0 });
   match f () with
   | result ->
-      reset ();
+      restore ();
       Some result
   | exception Cell_timeout ->
-      reset ();
+      restore ();
       None
+  | exception Expired d when d = depth ->
+      restore ();
+      None
+  | exception (Expired _ as e) ->
+      (* An enclosing deadline passed and spent the one-shot timer; the
+         frame that owns it re-arms what it encloses. *)
+      deadlines := outer;
+      raise e
   | exception e ->
-      reset ();
+      restore ();
       raise e
 
 (* Median time of a cell, or None if a single run exceeds the cap. *)
@@ -590,7 +633,9 @@ let bechamel_suite () =
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
+  (* Regress each test's time on its run count, Bechamel's [run] predictor. *)
+  let runs = let open Measure in run in
+  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| runs |] in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let rows =
     Hashtbl.fold
@@ -616,45 +661,6 @@ let bechamel_suite () =
       in
       Format.printf "%-40s %15s@." name pretty)
     rows
-
-(* ------------------------------------------------------------------ *)
-(* E14: the seeded Cert_k suite (same engine as `cqa bench`), writing the
-   machine-readable BENCH_certk.json trajectory record. *)
-
-let e14_certk_suite () =
-  section "E14 Cert_k fixpoint: delta-driven vs frozen round-driven baseline";
-  let report =
-    Benchkit.Certk_suite.run ~profile:Benchkit.Certk_suite.Default ~seed:42
-      ~budget_s:30.0 ()
-  in
-  Format.printf "%-24s %8s %12s %12s %10s@." "case" "facts" "delta(ms)"
-    "rounds(ms)" "speedup";
-  List.iter
-    (fun (c : Benchkit.Report.case) ->
-      let ms alg =
-        match
-          List.find_opt (fun r -> r.Benchkit.Report.algorithm = alg) c.Benchkit.Report.runs
-        with
-        | Some r when r.Benchkit.Report.status = "ok" ->
-            Printf.sprintf "%.2f" r.Benchkit.Report.median_ms
-        | Some _ -> "timeout"
-        | None -> "-"
-      in
-      Format.printf "%-24s %8d %12s %12s %10s@." c.Benchkit.Report.name
-        c.Benchkit.Report.n_facts (ms "certk-delta") (ms "certk-rounds")
-        (match c.Benchkit.Report.speedup_vs_rounds with
-        | Some s -> Printf.sprintf "%.1fx" s
-        | None -> "-"))
-    report.Benchkit.Report.cases;
-  (match report.Benchkit.Report.geomean_speedup with
-  | Some s -> Format.printf "geomean speedup vs rounds baseline: %.1fx@." s
-  | None -> ());
-  Format.printf "cross-algorithm agreement: %b@." report.Benchkit.Report.agreement;
-  (match Benchkit.Report.validate_round_trip report with
-  | Ok () -> ()
-  | Error msg -> Format.printf "!! report failed round-trip validation: %s@." msg);
-  Benchkit.Report.write "BENCH_certk.json" report;
-  Format.printf "wrote BENCH_certk.json@."
 
 (* ------------------------------------------------------------------ *)
 (* E24: compile time per fact, which a linear partition pass keeps flat *)
@@ -832,7 +838,6 @@ let experiments =
     ("scaling", e11_scaling);
     ("atlas", e12_atlas);
     ("ablation", e13_ablation);
-    ("certk-suite", e14_certk_suite);
     ("compile", e24_compile);
     ("certk", e25_certk);
     ("conp", e26_conp);

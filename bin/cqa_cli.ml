@@ -1424,54 +1424,6 @@ let obs_cmd =
 (* ------------------------------------------------------------------ *)
 (* bench *)
 
-(* Queries from an examples/queries.catalog-style file: one query per line,
-   '#' comments and blank lines skipped. *)
-let parse_query_catalog path =
-  read_file path |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
-         else
-           match Qlang.Parse.query line with
-           | Ok q -> Some q
-           | Error e ->
-               invalid_arg
-                 (Printf.sprintf "%s: bad query %S: %s" path line
-                    (Qlang.Parse.error_to_string e)))
-  |> List.mapi (fun i q -> (Printf.sprintf "catalog-%d" i, q))
-
-let serve_bench_run seed output =
-  let report = Benchkit.Serve_suite.run ~seed () in
-  Format.printf "%-8s %10s %12s %10s@." "tier" "requests" "wall(ms)" "req/s";
-  List.iter
-    (fun (t : Benchkit.Serve_suite.tier_stat) ->
-      Format.printf "%-8s %10d %12.2f %10.0f@." t.Benchkit.Serve_suite.tier
-        t.Benchkit.Serve_suite.requests t.Benchkit.Serve_suite.wall_ms
-        t.Benchkit.Serve_suite.rps;
-      List.iter
-        (fun (code, n) -> Format.printf "  %-24s %d@." code n)
-        t.Benchkit.Serve_suite.codes)
-    report.Benchkit.Serve_suite.tiers;
-  Format.printf
-    "admission: %d admitted, %d downgraded, %d shed; planes: %d hits, %d \
-     misses@."
-    report.Benchkit.Serve_suite.admitted
-    report.Benchkit.Serve_suite.downgraded report.Benchkit.Serve_suite.shed
-    report.Benchkit.Serve_suite.plane_hits
-    report.Benchkit.Serve_suite.plane_misses;
-  Format.printf
-    "sanitize-on-insert: gate %.4f ms vs compile %.4f ms per plane (%.1f%% \
-     overhead)@."
-    report.Benchkit.Serve_suite.sanitize_ms
-    report.Benchkit.Serve_suite.compile_ms
-    report.Benchkit.Serve_suite.sanitize_overhead_pct;
-  (* The default output name is the Cert_k suite's; give the serve profile
-     its own document unless the user named one explicitly. *)
-  let output = if output = "BENCH_certk.json" then "BENCH_serve.json" else output in
-  Benchkit.Serve_suite.write output report;
-  Format.printf "wrote %s@." output;
-  0
-
 (* The observability-overhead profile: the same seeded solve under a no-obs
    control and three instrumented variants (sharded metrics sink, journal,
    both); the report carries the worst instrumented-vs-control slowdown and
@@ -1499,18 +1451,18 @@ let obs_bench_run profile seed output budget_s =
         | Some p -> Printf.sprintf "%+.1f%%" p
         | None -> "-"))
     report.Benchkit.Report.cases;
-  (match
-     (report.Benchkit.Report.obs_overhead_pct, report.Benchkit.Report.obs_bar_pct)
-   with
-  | Some p, Some bar ->
-      Format.printf "worst observability overhead: %+.1f%% (bar %.1f%%)@." p bar
-  | _ -> ());
+  (match report.Benchkit.Report.obs_overhead_pct with
+  | Some p ->
+      Format.printf "worst observability overhead: %+.1f%% (bar %.1f%%)@." p
+        report.Benchkit.Report.obs_bar_pct
+  | None -> ());
   Format.printf "verdict agreement across variants: %b@."
     report.Benchkit.Report.agreement;
+  (* The emitted document must parse back identical: the report is only
+     useful if downstream tooling can rely on it. *)
   (match Benchkit.Report.validate_round_trip report with
   | Ok () -> ()
   | Error msg -> invalid_arg ("benchmark report: " ^ msg));
-  let output = if output = "BENCH_certk.json" then "BENCH_obs.json" else output in
   Benchkit.Report.write output report;
   Format.printf "wrote %s@." output;
   if
@@ -1523,94 +1475,30 @@ let obs_bench_run profile seed output budget_s =
    the unknown-profile error so neither can drift from the dispatcher. *)
 let bench_profiles =
   [
-    ("smoke", "tiny CI-friendly Cert_k suite (writes BENCH_certk.json)");
-    ("default", "full Cert_k suite: delta-driven vs round-driven fixpoint");
-    ("serve-throughput", "drive the serve daemon in-process; requests/sec by tier");
-    ("obs-overhead", "metrics/journal cost vs a no-obs control (5% bar)");
-    ("obs-overhead-smoke", "tiny obs-overhead variant for CI");
+    ( "obs-overhead",
+      Benchkit.Obs_suite.Default,
+      "metrics/journal cost vs a no-obs control (5% bar)" );
+    ("obs-overhead-smoke", Benchkit.Obs_suite.Smoke, "tiny obs-overhead variant for CI");
   ]
 
-let bench_run list_profiles profile seed output budget_s catalog =
+let bench_run list_profiles profile seed output budget_s =
   guard @@ fun () ->
   if list_profiles then begin
     List.iter
-      (fun (name, doc) -> Format.printf "%-20s %s@." name doc)
+      (fun (name, _, doc) -> Format.printf "%-20s %s@." name doc)
       bench_profiles;
     0
   end
-  else if profile = "serve-throughput" then serve_bench_run seed output
-  else if profile = "obs-overhead" then
-    obs_bench_run Benchkit.Obs_suite.Default seed output budget_s
-  else if profile = "obs-overhead-smoke" then
-    obs_bench_run Benchkit.Obs_suite.Smoke seed output budget_s
   else
-  match Benchkit.Certk_suite.profile_of_string profile with
-  | None ->
-      Format.eprintf
-        "error: unknown profile %S (expected %s; see --list-profiles for \
-         descriptions)@."
-        profile
-        (String.concat ", " (List.map fst bench_profiles));
-      exit_error
-  | Some profile ->
-      let extra_queries =
-        match catalog with None -> [] | Some path -> parse_query_catalog path
-      in
-      let report =
-        Benchkit.Certk_suite.run ~extra_queries ~profile ~seed ~budget_s ()
-      in
-      Format.printf "%-28s %8s %8s %12s %12s %10s %12s %10s@." "case" "facts"
-        "blocks" "delta(ms)" "rounds(ms)" "speedup" "compile(ms)" "e2e";
-      List.iter
-        (fun (c : Benchkit.Report.case) ->
-          let ms alg =
-            match
-              List.find_opt
-                (fun r -> r.Benchkit.Report.algorithm = alg)
-                c.Benchkit.Report.runs
-            with
-            | Some r when r.Benchkit.Report.status = "ok" ->
-                Printf.sprintf "%.2f" r.Benchkit.Report.median_ms
-            | Some _ -> "timeout"
-            | None -> "-"
-          in
-          let ratio = function
-            | Some s -> Printf.sprintf "%.1fx" s
-            | None -> "-"
-          in
-          Format.printf "%-28s %8d %8d %12s %12s %10s %12s %10s@."
-            c.Benchkit.Report.name c.Benchkit.Report.n_facts
-            c.Benchkit.Report.n_blocks (ms "certk-delta") (ms "certk-rounds")
-            (ratio c.Benchkit.Report.speedup_vs_rounds)
-            (match c.Benchkit.Report.compile_ms with
-            | Some ms -> Printf.sprintf "%.2f" ms
-            | None -> "-")
-            (ratio c.Benchkit.Report.speedup_e2e))
-        report.Benchkit.Report.cases;
-      (match report.Benchkit.Report.geomean_speedup with
-      | Some s -> Format.printf "geomean speedup vs rounds baseline: %.1fx@." s
-      | None -> ());
-      (match report.Benchkit.Report.geomean_e2e with
-      | Some s ->
-          Format.printf "geomean end-to-end speedup (compiled plane): %.1fx@." s
-      | None -> ());
-      Format.printf "cross-algorithm agreement: %b@."
-        report.Benchkit.Report.agreement;
-      (match report.Benchkit.Report.plane_equivalence with
-      | Some eq -> Format.printf "plane equivalence: %b@." eq
-      | None -> ());
-      (* The emitted document must parse back identical — the report is only
-         useful if downstream tooling can rely on it. *)
-      (match Benchkit.Report.validate_round_trip report with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("benchmark report: " ^ msg));
-      Benchkit.Report.write output report;
-      Format.printf "wrote %s@." output;
-      if
-        report.Benchkit.Report.agreement
-        && report.Benchkit.Report.plane_equivalence <> Some false
-      then 0
-      else exit_error
+    match List.find_opt (fun (name, _, _) -> name = profile) bench_profiles with
+    | Some (_, profile, _) -> obs_bench_run profile seed output budget_s
+    | None ->
+        Format.eprintf
+          "error: unknown profile %S (expected %s; see --list-profiles for \
+           descriptions)@."
+          profile
+          (String.concat ", " (List.map (fun (name, _, _) -> name) bench_profiles));
+        exit_error
 
 let bench_cmd =
   let list_profiles_arg =
@@ -1621,16 +1509,11 @@ let bench_cmd =
   in
   let profile_arg =
     Arg.(
-      value & opt string "default"
+      value & opt string "obs-overhead"
       & info [ "profile" ] ~docv:"PROFILE"
           ~doc:
-            "Workload profile: $(b,smoke) (tiny, CI-friendly), $(b,default), \
-             $(b,serve-throughput) (drive the serve daemon in-process and \
-             measure requests/sec by tier plus shed/downgrade counts; writes \
-             BENCH_serve.json), or $(b,obs-overhead) / \
-             $(b,obs-overhead-smoke) (sharded-metrics and journal cost vs a \
-             no-obs control, failing above a 5% bar; writes \
-             BENCH_obs.json). See $(b,--list-profiles).")
+            "Workload profile: $(b,obs-overhead) or $(b,obs-overhead-smoke) \
+             (tiny, CI-friendly). See $(b,--list-profiles).")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload generation seed.")
@@ -1638,30 +1521,25 @@ let bench_cmd =
   let output_arg =
     Arg.(
       value
-      & opt string "BENCH_certk.json"
+      & opt string "BENCH_obs.json"
       & info [ "o"; "output" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
   in
   let budget_arg =
     Arg.(
       value & opt float 10.0
       & info [ "budget" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget per algorithm repeat; exhaustion records a timeout run.")
-  in
-  let catalog_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "catalog" ] ~docv:"FILE"
-          ~doc:"Also bench the queries listed in FILE (queries.catalog format).")
+          ~doc:"Wall-clock budget per solve; exhaustion records a timeout run.")
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the seeded Cert_k benchmark suite (delta-driven vs frozen round-driven \
-          baseline, with oracle agreement checks) and write BENCH_certk.json.")
+         "Run the observability-overhead gate: the same seeded Cert_k solves \
+          bare, with sharded metrics, with a journal, and with both. Exits 2 \
+          if a variant changes a verdict or the worst overhead clears the 5% \
+          bar.")
     Term.(
       const bench_run $ list_profiles_arg $ profile_arg $ seed_arg $ output_arg
-      $ budget_arg $ catalog_arg)
+      $ budget_arg)
 
 let main_cmd =
   Cmd.group

@@ -77,7 +77,7 @@ val check_delta :
     ids in the interner domain, arities, relation ranges, block partition,
     [block_of], key grouping, dense [adom]) with no hashing and no
     re-enumeration, suitable for sanitize-on-insert in the serve plane
-    cache — measured at well under 5% of compile time by the
-    [serve-throughput] bench profile. [Error msg] carries the first
+    cache. The end-to-end benchmark's traced runs report its cost as
+    [sanitize.ms], next to [compile.ms]. [Error msg] carries the first
     violation as ["PLxxx: ..."]. *)
 val gate : Relational.Compiled.t -> (unit, string) result

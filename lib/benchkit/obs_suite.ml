@@ -246,11 +246,7 @@ let run_case ~rng ~journal ~budget_s spec =
     n_facts = Solution_graph.n_facts g;
     n_blocks = Solution_graph.n_blocks g;
     budget_s = Option.value budget_s ~default:0.;
-    compile_ms = None;
     runs;
-    speedup_vs_rounds = None;
-    speedup_e2e = None;
-    plane_equivalent = None;
     obs_overhead_pct;
   }
 
@@ -305,11 +301,8 @@ let run ?(bar_pct = default_bar_pct) ?budget_s ~profile ~seed () =
     seed;
     cases;
     agreement = List.for_all case_agrees cases;
-    plane_equivalence = None;
-    geomean_speedup = None;
-    geomean_e2e = None;
     obs_overhead_pct;
-    obs_bar_pct = Some bar_pct;
+    obs_bar_pct = bar_pct;
     obs_within_bar =
       (match obs_overhead_pct with
       | None -> None

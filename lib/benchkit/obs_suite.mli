@@ -19,9 +19,9 @@
     amortised the way a real request stream amortises it. The per-case
     overhead is the {e worst} instrumented-vs-control slowdown; the summary
     carries the worst case across the suite, the acceptance bar, and the
-    verdict [obs_within_bar] — a [false] fails [cqa bench] exactly like a
-    plane-equivalence regression. Instrumented variants must reproduce the
-    control's verdict (the report's [agreement] bit). *)
+    verdict [obs_within_bar], a [false] of which fails [cqa bench].
+    Instrumented variants must reproduce the control's verdict (the
+    report's [agreement] bit). *)
 
 type profile = Smoke | Default
 
@@ -32,8 +32,8 @@ val profile_of_string : string -> profile option
 val default_bar_pct : float
 
 (** [run ~profile ~seed ()] builds the seeded workload, measures the four
-    variants and assembles a {!Report.t} (suite ["obs-overhead"], schema
-    v5). [bar_pct] overrides the acceptance bar; [budget_s] caps each solve
+    variants and assembles a {!Report.t} (suite ["obs-overhead"]).
+    [bar_pct] overrides the acceptance bar; [budget_s] caps each solve
     (an exhausted region records a timeout run and contributes no
     overhead). The journal variant writes to a temp file that is removed
     before returning. *)

@@ -1,16 +1,12 @@
 module Json = Analysis.Json
 
-(* v2 added the per-run "sites" object (per-site budget step breakdown);
-   v3 added the compile-phase split (per-case "compile_ms", "speedup_e2e",
-   "plane_equivalent"; summary "plane_equivalence", "geomean_e2e");
-   v4 added an incremental-maintenance split (per-case "delta_us",
-   "delta_speedup", "delta_equivalent"; summary "delta_equivalence",
-   "geomean_delta") and v6 an evaluation-VM split, both later dropped with
-   the code they measured; the decoder ignores their fields. v5 added the
-   observability-overhead split (per-case "obs_overhead_pct"; summary
-   "obs_overhead_pct", "obs_bar_pct", "obs_within_bar"). The decoder still
-   accepts v1–v5 documents, reading the newer fields as absent ([None]). *)
-let schema_version = 6
+(* v7 is v5 without the fields only the retired Cert_k suite filled (its
+   compile-phase split, its speedups over the frozen round-driven fixpoint
+   and its plane-equivalence bits) and without the null delta fields v5
+   still wrote. The decoder reads v5 too, so the committed BENCH_obs.json
+   decodes; it ignores fields it does not know. *)
+let schema_version = 7
+let decodable_versions = [ 5; schema_version ]
 
 type run = {
   algorithm : string;
@@ -29,11 +25,7 @@ type case = {
   n_facts : int;
   n_blocks : int;
   budget_s : float;
-  compile_ms : float option;
   runs : run list;
-  speedup_vs_rounds : float option;
-  speedup_e2e : float option;
-  plane_equivalent : bool option;
   obs_overhead_pct : float option;
 }
 
@@ -43,11 +35,8 @@ type t = {
   seed : int;
   cases : case list;
   agreement : bool;
-  plane_equivalence : bool option;
-  geomean_speedup : float option;
-  geomean_e2e : float option;
   obs_overhead_pct : float option;
-  obs_bar_pct : float option;
+  obs_bar_pct : float;
   obs_within_bar : bool option;
 }
 
@@ -76,11 +65,7 @@ let encode_case c =
       ("n_facts", Json.Int c.n_facts);
       ("n_blocks", Json.Int c.n_blocks);
       ("budget_s", Json.Float c.budget_s);
-      ("compile_ms", opt (fun f -> Json.Float f) c.compile_ms);
       ("runs", Json.List (List.map encode_run c.runs));
-      ("speedup_vs_rounds", opt (fun f -> Json.Float f) c.speedup_vs_rounds);
-      ("speedup_e2e", opt (fun f -> Json.Float f) c.speedup_e2e);
-      ("plane_equivalent", opt (fun b -> Json.Bool b) c.plane_equivalent);
       ("obs_overhead_pct", opt (fun f -> Json.Float f) c.obs_overhead_pct);
     ]
 
@@ -97,14 +82,9 @@ let encode t =
           [
             ("cases", Json.Int (List.length t.cases));
             ("agreement", Json.Bool t.agreement);
-            ( "plane_equivalence",
-              opt (fun b -> Json.Bool b) t.plane_equivalence );
-            ( "geomean_speedup_vs_rounds",
-              opt (fun f -> Json.Float f) t.geomean_speedup );
-            ("geomean_e2e", opt (fun f -> Json.Float f) t.geomean_e2e);
             ( "obs_overhead_pct",
               opt (fun f -> Json.Float f) t.obs_overhead_pct );
-            ("obs_bar_pct", opt (fun f -> Json.Float f) t.obs_bar_pct);
+            ("obs_bar_pct", Json.Float t.obs_bar_pct);
             ("obs_within_bar", opt (fun b -> Json.Bool b) t.obs_within_bar);
           ] );
     ]
@@ -146,10 +126,7 @@ let decode_run j =
   let* certain = opt_field "certain" Json.to_bool_opt j in
   let* steps = field "steps" "run" Json.to_int_opt j in
   let* sites =
-    (* Absent in v1 documents; an empty object and an absent field decode
-       alike, so v1 reports round-trip into v2 with "sites": {}. *)
     match Json.member "sites" j with
-    | None -> Ok []
     | Some (Json.Obj kvs) ->
         map_m
           (fun (s, v) ->
@@ -157,7 +134,7 @@ let decode_run j =
             | Some n -> Ok (s, n)
             | None -> Error (Printf.sprintf "ill-typed site count %S" s))
           kvs
-    | Some _ -> Error "ill-typed field \"sites\" in run"
+    | _ -> Error "missing or ill-typed field \"sites\" in run"
   in
   Ok { algorithm; status; median_ms; repeats; certain; steps; sites }
 
@@ -168,35 +145,15 @@ let decode_case j =
   let* n_facts = field "n_facts" "case" Json.to_int_opt j in
   let* n_blocks = field "n_blocks" "case" Json.to_int_opt j in
   let* budget_s = field "budget_s" "case" Json.to_float_opt j in
-  (* compile_ms / speedup_e2e / plane_equivalent are absent before v3. *)
-  let* compile_ms = opt_field "compile_ms" Json.to_float_opt j in
   let* runs = field "runs" "case" Json.to_list_opt j in
   let* runs = map_m decode_run runs in
-  let* speedup_vs_rounds = opt_field "speedup_vs_rounds" Json.to_float_opt j in
-  let* speedup_e2e = opt_field "speedup_e2e" Json.to_float_opt j in
-  let* plane_equivalent = opt_field "plane_equivalent" Json.to_bool_opt j in
-  (* obs_overhead_pct is absent before v5. *)
   let* obs_overhead_pct = opt_field "obs_overhead_pct" Json.to_float_opt j in
-  Ok
-    {
-      name;
-      query;
-      k;
-      n_facts;
-      n_blocks;
-      budget_s;
-      compile_ms;
-      runs;
-      speedup_vs_rounds;
-      speedup_e2e;
-      plane_equivalent;
-      obs_overhead_pct;
-    }
+  Ok { name; query; k; n_facts; n_blocks; budget_s; runs; obs_overhead_pct }
 
 let decode j =
   let* version = field "schema_version" "report" Json.to_int_opt j in
   let* () =
-    if version >= 1 && version <= schema_version then Ok ()
+    if List.mem version decodable_versions then Ok ()
     else Error (Printf.sprintf "unsupported schema_version %d" version)
   in
   let* suite = field "suite" "report" Json.to_string_opt j in
@@ -206,17 +163,10 @@ let decode j =
   let* cases = map_m decode_case cases in
   let* summary = field "summary" "report" Option.some j in
   let* agreement = field "agreement" "summary" Json.to_bool_opt summary in
-  let* plane_equivalence =
-    opt_field "plane_equivalence" Json.to_bool_opt summary
-  in
-  let* geomean_speedup =
-    opt_field "geomean_speedup_vs_rounds" Json.to_float_opt summary
-  in
-  let* geomean_e2e = opt_field "geomean_e2e" Json.to_float_opt summary in
   let* obs_overhead_pct =
     opt_field "obs_overhead_pct" Json.to_float_opt summary
   in
-  let* obs_bar_pct = opt_field "obs_bar_pct" Json.to_float_opt summary in
+  let* obs_bar_pct = field "obs_bar_pct" "summary" Json.to_float_opt summary in
   let* obs_within_bar = opt_field "obs_within_bar" Json.to_bool_opt summary in
   Ok
     {
@@ -225,9 +175,6 @@ let decode j =
       seed;
       cases;
       agreement;
-      plane_equivalence;
-      geomean_speedup;
-      geomean_e2e;
       obs_overhead_pct;
       obs_bar_pct;
       obs_within_bar;

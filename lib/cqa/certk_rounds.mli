@@ -1,16 +1,14 @@
-(** The pre-worklist [Cert_k] fixpoint, frozen as a performance and
-    correctness baseline.
+(** The pre-worklist [Cert_k] fixpoint, frozen as a correctness oracle.
 
     This is the antichain implementation that {!Certk} used before it became
     delta-driven: every round re-derives {e every} block against the whole
     antichain, and k-sets are compared as sorted integer lists rather than
-    interned ids. It computes exactly the same fixpoint — the benchmark suite
-    ([cqa bench], [BENCH_certk.json]) measures the worklist rewrite against
-    it, and the differential tests use it (together with {!Certk_naive} and
-    {!Exact}) as an independent oracle.
+    interned ids. It computes exactly the same fixpoint, and the
+    differential and delta tests use it (together with {!Certk_naive} and
+    {!Exact}) as an independent oracle. No benchmark times it any more.
 
-    Do not "optimise" this module: its value is precisely that it stays the
-    measured round-driven baseline. *)
+    Do not "optimise" this module: its value is precisely that it stays an
+    independent, unchanged implementation. *)
 
 (** [run ?budget ~k g] runs the round-driven fixpoint on a solution graph.
     Budget ticks are spent at site ["certk-rounds"], one per derivation step, like

@@ -70,6 +70,25 @@ let catalog_instances =
               ~domain:4 )))
     Catalog.all
 
+(* The seven seeded cases of the Cert_k benchmark smoke run: q3, q5 and q6
+   at 40 and 80 facts over a domain of n/4, drawn in that order from seed
+   42, and q6 on the Fano plane minus one line. The private RNG leaves the
+   draws of the pools above unchanged. *)
+let seed_42_pool =
+  let rng = Random.State.make [| 42 |] in
+  List.concat_map
+    (fun (name, q, k) ->
+      List.map
+        (fun n ->
+          ( Printf.sprintf "%s/rand-n%d" name n,
+            q,
+            k,
+            Workload.Randdb.random_for_query rng q ~n_facts:n
+              ~domain:(max 2 (n / 4)) ))
+        [ 40; 80 ])
+    [ ("q3", Catalog.q3, 2); ("q5", Catalog.q5, 2); ("q6", Catalog.q6, 3) ]
+  @ [ ("q6/fano-minus-0", Catalog.q6, 3, Workload.Designs.fano_minus 0) ]
+
 let test_three_way_verdict_agreement () =
   List.iter
     (fun (q, db) ->
@@ -114,6 +133,31 @@ let test_sound_vs_exact () =
               (Query.to_string q))
         [ 1; 2; 3 ])
     instances
+
+(* Each case at its own k: the three Cert_k implementations agree, Cert_k
+   answers alike on the compiled graph and on the reference graph, a
+   "certain" from Cert_k is one from [Exact], and the two graphs are
+   structurally identical. *)
+let test_seed_42_pool () =
+  List.iter
+    (fun (name, (q : Query.t), k, db) ->
+      let g = Solution_graph.of_query_compiled q (Relational.Compiled.compile db) in
+      let g_ref = Solution_graph.of_atoms_reference q.Query.a q.Query.b db in
+      if not (Solution_graph.equal g g_ref) then
+        Alcotest.failf "%s: compiled and reference solution graphs differ" name;
+      let delta = Cqa.Certk.run ~k g in
+      let rounds = Cqa.Certk_rounds.run ~k g in
+      let naive = Cqa.Certk_naive.run ~k g in
+      if delta <> rounds || delta <> naive then
+        Alcotest.failf "%s: Cert_%d delta %b / rounds %b / naive %b" name k
+          delta rounds naive;
+      let on_ref = Cqa.Certk.run ~k g_ref in
+      if on_ref <> delta then
+        Alcotest.failf "%s: Cert_%d %b on the compiled graph, %b on the reference"
+          name k delta on_ref;
+      if delta && not (Cqa.Exact.certain g) then
+        Alcotest.failf "%s: Cert_%d claimed a non-certain instance" name k)
+    seed_42_pool
 
 (* Cross-plane differential: every solver must answer identically whether it
    is fed the frozen persistent-plane graph builder's output or the graph
@@ -408,54 +452,60 @@ let test_classification_certificates_pass_check () =
 
 let test_bench_report_round_trip () =
   (* The exact report shape `cqa bench` writes, including awkward floats. *)
+  let run algorithm ~median_ms =
+    {
+      Benchkit.Report.algorithm;
+      status = "ok";
+      median_ms;
+      repeats = 15;
+      certain = Some true;
+      steps = 531;
+      sites = [ ("certk", 531) ];
+    }
+  in
   let report =
     {
-      Benchkit.Report.suite = "certk-fixpoint";
+      Benchkit.Report.suite = "obs-overhead";
       profile = "smoke";
       seed = 42;
       cases =
         [
           {
-            Benchkit.Report.name = "q3/rand-n40";
+            Benchkit.Report.name = "q3/rand-n240";
             query = "R(x | y) R(y | z)";
             k = 2;
-            n_facts = 34;
-            n_blocks = 10;
+            n_facts = 235;
+            n_blocks = 59;
             budget_s = 5.0;
-            compile_ms = Some 0.042;
             runs =
               [
+                run "control" ~median_ms:1.123456789;
+                run "sharded-metrics" ~median_ms:1.1300000000000001;
+                run "journal" ~median_ms:1.15;
                 {
-                  Benchkit.Report.algorithm = "certk-delta";
-                  status = "ok";
-                  median_ms = 0.123456789;
-                  repeats = 3;
-                  certain = Some false;
-                  steps = 1234;
-                  sites = [ ("certk", 1200); ("matching", 34) ];
-                };
-                {
-                  Benchkit.Report.algorithm = "certk-rounds";
-                  status = "timeout";
-                  median_ms = 5000.0;
-                  repeats = 3;
+                  (run "metrics+journal" ~median_ms:5000.0) with
+                  Benchkit.Report.status = "timeout";
                   certain = None;
                   steps = 999999;
-                  sites = [ ("certk-rounds", 999999) ];
+                  sites = [ ("certk", 999999); ("matching", 34) ];
                 };
               ];
-            speedup_vs_rounds = None;
-            speedup_e2e = Some 1.75;
-            plane_equivalent = Some true;
-            obs_overhead_pct = Some 1.25;
+            obs_overhead_pct = Some 2.3637799999999998;
+          };
+          {
+            Benchkit.Report.name = "q5/rand-n400";
+            query = "R(x | y x) R(y | x u)";
+            k = 2;
+            n_facts = 400;
+            n_blocks = 98;
+            budget_s = 5.0;
+            runs = [ run "control" ~median_ms:0.042 ];
+            obs_overhead_pct = None;
           };
         ];
       agreement = true;
-      plane_equivalence = Some true;
-      geomean_speedup = Some 2.5000000000000004;
-      geomean_e2e = Some 1.75;
-      obs_overhead_pct = Some 1.25;
-      obs_bar_pct = Some 5.0;
+      obs_overhead_pct = Some 2.3637799999999998;
+      obs_bar_pct = 5.0;
       obs_within_bar = Some true;
     }
   in
@@ -463,27 +513,22 @@ let test_bench_report_round_trip () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-(* The reports committed at the repository root must still decode: a v3
-   Cert_k suite, and a v5 obs suite whose null [delta_*] fields belong to
-   a split the schema no longer carries. *)
+(* The report committed at the repository root must still decode: a v5
+   obs suite, whose null Cert_k and delta fields the current schema no
+   longer carries. *)
 let test_committed_bench_reports_decode () =
-  List.iter
-    (fun (path, suite) ->
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      match Benchkit.Report.of_string text with
-      | Error e -> Alcotest.failf "%s: %s" path e
-      | Ok report ->
-          Alcotest.(check string) (path ^ ": suite") suite
-            report.Benchkit.Report.suite;
-          Alcotest.(check bool) (path ^ ": has cases") true
-            (report.Benchkit.Report.cases <> []);
-          (match Benchkit.Report.validate_round_trip report with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s: %s" path e))
-    [
-      ("../BENCH_certk.json", "certk-fixpoint");
-      ("../BENCH_obs.json", "obs-overhead");
-    ]
+  let path = "../BENCH_obs.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Benchkit.Report.of_string text with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok report -> (
+      Alcotest.(check string) (path ^ ": suite") "obs-overhead"
+        report.Benchkit.Report.suite;
+      Alcotest.(check bool) (path ^ ": has cases") true
+        (report.Benchkit.Report.cases <> []);
+      match Benchkit.Report.validate_round_trip report with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" path e)
 
 let () =
   Alcotest.run "differential"
@@ -495,6 +540,8 @@ let () =
           Alcotest.test_case "minimal antichains identical" `Quick
             test_minimal_antichains_identical;
           Alcotest.test_case "sound vs exact" `Quick test_sound_vs_exact;
+          Alcotest.test_case "seed-42 pool at each case's k" `Quick
+            test_seed_42_pool;
           Alcotest.test_case "cross-plane agreement" `Quick
             test_cross_plane_agreement;
           Alcotest.test_case "derivation certificates valid" `Quick
