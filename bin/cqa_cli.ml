@@ -452,48 +452,6 @@ let print_explain budget (attempts : Core.Solver.attempt list) =
       | sites -> Format.fprintf ppf " (%a)" Harness.Budget.pp_site_breakdown sites)
     (Harness.Budget.steps_by_site budget)
 
-(* One journal event per non-decided attempt plus the exhaustion and
-   completion events — the CLI-side mirror of the daemon's per-request
-   journal, so a batch run and a served run produce the same event kinds. *)
-let journal_attempts journal outcome (attempts : Core.Solver.attempt list)
-    budget =
-  List.iter
-    (fun (a : Core.Solver.attempt) ->
-      match a.Core.Solver.status with
-      | Core.Solver.Attempt_decided _ -> ()
-      | status ->
-          Obs.Journal.log journal "tier.fallback"
-            [
-              ( "tier",
-                Obs.Trace.String
-                  (Format.asprintf "%a" Core.Solver.pp_tier a.Core.Solver.tier)
-              );
-              ( "algorithm",
-                Obs.Trace.String
-                  (Format.asprintf "%a" Core.Solver.pp_algorithm
-                     a.Core.Solver.algorithm) );
-              ("status", Obs.Trace.String (Core.Solver.status_label status));
-              ("steps", Obs.Trace.Int a.Core.Solver.steps);
-            ])
-    attempts;
-  (match outcome with
-  | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
-      let hottest =
-        match Harness.Budget.hottest_site budget with
-        | None -> []
-        | Some (site, n) ->
-            [ ("site", Obs.Trace.String site); ("site_steps", Obs.Trace.Int n) ]
-      in
-      Obs.Journal.log journal "budget.exhausted"
-        (("steps", Obs.Trace.Int (Harness.Budget.steps budget)) :: hottest)
-  | _ -> ());
-  Obs.Journal.log journal "request.completed"
-    [
-      ("op", Obs.Trace.String "certain");
-      ("outcome", Obs.Trace.String (Core.Solver.outcome_label outcome));
-      ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
-    ]
-
 let certain_run query db_path k exact_only timeout max_steps estimate_flag
     trials seed verify verify_certificate no_sanitize chaos_corrupt trace_out
     trace_capacity journal_out metrics_out explain =
@@ -562,7 +520,17 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
           in
           Fun.protect
             ~finally:(fun () -> Obs.Journal.close journal)
-            (fun () -> journal_attempts journal outcome attempts budget);
+            (fun () ->
+              Core.Solver.record_journal journal
+                ~steps:(Harness.Budget.steps budget)
+                ~sites:(Harness.Budget.steps_by_site budget)
+                outcome attempts;
+              Obs.Journal.log journal "request.completed"
+                [
+                  ("op", Obs.Trace.String "certain");
+                  ("outcome", Obs.Trace.String (Core.Solver.outcome_label outcome));
+                  ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
+                ]);
           Format.eprintf "wrote journal to %s@." path
       | None -> ());
       (match outcome with
@@ -815,7 +783,14 @@ let catalog_cmd =
 
 let gadget_run query n_vars n_clauses seed emit_db =
   guard @@ fun () ->
-  match Core.Gadget.create query with
+  (* q2's nice fork-tripath is stored in the catalogue: building from it
+     skips a search of many seconds and yields the same gadget. *)
+  let gadget =
+    if Qlang.Query.equal query Workload.Catalog.q2 then
+      Core.Gadget.of_tripath Workload.Catalog.q2_nice_fork_tripath
+    else Core.Gadget.create query
+  in
+  match gadget with
   | Error msg ->
       Format.eprintf "error: %s@." msg;
       exit_error
@@ -1425,7 +1400,7 @@ let obs_cmd =
 (* bench *)
 
 (* The observability-overhead profile: the same seeded solve under a no-obs
-   control and three instrumented variants (sharded metrics sink, journal,
+   control and three instrumented variants (metrics sink, journal,
    both); the report carries the worst instrumented-vs-control slowdown and
    fails the run when it clears the acceptance bar. *)
 let obs_bench_run profile seed output budget_s =
@@ -1444,7 +1419,7 @@ let obs_bench_run profile seed output budget_s =
   List.iter
     (fun (c : Benchkit.Report.case) ->
       Format.printf "%-16s %8d %12s %12s %12s %14s %10s@." c.Benchkit.Report.name
-        c.Benchkit.Report.n_facts (ms c "control") (ms c "sharded-metrics")
+        c.Benchkit.Report.n_facts (ms c "control") (ms c "metrics")
         (ms c "journal")
         (ms c "metrics+journal")
         (match c.Benchkit.Report.obs_overhead_pct with
@@ -1534,7 +1509,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the observability-overhead gate: the same seeded Cert_k solves \
-          bare, with sharded metrics, with a journal, and with both. Exits 2 \
+          bare, with metrics, with a journal, and with both. Exits 2 \
           if a variant changes a verdict or the worst overhead clears the 5% \
           bar.")
     Term.(

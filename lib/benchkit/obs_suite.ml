@@ -8,11 +8,6 @@ type profile = Smoke | Default
 
 let profile_name = function Smoke -> "smoke" | Default -> "default"
 
-let profile_of_string = function
-  | "smoke" -> Some Smoke
-  | "default" -> Some Default
-  | _ -> None
-
 let default_bar_pct = 5.0
 
 type spec = {
@@ -72,15 +67,15 @@ let specs rng profile =
 let min_control_solve_ms = 1.0
 
 (* The four variants differ only in what observability is attached to an
-   otherwise identical Cert_k solve: nothing (the control), the sharded
-   per-tick metrics sink plus a per-solve counter and histogram (what the
-   daemon's per-request registries cost), a per-solve journal event (what
-   [--journal] costs), or both. *)
+   otherwise identical Cert_k solve: nothing (the control), the per-tick
+   metrics sink plus a per-solve counter and histogram (what the daemon's
+   registry costs), a per-solve journal event (what [--journal] costs), or
+   both. *)
 type variant = Control | Metrics_v | Journal_v | Full
 
 let variant_name = function
   | Control -> "control"
-  | Metrics_v -> "sharded-metrics"
+  | Metrics_v -> "metrics"
   | Journal_v -> "journal"
   | Full -> "metrics+journal"
 
@@ -114,10 +109,9 @@ let run_case ~rng ~journal ~budget_s spec =
       (Relational.Compiled.compile spec.db)
   in
   let registry = Metrics.create () in
-  let shard = Metrics.shard registry in
   (* One memoized sink per case, exactly like one per daemon request: the
      timed region pays the per-tick closure, not the sink construction. *)
-  let sink = Metrics.shard_tick_sink shard in
+  let sink = Metrics.tick_sink registry in
   let results = List.map (fun v -> (v, ref None)) variants in
   (* One timed solve: the Cert_k run itself plus exactly the observability
      the variant attaches to it. Returns its wall time in ms, or None when
@@ -126,15 +120,15 @@ let run_case ~rng ~journal ~budget_s spec =
   let timed_solve variant =
     let sink = match variant with Metrics_v | Full -> Some sink | _ -> None in
     let budget = Harness.Budget.make ?timeout:budget_s ?sink () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Harness.Clock.now () in
     match Cqa.Certk.run ~budget ~k:spec.k g with
     | exception Harness.Budget.Budget_exceeded _ -> None
     | v ->
         let s = Harness.Budget.steps budget in
         (match variant with
         | Metrics_v | Full ->
-            Metrics.shard_incr shard "bench.solve";
-            Metrics.shard_observe shard "bench.solve.steps"
+            Metrics.incr registry "bench.solve";
+            Metrics.observe registry "bench.solve.steps"
               ~bounds:[ 1.; 10.; 100.; 1_000.; 10_000.; 100_000. ]
               (float_of_int s)
         | _ -> ());
@@ -147,7 +141,7 @@ let run_case ~rng ~journal ~budget_s spec =
                 ("steps", Obs.Trace.Int s);
               ]
         | _ -> ());
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+        let ms = (Harness.Clock.now () -. t0) *. 1000. in
         let r =
           {
             rr_verdict = Some v;

@@ -5,10 +5,9 @@
     differ only in the observability attached to it:
 
     - [control] — no sink, no registry, no journal;
-    - [sharded-metrics] — a {!Obs.Metrics.shard_tick_sink} on the budget
-      (one closure call per budget tick) plus a per-solve counter bump and
-      histogram observation, i.e. what the daemon's per-request registries
-      cost;
+    - [metrics] — a {!Obs.Metrics.tick_sink} on the budget (one closure
+      call per budget tick) plus a per-solve counter bump and histogram
+      observation, i.e. what the daemon's registry costs;
     - [journal] — one {!Obs.Journal} [request.completed] event per solve,
       flushed to disk, i.e. what [--journal] costs;
     - [metrics+journal] — both.
@@ -26,7 +25,6 @@
 type profile = Smoke | Default
 
 val profile_name : profile -> string
-val profile_of_string : string -> profile option
 
 (** The default acceptance bar: 5% worst-case overhead. *)
 val default_bar_pct : float

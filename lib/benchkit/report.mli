@@ -55,7 +55,7 @@ type case = {
   runs : run list;
   obs_overhead_pct : float option;
       (** Worst instrumented-vs-control slowdown of the case, in percent:
-          [max] over the instrumented variants (sharded metrics, journal,
+          [max] over the instrumented variants (metrics, journal,
           both) of [(variant median / control median - 1) * 100], the
           control being the identical solve with no observability attached.
           [None] when the control solve is too short to carry a

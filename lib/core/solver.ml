@@ -177,6 +177,10 @@ let status_label = function
   | Attempt_out_of_budget Harness.Budget.Steps -> "out-of-budget-steps"
   | Attempt_out_of_budget (Harness.Budget.Pressure _) -> "out-of-budget-pressure"
 
+(* [Budget.steps_by_site]'s order: most steps first, ties by name. *)
+let hottest_first (s1, n1) (s2, n2) =
+  match compare (n2 : int) n1 with 0 -> compare (s1 : string) s2 | c -> c
+
 (* Per-site step deltas between two [Budget.steps_by_site] snapshots: what
    this tier alone burned, hottest first. *)
 let diff_sites ~before ~after =
@@ -185,8 +189,7 @@ let diff_sites ~before ~after =
       let n0 = match List.assoc_opt site before with Some n0 -> n0 | None -> 0 in
       if n > n0 then Some (site, n - n0) else None)
     after
-  |> List.sort (fun (s1, n1) (s2, n2) ->
-         match compare (n2 : int) n1 with 0 -> compare s1 s2 | c -> c)
+  |> List.sort hottest_first
 
 (* Run the tiers in order. Without [verify], the first tier to complete
    decides and the rest are skipped; a tier that fails (injected fault,
@@ -208,7 +211,7 @@ let run_tiers ?(verify = false) ?fallback ?budget ?trace tiers =
   in
   let attempt_of tier algorithm decide =
     let before_steps = steps_now () and before_sites = sites_now () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Harness.Clock.now () in
     let run () =
       let status =
         match decide () with
@@ -226,7 +229,7 @@ let run_tiers ?(verify = false) ?fallback ?budget ?trace tiers =
           status;
           steps = steps_now () - before_steps;
           sites = diff_sites ~before:before_sites ~after:(sites_now ());
-          wall_s = Unix.gettimeofday () -. t0;
+          wall_s = Harness.Clock.now () -. t0;
         }
       in
       (match trace with
@@ -474,16 +477,11 @@ let solve ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
   chain ?k ?exact_only ?check_certificate ?budget ?verify ?estimate_trials ?seed
     ?trace report ~plane
 
-(* The plane arrives compiled (typically by a serve-side cache that charged
-   its own compilation), so it is gated once and the verdict, a rejection
-   included, answers every later force. *)
-let solve_plane ?k ?exact_only ?check_certificate ?check_plane ?budget ?verify
-    ?estimate_trials ?seed ?trace report plane =
-  let gate = lazy (apply_plane_gate check_plane plane) in
-  chain ?k ?exact_only ?check_certificate ?budget ?verify ?estimate_trials ?seed
-    ?trace report ~plane:(fun ?tick:_ () ->
-      Lazy.force gate;
-      plane)
+(* The plane arrives compiled and gated (typically by a serve-side cache
+   that charged its own compilation and sanitized the plane on insert). *)
+let solve_plane ?k ?budget ?estimate_trials ?seed ?trace report plane =
+  chain ?k ?budget ?estimate_trials ?seed ?trace report
+    ~plane:(fun ?tick:_ () -> plane)
 
 (* Bridge a chain's attempts into a metrics registry: per-tier latency and
    step histograms plus status counters, alongside the per-site tick
@@ -506,3 +504,35 @@ let record_metrics metrics outcome (attempts : attempt list) =
         (float_of_int a.steps))
     attempts;
   Obs.Metrics.incr metrics ("solver.outcome." ^ outcome_label outcome)
+
+(* Journal a chain's degradation story: one [tier.fallback] per attempt that
+   did not decide, then the exhaustion with the hottest of the caller's
+   sites. Lives beside [record_metrics] so the CLI and the daemon journal
+   identically. *)
+let record_journal journal ~steps ~sites outcome (attempts : attempt list) =
+  List.iter
+    (fun (a : attempt) ->
+      match a.status with
+      | Attempt_decided _ -> ()
+      | status ->
+          Obs.Journal.log journal "tier.fallback"
+            [
+              ("tier", Obs.Trace.String (Format.asprintf "%a" pp_tier a.tier));
+              ( "algorithm",
+                Obs.Trace.String (Format.asprintf "%a" pp_algorithm a.algorithm)
+              );
+              ("status", Obs.Trace.String (status_label status));
+              ("steps", Obs.Trace.Int a.steps);
+            ])
+    attempts;
+  match outcome with
+  | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
+      let hottest =
+        match List.sort hottest_first sites with
+        | [] -> []
+        | (site, n) :: _ ->
+            [ ("site", Obs.Trace.String site); ("site_steps", Obs.Trace.Int n) ]
+      in
+      Obs.Journal.log journal "budget.exhausted"
+        (("steps", Obs.Trace.Int steps) :: hottest)
+  | _ -> ()

@@ -102,7 +102,7 @@ type attempt_status =
 (** One entry of the chain's execution trace: what the tier did, plus what
     it cost — budget steps burned by this tier alone, their per-site
     breakdown (hottest first, from {!Harness.Budget.steps_by_site}), and
-    wall-clock seconds. On [Attempt_out_of_budget], [sites] answers {e
+    elapsed seconds on {!Harness.Clock.now}. On [Attempt_out_of_budget], [sites] answers {e
     which} loop ate the budget; {!pp_attempt} prints the hottest one. *)
 type attempt = {
   tier : tier;
@@ -110,7 +110,7 @@ type attempt = {
   status : attempt_status;
   steps : int;  (** Budget ticks burned by this attempt (0 without a budget). *)
   sites : (string * int) list;  (** Per-site breakdown of [steps]. *)
-  wall_s : float;  (** Wall-clock duration of the attempt in seconds. *)
+  wall_s : float;  (** Duration of the attempt in seconds. *)
 }
 
 val pp_attempt : Format.formatter -> attempt -> unit
@@ -214,19 +214,17 @@ val solve :
   outcome * attempt list
 
 (** [solve_plane report plane] is {!solve} atop a {e pre-compiled} execution
-    plane: the plane is taken as-is (its compilation was charged by whoever
-    built it — typically a serve-side plane cache) and gated once, and only
-    the solution graph is built here. Everything else — the tiers, the
-    graph's [compile] span and ticks, the estimate fallback — is {!solve}'s
-    one chain, so both entry points return the same outcome and the same
-    attempts on the same instance. *)
+    plane: the plane is taken as-is (its compilation and its gate were paid
+    by whoever built it — typically a serve-side plane cache, which
+    sanitizes on insert), and only the solution graph is built here.
+    Everything else — the tiers, the graph's [compile] span and ticks, the
+    estimate fallback — is {!solve}'s one chain, so both entry points return
+    the same outcome and the same attempts on the same instance. The
+    certificate gate, the plane gate, [exact_only] and [verify] are
+    {!solve}'s alone. *)
 val solve_plane :
   ?k:int ->
-  ?exact_only:bool ->
-  ?check_certificate:(Dichotomy.report -> (unit, string list) result) ->
-  ?check_plane:(Relational.Compiled.t -> (unit, string) result) ->
   ?budget:Harness.Budget.t ->
-  ?verify:bool ->
   ?estimate_trials:int ->
   ?seed:int ->
   ?trace:Obs.Trace.t ->
@@ -238,6 +236,23 @@ val solve_plane :
     a [solver.attempt.<tier>.<status>] counter per attempt, per-tier
     [solver.tier.<tier>.ms] / [solver.tier.<tier>.steps] histograms, and a
     [solver.outcome.<label>] counter. Both front-ends — [cqa certain
-    --metrics] and the serve daemon's per-request registries — record
-    through this one bridge, so their names and bucket shapes agree. *)
+    --metrics] and the serve daemon's registry — record through this one
+    bridge, so their names and bucket shapes agree. *)
 val record_metrics : Obs.Metrics.t -> outcome -> attempt list -> unit
+
+(** [record_journal j ~steps ~sites outcome attempts] journals one finished
+    chain into [j]: a [tier.fallback] event (tier, algorithm, status,
+    steps) per attempt that did not decide, then, when [outcome] is
+    [Timeout] or [Budget_exhausted], one [budget.exhausted] event carrying
+    [steps] and the hottest of [sites] — most steps, ties broken by name,
+    the order of {!Harness.Budget.steps_by_site}. [steps] and [sites] are
+    the caller's totals: [cqa certain] passes its whole budget's, the
+    daemon the sum of the attempts'. Both front ends journal through this
+    one function; each logs its own [request.completed]. *)
+val record_journal :
+  Obs.Journal.t ->
+  steps:int ->
+  sites:(string * int) list ->
+  outcome ->
+  attempt list ->
+  unit

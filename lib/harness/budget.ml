@@ -10,7 +10,7 @@ let pp_exhaustion ppf = function
         (if site = "" then "(unnamed)" else site)
 
 type t = {
-  deadline : float;  (* absolute Unix time; [infinity] when unbounded *)
+  deadline : float;  (* absolute [Clock.now] time; [infinity] when unbounded *)
   max_steps : int;  (* [max_int] when unbounded *)
   check_every : int;  (* consult the clock every this many ticks *)
   chaos : Chaos.t option;
@@ -53,7 +53,7 @@ let make ?timeout ?max_steps ?(check_every = 64) ?chaos ?sink () =
     deadline =
       (match timeout with
       | None -> infinity
-      | Some s -> Unix.gettimeofday () +. s);
+      | Some s -> Clock.now () +. s);
     max_steps = Option.value ~default:max_int max_steps;
     check_every;
     chaos;
@@ -123,4 +123,4 @@ let tick ?(site = "") b =
       | Chaos.Pressure -> stop b (Pressure site)));
   if b.steps >= b.max_steps then stop b Steps;
   if b.deadline < infinity && b.steps mod b.check_every = 0
-     && Unix.gettimeofday () >= b.deadline then stop b Deadline
+     && Clock.now () >= b.deadline then stop b Deadline

@@ -1,6 +1,6 @@
 (** Cooperative resource budgets for the exponential solvers.
 
-    A budget combines a wall-clock deadline with a step counter. Solvers
+    A budget combines a deadline with a step counter. Solvers
     thread a budget through their hot loops and call {!tick} once per unit
     of work; when the budget runs out, [tick] raises {!Budget_exceeded},
     which the degradation chain in [Core.Solver] catches to fall back to a
@@ -19,11 +19,14 @@
     registry meters every existing tick site without new call sites. An
     absent sink costs one pattern match per tick; the per-site accounting
     is a pointer comparison in the common case (consecutive ticks from the
-    same loop). *)
+    same loop).
+
+    The deadline is read on {!Clock.now}, the monotonic clock, so a
+    wall-clock step can neither exhaust a budget early nor extend it. *)
 
 (** Which resource ran out. *)
 type exhaustion =
-  | Deadline  (** The wall-clock deadline passed. *)
+  | Deadline  (** The deadline passed. *)
   | Steps  (** The step counter reached [max_steps]. *)
   | Pressure of string
       (** A {!Chaos} schedule injected budget pressure; the payload is the
@@ -41,10 +44,11 @@ type t
     (injection-free). Use as the default for unconstrained runs. *)
 val unlimited : unit -> t
 
-(** [make ()] builds a budget. [timeout] is a relative wall-clock allowance
-    in seconds (converted to an absolute deadline now); [max_steps] caps the
-    number of ticks; [check_every] is the clock-polling granularity in ticks
-    (default 64 — deadline detection lags by at most that many ticks);
+(** [make ()] builds a budget. [timeout] is a relative allowance in
+    seconds (converted to an absolute {!Clock.now} deadline now);
+    [max_steps] caps the number of ticks; [check_every] is the
+    clock-polling granularity in ticks (default 64 — deadline detection
+    lags by at most that many ticks);
     [chaos] attaches a fault-injection schedule; [sink] is called with the
     site label on every tick (attach {!Obs.Metrics.tick_sink} here).
     @raise Invalid_argument on a negative allowance or [check_every < 1]. *)

@@ -39,10 +39,10 @@ type t = {
 
 let default_max_bytes = 8 * 1024 * 1024
 
-let create ?clock ?(max_bytes = default_max_bytes) ~render path =
+let create ?(clock = Harness.Clock.now) ?(max_bytes = default_max_bytes)
+    ~render path =
   if max_bytes < 1024 then
     invalid_arg "Journal.create: max_bytes must be >= 1024";
-  let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   {
     path;

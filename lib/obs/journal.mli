@@ -20,8 +20,8 @@
     as its first line, so a reader of the live file knows history moved.
     At most [2 * max_bytes] bytes ever live on disk.
 
-    Like a metrics shard, a journal has a single writer; events are flushed
-    per line so a crash loses at most the event being written. *)
+    Like a metrics registry, a journal has a single writer; events are
+    flushed per line so a crash loses at most the event being written. *)
 
 type event = {
   seq : int;  (** 0-based, monotonically increasing, survives rotation. *)
@@ -48,8 +48,8 @@ val default_max_bytes : int
 
 (** [create ~render path] opens [path] for appending (creating it when
     absent), with [render] producing one line (no trailing newline) per
-    event. [clock] (default [Unix.gettimeofday]) stamps events relative to
-    the journal's opening. Rotation triggers when an append would exceed
+    event. [clock] (default {!Harness.Clock.now}, the monotonic clock)
+    stamps events relative to the journal's opening. Rotation triggers when an append would exceed
     [max_bytes] (default {!default_max_bytes}).
     @raise Invalid_argument when [max_bytes < 1024]. *)
 val create :

@@ -5,82 +5,29 @@ type histogram = {
   mutable h_sum : float;
 }
 
-(* One shard = one writer. The hot path (bumping an existing counter ref or
-   histogram bucket) takes no lock: under the single-writer-per-shard
-   contract the only concurrent accesses are read-side (snapshot/merge from
-   another domain), and word-sized loads/stores do not tear under the OCaml
-   5 memory model — a reader may observe a slightly stale count, never a
-   torn one. The shard mutex serializes only *structural* changes (adding a
-   new table entry) against those readers, so a reader never folds over a
-   hashtable mid-resize. *)
-type shard = {
-  s_counters : (string, int ref) Hashtbl.t;
-  s_histograms : (string, histogram) Hashtbl.t;
-  s_lock : Mutex.t;
-}
-
 type t = {
-  default : shard;
-  reg_lock : Mutex.t;  (* guards [extra] *)
-  mutable extra : shard list;  (* newest first *)
+  counters : (string, int ref) Hashtbl.t;
+  histograms : (string, histogram) Hashtbl.t;
 }
 
 let debug = ref false
 let set_debug b = debug := b
+let create () = { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
 
-let make_shard () =
-  {
-    s_counters = Hashtbl.create 16;
-    s_histograms = Hashtbl.create 16;
-    s_lock = Mutex.create ();
-  }
-
-let create () =
-  { default = make_shard (); reg_lock = Mutex.create (); extra = [] }
-
-let shard t =
-  let s = make_shard () in
-  Mutex.lock t.reg_lock;
-  t.extra <- s :: t.extra;
-  Mutex.unlock t.reg_lock;
-  s
-
-let shard_count t =
-  Mutex.lock t.reg_lock;
-  let n = 1 + List.length t.extra in
-  Mutex.unlock t.reg_lock;
-  n
-
-(* All shards, default first, registration order after. *)
-let all_shards t =
-  Mutex.lock t.reg_lock;
-  let ss = t.default :: List.rev t.extra in
-  Mutex.unlock t.reg_lock;
-  ss
-
-let counter_ref s name =
-  match Hashtbl.find_opt s.s_counters name with
+let counter_ref t name =
+  match Hashtbl.find_opt t.counters name with
   | Some r -> r
   | None ->
-      Mutex.lock s.s_lock;
       let r = ref 0 in
-      Hashtbl.add s.s_counters name r;
-      Mutex.unlock s.s_lock;
+      Hashtbl.add t.counters name r;
       r
 
-let shard_incr ?(by = 1) s name =
-  let r = counter_ref s name in
+let incr ?(by = 1) t name =
+  let r = counter_ref t name in
   r := !r + by
 
-let incr ?by t name = shard_incr ?by t.default name
-
 let counter_value t name =
-  List.fold_left
-    (fun acc s ->
-      match Hashtbl.find_opt s.s_counters name with
-      | Some r -> acc + !r
-      | None -> acc)
-    0 (all_shards t)
+  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let default_bounds = [ 0.01; 0.1; 1.; 10.; 100.; 1_000.; 10_000.; 100_000. ]
 
@@ -101,35 +48,30 @@ let validate_bounds bounds =
    is visible in every snapshot, warn once per name, and raise when the
    debug flag is set so tests can assert the contract. *)
 let warned = Hashtbl.create 4
-let warned_lock = Mutex.create ()
 
-let bounds_mismatch s name =
-  shard_incr s "obs.bounds_mismatch";
+let bounds_mismatch t name =
+  incr t "obs.bounds_mismatch";
   if !debug then
     invalid_arg
       (Printf.sprintf
          "Metrics.observe: histogram %s already exists with different bounds \
           (the first observation fixes the shape)"
          name)
-  else begin
-    Mutex.lock warned_lock;
-    let fresh = not (Hashtbl.mem warned name) in
-    if fresh then Hashtbl.add warned name ();
-    Mutex.unlock warned_lock;
-    if fresh then
-      Printf.eprintf
-        "obs: warning: histogram %s observed with different bounds; the \
-         first observation fixed the shape\n\
-         %!"
-        name
+  else if not (Hashtbl.mem warned name) then begin
+    Hashtbl.add warned name ();
+    Printf.eprintf
+      "obs: warning: histogram %s observed with different bounds; the first \
+       observation fixed the shape\n\
+       %!"
+      name
   end
 
-let shard_observe ?bounds s name x =
+let observe ?bounds t name x =
   let h =
-    match Hashtbl.find_opt s.s_histograms name with
+    match Hashtbl.find_opt t.histograms name with
     | Some h ->
         (match bounds with
-        | Some b when b <> Array.to_list h.h_bounds -> bounds_mismatch s name
+        | Some b when b <> Array.to_list h.h_bounds -> bounds_mismatch t name
         | _ -> ());
         h
     | None ->
@@ -144,9 +86,7 @@ let shard_observe ?bounds s name x =
             h_sum = 0.;
           }
         in
-        Mutex.lock s.s_lock;
-        Hashtbl.add s.s_histograms name h;
-        Mutex.unlock s.s_lock;
+        Hashtbl.add t.histograms name h;
         h
   in
   let n = Array.length h.h_bounds in
@@ -156,14 +96,12 @@ let shard_observe ?bounds s name x =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. x
 
-let observe ?bounds t name x = shard_observe ?bounds t.default name x
-
 (* Budget ticks are the hottest call site in the tree, and most runs tick
    one site in long runs — memoize the last (site, counter) pair so the
    steady state is a pointer compare and a ref bump, no string concat, no
    hash. The counter is still created lazily on first tick so registries
    that never tick stay empty. *)
-let shard_tick_sink s =
+let tick_sink t =
   let last = ref None in
   fun site ->
     match !last with
@@ -171,11 +109,9 @@ let shard_tick_sink s =
         Stdlib.incr r
     | _ ->
         let name = "budget.tick." ^ if site = "" then "unnamed" else site in
-        let r = counter_ref s name in
+        let r = counter_ref t name in
         last := Some (site, r);
         Stdlib.incr r
-
-let tick_sink t = shard_tick_sink t.default
 
 type histogram_snapshot = {
   bounds : float list;
@@ -191,55 +127,10 @@ type snapshot = {
 
 let by_name (a, _) (b, _) = compare (a : string) b
 
-(* Read-side merge: fold every shard's tables into accumulators under the
-   shard lock, then sort by name. A single-shard registry therefore
-   snapshots to exactly what the pre-shard implementation produced. *)
 let snapshot (t : t) =
-  let counters = Hashtbl.create 32 in
-  let histograms = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Mutex.lock s.s_lock;
-      Hashtbl.iter
-        (fun name r ->
-          match Hashtbl.find_opt counters name with
-          | Some acc -> acc := !acc + !r
-          | None -> Hashtbl.add counters name (ref !r))
-        s.s_counters;
-      Hashtbl.iter
-        (fun name h ->
-          (* The writer may bump a bucket between any two of our reads, so
-             the buckets are read once and the count is their sum: a
-             mid-run snapshot is stale but coherent, never count <> sum. *)
-          let counts = Array.copy h.h_counts in
-          let count = Array.fold_left ( + ) 0 counts in
-          match Hashtbl.find_opt histograms name with
-          | None ->
-              Hashtbl.add histograms name
-                {
-                  h_bounds = h.h_bounds;
-                  h_counts = counts;
-                  h_count = count;
-                  h_sum = h.h_sum;
-                }
-          | Some acc ->
-              if acc.h_bounds <> h.h_bounds then
-                invalid_arg
-                  (Printf.sprintf
-                     "Metrics.snapshot: histogram %s has different bounds \
-                      across shards"
-                     name);
-              Array.iteri
-                (fun i n -> acc.h_counts.(i) <- acc.h_counts.(i) + n)
-                counts;
-              acc.h_count <- acc.h_count + count;
-              acc.h_sum <- acc.h_sum +. h.h_sum)
-        s.s_histograms;
-      Mutex.unlock s.s_lock)
-    (all_shards t);
   {
     counters =
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters []
+      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
       |> List.sort by_name;
     histograms =
       Hashtbl.fold
@@ -252,61 +143,11 @@ let snapshot (t : t) =
               sum = h.h_sum;
             } )
           :: acc)
-        histograms []
+        t.histograms []
       |> List.sort by_name;
   }
 
 let empty_snapshot = { counters = []; histograms = [] }
-
-(* Fold a snapshot into a shard. Structural adds lock; in-place bumps rely
-   on the caller being the shard's writer. *)
-let merge_into_shard s (snap : snapshot) =
-  List.iter (fun (name, n) -> shard_incr ~by:n s name) snap.counters;
-  List.iter
-    (fun (name, (hs : histogram_snapshot)) ->
-      match Hashtbl.find_opt s.s_histograms name with
-      | None ->
-          validate_bounds hs.bounds;
-          let counts = Array.of_list hs.counts in
-          if Array.length counts <> List.length hs.bounds + 1 then
-            invalid_arg "Metrics.merge: counts/bounds length mismatch";
-          let h =
-            {
-              h_bounds = Array.of_list hs.bounds;
-              h_counts = counts;
-              h_count = hs.count;
-              h_sum = hs.sum;
-            }
-          in
-          Mutex.lock s.s_lock;
-          Hashtbl.add s.s_histograms name h;
-          Mutex.unlock s.s_lock
-      | Some h ->
-          if Array.to_list h.h_bounds <> hs.bounds then
-            invalid_arg
-              (Printf.sprintf "Metrics.merge: histogram %s has different bounds"
-                 name);
-          List.iteri (fun i n -> h.h_counts.(i) <- h.h_counts.(i) + n) hs.counts;
-          h.h_count <- h.h_count + hs.count;
-          h.h_sum <- h.h_sum +. hs.sum)
-    snap.histograms
-
-let merge t (s : snapshot) = merge_into_shard t.default s
-
-let shard_snapshot s =
-  let one = { default = s; reg_lock = Mutex.create (); extra = [] } in
-  snapshot one
-
-(* Fold every extra shard into the default one and drop them. Call after the
-   shard writers have been joined — "merged at join" — so the totals read
-   from the plain single-shard API are exact and later snapshots touch one
-   table. *)
-let merge_shards t =
-  Mutex.lock t.reg_lock;
-  let shards = List.rev t.extra in
-  t.extra <- [];
-  Mutex.unlock t.reg_lock;
-  List.iter (fun s -> merge_into_shard t.default (shard_snapshot s)) shards
 
 let quantile (h : histogram_snapshot) q =
   if h.count <= 0 then None

@@ -1,5 +1,5 @@
-(** A process-local metrics registry: named counters and histograms, sharded
-    per writer for OCaml 5 domains.
+(** A process-local metrics registry: named counters and histograms with
+    a single writer.
 
     Dependency-light by design (no JSON, no I/O): the registry is mutable
     state to bump from hot paths, {!snapshot} freezes it into plain data,
@@ -9,28 +9,21 @@
     attached to {!Harness.Budget.make}'s [sink] so every existing tick site
     is metered with zero new call sites), [Core.Solver.record_metrics]
     (per-tier latency and step histograms derived from the degradation
-    chain's attempts), and the serve daemon's per-request registries.
+    chain's attempts), and the serve daemon, which writes every request's
+    counters, ticks and histograms straight into its one registry.
 
-    {b Concurrency contract.} A registry is a set of {e shards}; the plain
-    API ([incr]/[observe]/[tick_sink]/[merge]) writes to a built-in default
-    shard, and each call to {!shard} mints a fresh one. Each shard must have
-    a single writer (one domain, or one logical owner); any domain may read
-    ([snapshot]/[counter_value]) at any time. Hot-path bumps are lock-free —
-    a concurrent reader may see a bump-in-flight as slightly stale, never
-    torn — and totals are exact once the shard's writer has been joined.
-    {!merge_shards} folds the extra shards back into the default one at that
-    point ("merged at join"). *)
+    {b Concurrency contract.} A registry has one writer and takes no lock:
+    write to it and read it from the same domain. *)
 
 type t
 
 val create : unit -> t
 
 (** [incr t name] bumps counter [name] by [by] (default 1), creating it at
-    zero on first use. Writes the default shard. *)
+    zero on first use. *)
 val incr : ?by:int -> t -> string -> unit
 
-(** Current value of a counter summed across all shards; 0 when it was
-    never bumped. *)
+(** Current value of a counter; 0 when it was never bumped. *)
 val counter_value : t -> string -> int
 
 (** Upper bounds (inclusive) used for histograms created without explicit
@@ -62,38 +55,6 @@ val tick_sink : t -> string -> unit
     default. *)
 val set_debug : bool -> unit
 
-(** {2 Shards}
-
-    One shard per concurrent writer. Mint a shard per domain before
-    spawning, hand each domain its own shard (and
-    [shard_tick_sink shard] as its budget sink), then after joining call
-    {!merge_shards} — or just {!snapshot}, which merges read-side — to get
-    exact totals. *)
-
-type shard
-
-(** Mint a fresh shard owned by one writer. Thread-safe. *)
-val shard : t -> shard
-
-(** Number of shards (the default plus every live {!shard}). *)
-val shard_count : t -> int
-
-(** As {!incr}, on the given shard. *)
-val shard_incr : ?by:int -> shard -> string -> unit
-
-(** As {!observe}, on the given shard. *)
-val shard_observe : ?bounds:float list -> shard -> string -> float -> unit
-
-(** As {!tick_sink}, on the given shard. *)
-val shard_tick_sink : shard -> string -> unit
-
-(** Fold every extra shard into the default shard and drop them. Call after
-    the shard writers have been joined; afterwards the plain API sees the
-    combined totals directly.
-    @raise Invalid_argument when two shards hold a histogram of the same
-    name with different bounds. *)
-val merge_shards : t -> unit
-
 (** {2 Snapshots} *)
 
 type histogram_snapshot = {
@@ -110,28 +71,11 @@ type snapshot = {
   histograms : (string * histogram_snapshot) list;  (** Sorted by name. *)
 }
 
-(** A frozen copy of the registry, deterministically ordered. Merges all
-    shards read-side: counters of the same name add, histograms of the same
-    name add bucket-wise. A single-shard registry snapshots byte-identically
-    to the pre-shard implementation.
-    @raise Invalid_argument when two shards hold a histogram of the same
-    name with different bounds. *)
+(** A frozen copy of the registry, deterministically ordered. *)
 val snapshot : t -> snapshot
 
 (** An empty snapshot (what [create |> snapshot] yields). *)
 val empty_snapshot : snapshot
-
-(** [merge t s] folds snapshot [s] into registry [t]'s default shard:
-    counters add, and each histogram adds bucket-wise into the histogram of
-    the same name (created with the snapshot's bounds when absent). This is
-    the {e per-request scoping} primitive of the serve daemon: every request
-    runs against its own fresh registry — so a request that dies mid-flight
-    can never leave the shared registry half-updated — and only a
-    {e completed} request's snapshot is merged into the daemon-wide registry
-    the [stats] endpoint serves.
-    @raise Invalid_argument when a histogram of the same name already exists
-    with different bounds (bucket counts would not be comparable). *)
-val merge : t -> snapshot -> unit
 
 (** [quantile h q] estimates the [q]-quantile ([0 <= q <= 1], clamped) of
     the values recorded in [h] by linear interpolation inside the bucket

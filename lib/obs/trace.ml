@@ -49,9 +49,8 @@ type t = {
 
 let default_capacity = 65_536
 
-let create ?clock ?(capacity = default_capacity) () =
+let create ?(clock = Harness.Clock.now) ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
-  let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
   { clock; epoch = clock (); cap = capacity; next_id = 0; stack = [];
     buf = [||]; count = 0 }
 

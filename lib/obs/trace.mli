@@ -11,11 +11,9 @@
     dragging in the JSON layer.
 
     Timestamps are seconds relative to the recorder's creation, read from
-    an injectable clock (default [Unix.gettimeofday]). Relative timestamps
-    make traces insensitive to wall-clock jumps between runs and keep the
-    schema free of absolute times; they are monotonic as long as the clock
-    is (inject a monotonic source — or a counter, as the deterministic
-    tests do — when that matters). *)
+    an injectable clock (default {!Harness.Clock.now}, the monotonic clock,
+    so spans never run backwards). Relative timestamps keep the schema free
+    of absolute times; the deterministic tests inject a counter. *)
 
 (** An attribute value. The four carriers mirror what [Analysis.Json] can
     round-trip losslessly. *)
@@ -46,7 +44,7 @@ type t
 val default_capacity : int
 
 (** [create ()] is a fresh recorder whose epoch is "now" on [clock]
-    (default [Unix.gettimeofday]). Inject a deterministic clock for
+    (default {!Harness.Clock.now}). Inject a deterministic clock for
     reproducible spans in tests. Closed spans are kept in a ring of at most
     [capacity] entries (default {!default_capacity}, must be >= 1): once
     full, closing a span evicts the oldest-closed one and bumps {!dropped}

@@ -35,31 +35,7 @@ type t = {
   mutable shed : int;
 }
 
-(* The default clock never steps backwards. Wall clocks do (NTP jumps, VM
-   migrations, manual resets), and the stdlib has no monotonic clock, so:
-   read the kernel's boot-based uptime when the platform provides it —
-   immune to wall-clock steps by construction — and otherwise clamp
-   [Unix.gettimeofday] to be monotone. *)
-let uptime () =
-  let ic = open_in "/proc/uptime" in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> Scanf.sscanf (input_line ic) "%f" Fun.id)
-
-let monotonic_clock () =
-  match uptime () with
-  | (_ : float) -> uptime
-  | exception _ ->
-      let last = ref (Unix.gettimeofday ()) in
-      fun () ->
-        let now = Unix.gettimeofday () in
-        if now > !last then last := now;
-        !last
-
-let make ?clock config =
-  let clock =
-    match clock with Some c -> c | None -> monotonic_clock ()
-  in
+let make ?(clock = Harness.Clock.now) config =
   if config.capacity <= 0.0 then
     invalid_arg "Admission.make: capacity must be > 0";
   if config.refill_per_s < 0.0 then

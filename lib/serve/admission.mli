@@ -40,19 +40,12 @@ type config = {
 (** Capacity 8, refill 4/s, costs 1 / 0.02 / 0.25. *)
 val default_config : config
 
-(** [monotonic_clock ()] builds the monotonic time source {!make} defaults
-    to: the kernel's boot-based uptime where available, else a
-    monotone-clamped [Unix.gettimeofday]. Exposed so other daemon-side
-    consumers (uptime reporting) share the bucket's notion of time. *)
-val monotonic_clock : unit -> unit -> float
-
 type t
 
-(** [make ?clock config] — [clock] defaults to a monotonic source (the
-    kernel's boot-based uptime where available, else a monotone-clamped
-    [Unix.gettimeofday]), so the bucket is immune to wall-clock steps unless
-    a stepping clock is injected deliberately — and even then {!decide}
-    never credits a backwards step.
+(** [make ?clock config] — [clock] defaults to {!Harness.Clock.now}, the
+    monotonic clock, so the bucket is immune to wall-clock steps unless a
+    stepping clock is injected deliberately — and even then {!decide} never
+    credits a backwards step.
     @raise Invalid_argument on non-positive capacity or costs, a negative
     refill rate, or costs that do not satisfy
     [estimate_cost <= heavy_cost]. *)

@@ -65,15 +65,15 @@ type t = {
   metrics : Obs.Metrics.t;
   trace : Obs.Trace.t option;
   journal : Obs.Journal.t option;
-  now_mono : unit -> float;
-      (* always the monotonic source, independent of the injectable
-         admission clock — uptime and latency must not consume (and thus
-         perturb) a virtual admission clock's readings *)
   started : float;
+      (* on [Harness.Clock.now], not the injectable admission clock:
+         uptime and latency must not consume (and thus perturb) a virtual
+         admission clock's readings *)
   (* Scratch for the request being handled (the loop is single-threaded):
-     the admission tier and the per-site step profile, read back by
-     [finalize] for the latency histogram and the journal. *)
+     the admission tier and decision and the per-site step profile, read
+     back by [finalize] for the latency histogram and the journal. *)
   mutable req_tier : string option;
+  mutable req_decision : Admission.decision option;
   mutable req_sites : (string * int) list;
   mutable requests : int;
   mutable stopped : bool;
@@ -97,7 +97,6 @@ let create ?clock ?(sleep = Unix.sleepf) ?journal config =
           ~delay_s:s.delay_s ~pressure_p:s.pressure_p ~sites:s.sites ())
       config.chaos
   in
-  let now_mono = Admission.monotonic_clock () in
   {
     config;
     sleep;
@@ -116,9 +115,9 @@ let create ?clock ?(sleep = Unix.sleepf) ?journal config =
          Some (Obs.Trace.create ~capacity:config.trace_capacity ())
        else None);
     journal;
-    now_mono;
-    started = now_mono ();
+    started = Harness.Clock.now ();
     req_tier = None;
+    req_decision = None;
     req_sites = [];
     requests = 0;
     stopped = false;
@@ -127,7 +126,7 @@ let create ?clock ?(sleep = Unix.sleepf) ?journal config =
 let requests t = t.requests
 let stopped t = t.stopped
 let metrics t = t.metrics
-let uptime_s t = t.now_mono () -. t.started
+let uptime_s t = Harness.Clock.now () -. t.started
 
 (* No-op when tracing / journaling is off, so instrumentation below is
    unconditional. *)
@@ -160,11 +159,11 @@ let tier_of_report (r : Core.Dichotomy.report) =
   | Core.Dichotomy.Conp_complete _ -> Admission.Heavy
 
 (* Run [f] under a fresh per-attempt budget (tier-derived caps, the
-   daemon's chaos schedule, the request's metrics registry as tick sink),
+   daemon's chaos schedule, the daemon's metrics registry as tick sink),
    preceded by one tick at the serve admission site. Transient faults are
    retried with backoff on a fresh budget — budgets are sticky, so reuse
    would re-raise the stale exhaustion. *)
-let run_budgeted t ~mreq ~tier f =
+let run_budgeted t ~tier f =
   t.req_tier <- Some (Admission.tier_name tier);
   let timeout, max_steps =
     match tier with
@@ -174,12 +173,12 @@ let run_budgeted t ~mreq ~tier f =
   Harness.Retry.run
     ~max_attempts:(t.config.retries + 1)
     ~backoff_s:t.config.backoff_s ~sleep:t.sleep
-    ~on_retry:(fun ~attempt:_ _ -> Obs.Metrics.incr mreq "serve.retry")
+    ~on_retry:(fun ~attempt:_ _ -> Obs.Metrics.incr t.metrics "serve.retry")
     ~retryable:Harness.Retry.transient
     (fun () ->
       let budget =
         Budget.make ?timeout ?max_steps ?chaos:t.chaos
-          ~sink:(Obs.Metrics.tick_sink mreq) ()
+          ~sink:(Obs.Metrics.tick_sink t.metrics) ()
       in
       Budget.tick ~site:Harness.Sites.serve budget;
       f budget)
@@ -296,7 +295,7 @@ type solved =
     }
   | R_downgraded of { est : Cqa.Montecarlo.estimate; hit : bool }
 
-let do_certain t ~mreq ~query ~db ~trials ~explain =
+let do_certain t ~query ~db ~trials ~explain =
   match Ingest.query query with
   | Error e -> error_fields e
   | Ok q -> (
@@ -311,7 +310,8 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
             tattr t "decision" (Obs.Trace.String (Admission.decision_name d));
             d)
       in
-      Obs.Metrics.incr mreq
+      t.req_decision <- Some decision;
+      Obs.Metrics.incr t.metrics
         ("serve.admission." ^ Admission.decision_name decision);
       match decision with
       | Admission.Shed ->
@@ -328,7 +328,7 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
              the request sequence, distinct across requests. *)
           let rng_seed = [| t.config.seed; t.requests |] in
           let { Harness.Retry.result; retries } =
-            run_budgeted t ~mreq ~tier (fun budget ->
+            run_budgeted t ~tier (fun budget ->
                 let tick () =
                   Budget.tick ~site:Harness.Sites.compile budget
                 in
@@ -376,7 +376,7 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
                               })))
           in
           let count_plane hit =
-            Obs.Metrics.incr mreq
+            Obs.Metrics.incr t.metrics
               (if hit then "serve.plane.hit" else "serve.plane.miss")
           in
           match result with
@@ -394,10 +394,10 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
                 @ retries_fields retries )
           | Ok (R_solved { outcome; attempts; steps; hit }) ->
               count_plane hit;
-              (* Meter the chain like the CLI does, so the daemon's stats
-                 carry the same per-tier histograms `cqa certain --metrics`
-                 would; then journal the degradation story. *)
-              Core.Solver.record_metrics mreq outcome attempts;
+              (* Meter and journal the chain like the CLI does, so the
+                 daemon's stats carry the same per-tier histograms `cqa
+                 certain --metrics` would. *)
+              Core.Solver.record_metrics t.metrics outcome attempts;
               let sites =
                 List.fold_left
                   (fun acc (a : Core.Solver.attempt) ->
@@ -411,42 +411,10 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
                   [] attempts
               in
               t.req_sites <- List.sort compare sites;
-              List.iter
-                (fun (a : Core.Solver.attempt) ->
-                  match a.Core.Solver.status with
-                  | Core.Solver.Attempt_decided _ -> ()
-                  | status ->
-                      jlog t "tier.fallback"
-                        [
-                          ("tier", Obs.Trace.String (tier_label a.Core.Solver.tier));
-                          ( "algorithm",
-                            Obs.Trace.String (algorithm_name a.Core.Solver.algorithm)
-                          );
-                          ("status", Obs.Trace.String (Core.Solver.status_label status));
-                          ("steps", Obs.Trace.Int a.Core.Solver.steps);
-                        ])
-                attempts;
-              (match outcome with
-              | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
-                  let hottest =
-                    List.fold_left
-                      (fun acc (site, n) ->
-                        match acc with
-                        | Some (_, m) when m >= n -> acc
-                        | _ -> Some (site, n))
-                      None sites
-                  in
-                  jlog t "budget.exhausted"
-                    ([ ("steps", Obs.Trace.Int steps) ]
-                    @
-                    match hottest with
-                    | Some (site, n) ->
-                        [
-                          ("site", Obs.Trace.String site);
-                          ("site_steps", Obs.Trace.Int n);
-                        ]
-                    | None -> [])
-              | _ -> ());
+              Option.iter
+                (fun j ->
+                  Core.Solver.record_journal j ~steps ~sites outcome attempts)
+                t.journal;
               let common =
                 [
                   ("cache", Json.String (if hit then "hit" else "miss"));
@@ -490,12 +458,12 @@ let do_certain t ~mreq ~query ~db ~trials ~explain =
               in
               (code, fields @ common)))
 
-let do_classify t ~mreq ~query =
+let do_classify t ~query =
   match Ingest.query query with
   | Error e -> error_fields e
   | Ok q -> (
       let { Harness.Retry.result; retries } =
-        run_budgeted t ~mreq ~tier:Admission.Fast (fun _budget ->
+        run_budgeted t ~tier:Admission.Fast (fun _budget ->
             classify_cached t q)
       in
       match result with
@@ -519,19 +487,19 @@ let do_classify t ~mreq ~query =
             ]
             @ retries_fields retries ))
 
-let do_load t ~mreq ~name ~text =
+let do_load t ~name ~text =
   match Ingest.database ~max_facts:t.config.max_facts text with
   | Error e -> error_fields e
   | Ok db -> (
       let { Harness.Retry.result; retries } =
-        run_budgeted t ~mreq ~tier:Admission.Heavy (fun budget ->
+        run_budgeted t ~tier:Admission.Heavy (fun budget ->
             let tick () = Budget.tick ~site:Harness.Sites.compile budget in
             Plane_cache.find_or_compile ~tick t.planes db)
       in
       match result with
       | Error e -> code_of_exn e
       | Ok (entry, hit) ->
-          Obs.Metrics.incr mreq
+          Obs.Metrics.incr t.metrics
             (if hit then "serve.plane.hit" else "serve.plane.miss");
           Hashtbl.replace t.named name (entry.Plane_cache.fingerprint, db);
           ( Protocol.Ok_code,
@@ -588,7 +556,7 @@ let key_marker_mismatch db parsed =
                      l s.Relational.Schema.name s.Relational.Schema.key_len)))
     parsed
 
-let do_update t ~mreq ~name ~insert ~retract =
+let do_update t ~name ~insert ~retract =
   match Hashtbl.find_opt t.named name with
   | None ->
       ( Protocol.Unknown_db,
@@ -608,7 +576,7 @@ let do_update t ~mreq ~name ~insert ~retract =
                 @ List.map (fun (f, _) -> Relational.Delta.Retract f) rets
               in
               let { Harness.Retry.result; retries } =
-                run_budgeted t ~mreq ~tier:Admission.Heavy (fun budget ->
+                run_budgeted t ~tier:Admission.Heavy (fun budget ->
                     let tick () =
                       Budget.tick ~site:Harness.Sites.compile budget
                     in
@@ -686,7 +654,7 @@ let do_update t ~mreq ~name ~insert ~retract =
               | Ok (U_error e) -> error_fields e
               | Ok (U_applied { fingerprint; facts; inserted; retracted; patched })
                 ->
-                  Obs.Metrics.incr mreq
+                  Obs.Metrics.incr t.metrics
                     (if patched then "serve.plane.patched"
                      else "serve.plane.miss");
                   ( Protocol.Ok_code,
@@ -730,7 +698,7 @@ let diagnostics_response diagnostics =
   in
   (code, diagnostics_fields diagnostics)
 
-let do_analyze t ~mreq ~query ~db =
+let do_analyze t ~query ~db =
   match Ingest.query query with
   | Error e -> error_fields e
   | Ok q -> (
@@ -748,7 +716,7 @@ let do_analyze t ~mreq ~query ~db =
             )
       | Some db_ref -> (
           let { Harness.Retry.result; retries } =
-            run_budgeted t ~mreq ~tier:Admission.Heavy (fun budget ->
+            run_budgeted t ~tier:Admission.Heavy (fun budget ->
                 let tick () = Budget.tick ~site:Harness.Sites.compile budget in
                 match resolve_entry t ~tick db_ref with
                 | Error e -> Error e
@@ -765,7 +733,7 @@ let do_analyze t ~mreq ~query ~db =
           | Error e -> code_of_exn e
           | Ok (Error e) -> error_fields e
           | Ok (Ok (ds, hit)) ->
-              Obs.Metrics.incr mreq
+              Obs.Metrics.incr t.metrics
                 (if hit then "serve.plane.hit" else "serve.plane.miss");
               let code, fields = diagnostics_response ds in
               ( code,
@@ -923,39 +891,39 @@ let stats_fields t =
     ("latency", Json.Obj latency);
   ]
 
-let handle_request t ~mreq = function
+let handle_request t = function
   | Protocol.Ping -> (Protocol.Ok_code, [])
   | Protocol.Stats -> (Protocol.Ok_code, stats_fields t)
   | Protocol.Trace { last } -> (Protocol.Ok_code, trace_fields t ~last)
   | Protocol.Shutdown ->
       t.stopped <- true;
       (Protocol.Ok_code, [ ("stopping", Json.Bool true) ])
-  | Protocol.Classify { query } -> do_classify t ~mreq ~query
+  | Protocol.Classify { query } -> do_classify t ~query
   | Protocol.Lint { query } -> do_lint ~query
-  | Protocol.Analyze { query; db } -> do_analyze t ~mreq ~query ~db
-  | Protocol.Load { name; text } -> do_load t ~mreq ~name ~text
+  | Protocol.Analyze { query; db } -> do_analyze t ~query ~db
+  | Protocol.Load { name; text } -> do_load t ~name ~text
   | Protocol.Update { db; insert; retract } ->
-      do_update t ~mreq ~name:db ~insert ~retract
+      do_update t ~name:db ~insert ~retract
   | Protocol.Certain { query; db; trials; explain } ->
-      do_certain t ~mreq ~query ~db ~trials ~explain
+      do_certain t ~query ~db ~trials ~explain
 
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
 
-let finalize t ~mreq ~t0 ?id ~op code fields =
-  Obs.Metrics.incr mreq ("serve.response." ^ Protocol.code_name code);
-  let ms = (t.now_mono () -. t0) *. 1000. in
+let finalize t ~t0 ?id ~op code fields =
+  Obs.Metrics.incr t.metrics ("serve.response." ^ Protocol.code_name code);
+  let ms = (Harness.Clock.now () -. t0) *. 1000. in
   (match t.req_tier with
   | Some tier ->
-      Obs.Metrics.observe mreq
+      Obs.Metrics.observe t.metrics
         (latency_prefix ^ tier ^ latency_suffix)
         ms
   | None -> ());
   tattr t "code" (Obs.Trace.String (Protocol.code_name code));
-  (* Journal the request's story. Admission is read back from the isolated
-     per-request counters and the plane lifecycle from the response fields,
-     so every handler (and the last-line-of-defence path) is covered from
-     this one choke point. *)
+  (* Journal the request's story. Admission is read back from the request's
+     decision and the plane lifecycle from the response fields, so every
+     handler (and the last-line-of-defence path) is covered from this one
+     choke point. *)
   (match t.journal with
   | None -> ()
   | Some _ ->
@@ -965,12 +933,11 @@ let finalize t ~mreq ~t0 ?id ~op code fields =
         | Some s -> [ ("tier", Obs.Trace.String s) ]
         | None -> []
       in
-      let adm k =
-        Obs.Metrics.counter_value mreq ("serve.admission." ^ k) > 0
-      in
-      if adm "admit" then jlog t "request.admitted" (opf :: tier_f);
-      if adm "downgrade" then jlog t "request.downgraded" (opf :: tier_f);
-      if adm "shed" then jlog t "request.shed" (opf :: tier_f);
+      (match t.req_decision with
+      | Some Admission.Admit -> jlog t "request.admitted" (opf :: tier_f)
+      | Some Admission.Downgrade -> jlog t "request.downgraded" (opf :: tier_f)
+      | Some Admission.Shed -> jlog t "request.shed" (opf :: tier_f)
+      | None -> ());
       let cache = List.assoc_opt "cache" fields in
       (match cache with
       | Some (Json.String (("miss" | "recompiled") as c)) ->
@@ -1002,9 +969,6 @@ let finalize t ~mreq ~t0 ?id ~op code fields =
         @ List.map
             (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
             t.req_sites));
-  (* Per-request isolation ends here: only a COMPLETED request's metrics
-     reach the daemon-wide registry. *)
-  Obs.Metrics.merge t.metrics (Obs.Metrics.snapshot mreq);
   let fields =
     match t.trace with
     | None -> fields
@@ -1018,26 +982,24 @@ let handle_line t line =
     t.requests <- t.requests + 1;
     Obs.Metrics.incr t.metrics "serve.requests";
     t.req_tier <- None;
+    t.req_decision <- None;
     t.req_sites <- [];
-    let t0 = t.now_mono () in
+    let t0 = Harness.Clock.now () in
     let frame =
       match Protocol.decode ~max_bytes:t.config.max_frame_bytes line with
       | Error (id, { Protocol.code; message }) ->
-          finalize t
-            ~mreq:(Obs.Metrics.create ())
-            ~t0 ?id ~op:"error" code
-            [ ("error", Json.String message) ]
+          finalize t ~t0 ?id ~op:"error" code [ ("error", Json.String message) ]
       | Ok (id, req) ->
           let op = Protocol.op_name req in
-          let mreq = Obs.Metrics.create () in
-          Obs.Metrics.incr mreq ("serve.request." ^ op);
           let run () =
-            match handle_request t ~mreq req with
-            | code, fields -> finalize t ~mreq ~t0 ?id ~op code fields
-            | exception e ->
-                (* The last line of defence: NOTHING kills the loop. *)
-                let code, fields = code_of_exn e in
-                finalize t ~mreq ~t0 ?id ~op code fields
+            let code, fields =
+              (* The last line of defence: NOTHING kills the loop. *)
+              try handle_request t req with e -> code_of_exn e
+            in
+            (* Counted after the handler, so a stats frame never counts its
+               own request. *)
+            Obs.Metrics.incr t.metrics ("serve.request." ^ op);
+            finalize t ~t0 ?id ~op code fields
           in
           (* The request-root span: everything a handler records — the
              admission decision, the cache probe, the solver chain — nests

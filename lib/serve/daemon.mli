@@ -11,11 +11,12 @@
       fault raised while serving it — chaos injections, budget exhaustion,
       schema violations, oversized databases — produces exactly one
       well-formed response frame with a stable {!Protocol.code}.
-    - {b Requests are isolated.} Each request runs under its own
+    - {b Requests are budgeted.} Each request runs under its own
       {!Harness.Budget} (timeout and step caps derived from its dichotomy
-      tier) and its own {!Obs.Metrics} registry, merged into the daemon-wide
-      registry only when the request completes — a request that dies
-      mid-flight leaves no half-recorded shared state.
+      tier). Its counters, ticks and histograms go straight into the one
+      daemon-wide {!Obs.Metrics} registry; a fault raised mid-request is
+      answered by the same loop, so its metrics are those of a completed
+      request with an error code.
     - {b Transient faults are retried.} A {!Harness.Chaos.Injected_fault}
       (at the serve admission point or inside every solver tier) is retried
       with exponential backoff on a fresh budget; only when retries are
@@ -29,8 +30,10 @@
 
     The [stats] request exposes the daemon-wide registry (request, response,
     retry, fault, downgrade and shed counters, plus the per-site budget tick
-    counters merged from every completed request), daemon uptime, and
-    per-tier request-latency summaries with bucket-derived quantiles.
+    counters of every request), daemon uptime, and per-tier request-latency
+    summaries with bucket-derived quantiles. A request is counted under
+    [serve.request.<op>] after its handler runs, so a [stats] frame never
+    counts itself.
 
     {b Observability.} Unless [trace_capacity] is 0, every request runs
     inside a root [request] span (attributes [trace_id] — also echoed as a
@@ -87,14 +90,15 @@ val default_config : config
 
 type t
 
-(** [create config] — [clock] feeds the admission token bucket (default:
-    {!Admission.make}'s monotonic source, immune to wall-clock steps);
-    [sleep] implements retry backoff (default [Unix.sleepf]); both
-    injectable for deterministic tests. [journal] attaches a structured
-    event journal (the daemon logs to it but does not close it — the
-    creator owns its lifecycle). Uptime and request latencies are measured
-    on their own monotonic source, never on the injected [clock], so a
-    virtual admission clock's readings are not perturbed by metering. *)
+(** [create config] — [clock] feeds the admission token bucket (default
+    {!Harness.Clock.now}, the monotonic clock); [sleep] implements retry
+    backoff (default [Unix.sleepf]); both injectable for deterministic
+    tests. [journal] attaches a structured event journal (the daemon logs
+    to it but does not close it — the creator owns its lifecycle). Uptime
+    and request latencies always read {!Harness.Clock.now}, never the
+    injected [clock], so a virtual admission clock's readings are not
+    perturbed by metering. The daemon's one {!Obs.Metrics} registry is
+    created here. *)
 val create :
   ?clock:(unit -> float) ->
   ?sleep:(float -> unit) ->
@@ -116,7 +120,7 @@ val stopped : t -> bool
 (** The daemon-wide metrics registry (what [stats] reports). *)
 val metrics : t -> Obs.Metrics.t
 
-(** Seconds since {!create}, on the daemon's monotonic source. *)
+(** Seconds since {!create}, on {!Harness.Clock.now}. *)
 val uptime_s : t -> float
 
 (** [run_pipe t ic oc] serves frames from [ic] to [oc] (one response per

@@ -1,6 +1,6 @@
 (* Tests for the serve subsystem: protocol totality, structured ingestion,
    admission control, the plane cache, retries, per-request metrics
-   isolation, the daemon's response contract — and the chaos soak: ≥1000
+   totals, the daemon's response contract — and the chaos soak: ≥1000
    randomized mixed requests with fault injection across every tick site,
    asserting the loop answers every frame with a contract-conformant
    response and never dies. *)
@@ -508,30 +508,6 @@ let test_retry () =
     (Harness.Retry.transient (Chaos.Injected_fault "s"))
 
 (* ------------------------------------------------------------------ *)
-(* Metrics merge (per-request isolation primitive) *)
-
-let test_metrics_merge () =
-  let global = Obs.Metrics.create () in
-  let req = Obs.Metrics.create () in
-  Obs.Metrics.incr global "a";
-  Obs.Metrics.incr req "a";
-  Obs.Metrics.incr ~by:4 req "b";
-  Obs.Metrics.observe ~bounds:[ 1.0; 10.0 ] req "h" 5.0;
-  Obs.Metrics.merge global (Obs.Metrics.snapshot req);
-  checki "counters add" 2 (Obs.Metrics.counter_value global "a");
-  checki "new counters appear" 4 (Obs.Metrics.counter_value global "b");
-  Obs.Metrics.merge global (Obs.Metrics.snapshot req);
-  checki "merge is additive" 3 (Obs.Metrics.counter_value global "a");
-  (* Histograms with clashing bounds are rejected, not silently mangled. *)
-  let other = Obs.Metrics.create () in
-  Obs.Metrics.observe ~bounds:[ 2.0; 20.0 ] other "h" 5.0;
-  checkb "bounds clash raises" true
-    (try
-       Obs.Metrics.merge global (Obs.Metrics.snapshot other);
-       false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Daemon: response contract helpers *)
 
 let field name j =
@@ -993,9 +969,8 @@ let test_daemon_rolled_key () =
   done
 
 let test_request_isolation () =
-  (* A request that dies mid-flight merges nothing beyond its own counters:
-     the fault response and the successful one see disjoint per-request
-     registries, and the global registry totals both. *)
+  (* Each request adds exactly its own counters to the daemon's registry,
+     and the registry totals both. *)
   let d = Serve.Daemon.create base_config in
   ignore (handle d {|{"op": "certain", "query": "R(x | y) R(y | x)", "facts": "R(1 | 1)"}|});
   let m = Serve.Daemon.metrics d in
@@ -1006,6 +981,53 @@ let test_request_isolation () =
     (Obs.Metrics.counter_value m "budget.tick.serve");
   checki "responses counted by code" 2
     (Obs.Metrics.counter_value m "serve.response.ok")
+
+let test_daemon_latency () =
+  (* A served answer on a small database takes well under a millisecond;
+     the daemon's clock must still see every request, in the journal and in
+     the stats latency summary. *)
+  let path = Filename.temp_file "cqa-serve-latency" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let journal =
+        Obs.Journal.create ~render:Analysis.Obs_codec.event_to_string path
+      in
+      let d = Serve.Daemon.create ~journal base_config in
+      for _ = 1 to 20 do
+        expect_code d "certain" Protocol.Ok_code
+          {|{"op": "certain", "query": "R(x | y) R(y | z)", "facts": "R(1 | 2)\nR(2 | 2)\nR(2 | 3)"}|}
+      done;
+      let _, j = handle d {|{"op": "stats"}|} in
+      Obs.Journal.close journal;
+      (match Json.member "fast" (field "latency" j) with
+      | Some fast -> (
+          match Json.member "mean_ms" fast with
+          | Some (Json.Float ms) ->
+              checkb "stats latency.fast.mean_ms > 0" true (ms > 0.)
+          | _ -> Alcotest.fail "latency.fast lacks a float mean_ms")
+      | None -> Alcotest.fail "stats lacks latency.fast");
+      let completed =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.filter_map (fun l ->
+               match Analysis.Obs_codec.event_of_string l with
+               | Ok ev when ev.Obs.Journal.kind = "request.completed" -> Some ev
+               | Ok _ -> None
+               | Error msg -> Alcotest.failf "bad journal line: %s" msg)
+      in
+      checki "one completion per request" 21 (List.length completed);
+      List.iter
+        (fun (ev : Obs.Journal.event) ->
+          match List.assoc_opt "ms" ev.Obs.Journal.fields with
+          | Some (Obs.Trace.Float ms) ->
+              checkb
+                (Printf.sprintf "request.completed #%d reads ms > 0"
+                   ev.Obs.Journal.seq)
+                true (ms > 0.)
+          | _ -> Alcotest.fail "request.completed lacks a float ms")
+        completed)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: ≥1000 randomized requests, faults at every site, zero
@@ -1163,8 +1185,6 @@ let () =
             test_plane_cache_replace_wrong_key;
         ] );
       ("retry", [ Alcotest.test_case "backoff + transience" `Quick test_retry ]);
-      ( "metrics",
-        [ Alcotest.test_case "merge" `Quick test_metrics_merge ] );
       ( "daemon",
         [
           Alcotest.test_case "pipeline smoke" `Quick test_daemon_smoke;
@@ -1178,6 +1198,8 @@ let () =
           Alcotest.test_case "rolled key = from-scratch key" `Quick
             test_daemon_rolled_key;
           Alcotest.test_case "request isolation" `Quick test_request_isolation;
+          Alcotest.test_case "sub-millisecond latency" `Quick
+            test_daemon_latency;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Quick test_soak ]);
     ]

@@ -62,6 +62,21 @@ let test_budget_deadline_granularity () =
   check_raises_budget "raises on the polling tick" Budget.Deadline (fun () ->
       Budget.tick b)
 
+let test_clock () =
+  let prev = ref (Harness.Clock.now ()) and backwards = ref 0 in
+  for _ = 1 to 100_000 do
+    let t = Harness.Clock.now () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  Alcotest.(check int) "never decreases over 100k reads" 0 !backwards;
+  let t0 = Harness.Clock.now () in
+  Unix.sleepf 0.002;
+  let dt = Harness.Clock.now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 2 ms sleep reads >= 1.9 ms (read %.3f ms)" (dt *. 1000.))
+    true (dt >= 0.0019)
+
 let test_budget_validation () =
   Alcotest.check_raises "negative timeout"
     (Invalid_argument "Budget.make: timeout must be >= 0") (fun () ->
@@ -313,6 +328,8 @@ let () =
             test_budget_deadline_granularity;
           Alcotest.test_case "validation" `Quick test_budget_validation;
         ] );
+      ( "clock",
+        [ Alcotest.test_case "monotone, sub-ms resolution" `Quick test_clock ] );
       ( "chaos",
         [
           Alcotest.test_case "fault" `Quick test_chaos_fault;
