@@ -24,9 +24,9 @@ let section title =
 let subsection title = Format.printf "@.-- %s@." title
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Harness.Clock.now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, Harness.Clock.now () -. t0)
 
 let rng () = Random.State.make [| 0xC0FFEE |]
 
@@ -328,9 +328,9 @@ let median_time f =
   let runs = 3 in
   let times =
     List.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Harness.Clock.now () in
         ignore (Sys.opaque_identity (f ()));
-        Unix.gettimeofday () -. t0)
+        Harness.Clock.now () -. t0)
     |> List.sort compare
   in
   List.nth times (runs / 2)
@@ -353,14 +353,14 @@ let arm () =
     | [] -> 0.0
     | ds ->
         (* Never 0, which disarms: a deadline already passed fires at once. *)
-        Float.max 1e-3 (List.fold_left Float.min infinity ds -. Unix.gettimeofday ())
+        Float.max 1e-3 (List.fold_left Float.min infinity ds -. Harness.Clock.now ())
   in
   ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value; it_interval = 0.0 })
 
 (* The outermost passed deadline wins, so an experiment budget that runs
    out inside a cell stops the experiment instead of capping the cell. *)
 let on_alarm _ =
-  let now = Unix.gettimeofday () in
+  let now = Harness.Clock.now () in
   let rec outermost depth = function
     | [] -> None
     | d :: inner -> if d <= now then Some depth else outermost (depth + 1) inner
@@ -376,7 +376,7 @@ let on_alarm _ =
 let with_timeout seconds f =
   let outer = !deadlines in
   let depth = List.length outer + 1 in
-  deadlines := (Unix.gettimeofday () +. seconds) :: outer;
+  deadlines := (Harness.Clock.now () +. seconds) :: outer;
   Sys.set_signal Sys.sigalrm (Sys.Signal_handle on_alarm);
   arm ();
   let restore () =

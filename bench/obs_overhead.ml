@@ -1,14 +1,33 @@
+(* The observability-overhead gate, run by `dune build @bench-smoke`: what the
+   serving-grade observability plane costs a solve.
+
+   Each case runs the same seeded Cert_k solve under four variants that
+   differ only in the observability attached to it:
+
+   - [control]: no sink, no registry, no journal;
+   - [metrics]: an [Obs.Metrics.tick_sink] on the budget (one closure call
+     per budget tick) plus a per-solve counter bump and histogram
+     observation, i.e. what the daemon's registry costs;
+   - [journal]: one [Obs.Journal] [request.completed] event per solve,
+     flushed to disk, i.e. what [--journal] costs;
+   - [metrics+journal]: both.
+
+   It prints one row per case and exits 2 when a variant changes a verdict
+   or the worst instrumented-vs-control overhead is over the 5% bar:
+   instrumentation that taxes the hot path more than that is a bug. *)
+
 module Solution_graph = Qlang.Solution_graph
 module Catalog = Workload.Catalog
 module Randdb = Workload.Randdb
 module Metrics = Obs.Metrics
 module Journal = Obs.Journal
 
-type profile = Smoke | Default
+let bar_pct = 5.0
+let seed = 42
 
-let profile_name = function Smoke -> "smoke" | Default -> "default"
-
-let default_bar_pct = 5.0
+(* Per-solve wall-clock budget; a variant that exhausts it is reported as a
+   timeout and contributes no overhead. *)
+let budget_s = 5.0
 
 type spec = {
   name : string;
@@ -30,23 +49,8 @@ type spec = {
    class, but a microsecond solve cannot carry an overhead percentage
    (journaling it would measure thousands of percent and say nothing about
    serving cost), so cases whose median control solve is under
-   {!min_control_solve_ms} report no overhead. *)
-let specs rng profile =
-  let entries =
-    match profile with
-    | Smoke ->
-        [
-          ("q3", Catalog.q3, 2, [ (160, 6); (240, 4) ], 15);
-          ("q5", Catalog.q5, 2, [ (400, 16) ], 5);
-          ("q2", Catalog.q2, 2, [ (80, 16) ], 5);
-        ]
-    | Default ->
-        [
-          ("q3", Catalog.q3, 2, [ (160, 8); (240, 5); (320, 3) ], 25);
-          ("q5", Catalog.q5, 2, [ (1000, 16) ], 7);
-          ("q2", Catalog.q2, 2, [ (160, 16) ], 7);
-        ]
-  in
+   [min_control_solve_ms] report no overhead. *)
+let specs rng =
   List.concat_map
     (fun (entry, q, k, sizes, repeats) ->
       List.map
@@ -60,24 +64,17 @@ let specs rng profile =
             iters;
           })
         sizes)
-    entries
+    [
+      ("q3", Catalog.q3, 2, [ (160, 6); (240, 4) ], 15);
+      ("q5", Catalog.q5, 2, [ (400, 16) ], 5);
+      ("q2", Catalog.q2, 2, [ (80, 16) ], 5);
+    ]
 
 (* Below this per-solve floor a case is agreement-only: the clock and
    scheduler jitter on a single solve exceed the effect being measured. *)
 let min_control_solve_ms = 1.0
 
-(* The four variants differ only in what observability is attached to an
-   otherwise identical Cert_k solve: nothing (the control), the per-tick
-   metrics sink plus a per-solve counter and histogram (what the daemon's
-   registry costs), a per-solve journal event (what [--journal] costs), or
-   both. *)
 type variant = Control | Metrics_v | Journal_v | Full
-
-let variant_name = function
-  | Control -> "control"
-  | Metrics_v -> "metrics"
-  | Journal_v -> "journal"
-  | Full -> "metrics+journal"
 
 let variants = [ Control; Metrics_v; Journal_v; Full ]
 
@@ -97,13 +94,21 @@ let median xs =
    way — one contaminated control min inflates every variant's percentage
    at once. *)
 
-type region_result = {
-  rr_verdict : bool option;  (* None when the budget ran out *)
-  rr_steps : int;
-  rr_sites : (string * int) list;
+type run = {
+  variant : variant;
+  timed_out : bool;
+  median_ms : float;
+  certain : bool option;  (* None when the budget ran out *)
 }
 
-let run_case ~rng ~journal ~budget_s spec =
+type case = {
+  case_name : string;
+  n_facts : int;
+  runs : run list;
+  overhead_pct : float option;
+}
+
+let run_case ~rng ~journal spec =
   let g =
     Solution_graph.of_query_compiled spec.query
       (Relational.Compiled.compile spec.db)
@@ -112,14 +117,13 @@ let run_case ~rng ~journal ~budget_s spec =
   (* One memoized sink per case, exactly like one per daemon request: the
      timed region pays the per-tick closure, not the sink construction. *)
   let sink = Metrics.tick_sink registry in
-  let results = List.map (fun v -> (v, ref None)) variants in
+  let verdicts = List.map (fun v -> (v, ref None)) variants in
   (* One timed solve: the Cert_k run itself plus exactly the observability
      the variant attaches to it. Returns its wall time in ms, or None when
-     the budget ran out (the variant is then reported as a timeout and
-     excluded from overhead). *)
+     the budget ran out. *)
   let timed_solve variant =
     let sink = match variant with Metrics_v | Full -> Some sink | _ -> None in
-    let budget = Harness.Budget.make ?timeout:budget_s ?sink () in
+    let budget = Harness.Budget.make ~timeout:budget_s ?sink () in
     let t0 = Harness.Clock.now () in
     match Cqa.Certk.run ~budget ~k:spec.k g with
     | exception Harness.Budget.Budget_exceeded _ -> None
@@ -142,14 +146,7 @@ let run_case ~rng ~journal ~budget_s spec =
               ]
         | _ -> ());
         let ms = (Harness.Clock.now () -. t0) *. 1000. in
-        let r =
-          {
-            rr_verdict = Some v;
-            rr_steps = s;
-            rr_sites = Harness.Budget.steps_by_site budget;
-          }
-        in
-        (List.assoc variant results) := Some r;
+        List.assoc variant verdicts := Some v;
         Some ms
   in
   (* Round-robin at SOLVE granularity: solve i of every variant runs back
@@ -191,37 +188,13 @@ let run_case ~rng ~journal ~budget_s spec =
         (shuffle times)
     done
   done;
-  let runs =
-    List.map
-      (fun (v, acc) ->
-        let r =
-          match !(List.assoc v results) with
-          | Some r -> r
-          | None -> { rr_verdict = None; rr_steps = 0; rr_sites = [] }
-        in
-        {
-          Report.algorithm = variant_name v;
-          status = (if Hashtbl.mem dead v then "timeout" else "ok");
-          median_ms = median !acc;
-          repeats = spec.repeats;
-          certain = (if Hashtbl.mem dead v then None else r.rr_verdict);
-          steps = r.rr_steps;
-          sites = r.rr_sites;
-        })
-      times
-  in
   let times_of v = List.rev !(List.assoc v times) in
-  let status_of v =
-    match List.find_opt (fun r -> r.Report.algorithm = variant_name v) runs with
-    | Some r -> r.Report.status
-    | None -> "missing"
-  in
-  let obs_overhead_pct =
+  let ok v = not (Hashtbl.mem dead v) in
+  let overhead_pct =
     let control_times = times_of Control in
-    if status_of Control = "ok" && median control_times >= min_control_solve_ms
-    then
+    if ok Control && median control_times >= min_control_solve_ms then
       let pct v =
-        if status_of v = "ok" then
+        if ok v then
           let ratios =
             List.map2 (fun t c -> t /. c) (times_of v) control_times
           in
@@ -234,71 +207,81 @@ let run_case ~rng ~journal ~budget_s spec =
     else None
   in
   {
-    Report.name = spec.name;
-    query = Qlang.Query.to_string spec.query;
-    k = spec.k;
+    case_name = spec.name;
     n_facts = Solution_graph.n_facts g;
-    n_blocks = Solution_graph.n_blocks g;
-    budget_s = Option.value budget_s ~default:0.;
-    runs;
-    obs_overhead_pct;
+    runs =
+      List.map
+        (fun v ->
+          {
+            variant = v;
+            timed_out = not (ok v);
+            median_ms = median (times_of v);
+            certain = (if ok v then !(List.assoc v verdicts) else None);
+          })
+        variants;
+    overhead_pct;
   }
 
 (* Instrumentation must not change semantics: every variant that finished
    must report the control's verdict. *)
-let case_agrees (c : Report.case) =
-  match
-    List.filter_map (fun (r : Report.run) -> r.Report.certain) c.Report.runs
-  with
+let case_agrees c =
+  match List.filter_map (fun r -> r.certain) c.runs with
   | [] -> true
   | v :: vs -> List.for_all (( = ) v) vs
 
-let run ?(bar_pct = default_bar_pct) ?budget_s ~profile ~seed () =
+let measure () =
   let rng = Random.State.make [| seed |] in
   let journal_path = Filename.temp_file "cqa-obs-bench" ".jsonl" in
   let journal =
     Journal.create ~render:Analysis.Obs_codec.event_to_string journal_path
   in
-  let cases =
-    Fun.protect
-      ~finally:(fun () ->
-        Journal.close journal;
-        try Sys.remove journal_path with Sys_error _ -> ())
-      (fun () ->
-        List.map
-          (fun spec ->
-            let c = run_case ~rng ~journal ~budget_s spec in
-            (* Confirm before failing: a bar breach on a shared machine is
-               more often a noise burst (another tenant, a thermal dip)
-               than a real regression, so an over-bar case is measured once
-               more on the same instance and the quieter measurement
-               stands. A real regression breaches both times. *)
-            match c.Report.obs_overhead_pct with
-            | Some p when p > bar_pct -> (
-                let c' = run_case ~rng ~journal ~budget_s spec in
-                match c'.Report.obs_overhead_pct with
-                | Some p' when p' < p -> c'
-                | _ -> c)
-            | _ -> c)
-          (specs rng profile))
+  Fun.protect
+    ~finally:(fun () ->
+      Journal.close journal;
+      try Sys.remove journal_path with Sys_error _ -> ())
+    (fun () ->
+      List.map
+        (fun spec ->
+          let c = run_case ~rng ~journal spec in
+          (* Confirm before failing: a bar breach on a shared machine is
+             more often a noise burst (another tenant, a thermal dip) than a
+             real regression, so an over-bar case is measured once more on
+             the same instance and the quieter measurement stands. A real
+             regression breaches both times. *)
+          match c.overhead_pct with
+          | Some p when p > bar_pct -> (
+              let c' = run_case ~rng ~journal spec in
+              match c'.overhead_pct with Some p' when p' < p -> c' | _ -> c)
+          | _ -> c)
+        (specs rng))
+
+let () =
+  let cases = measure () in
+  let ms c v =
+    let r = List.find (fun r -> r.variant = v) c.runs in
+    if r.timed_out then "timeout" else Printf.sprintf "%.3f" r.median_ms
   in
-  let obs_overhead_pct =
-    match
-      List.filter_map (fun (c : Report.case) -> c.Report.obs_overhead_pct) cases
-    with
+  Format.printf "%-16s %8s %12s %12s %12s %14s %10s@." "case" "facts"
+    "control(ms)" "metrics(ms)" "journal(ms)" "combined(ms)" "overhead";
+  List.iter
+    (fun c ->
+      Format.printf "%-16s %8d %12s %12s %12s %14s %10s@." c.case_name
+        c.n_facts (ms c Control) (ms c Metrics_v) (ms c Journal_v) (ms c Full)
+        (match c.overhead_pct with
+        | Some p -> Printf.sprintf "%+.1f%%" p
+        | None -> "-"))
+    cases;
+  let worst =
+    match List.filter_map (fun c -> c.overhead_pct) cases with
     | [] -> None
     | p :: ps -> Some (List.fold_left Float.max p ps)
   in
-  {
-    Report.suite = "obs-overhead";
-    profile = profile_name profile;
-    seed;
-    cases;
-    agreement = List.for_all case_agrees cases;
-    obs_overhead_pct;
-    obs_bar_pct = bar_pct;
-    obs_within_bar =
-      (match obs_overhead_pct with
-      | None -> None
-      | Some p -> Some (p <= bar_pct));
-  }
+  (match worst with
+  | Some p ->
+      Format.printf "worst observability overhead: %+.1f%% (bar %.1f%%)@." p
+        bar_pct
+  | None -> ());
+  let agreement = List.for_all case_agrees cases in
+  Format.printf "verdict agreement across variants: %b@." agreement;
+  let within_bar = match worst with Some p -> p <= bar_pct | None -> true in
+  exit (if agreement && within_bar then 0 else 2)

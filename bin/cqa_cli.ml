@@ -11,11 +11,9 @@ open Cmdliner
 
 (* Exit-code contract (see README "Solver harness & exit codes"):
    0 certain, 1 not certain, 2 usage/input error, 3 degraded (estimate-only
-   or budget exhausted), 124 timeout. *)
-let exit_not_certain = 1
+   or budget exhausted), 124 timeout. [cqa certain] reads its status off
+   the daemon's response code ([Serve.Protocol.code_of_outcome]). *)
 let exit_error = 2
-let exit_degraded = 3
-let exit_timeout = 124
 
 (* Command bodies run under this guard so malformed input ([--k 0] hitting
    "Certk: k must be >= 1", an unreadable database file, ...) prints a
@@ -455,6 +453,7 @@ let print_explain budget (attempts : Core.Solver.attempt list) =
 let certain_run query db_path k exact_only timeout max_steps estimate_flag
     trials seed verify verify_certificate no_sanitize chaos_corrupt trace_out
     trace_capacity journal_out metrics_out explain =
+  let t0 = Harness.Clock.now () in
   guard @@ fun () ->
   if chaos_corrupt then
     Relational.Compiled.set_test_corruption
@@ -488,6 +487,8 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
         Core.Solver.solve ~k ~exact_only ?check_certificate ?check_plane
           ~budget ~verify ?estimate_trials ~seed ?trace report db
       in
+      let ms = (Harness.Clock.now () -. t0) *. 1000. in
+      let code = Serve.Protocol.code_of_outcome outcome in
       (* Surface degradation: any tier that did not decide is worth a note. *)
       List.iter
         (fun (a : Core.Solver.attempt) ->
@@ -521,30 +522,32 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
           Fun.protect
             ~finally:(fun () -> Obs.Journal.close journal)
             (fun () ->
-              Core.Solver.record_journal journal
-                ~steps:(Harness.Budget.steps budget)
-                ~sites:(Harness.Budget.steps_by_site budget)
-                outcome attempts;
+              let steps = Harness.Budget.steps budget in
+              let sites = Harness.Budget.steps_by_site budget in
+              Core.Solver.record_journal journal ~steps ~sites outcome attempts;
+              (* The daemon's completion fields, so `cqa obs report` reads a
+                 CLI run's latency, code and site profile the same way. *)
               Obs.Journal.log journal "request.completed"
-                [
-                  ("op", Obs.Trace.String "certain");
-                  ("outcome", Obs.Trace.String (Core.Solver.outcome_label outcome));
-                  ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
-                ]);
+                ([
+                   ("op", Obs.Trace.String "certain");
+                   ("code", Obs.Trace.String (Serve.Protocol.code_name code));
+                   ("ms", Obs.Trace.Float ms);
+                   ("steps", Obs.Trace.Int steps);
+                 ]
+                @ List.map
+                    (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
+                    sites));
           Format.eprintf "wrote journal to %s@." path
       | None -> ());
       (match outcome with
       | Harness.Outcome.Decided (answer, algorithm) ->
           Format.printf "CERTAIN: %b (via %a)@." answer Core.Solver.pp_algorithm
-            algorithm;
-          if answer then 0 else exit_not_certain
+            algorithm
       | Harness.Outcome.Estimated e ->
           Format.printf "DEGRADED (Monte Carlo estimate, not a decision): %a@."
-            pp_estimate e;
-          exit_degraded
+            pp_estimate e
       | Harness.Outcome.Timeout ->
-          Format.eprintf "timeout: no solver tier finished before the deadline@.";
-          exit_timeout
+          Format.eprintf "timeout: no solver tier finished before the deadline@."
       | Harness.Outcome.Budget_exhausted ->
           Format.eprintf
             "budget exhausted after %d steps%a: no solver tier finished \
@@ -553,11 +556,10 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
             (fun ppf -> function
               | None -> ()
               | Some (site, n) -> Format.fprintf ppf " (hottest site %s=%d)" site n)
-            (Harness.Budget.hottest_site budget);
-          exit_degraded
+            (Harness.Budget.hottest_site budget)
       | Harness.Outcome.Solver_error msg ->
-          Format.eprintf "error: %s@." msg;
-          exit_error)
+          Format.eprintf "error: %s@." msg);
+      Serve.Protocol.exit_of_code code
 
 let certain_cmd =
   let k_arg =
@@ -1396,126 +1398,6 @@ let obs_cmd =
        ~doc:"Offline analysis of observability artifacts (journals, traces).")
     [ report_cmd ]
 
-(* ------------------------------------------------------------------ *)
-(* bench *)
-
-(* The observability-overhead profile: the same seeded solve under a no-obs
-   control and three instrumented variants (metrics sink, journal,
-   both); the report carries the worst instrumented-vs-control slowdown and
-   fails the run when it clears the acceptance bar. *)
-let obs_bench_run profile seed output budget_s =
-  let report = Benchkit.Obs_suite.run ~profile ~seed ~budget_s () in
-  let ms (c : Benchkit.Report.case) alg =
-    match
-      List.find_opt (fun r -> r.Benchkit.Report.algorithm = alg) c.Benchkit.Report.runs
-    with
-    | Some r when r.Benchkit.Report.status = "ok" ->
-        Printf.sprintf "%.3f" r.Benchkit.Report.median_ms
-    | Some _ -> "timeout"
-    | None -> "-"
-  in
-  Format.printf "%-16s %8s %12s %12s %12s %14s %10s@." "case" "facts"
-    "control(ms)" "metrics(ms)" "journal(ms)" "combined(ms)" "overhead";
-  List.iter
-    (fun (c : Benchkit.Report.case) ->
-      Format.printf "%-16s %8d %12s %12s %12s %14s %10s@." c.Benchkit.Report.name
-        c.Benchkit.Report.n_facts (ms c "control") (ms c "metrics")
-        (ms c "journal")
-        (ms c "metrics+journal")
-        (match c.Benchkit.Report.obs_overhead_pct with
-        | Some p -> Printf.sprintf "%+.1f%%" p
-        | None -> "-"))
-    report.Benchkit.Report.cases;
-  (match report.Benchkit.Report.obs_overhead_pct with
-  | Some p ->
-      Format.printf "worst observability overhead: %+.1f%% (bar %.1f%%)@." p
-        report.Benchkit.Report.obs_bar_pct
-  | None -> ());
-  Format.printf "verdict agreement across variants: %b@."
-    report.Benchkit.Report.agreement;
-  (* The emitted document must parse back identical: the report is only
-     useful if downstream tooling can rely on it. *)
-  (match Benchkit.Report.validate_round_trip report with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("benchmark report: " ^ msg));
-  Benchkit.Report.write output report;
-  Format.printf "wrote %s@." output;
-  if
-    report.Benchkit.Report.agreement
-    && report.Benchkit.Report.obs_within_bar <> Some false
-  then 0
-  else exit_error
-
-(* The profile registry: one row per profile, shared by --list-profiles and
-   the unknown-profile error so neither can drift from the dispatcher. *)
-let bench_profiles =
-  [
-    ( "obs-overhead",
-      Benchkit.Obs_suite.Default,
-      "metrics/journal cost vs a no-obs control (5% bar)" );
-    ("obs-overhead-smoke", Benchkit.Obs_suite.Smoke, "tiny obs-overhead variant for CI");
-  ]
-
-let bench_run list_profiles profile seed output budget_s =
-  guard @@ fun () ->
-  if list_profiles then begin
-    List.iter
-      (fun (name, _, doc) -> Format.printf "%-20s %s@." name doc)
-      bench_profiles;
-    0
-  end
-  else
-    match List.find_opt (fun (name, _, _) -> name = profile) bench_profiles with
-    | Some (_, profile, _) -> obs_bench_run profile seed output budget_s
-    | None ->
-        Format.eprintf
-          "error: unknown profile %S (expected %s; see --list-profiles for \
-           descriptions)@."
-          profile
-          (String.concat ", " (List.map (fun (name, _, _) -> name) bench_profiles));
-        exit_error
-
-let bench_cmd =
-  let list_profiles_arg =
-    Arg.(
-      value & flag
-      & info [ "list-profiles" ]
-          ~doc:"List the available profiles with one-line descriptions and exit.")
-  in
-  let profile_arg =
-    Arg.(
-      value & opt string "obs-overhead"
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:
-            "Workload profile: $(b,obs-overhead) or $(b,obs-overhead-smoke) \
-             (tiny, CI-friendly). See $(b,--list-profiles).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload generation seed.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt string "BENCH_obs.json"
-      & info [ "o"; "output" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "budget" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget per solve; exhaustion records a timeout run.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the observability-overhead gate: the same seeded Cert_k solves \
-          bare, with metrics, with a journal, and with both. Exits 2 \
-          if a variant changes a verdict or the worst overhead clears the 5% \
-          bar.")
-    Term.(
-      const bench_run $ list_profiles_arg $ profile_arg $ seed_arg $ output_arg
-      $ budget_arg)
-
 let main_cmd =
   Cmd.group
     (Cmd.info "cqa" ~version:"1.0.0"
@@ -1535,7 +1417,6 @@ let main_cmd =
       estimate_cmd;
       serve_cmd;
       obs_cmd;
-      bench_cmd;
     ]
 
 (* Every command-line error exits with the usage code: cmdliner's own

@@ -1,11 +1,11 @@
 (** A minimal JSON value type, printer, and parser.
 
     The tool-facing surfaces ([cqa lint --json], [cqa classify --json],
-    [cqa bench]) emit JSON so editors and CI scripts can consume diagnostics,
-    certificates and benchmark reports without scraping pretty-printed text.
-    The project deliberately carries no JSON dependency; this module covers
-    exactly what the encoders in {!Encode} and the benchmark reports in
-    [Benchkit] need. Strings are assumed to be UTF-8: bytes [>= 0x20] other
+    the serve protocol, traces and journals) emit JSON so editors and CI
+    scripts can consume diagnostics, certificates and frames without
+    scraping pretty-printed text. The project deliberately carries no JSON
+    dependency; this module covers exactly what the encoders in {!Encode},
+    {!Obs_codec} and the serve protocol need. Strings are assumed to be UTF-8: bytes [>= 0x20] other
     than the double quote and backslash pass through verbatim, everything
     else is escaped. *)
 

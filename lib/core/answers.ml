@@ -82,6 +82,9 @@ let evaluate ?k ~free (q : Query.t) db =
     not (atom_has_constants q.Query.a || atom_has_constants q.Query.b)
   in
   let cache = Hashtbl.create 8 in
+  (* One plane for every candidate: only the grounded query, and so the
+     solution graph built on the plane, changes from tuple to tuple. *)
+  let plane = lazy (Relational.Compiled.compile db) in
   List.map
     (fun tuple ->
       let grounded = ground ~free q tuple in
@@ -107,7 +110,10 @@ let evaluate ?k ~free (q : Query.t) db =
           bounded_search = false;
         }
       in
-      let certain, _ = Solver.certain ?k report db in
+      let graph =
+        lazy (Qlang.Solution_graph.of_query_compiled grounded (Lazy.force plane))
+      in
+      let certain, _ = Solver.certain_graph ?k report ~plane ~graph in
       { tuple; certain })
     (candidates ~free q db)
 

@@ -423,19 +423,17 @@ let do_certain t ~query ~db ~trials ~explain =
                 @ retries_fields retries
                 @ (if explain then [ attempts_field attempts ] else [])
               in
-              let code, fields =
+              let fields =
                 match outcome with
                 | Harness.Outcome.Decided (answer, alg) ->
-                    ( (if answer then Protocol.Ok_code else Protocol.Not_certain),
-                      [
-                        ("answer", Json.Bool answer);
-                        ("algorithm", Json.String (algorithm_name alg));
-                      ] )
+                    [
+                      ("answer", Json.Bool answer);
+                      ("algorithm", Json.String (algorithm_name alg));
+                    ]
                 | Harness.Outcome.Estimated est ->
-                    (Protocol.Degraded_estimate, estimate_fields ~reason:"budget" est)
+                    estimate_fields ~reason:"budget" est
                 | Harness.Outcome.Timeout ->
-                    ( Protocol.Timeout,
-                      [ ("error", Json.String "wall-clock deadline passed") ] )
+                    [ ("error", Json.String "wall-clock deadline passed") ]
                 | Harness.Outcome.Budget_exhausted ->
                     (* When injected pressure (rather than the step cap)
                        stopped the chain, the attempt records the site —
@@ -450,13 +448,12 @@ let do_certain t ~query ~db ~trials ~explain =
                           | _ -> None)
                         attempts
                     in
-                    ( Protocol.Budget_exhausted,
-                      ("error", Json.String "step budget exhausted")
-                      :: Option.to_list pressure_site )
+                    ("error", Json.String "step budget exhausted")
+                    :: Option.to_list pressure_site
                 | Harness.Outcome.Solver_error msg ->
-                    (Protocol.Solver_error, [ ("error", Json.String msg) ])
+                    [ ("error", Json.String msg) ]
               in
-              (code, fields @ common)))
+              (Protocol.code_of_outcome outcome, fields @ common)))
 
 let do_classify t ~query =
   match Ingest.query query with

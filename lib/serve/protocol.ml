@@ -47,6 +47,13 @@ let exit_of_code = function
   | Overloaded | Degraded_estimate | Budget_exhausted | Fault_injected -> 3
   | Timeout -> 124
 
+let code_of_outcome : Core.Solver.outcome -> code = function
+  | Harness.Outcome.Decided (answer, _) -> if answer then Ok_code else Not_certain
+  | Harness.Outcome.Estimated _ -> Degraded_estimate
+  | Harness.Outcome.Timeout -> Timeout
+  | Harness.Outcome.Budget_exhausted -> Budget_exhausted
+  | Harness.Outcome.Solver_error _ -> Solver_error
+
 let status_of_code c =
   match exit_of_code c with
   | 0 | 1 -> "ok"

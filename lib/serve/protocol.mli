@@ -59,6 +59,12 @@ val code_name : code -> string
 (** The CLI exit-code contract value the code mirrors. *)
 val exit_of_code : code -> int
 
+(** The code of a finished solver chain: [Ok_code] or [Not_certain] for a
+    decision, [Degraded_estimate], [Timeout], [Budget_exhausted] or
+    [Solver_error] otherwise. The daemon's [certain] responses and
+    [cqa certain]'s exit status both read it. *)
+val code_of_outcome : Core.Solver.outcome -> code
+
 (** ["ok"] for exits 0/1, ["degraded"] for 3, ["timeout"] for 124,
     ["error"] for 2. *)
 val status_of_code : code -> string

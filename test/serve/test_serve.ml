@@ -76,7 +76,30 @@ let test_exit_contract () =
         | _ -> "error"
       in
       checks "status" expected status)
-    all_codes
+    all_codes;
+  (* The daemon's [certain] responses and [cqa certain]'s exit status both
+     read an outcome's code off [code_of_outcome]: pin every outcome. *)
+  let estimate =
+    {
+      Cqa.Montecarlo.trials = 1;
+      satisfying = 1;
+      frequency = 1.;
+      counterexample = None;
+    }
+  in
+  List.iter
+    (fun (outcome, name) ->
+      checks ("code of " ^ name) name
+        (Protocol.code_name (Protocol.code_of_outcome outcome)))
+    [
+      (Harness.Outcome.Decided (true, Core.Solver.Alg_cert2), "ok");
+      ( Harness.Outcome.Decided (false, Core.Solver.Alg_exact_sat),
+        "not-certain" );
+      (Harness.Outcome.Estimated estimate, "degraded-estimate");
+      (Harness.Outcome.Timeout, "timeout");
+      (Harness.Outcome.Budget_exhausted, "budget-exhausted");
+      (Harness.Outcome.Solver_error "tiers disagree", "solver-error");
+    ]
 
 let decode s = Protocol.decode ~max_bytes:4096 s
 

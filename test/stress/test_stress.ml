@@ -151,9 +151,9 @@ let hard_gadgets () =
             let db = Core.Gadget.database gadget phi' in
             let expected = not (Satsolver.Dpll.is_sat phi) in
             let budget = Budget.make ~timeout:10. ~max_steps:5_000_000 () in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Harness.Clock.now () in
             let outcome, _ = Solver.solve ~budget report db in
-            let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+            let ms = 1000. *. (Harness.Clock.now () -. t0) in
             Printf.printf "gadget: %d vars, %d clauses, %d facts: certain=%b in %.0f ms\n%!"
               n_vars n_clauses (Database.size db) expected ms;
             verdicts := expected :: !verdicts;

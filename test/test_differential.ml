@@ -450,86 +450,6 @@ let test_classification_certificates_pass_check () =
             (String.concat "; " violations))
     (fixed_queries @ random_queries)
 
-let test_bench_report_round_trip () =
-  (* The exact report shape `cqa bench` writes, including awkward floats. *)
-  let run algorithm ~median_ms =
-    {
-      Benchkit.Report.algorithm;
-      status = "ok";
-      median_ms;
-      repeats = 15;
-      certain = Some true;
-      steps = 531;
-      sites = [ ("certk", 531) ];
-    }
-  in
-  let report =
-    {
-      Benchkit.Report.suite = "obs-overhead";
-      profile = "smoke";
-      seed = 42;
-      cases =
-        [
-          {
-            Benchkit.Report.name = "q3/rand-n240";
-            query = "R(x | y) R(y | z)";
-            k = 2;
-            n_facts = 235;
-            n_blocks = 59;
-            budget_s = 5.0;
-            runs =
-              [
-                run "control" ~median_ms:1.123456789;
-                run "sharded-metrics" ~median_ms:1.1300000000000001;
-                run "journal" ~median_ms:1.15;
-                {
-                  (run "metrics+journal" ~median_ms:5000.0) with
-                  Benchkit.Report.status = "timeout";
-                  certain = None;
-                  steps = 999999;
-                  sites = [ ("certk", 999999); ("matching", 34) ];
-                };
-              ];
-            obs_overhead_pct = Some 2.3637799999999998;
-          };
-          {
-            Benchkit.Report.name = "q5/rand-n400";
-            query = "R(x | y x) R(y | x u)";
-            k = 2;
-            n_facts = 400;
-            n_blocks = 98;
-            budget_s = 5.0;
-            runs = [ run "control" ~median_ms:0.042 ];
-            obs_overhead_pct = None;
-          };
-        ];
-      agreement = true;
-      obs_overhead_pct = Some 2.3637799999999998;
-      obs_bar_pct = 5.0;
-      obs_within_bar = Some true;
-    }
-  in
-  match Benchkit.Report.validate_round_trip report with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-(* The report committed at the repository root must still decode: a v5
-   obs suite, whose null Cert_k and delta fields the current schema no
-   longer carries. *)
-let test_committed_bench_reports_decode () =
-  let path = "../BENCH_obs.json" in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  match Benchkit.Report.of_string text with
-  | Error e -> Alcotest.failf "%s: %s" path e
-  | Ok report -> (
-      Alcotest.(check string) (path ^ ": suite") "obs-overhead"
-        report.Benchkit.Report.suite;
-      Alcotest.(check bool) (path ^ ": has cases") true
-        (report.Benchkit.Report.cases <> []);
-      match Benchkit.Report.validate_round_trip report with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: %s" path e)
-
 let () =
   Alcotest.run "differential"
     [
@@ -558,9 +478,5 @@ let () =
         [
           Alcotest.test_case "classification certificates pass check" `Quick
             test_classification_certificates_pass_check;
-          Alcotest.test_case "bench report round-trips" `Quick
-            test_bench_report_round_trip;
-          Alcotest.test_case "committed bench reports decode" `Quick
-            test_committed_bench_reports_decode;
         ] );
     ]
