@@ -460,6 +460,9 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
       (Some Relational.Compiled.Unsafe.corrupt_first_cell_out_of_domain);
   if trace_capacity < 1 then
     invalid_arg "--trace-capacity must be a positive integer";
+  if k < Core.Solver.min_k then
+    invalid_arg (Printf.sprintf "-k must be >= %d" Core.Solver.min_k);
+  if trials < 1 then invalid_arg "--trials must be a positive integer";
   with_db db_path @@ fun db ->
       let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_out in
       let trace =
@@ -563,7 +566,9 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
 
 let certain_cmd =
   let k_arg =
-    Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Fixpoint parameter of Cert_k.")
+    Arg.(
+      value & opt int 3
+      & info [ "k" ] ~docv:"K" ~doc:"Fixpoint parameter of Cert_k (at least 2).")
   in
   let exact_arg =
     Arg.(
@@ -571,8 +576,7 @@ let certain_cmd =
       & info [ "exact" ]
           ~doc:
             "Skip the PTIME tier even when the dichotomy designates one; \
-             decide with the exact tiers (SAT reduction, then backtracking) \
-             under the given budget.")
+             decide with the SAT tier under the given budget.")
   in
   let timeout_arg =
     Arg.(
@@ -622,7 +626,7 @@ let certain_cmd =
             "Before trusting the PTIME tier, re-validate the classification \
              certificate with the independent $(b,Analysis.Check) kernel; a \
              rejected certificate fails the PTIME tier (a note on stderr) and \
-             the chain degrades to the exact tiers.")
+             the chain degrades to the SAT tier.")
   in
   let no_sanitize_arg =
     Arg.(
@@ -708,13 +712,17 @@ let certain_cmd =
              "Classifies the query first, then runs the degradation chain the \
               dichotomy designates: the selected PTIME algorithm (per-block \
               test, Cert_2 / Cert_k, or the matching combination) when the \
-              query is tractable, then the SAT reduction, then the budgeted \
-              exact backtracking solver, and finally — with $(b,--estimate) — \
-              a Monte Carlo estimate labelled as degraded.";
+              query is tractable, then the SAT reduction (a CDCL search for a \
+              falsifying repair, checked before it is trusted), and finally — \
+              with $(b,--estimate) — a Monte Carlo estimate labelled as \
+              degraded. A failed SAT tier ends the chain: in the estimate \
+              with $(b,--estimate), otherwise in an error (exit 2).";
            `S Manpage.s_exit_status;
            `P "0 — the query is certain.";
            `P "1 — the query is not certain.";
-           `P "2 — usage or input error, or solver tiers disagreed.";
+           `P
+             "2 — usage or input error ($(b,-k) below 2, $(b,--trials) below \
+              1), solver tiers disagreed, or every tier failed.";
            `P "3 — degraded: estimate-only answer, or step budget exhausted.";
            `P "124 — the wall-clock deadline passed with no answer.";
          ])
@@ -833,7 +841,9 @@ let gadget_run query n_vars n_clauses seed emit_db =
                   (Relational.Database.size db)
                   (Relational.Database.block_count db);
                 let sat = Satsolver.Dpll.is_sat phi in
-                let certain = Cqa.Exact.certain_query query db in
+                let certain =
+                  Cqa.Satreduce.certain (Qlang.Solution_graph.of_query query db)
+                in
                 Format.printf
                   "satisfiable: %b, certain: %b (Lemma 13: certain = unsat: %b)@."
                   sat certain (certain = not sat);
@@ -916,7 +926,7 @@ let explain_run query db_path k =
             (Cqa.Certk.pp_certificate g) cert;
           0
       | None -> (
-          match Cqa.Exact.falsifying_repair g with
+          match Cqa.Satreduce.falsifying_repair g with
           | Some picks ->
               Format.printf "not certain; a falsifying repair:@.";
               List.iter
@@ -999,7 +1009,9 @@ let estimate_run query db_path trials seed =
   guard @@ fun () ->
   with_db db_path @@ fun db ->
       let rng = Random.State.make [| seed |] in
-      let e = Cqa.Montecarlo.estimate rng ~trials query db in
+      let e =
+        Cqa.Montecarlo.estimate_g rng ~trials (Qlang.Solution_graph.of_query query db)
+      in
       Format.printf "sampled %d repairs: %d satisfied the query (frequency %.3f)@."
         e.Cqa.Montecarlo.trials e.Cqa.Montecarlo.satisfying e.Cqa.Montecarlo.frequency;
       (match e.Cqa.Montecarlo.counterexample with

@@ -192,6 +192,3 @@ let database g (phi : Cnf.t) =
   let facts = List.concat_map (variable_gadget g) (occurrences_of phi) in
   let db = Database.of_facts [ g.query.Query.schema ] facts in
   pad_singletons g.query db
-
-let certain g phi =
-  Cqa.Exact.certain (Qlang.Solution_graph.of_query g.query (database g phi))

@@ -14,7 +14,11 @@
     fresh facts forming no solution. Picking the root fact of [Θ_{l,C}] in
     the clause block of [C] reads as "literal [l] satisfies [C]"; the tripath
     chains propagate that choice to the shared leaves, where contradictory
-    assignments of a variable force a solution. *)
+    assignments of a variable force a solution.
+
+    The module only builds [D(φ)]; deciding CERTAIN on it is the solvers'
+    job. [cqa gadget] checks Lemma 13 with the SAT tier against the
+    [Satsolver.Dpll] oracle, and the tests with the [Cqa.Exact] oracle. *)
 
 type t = private {
   query : Qlang.Query.t;
@@ -35,7 +39,3 @@ val create : ?opts:Tripath_search.options -> Qlang.Query.t -> (t, string) result
     (see {!Satsolver.Threesat.in_gadget_shape}) or if padding-fact
     construction fails (which would indicate a non-nice tripath). *)
 val database : t -> Satsolver.Cnf.t -> Relational.Database.t
-
-(** [certain g φ] decides CERTAIN(q) on [D(φ)] with the exact solver —
-    by Lemma 13 this is the negation of satisfiability of [φ]. *)
-val certain : t -> Satsolver.Cnf.t -> bool

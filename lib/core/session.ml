@@ -94,4 +94,4 @@ let falsifying_repair s =
   let g = Lazy.force s.graph in
   Option.map
     (List.map (fun v -> g.Solution_graph.facts.(v)))
-    (Cqa.Exact.falsifying_repair g)
+    (Cqa.Satreduce.falsifying_repair g)

@@ -73,6 +73,7 @@ val estimate : t -> Random.State.t -> trials:int -> Cqa.Montecarlo.estimate
 val certificate :
   ?k:int -> t -> (Qlang.Solution_graph.t * Cqa.Certk.certificate) option
 
-(** [falsifying_repair s] is a repair falsifying the query, if any (exact
-    search; exponential for hard instances). *)
+(** [falsifying_repair s] is a repair falsifying the query, if any: the
+    SAT tier's checked repair ({!Cqa.Satreduce.falsifying_repair}), one fact
+    per block in block order; exponential in the worst case. *)
 val falsifying_repair : t -> Relational.Fact.t list option

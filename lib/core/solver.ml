@@ -9,7 +9,6 @@ type algorithm =
   | Alg_cert2
   | Alg_certk of int
   | Alg_combined of int
-  | Alg_exact_backtracking
   | Alg_exact_sat
 
 let pp_algorithm ppf = function
@@ -17,7 +16,6 @@ let pp_algorithm ppf = function
   | Alg_cert2 -> Format.pp_print_string ppf "Cert_2"
   | Alg_certk k -> Format.fprintf ppf "Cert_%d" k
   | Alg_combined k -> Format.fprintf ppf "Cert_%d \u{2228} \u{00AC}Matching" k
-  | Alg_exact_backtracking -> Format.pp_print_string ppf "exact (backtracking)"
   | Alg_exact_sat -> Format.pp_print_string ppf "exact (SAT)"
 
 (* A fact [a] satisfies [∃μ. μ(A) = a = μ(B)] iff its positions respect the
@@ -100,28 +98,40 @@ type engine = Engine_plane
 let build_query_graph ~engine:Engine_plane =
   Qlang.Solution_graph.of_query_compiled
 
-(* The one dispatch from a PTIME verdict to the algorithm it designates,
-   shared by [certain] and the chain's PTIME tier. The decide thunk forces
-   only what its algorithm reads: the one-atom test touches the plane but
-   never builds the solution graph. [None] for a coNP-complete verdict. *)
-let designated ?(k = 3) ?budget (report : Dichotomy.report) ~plane ~graph =
+type tier = Tier_ptime | Tier_sat
+
+let pp_tier ppf = function
+  | Tier_ptime -> Format.pp_print_string ppf "ptime"
+  | Tier_sat -> Format.pp_print_string ppf "sat"
+
+let min_k = 2
+
+(* The one decision list from a verdict to the tiers that decide it, read
+   whole by the chain and by its head in [certain_graph]: the algorithm a
+   PTIME verdict designates, then the SAT tier, which decides any verdict.
+   Each decide thunk forces only what its algorithm reads: the one-atom test
+   touches the plane but never builds the solution graph. *)
+let decisions ?(k = 3) ?budget (report : Dichotomy.report) ~plane ~graph =
   let q = report.Dichotomy.query in
-  match report.Dichotomy.verdict with
+  let ptime algorithm decide = [ (Tier_ptime, algorithm, decide) ] in
+  (match report.Dichotomy.verdict with
   | Dichotomy.Ptime (Dichotomy.Trivial t) ->
-      Some (Alg_one_atom, fun () -> certain_trivial q t (plane ()))
+      ptime Alg_one_atom (fun () -> certain_trivial q t (plane ()))
   | Dichotomy.Ptime Dichotomy.Cert2 ->
-      Some (Alg_cert2, fun () -> Cqa.Certk.run ?budget ~k:2 (graph ()))
+      ptime Alg_cert2 (fun () -> Cqa.Certk.run ?budget ~k:2 (graph ()))
   | Dichotomy.Ptime Dichotomy.Certk_no_tripath ->
-      Some (Alg_certk k, fun () -> Cqa.Certk.run ?budget ~k (graph ()))
+      ptime (Alg_certk k) (fun () -> Cqa.Certk.run ?budget ~k (graph ()))
   | Dichotomy.Ptime (Dichotomy.Combined_triangle _) ->
-      Some (Alg_combined k, fun () -> Cqa.Combined.run ?budget ~k (graph ()))
-  | Dichotomy.Conp_complete _ -> None
+      ptime (Alg_combined k) (fun () -> Cqa.Combined.run ?budget ~k (graph ()))
+  | Dichotomy.Conp_complete _ -> [])
+  @ [
+      (Tier_sat, Alg_exact_sat, fun () -> Cqa.Satreduce.certain ?budget (graph ()));
+    ]
 
 let certain_graph ?k report ~plane ~graph =
-  let graph () = Lazy.force graph in
-  match designated ?k report ~plane:(fun () -> Lazy.force plane) ~graph with
-  | Some (algorithm, decide) -> (decide (), algorithm)
-  | None -> (Cqa.Exact.certain (graph ()), Alg_exact_backtracking)
+  let plane () = Lazy.force plane and graph () = Lazy.force graph in
+  let _, algorithm, decide = List.hd (decisions ?k report ~plane ~graph) in
+  (decide (), algorithm)
 
 let certain ?k (report : Dichotomy.report) db =
   let plane = lazy (Compiled.compile db) in
@@ -135,13 +145,6 @@ let certain ?k (report : Dichotomy.report) db =
 (* The budgeted degradation chain. *)
 
 type outcome = (bool * algorithm, Cqa.Montecarlo.estimate) Harness.Outcome.t
-
-type tier = Tier_ptime | Tier_sat | Tier_exact
-
-let pp_tier ppf = function
-  | Tier_ptime -> Format.pp_print_string ppf "ptime"
-  | Tier_sat -> Format.pp_print_string ppf "sat"
-  | Tier_exact -> Format.pp_print_string ppf "exact"
 
 type attempt_status =
   | Attempt_decided of bool
@@ -194,8 +197,8 @@ let diff_sites ~before ~after =
 (* Run the tiers in order. Without [verify], the first tier to complete
    decides and the rest are skipped; a tier that fails (injected fault,
    refused instance) degrades to the next tier. Budget exhaustion stops the
-   whole chain — the budget is shared, so any later exact tier would hit the
-   same wall immediately. With [verify], every tier runs and all decisions
+   whole chain — the budget is shared, so any later tier would hit the same
+   wall immediately. With [verify], every tier runs and all decisions
    must agree; a disagreement is a [Solver_error] carrying the per-tier
    diagnostic (the cross-solver check that backs the chaos tests).
 
@@ -332,7 +335,7 @@ let tiers ?k ~exact_only ?check_certificate ~budget (report : Dichotomy.report)
      algorithm, re-validate the certificate that licensed it with the
      (injected, independent) checker. A rejected certificate makes the PTIME
      tier fail — recorded in the attempt trace — and the chain degrades to
-     the exact tiers, which do not rely on the classification. The checker is
+     the SAT tier, which does not rely on the classification. The checker is
      injected as a closure so [core] does not depend on [analysis]. *)
   let certificate_gate () =
     match check_certificate with
@@ -343,25 +346,14 @@ let tiers ?k ~exact_only ?check_certificate ~budget (report : Dichotomy.report)
         | Error errors ->
             invalid_arg ("certificate rejected: " ^ String.concat "; " errors))
   in
-  let ptime =
-    match designated ?k ~budget report ~plane ~graph with
-    | Some (algorithm, decide) when not exact_only ->
-        [
-          ( Tier_ptime,
-            algorithm,
-            fun () ->
-              certificate_gate ();
-              decide () );
-        ]
-    | Some _ | None -> []
-  in
-  ptime
-  @ [
-      (Tier_sat, Alg_exact_sat, fun () -> Cqa.Satreduce.certain ~budget (graph ()));
-      ( Tier_exact,
-        Alg_exact_backtracking,
-        fun () -> Cqa.Exact.certain ~budget (graph ()) );
-    ]
+  List.filter_map
+    (fun (tier, algorithm, decide) ->
+      match tier with
+      | Tier_sat -> Some (tier, algorithm, decide)
+      | Tier_ptime when exact_only -> None
+      | Tier_ptime ->
+          Some (tier, algorithm, fun () -> certificate_gate (); decide ()))
+    (decisions ?k ~budget report ~plane ~graph)
 
 let outcome_label : outcome -> string = function
   | Harness.Outcome.Decided (true, _) -> "decided-true"

@@ -2,16 +2,18 @@
     algorithm the dichotomy designates.
 
     For PTIME queries the designated polynomial algorithm is used ([Cert_2],
-    [Cert_k], or [Cert_k ∨ ¬Matching]); for coNP-complete queries an exact
-    exponential solver is used (backtracking search for a falsifying repair,
-    or the SAT encoding). For queries equivalent to a one-atom query the
-    answer is computed directly: a one-atom query [R(C)] is certain iff some
-    block consists entirely of facts matching [C].
+    [Cert_k], or [Cert_k ∨ ¬Matching]); for coNP-complete queries the SAT
+    tier decides ({!Cqa.Satreduce}, a CDCL search for a falsifying repair
+    that it checks); {!Cqa.Exact} is a test oracle only. For queries
+    equivalent to a one-atom query the answer is computed directly: a
+    one-atom query [R(C)] is certain iff some block consists entirely of
+    facts matching [C].
 
-    One dispatch maps a PTIME verdict to its algorithm, and two front doors
-    use it: {!certain} answers once, unbudgeted, and {!solve} /
-    {!solve_plane} run the budgeted degradation chain over a database or a
-    pre-compiled plane. The decision procedures in [Cqa] take the solution
+    One decision list maps a verdict to its tiers (the designated PTIME
+    algorithm, if any, then the SAT tier): {!certain} answers once,
+    unbudgeted, with its head, and {!solve} / {!solve_plane} run all of it
+    as the budgeted degradation chain over a database or a pre-compiled
+    plane. The decision procedures in [Cqa] take the solution
     graph; to run one directly, build the graph with
     {!Qlang.Solution_graph.of_query} or
     {!Qlang.Solution_graph.of_query_compiled}. *)
@@ -21,8 +23,7 @@ type algorithm =
   | Alg_cert2
   | Alg_certk of int
   | Alg_combined of int
-  | Alg_exact_backtracking
-  | Alg_exact_sat
+  | Alg_exact_sat  (** The SAT tier, printed ["exact (SAT)"]. *)
 
 val pp_algorithm : Format.formatter -> algorithm -> unit
 
@@ -54,15 +55,20 @@ val conjunction_atom : Qlang.Query.t -> Qlang.Atom.t option
     partition with a compiled {!Qlang.Pattern}. *)
 val certain_one_atom : Qlang.Atom.t -> Relational.Compiled.t -> bool
 
+(** [min_k] (2) is the least Cert_k parameter [cqa certain -k] and
+    [Serve.Daemon.create] accept: Cert_1 holds no two-fact solution, so its
+    "not certain" can be wrong. *)
+val min_k : int
+
 (** [certain ?k report db] answers CERTAIN for the classified query on [db],
     returning the algorithm used: the PTIME algorithm the verdict
-    designates, or the exact backtracking search for a coNP-complete
-    verdict. [k] bounds the fixpoint parameter of [Cert_k] (default 3; the
-    paper's bound {!Cqa.Certk.paper_k} is astronomically larger but never
-    needed on practical instances — see EXPERIMENTS.md). Unbudgeted: use
-    {!solve} for budgets and graceful degradation. The solution graph is
-    built only when the designated algorithm needs it (trivial queries
-    never build it). *)
+    designates, or the SAT tier for a coNP-complete verdict. [k] bounds the
+    fixpoint parameter of [Cert_k] (default 3; the paper's bound
+    {!Cqa.Certk.paper_k} is astronomically larger but never needed on
+    practical instances — see EXPERIMENTS.md). Unbudgeted: use {!solve}
+    for budgets and graceful degradation. The solution graph is built only
+    when the designated algorithm needs it (trivial queries never build
+    it). *)
 val certain : ?k:int -> Dichotomy.report -> Relational.Database.t -> bool * algorithm
 
 (** [certain_graph report ~plane ~graph] is {!certain} over a plane and a
@@ -80,17 +86,18 @@ val certain_graph :
     {!solve} replaces the bare boolean answer with a structured
     {!type:outcome} and runs a chain of solver tiers under a shared
     {!Harness.Budget.t}: the classifier-designated PTIME algorithm first
-    (when the query is tractable), then the SAT reduction, then the budgeted
-    exact backtracking search, and finally — when enabled — a seeded Monte
-    Carlo estimate returned as an explicitly-labelled degraded answer. A
-    tier that fails (an injected chaos fault, a refused instance) falls
-    through to the next tier; budget exhaustion stops the chain, because the
-    budget is shared and any later exact tier would hit the same wall. *)
+    (when the query is tractable), then the SAT reduction, and finally —
+    when enabled — a seeded Monte Carlo estimate returned as an
+    explicitly-labelled degraded answer. A tier that fails (an injected
+    chaos fault, a refused instance, a repair that fails its check) falls
+    through to the next tier; a failed SAT tier ends in the estimate, or in
+    [Solver_error] without one. Budget exhaustion stops the chain, because
+    the budget is shared and any later tier would hit the same wall. *)
 
 type outcome = (bool * algorithm, Cqa.Montecarlo.estimate) Harness.Outcome.t
 
 (** The decision tiers of the chain, in degradation order. *)
-type tier = Tier_ptime | Tier_sat | Tier_exact
+type tier = Tier_ptime | Tier_sat
 
 val pp_tier : Format.formatter -> tier -> unit
 
@@ -158,16 +165,16 @@ val apply_plane_gate :
     [estimate_trials] enables the Monte Carlo fallback tier with that many
     sampled repairs (seeded by [seed], default 0). [verify] additionally
     runs every tier and checks cross-solver agreement. [exact_only] skips
-    the PTIME tier even when the classifier designates one, forcing the
-    exact tiers to decide. Never raises on budget exhaustion or injected
+    the PTIME tier even when the classifier designates one, forcing the SAT
+    tier to decide. Never raises on budget exhaustion or injected
     faults — these come back as structured outcomes together with the trace
     of attempted tiers.
 
     [check_certificate] is the {e certificate gate}: before the PTIME tier
     runs the algorithm the classification designated, the injected checker
     re-validates the report's certificate; on rejection the PTIME tier is
-    recorded as failed ([Attempt_failed]) and the chain degrades to the
-    exact tiers, which do not trust the classification. The checker is a
+    recorded as failed ([Attempt_failed]) and the chain degrades to the SAT
+    tier, which does not trust the classification. The checker is a
     closure (rather than a library dependency) so that [core] stays
     independent of the [analysis] audit kernel — the CLI's
     [--verify-certificate] passes [Analysis.Check.audit_report].

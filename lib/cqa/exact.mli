@@ -1,11 +1,13 @@
-(** Exact CERTAIN solvers (exponential-time baselines).
+(** Exact CERTAIN oracles (exponential-time baselines).
 
     [q] is {e not} certain for [D] iff some repair of [D] falsifies [q], iff
     one can pick one fact per block of the solution graph such that the picks
     form an independent set (no edge, no self-loop). {!falsifying_repair}
     searches for such a pick by backtracking with forward pruning and a
     fewest-candidates-first block order; {!certain_enum} enumerates repairs
-    outright and is kept as an independent test oracle. *)
+    outright. No served path calls this module ({!Satreduce} is the coNP
+    tier): it is the oracle the tests and the end-to-end benchmark's
+    verdict check hold every solver to. *)
 
 (** [falsifying_repair g] returns one vertex per block forming an independent
     set of [g], if any (i.e. a repair falsifying the query). Budget ticks

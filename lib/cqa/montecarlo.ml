@@ -12,14 +12,13 @@ let tick budget =
   | None -> ()
   | Some b -> Harness.Budget.tick ~site:Harness.Sites.montecarlo b
 
-let estimate ?budget rng ~trials q db =
+let estimate rng ~trials q db =
   (* [trials = 0] would report frequency 1.0 — reading as "certain" with
      zero evidence — so it is rejected outright. *)
   if trials < 1 then invalid_arg "Montecarlo.estimate: trials must be >= 1";
   let satisfying = ref 0 in
   let counterexample = ref None in
   for _ = 1 to trials do
-    tick budget;
     let r = Repair.sample rng db in
     if Qlang.Solutions.query_satisfies q r then incr satisfying
     else if !counterexample = None then counterexample := Some r
@@ -71,16 +70,3 @@ let estimate_g ?budget rng ~trials g =
     frequency = float_of_int !satisfying /. float_of_int trials;
     counterexample = !counterexample;
   }
-
-let refute ?budget rng ~trials q db =
-  if trials < 1 then invalid_arg "Montecarlo.refute: trials must be >= 1";
-  (* One falsifying repair settles the question — stop sampling there
-     instead of burning the remaining trials like [estimate] must. *)
-  let rec go i =
-    if i > trials then None
-    else
-      let () = tick budget in
-      let r = Repair.sample rng db in
-      if Qlang.Solutions.query_satisfies q r then go (i + 1) else Some r
-  in
-  go 1

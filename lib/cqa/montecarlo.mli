@@ -5,7 +5,11 @@
     is. Sampling repairs uniformly (one independent uniform choice per
     block) gives an unbiased estimator of
     [Pr_{r ~ U(repairs)} (r ⊨ q)], and a cheap one-sided certainty test:
-    any sampled falsifying repair disproves certainty. *)
+    any sampled falsifying repair disproves certainty.
+
+    {!estimate_g} is the one sampler served code runs: the degradation
+    chain's fallback, the daemon's admission downgrade, sessions and
+    [cqa estimate]. {!estimate} is the reference it is held to. *)
 
 type estimate = {
   trials : int;
@@ -15,12 +19,11 @@ type estimate = {
       (** A sampled falsifying repair, if one was drawn. *)
 }
 
-(** [estimate rng ~trials q db] samples [trials] repairs. When [budget] is
-    given, one tick (site ["montecarlo"]) is spent per sample.
+(** [estimate rng ~trials q db] samples [trials] repairs of the database
+    itself, one {!Relational.Repair.sample} each.
     @raise Invalid_argument when [trials < 1] — a zero-trial estimate would
     read as "certain" (frequency 1.0) with no evidence at all. *)
 val estimate :
-  ?budget:Harness.Budget.t ->
   Random.State.t ->
   trials:int ->
   Qlang.Query.t ->
@@ -32,28 +35,14 @@ val estimate :
     graph's block partition and satisfaction is read off the self-loop and
     adjacency structure. The RNG consumption is identical to {!estimate} —
     one uniform choice per block in block order — so a seeded estimate
-    agrees with the persistent-plane one, counterexample included. This is
-    the degradation chain's estimate fallback ([Core.Solver.solve]), which
-    runs it without a budget: by then the shared budget is exhausted, and
-    the estimate is the last resort. *)
+    agrees with the persistent-plane one, counterexample included. When
+    [budget] is given, one tick (site ["montecarlo"]) is spent per sample;
+    the degradation chain's fallback ([Core.Solver.solve]) passes none: by
+    then the shared budget is exhausted, and the estimate is the last
+    resort. *)
 val estimate_g :
   ?budget:Harness.Budget.t ->
   Random.State.t ->
   trials:int ->
   Qlang.Solution_graph.t ->
   estimate
-
-(** [refute rng ~trials q db] is a one-sided test: [Some repair] disproves
-    CERTAIN(q); [None] means all sampled repairs satisfied [q] (which
-    {e suggests} certainty but proves nothing). Returns as soon as the first
-    falsifying repair is drawn — [trials] is an upper bound on the samples,
-    not a fixed cost, so a huge trial count is cheap on easy refutations.
-    [budget] ticks as in {!estimate}.
-    @raise Invalid_argument when [trials < 1]. *)
-val refute :
-  ?budget:Harness.Budget.t ->
-  Random.State.t ->
-  trials:int ->
-  Qlang.Query.t ->
-  Relational.Database.t ->
-  Relational.Repair.t option

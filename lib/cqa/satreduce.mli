@@ -31,7 +31,10 @@ val certain : ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> bool
     pass before it is returned: every block has a chosen fact, and no chosen
     fact has a self-loop or an edge to another. Same budget contract as
     {!certain}.
+    This is the falsifying repair every served caller prints ([cqa explain],
+    the REPL's [explain]).
     @raise Invalid_argument when the check fails; the degradation chain
-    records the SAT attempt as failed and lets the exact tier decide. *)
+    records the SAT attempt as failed, and ends in the estimate or in
+    [Solver_error]. *)
 val falsifying_repair :
   ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> int list option

@@ -39,7 +39,7 @@
       a DPLL node did.
     - {!brute} — one tick per assignment enumerated by [Satsolver.Brute].
     - {!exact} — one tick per repair node explored by the backtracking
-      falsifier search in [Cqa.Exact].
+      falsifier search in [Cqa.Exact], a test oracle that no tier runs.
     - {!montecarlo} — one tick per sampled repair in [Cqa.Montecarlo]
       (only when a budget is passed; the degradation chain's estimate
       fallback deliberately runs it unbudgeted).

@@ -89,7 +89,9 @@ let create ?clock ?(sleep = Unix.sleepf) ?journal config =
     invalid_arg "Daemon.create: max_frame_bytes must be >= 2";
   if config.max_facts < 1 then
     invalid_arg "Daemon.create: max_facts must be >= 1";
-  if config.k < 2 then invalid_arg "Daemon.create: k must be >= 2";
+  if config.k < Core.Solver.min_k then
+    invalid_arg
+      (Printf.sprintf "Daemon.create: k must be >= %d" Core.Solver.min_k);
   let chaos =
     Option.map
       (fun s ->
@@ -182,25 +184,6 @@ let run_budgeted t ~tier f =
       in
       Budget.tick ~site:Harness.Sites.serve budget;
       f budget)
-
-(* The degradation chain absorbs injected faults by falling through to the
-   next tier; only when EVERY tier failed and at least one failure was an
-   injection is the whole solve transient — re-raise it so [run_budgeted]
-   retries on a fresh budget. *)
-let transient_site outcome (attempts : Core.Solver.attempt list) =
-  match outcome with
-  | Harness.Outcome.Solver_error _ ->
-      let prefix = "injected fault at " in
-      let plen = String.length prefix in
-      List.find_map
-        (fun (a : Core.Solver.attempt) ->
-          match a.Core.Solver.status with
-          | Core.Solver.Attempt_failed msg
-            when String.length msg > plen && String.sub msg 0 plen = prefix ->
-              Some (String.sub msg plen (String.length msg - plen))
-          | _ -> None)
-        attempts
-  | _ -> None
 
 let error_fields (e : Protocol.error) =
   (e.Protocol.code, [ ("error", Json.String e.Protocol.message) ])
@@ -358,22 +341,19 @@ let do_certain t ~query ~db ~trials ~explain =
                                 (Random.State.make rng_seed) ~trials g
                             in
                             R_downgraded { est; hit })
-                    | _ -> (
+                    | _ ->
                         let outcome, attempts =
                           Core.Solver.solve_plane ~k:t.config.k ~budget
                             ~estimate_trials:trials ~seed:t.config.seed
                             ?trace:t.trace report entry.Plane_cache.plane
                         in
-                        match transient_site outcome attempts with
-                        | Some site -> raise (Chaos.Injected_fault site)
-                        | None ->
-                            R_solved
-                              {
-                                outcome;
-                                attempts;
-                                steps = Budget.steps budget;
-                                hit;
-                              })))
+                        R_solved
+                          {
+                            outcome;
+                            attempts;
+                            steps = Budget.steps budget;
+                            hit;
+                          }))
           in
           let count_plane hit =
             Obs.Metrics.incr t.metrics

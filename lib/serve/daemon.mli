@@ -18,10 +18,12 @@
       answered by the same loop, so its metrics are those of a completed
       request with an error code.
     - {b Transient faults are retried.} A {!Harness.Chaos.Injected_fault}
-      (at the serve admission point or inside every solver tier) is retried
-      with exponential backoff on a fresh budget; only when retries are
-      exhausted does the client see a [fault-injected] response naming the
-      faulting site.
+      raised outside the degradation chain (at the serve admission point,
+      or while compiling a plane) is retried with exponential backoff on a
+      fresh budget; only when retries are exhausted does the client see a
+      [fault-injected] response naming the faulting site. Inside the chain
+      a faulted tier falls through to the next, and a chain whose tiers all
+      failed ends in the estimate.
     - {b Degradation is graceful and explicit.} Admission control
       ({!Admission}) sheds or downgrades coNP-tier work under load; budget
       exhaustion inside an admitted solve falls back to the Monte-Carlo
@@ -98,7 +100,9 @@ type t
     and request latencies always read {!Harness.Clock.now}, never the
     injected [clock], so a virtual admission clock's readings are not
     perturbed by metering. The daemon's one {!Obs.Metrics} registry is
-    created here. *)
+    created here.
+    @raise Invalid_argument on a malformed config, among others a [k] below
+    {!Core.Solver.min_k} or [estimate_trials < 1]. *)
 val create :
   ?clock:(unit -> float) ->
   ?sleep:(float -> unit) ->

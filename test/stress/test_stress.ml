@@ -60,9 +60,10 @@ let deterministic () =
   force_edge "edge: ptime -> sat" ~sites:[ "certk" ] ~expect:(function
     | Outcome.Decided (true, Solver.Alg_exact_sat) -> true
     | _ -> false);
-  force_edge "edge: sat -> exact" ~sites:[ "certk"; "dpll" ] ~expect:(function
-    | Outcome.Decided (true, Solver.Alg_exact_backtracking) -> true
-    | _ -> false);
+  (* The SAT tier is the last decision tier: faulted too, the chain has
+     nothing to hand off to and reports the failure. *)
+  force_edge "edge: sat fault -> solver error" ~sites:[ "certk"; "dpll" ]
+    ~expect:(function Outcome.Solver_error _ -> true | _ -> false);
   (* All decision tiers fault: with an estimate the chain degrades, without
      one it reports the failure. *)
   (* The canonical registry, so a newly added tick site is faulted here

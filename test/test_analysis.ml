@@ -5,7 +5,7 @@
    - the checker is not vacuous: every single-field falsifying mutation of
      every catalogue certificate is rejected (a mutation-testing pass over
      the checker itself);
-   - the solver's certificate gate degrades to the exact tiers when handed a
+   - the solver's certificate gate degrades to the SAT tier when handed a
      tampered certificate, and still answers correctly;
    - the linter produces the documented codes, severities and positions. *)
 
@@ -234,7 +234,7 @@ let test_tampered_report_flags_rejected () =
 
 (* ------------------------------------------------------------------ *)
 (* The solver gate: a tampered certificate fails the PTIME tier, the chain
-   degrades to the exact tiers and still answers. *)
+   degrades to the SAT tier and still answers. *)
 
 let test_solver_gate_degrades_on_tampered_certificate () =
   let q = Workload.Catalog.q3 in
@@ -255,7 +255,7 @@ let test_solver_gate_degrades_on_tampered_certificate () =
   (match Core.Solver.solve ~check_certificate:check report db with
   | Harness.Outcome.Decided (_, Core.Solver.Alg_cert2), _ -> ()
   | _ -> Alcotest.fail "gated PTIME tier should decide with a genuine certificate");
-  (* Tampered certificate: the PTIME tier fails, an exact tier decides. *)
+  (* Tampered certificate: the PTIME tier fails, the SAT tier decides. *)
   match Core.Solver.solve ~check_certificate:check tampered db with
   | Harness.Outcome.Decided (answer, alg), attempts ->
       let expected = Cqa.Exact.certain_query q db in

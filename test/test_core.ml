@@ -295,21 +295,32 @@ let test_certain_one_atom () =
   Alcotest.(check bool) "constant restricts" false
     (Solver.certain_one_atom atom_c plane)
 
+let algorithm = Alcotest.testable Solver.pp_algorithm ( = )
+
 let test_solver_dispatch () =
-  (* The solver picks the algorithm designated by the verdict and answers
-     consistently with the exact solver. *)
+  (* The solver picks the algorithm designated by the verdict — the SAT
+     tier for the coNP-complete q2 — and answers consistently with the
+     exact solver. *)
   let rng = Random.State.make [| 99 |] in
   List.iter
-    (fun q ->
+    (fun (q, designated) ->
       let report = Dichotomy.classify ~opts:fast q in
       for _ = 1 to 10 do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:10 ~domain:3 in
-        let answer, _alg = Solver.certain report db in
+        let answer, alg = Solver.certain report db in
         Alcotest.(check bool)
           (Format.asprintf "solver agrees with exact on %a" Query.pp q)
-          (Cqa.Exact.certain_query q db) answer
+          (Cqa.Exact.certain_query q db) answer;
+        Alcotest.check algorithm
+          (Format.asprintf "designated algorithm on %a" Query.pp q)
+          designated alg
       done)
-    [ q3; q5; q6; q2 ]
+    [
+      (q3, Solver.Alg_cert2);
+      (q5, Solver.Alg_certk 3);
+      (q6, Solver.Alg_combined 3);
+      (q2, Solver.Alg_exact_sat);
+    ]
 
 let test_solver_trivial_queries () =
   let q = Parse.query_exn "R(x | y) R(u | v)" in

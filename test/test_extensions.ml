@@ -117,38 +117,6 @@ let test_montecarlo_consistent_db () =
   Alcotest.(check (float 0.0)) "all repairs satisfy" 1.0 e.Cqa.Montecarlo.frequency;
   Alcotest.(check bool) "no counterexample" true (e.Cqa.Montecarlo.counterexample = None)
 
-let test_montecarlo_refutes () =
-  let rng = Random.State.make [| 9 |] in
-  (* Half the repairs falsify q3. *)
-  let db = db_of q3 [ fact [ 1; 2 ]; fact [ 1; 9 ]; fact [ 2; 3 ] ] in
-  match Cqa.Montecarlo.refute rng ~trials:200 q3 db with
-  | None -> Alcotest.fail "a falsifying repair exists and should be sampled"
-  | Some r ->
-      Alcotest.(check bool) "counterexample is a repair" true
-        (Relational.Repair.is_repair db r);
-      Alcotest.(check bool) "counterexample falsifies" false
-        (Qlang.Solutions.query_satisfies q3 r)
-
-let test_montecarlo_refute_early_exit () =
-  (* [refute] stops at the first falsifying repair: a trial count that would
-     take hours to exhaust must return promptly when half the repairs
-     falsify the query. *)
-  let rng = Random.State.make [| 10 |] in
-  let db = db_of q3 [ fact [ 1; 2 ]; fact [ 1; 9 ]; fact [ 2; 3 ] ] in
-  let t0 = Sys.time () in
-  (match Cqa.Montecarlo.refute rng ~trials:50_000_000 q3 db with
-  | None -> Alcotest.fail "a falsifying repair exists and should be sampled"
-  | Some r ->
-      Alcotest.(check bool) "counterexample falsifies" false
-        (Qlang.Solutions.query_satisfies q3 r));
-  let elapsed = Sys.time () -. t0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "returned promptly (%.3fs)" elapsed)
-    true (elapsed < 5.0);
-  Alcotest.check_raises "zero trials rejected"
-    (Invalid_argument "Montecarlo.refute: trials must be >= 1") (fun () ->
-      ignore (Cqa.Montecarlo.refute rng ~trials:0 q3 db))
-
 let prop_montecarlo_agrees_with_exact_certainty =
   QCheck2.Test.make ~name:"sampled frequency 1.0 consistent with CERTAIN" ~count:80
     QCheck2.Gen.(
@@ -366,9 +334,6 @@ let () =
       ( "montecarlo",
         [
           Alcotest.test_case "consistent db" `Quick test_montecarlo_consistent_db;
-          Alcotest.test_case "refutes" `Quick test_montecarlo_refutes;
-          Alcotest.test_case "refute exits early" `Quick
-            test_montecarlo_refute_early_exit;
         ]
         @ qt [ prop_montecarlo_agrees_with_exact_certainty ] );
       ( "certificates",

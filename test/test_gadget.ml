@@ -74,7 +74,8 @@ let test_gadget_paper_example () =
   let phi = Cnf.make ~n_vars:3 [ [ -1; 2; 3 ]; [ -1; -2; 3 ]; [ 1; -2; -3 ] ] in
   Alcotest.(check bool) "gadget shape" true (Threesat.in_gadget_shape phi);
   Alcotest.(check bool) "phi is satisfiable" true (Dpll.is_sat phi);
-  Alcotest.(check bool) "hence not certain" false (Gadget.certain g phi)
+  Alcotest.(check bool) "hence not certain" false
+    (Cqa.Exact.certain_query g.Gadget.query (Gadget.database g phi))
 
 let test_gadget_unsat_formula () =
   (* An unsatisfiable gadget-shaped formula: a cyclic implication chain
@@ -88,7 +89,8 @@ let test_gadget_unsat_formula () =
   Alcotest.(check bool) "gadget shape" true (Threesat.in_gadget_shape phi);
   Alcotest.(check bool) "phi is unsatisfiable" false (Dpll.is_sat phi);
   let g = Lazy.force gadget in
-  Alcotest.(check bool) "hence certain" true (Gadget.certain g phi)
+  Alcotest.(check bool) "hence certain" true
+    (Cqa.Exact.certain_query g.Gadget.query (Gadget.database g phi))
 
 let test_gadget_block_structure () =
   let g = Lazy.force gadget in

@@ -217,15 +217,22 @@ let test_chain_fault_degrades_to_sat () =
       ()
   | _ -> Alcotest.fail "expected ptime failed, sat decided"
 
-let test_chain_fault_degrades_to_exact () =
-  (* Fail certk and dpll: only the backtracking tier survives. *)
+let test_chain_both_tiers_faulted () =
+  (* Fail certk and dpll: both decision tiers fail, and without an estimate
+     the chain ends in a solver error naming each failure. *)
   let chaos = Chaos.make ~fail_p:1.0 ~sites:[ "certk"; "dpll" ] () in
   let budget = Budget.make ~chaos () in
   let outcome, attempts = solve ~budget db_not_certain in
   (match outcome with
-  | Outcome.Decided (false, Solver.Alg_exact_backtracking) -> ()
-  | _ -> Alcotest.fail "expected the backtracking tier to decide");
-  Alcotest.(check int) "three attempts" 3 (List.length attempts)
+  | Outcome.Solver_error _ -> ()
+  | _ -> Alcotest.fail "expected Solver_error");
+  match attempts with
+  | [
+   { Solver.tier = Solver.Tier_ptime; status = Solver.Attempt_failed _; _ };
+   { Solver.tier = Solver.Tier_sat; status = Solver.Attempt_failed _; _ };
+  ] ->
+      ()
+  | _ -> Alcotest.fail "expected ptime failed, sat failed"
 
 let test_chain_estimate_fallback () =
   (* Exhaust the step budget immediately; the unbudgeted Monte Carlo
@@ -267,14 +274,14 @@ let test_chain_verify_agreement () =
   (match outcome with
   | Outcome.Decided (false, _) -> ()
   | _ -> Alcotest.fail "expected Decided false");
-  Alcotest.(check int) "all tiers ran" 3 (List.length attempts)
+  Alcotest.(check int) "both tiers ran" 2 (List.length attempts)
 
 let test_chain_disagreement () =
   (* Injected via run_tiers: two tiers that contradict each other. *)
   let tiers =
     [
-      (Solver.Tier_sat, Solver.Alg_exact_sat, fun () -> true);
-      (Solver.Tier_exact, Solver.Alg_exact_backtracking, fun () -> false);
+      (Solver.Tier_ptime, Solver.Alg_cert2, fun () -> true);
+      (Solver.Tier_sat, Solver.Alg_exact_sat, fun () -> false);
     ]
   in
   let outcome, _ = Solver.run_tiers ~verify:true tiers in
@@ -288,7 +295,7 @@ let test_chain_disagreement () =
 
 let test_chain_all_tiers_failed () =
   let tiers =
-    [ (Solver.Tier_exact, Solver.Alg_exact_backtracking, fun () -> invalid_arg "nope") ]
+    [ (Solver.Tier_sat, Solver.Alg_exact_sat, fun () -> invalid_arg "nope") ]
   in
   let outcome, attempts = Solver.run_tiers tiers in
   (match outcome with
@@ -300,7 +307,7 @@ let test_chain_all_tiers_failed () =
 
 let test_chain_conp_query_budgeted () =
   (* A coNP-complete query under a tiny step budget: no PTIME tier exists,
-     the exact tiers both run out, the outcome is Budget_exhausted. *)
+     the SAT tier runs out, the outcome is Budget_exhausted. *)
   let db =
     Database.of_facts
       [ q_conp.Query.schema ]
@@ -351,8 +358,8 @@ let () =
           Alcotest.test_case "ptime decides" `Quick test_chain_ptime_decides;
           Alcotest.test_case "fault degrades to sat" `Quick
             test_chain_fault_degrades_to_sat;
-          Alcotest.test_case "fault degrades to exact" `Quick
-            test_chain_fault_degrades_to_exact;
+          Alcotest.test_case "both tiers faulted" `Quick
+            test_chain_both_tiers_faulted;
           Alcotest.test_case "estimate fallback" `Quick test_chain_estimate_fallback;
           Alcotest.test_case "budget exhausted" `Quick test_chain_budget_exhausted;
           Alcotest.test_case "timeout" `Quick test_chain_timeout;

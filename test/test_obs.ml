@@ -243,8 +243,8 @@ let test_solver_trace_shape () =
     (List.assoc_opt "outcome" root.Trace.attrs
     = Some (Trace.String "decided-true"));
   let tiers = List.filter (fun (s : Trace.span) -> s.Trace.name = "tier") spans in
-  check "--verify runs all three tiers"
-    (List.filter_map tier_attr tiers = [ "ptime"; "sat"; "exact" ]);
+  check "--verify runs the ptime and the sat tier"
+    (List.filter_map tier_attr tiers = [ "ptime"; "sat" ]);
   check "tier spans nest under the root"
     (List.for_all (fun (s : Trace.span) -> s.Trace.parent = Some root.Trace.id) tiers);
   check "every tier reports its steps"
