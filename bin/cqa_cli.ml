@@ -5,7 +5,8 @@
    cqa certain  "R(x | y) R(y | z)" db.facts
    cqa tripath  "R(x | y z) R(z | x y)" --kind triangle
    cqa catalog
-   cqa gadget   "R(x u | x y) R(u y | x z)" --vars 4 --clauses 6 *)
+   cqa gadget   "R(x u | x y) R(u y | x z)" --vars 4 --clauses 6
+   cqa repl *)
 
 open Cmdliner
 
@@ -15,10 +16,10 @@ open Cmdliner
    the daemon's response code ([Serve.Protocol.code_of_outcome]). *)
 let exit_error = 2
 
-(* Command bodies run under this guard so malformed input ([--k 0] hitting
-   "Certk: k must be >= 1", an unreadable database file, ...) prints a
-   one-line error and exits with the usage/input code instead of dumping an
-   uncaught-exception backtrace. *)
+(* Command bodies run under this guard so malformed input ([-k 0], an
+   unreadable database file, ...) prints a one-line error and exits with the
+   usage/input code instead of dumping an uncaught-exception backtrace. The
+   REPL runs each of its commands under it too. *)
 let guard f =
   try f () with
   | Invalid_argument msg | Sys_error msg | Failure msg ->
@@ -39,20 +40,23 @@ let read_file = function
    frame decoder (Serve.Ingest): parse errors, undeclared relations and
    arity mismatches all surface as one stable-coded error line and exit 2 —
    no raw [Invalid_argument] noise, no per-command formatting drift. *)
+let ingest_error { Serve.Protocol.code; message } =
+  Format.eprintf "error [%s]: %s@." (Serve.Protocol.code_name code) message;
+  exit_error
+
 let with_db path f =
   match Serve.Ingest.database (read_file path) with
-  | Error { Serve.Protocol.code; message } ->
-      Format.eprintf "error [%s]: %s@." (Serve.Protocol.code_name code) message;
-      exit_error
+  | Error e -> ingest_error e
   | Ok db -> f db
 
+let parse_query s =
+  match Qlang.Parse.query s with
+  | Ok q -> Ok q
+  | Error e -> Error ("bad query: " ^ Qlang.Parse.error_to_string e)
+
 let query_conv =
-  let parse s =
-    match Qlang.Parse.query s with
-    | Ok q -> Ok q
-    | Error e -> Error (`Msg ("bad query: " ^ Qlang.Parse.error_to_string e))
-  in
-  Arg.conv (parse, Qlang.Query.pp)
+  Arg.conv
+    ((fun s -> Result.map_error (fun m -> `Msg m) (parse_query s)), Qlang.Query.pp)
 
 let query_arg =
   Arg.(
@@ -77,6 +81,21 @@ let merges_arg =
 
 let opts_of_merges merges =
   { Core.Tripath_search.default_options with Core.Tripath_search.max_merges = merges }
+
+(* [cqa certain]'s defaults, which [cqa explain], [cqa estimate] and the
+   REPL share. *)
+let default_k = 3
+let default_trials = 1000
+
+(* The bounds [cqa certain] refuses before any tier runs. [explain] and
+   [estimate] check them in their bodies, so the REPL's commands refuse the
+   same values in the same words. *)
+let check_k k =
+  if k < Core.Solver.min_k then
+    invalid_arg (Printf.sprintf "-k must be >= %d" Core.Solver.min_k)
+
+let check_trials trials =
+  if trials < 1 then invalid_arg "--trials must be a positive integer"
 
 (* ------------------------------------------------------------------ *)
 (* classify *)
@@ -138,11 +157,11 @@ let classify_cmd =
     Term.(const classify_run $ query_arg $ merges_arg $ verbose $ certificate $ json)
 
 (* ------------------------------------------------------------------ *)
-(* lint *)
+(* lint and analyze *)
 
-(* Shared by lint and analyze: print diagnostics (or the versioned JSON
-   document serve emits for its lint/analyze ops — one encoder, no drift)
-   and map their severity to the exit code. *)
+(* Print diagnostics (or the versioned JSON document serve emits for its
+   lint/analyze ops — one encoder, no drift) and map their severity to the
+   exit code. *)
 let report_diagnostics ~json diagnostics =
   if json then
     Format.printf "%a@." Analysis.Json.pp (Analysis.Encode.lint_result diagnostics)
@@ -154,139 +173,28 @@ let report_diagnostics ~json diagnostics =
   | Some Analysis.Lint.Error | Some Analysis.Lint.Warning -> 1
   | Some Analysis.Lint.Info | None -> 0
 
-let lint_run query_opt file_opt db_path merges block_threshold json =
-  guard @@ fun () ->
-  let opts = opts_of_merges merges in
-  let report = report_diagnostics ~json in
-  match (query_opt, file_opt) with
-  | Some _, Some _ ->
-      Format.eprintf "error: pass either a query argument or --file, not both@.";
-      exit_error
-  | None, None ->
-      Format.eprintf "error: pass a query argument or --file@.";
-      exit_error
-  | Some src, None -> (
-      let source_diags = Analysis.Lint.lint_source ~opts src in
-      match db_path with
-      | None -> report source_diags
-      | Some path ->
-          (* Database-aware lints (QL008-QL010) need a parsed query; a parse
-             failure already surfaced as QL000/QL003 above. *)
-          with_db path @@ fun db ->
-              let db_diags =
-                match Qlang.Parse.query src with
-                | Error _ -> []
-                | Ok q ->
-                    Analysis.Lint.lint_database ~block_threshold ~query:q db
-              in
-              report (source_diags @ db_diags))
-  | None, Some path when db_path <> None ->
-      ignore path;
-      Format.eprintf "error: --db requires a single query argument, not --file@.";
-      exit_error
-  | None, Some path ->
-      (* A lint catalogue: one query per line, [#] comments; diagnostics are
-         re-anchored to the catalogue's own line numbers. *)
-      read_file path |> String.split_on_char '\n'
-      |> List.mapi (fun i line -> (i + 1, String.trim line))
-      |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
-      |> List.concat_map (fun (ln, line) ->
-             Analysis.Lint.lint_source ~opts line
-             |> List.map (fun (d : Analysis.Lint.diagnostic) ->
-                    {
-                      d with
-                      Analysis.Lint.position =
-                        Option.map
-                          (fun (p : Qlang.Parse.position) ->
-                            { p with Qlang.Parse.line = ln })
-                          d.Analysis.Lint.position;
-                    }))
-      |> report
-
-let lint_cmd =
-  let query_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Query to lint (source text, not pre-parsed).")
-  in
-  let file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:"Lint a catalogue file: one query per line, '#' comments; '-' reads stdin.")
-  in
-  let db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Also run the database-aware lints (QL008 oversized blocks, \
-             QL009 unmatched relations, QL010 already-consistent instance) \
-             against this database; '-' reads stdin.")
-  in
-  let block_threshold_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "block-threshold" ] ~docv:"N"
-          ~doc:"Block size above which QL008 fires (with $(b,--db)).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit diagnostics as JSON (stable codes and positions).")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Lint a query: stable diagnostic codes with source positions."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Checks a query (or a file of queries) for suspicious constructs \
-              and surfaces classification caveats: QL000/QL003 parse and \
-              self-join-pair errors, QL001 variables occurring only once, \
-              QL002 constants in key positions, QL006 identical atoms, QL005 \
-              triviality, QL007 coNP-completeness, and QL004 verdicts that \
-              rely on tripath non-existence within bounded search. With \
-              $(b,--db) the database-aware lints QL008-QL010 run as well. See \
-              the manual's \"Certificates and the linter\" section for the \
-              full table.";
-           `S Manpage.s_exit_status;
-           `P "0 — no warnings or errors (info diagnostics allowed).";
-           `P "1 — at least one warning or error.";
-           `P "2 — usage or input error.";
-         ])
-    Term.(
-      const lint_run $ query_arg $ file_arg $ db_arg $ merges_arg
-      $ block_threshold_arg $ json)
-
-(* ------------------------------------------------------------------ *)
-(* analyze *)
-
 (* One analysis pass over one query source: the source lints, then — when
-   the query parses — the full plane sanitizer (PL100-PL108 plus the
-   pattern-program verifier PL110-PL113) on a compiled plane, and the
-   database-aware lints when an instance was given. Without --db the query
-   is analyzed against the empty instance of its own schema: the plane and
+   the query parses — the database-aware lints when an instance was given,
+   and with [sanitize] the full plane sanitizer (PL100-PL108 plus the
+   pattern-program verifier PL110-PL113) on a compiled plane. Without --db
+   the plane is the empty instance of the query's own schema: the plane and
    pattern checks still exercise the whole pipeline (this is what the @lint
-   alias runs over the example catalogue), while the instance-dependent
-   QL lints stay out of the way. *)
+   alias runs over the example catalogue), while the instance-dependent QL
+   lints stay out of the way. *)
 let analyze_source ~opts ~block_threshold ~sanitize ?db src =
   let source_diags = Analysis.Lint.lint_source ~opts src in
   match Qlang.Parse.query src with
   | Error _ -> source_diags (* nothing to compile; QL000/QL003 already said so *)
   | Ok q ->
-      let instance =
-        match db with
-        | Some db -> db
-        | None -> Relational.Database.of_facts [ q.Qlang.Query.schema ] []
-      in
-      let plane = Relational.Compiled.compile instance in
       let plane_diags =
-        if sanitize then Analysis.Sanitize.run ~query:q plane else []
+        if not sanitize then []
+        else
+          let instance =
+            match db with
+            | Some db -> db
+            | None -> Relational.Database.of_facts [ q.Qlang.Query.schema ] []
+          in
+          Analysis.Sanitize.run ~query:q (Relational.Compiled.compile instance)
       in
       let db_diags =
         match db with
@@ -295,14 +203,13 @@ let analyze_source ~opts ~block_threshold ~sanitize ?db src =
       in
       source_diags @ plane_diags @ db_diags
 
-let analyze_run query_opt file_opt db_path merges block_threshold no_sanitize
+(* The body of [cqa lint] (no plane checks) and [cqa analyze]. *)
+let analysis_run ~sanitize query_opt file_opt db_path merges block_threshold
     json =
   guard @@ fun () ->
   let opts = opts_of_merges merges in
   let report = report_diagnostics ~json in
-  let analyze =
-    analyze_source ~opts ~block_threshold ~sanitize:(not no_sanitize)
-  in
+  let analyze = analyze_source ~opts ~block_threshold ~sanitize in
   match (query_opt, file_opt) with
   | Some _, Some _ ->
       Format.eprintf "error: pass either a query argument or --file, not both@.";
@@ -318,9 +225,8 @@ let analyze_run query_opt file_opt db_path merges block_threshold no_sanitize
       Format.eprintf "error: --db requires a single query argument, not --file@.";
       exit_error
   | None, Some path ->
-      (* Analyze a catalogue: one query per line, '#' comments; diagnostics
-         are re-anchored to the catalogue's own line numbers (same contract
-         as [cqa lint --file]). *)
+      (* A catalogue: one query per line, '#' comments; diagnostics are
+         re-anchored to the catalogue's own line numbers. *)
       read_file path |> String.split_on_char '\n'
       |> List.mapi (fun i line -> (i + 1, String.trim line))
       |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
@@ -337,12 +243,13 @@ let analyze_run query_opt file_opt db_path merges block_threshold no_sanitize
                     }))
       |> report
 
-let analyze_cmd =
+let analysis_cmd ~sanitize ~name ~doc ~description ~db_doc =
   let query_arg =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Query to analyze (source text, not pre-parsed).")
+      & info [] ~docv:"QUERY"
+          ~doc:(Printf.sprintf "Query to %s (source text, not pre-parsed)." name))
   in
   let file_arg =
     Arg.(
@@ -350,18 +257,13 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "file" ] ~docv:"FILE"
           ~doc:
-            "Analyze a catalogue file: one query per line, '#' comments; '-' \
-             reads stdin.")
+            (Printf.sprintf
+               "%s a catalogue file: one query per line, '#' comments; '-' \
+                reads stdin."
+               (String.capitalize_ascii name)))
   in
   let db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Compile this database and sanitize the resulting execution \
-             plane (instead of the empty instance), then run the \
-             database-aware lints QL008-QL010 as well; '-' reads stdin.")
+    Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE" ~doc:db_doc)
   in
   let block_threshold_arg =
     Arg.(
@@ -369,49 +271,67 @@ let analyze_cmd =
       & info [ "block-threshold" ] ~docv:"N"
           ~doc:"Block size above which QL008 fires (with $(b,--db)).")
   in
-  let no_sanitize_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sanitize" ]
-          ~doc:
-            "Skip the plane sanitizer and pattern verifier (PL codes); only \
-             the source lints (QL codes) run.")
-  in
   let json =
     Arg.(
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit diagnostics as the schema-versioned JSON document (the \
-             same encoder the serve daemon's analyze op uses).")
+            "Emit diagnostics as the schema-versioned JSON document (stable \
+             codes and positions; the encoder of the serve daemon's lint and \
+             analyze ops).")
   in
   Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Run the full static-analysis pass: source lints, plane sanitizer, \
-          and pattern-program verifier."
+    (Cmd.info name ~doc
        ~man:
          [
            `S Manpage.s_description;
-           `P
-             "Lints the query source (QL codes), compiles the database (or \
-              the empty instance of the query's schema) into an execution \
-              plane, re-derives every plane layout invariant from first \
-              principles (PL100-PL107), verifies the compiled pattern \
-              programs with the abstract interpreter (PL110-PL113), and \
-              checks the solution graph against the independent \
-              substitution-based enumeration (PL108). With $(b,--db) the \
-              database-aware lints QL008-QL010 run as well. See the manual's \
-              \"Static analysis and sanitizers\" section for the full code \
-              tables.";
+           `P description;
            `S Manpage.s_exit_status;
-           `P "0 — clean (info diagnostics allowed).";
-           `P "1 — at least one warning or error diagnostic.";
-           `P "2 — usage or ingestion error.";
+           `P "0 — no warnings or errors (info diagnostics allowed).";
+           `P "1 — at least one warning or error.";
+           `P "2 — usage or input error.";
          ])
     Term.(
-      const analyze_run $ query_arg $ file_arg $ db_arg $ merges_arg
-      $ block_threshold_arg $ no_sanitize_arg $ json)
+      const (analysis_run ~sanitize)
+      $ query_arg $ file_arg $ db_arg $ merges_arg $ block_threshold_arg $ json)
+
+let lint_cmd =
+  analysis_cmd ~sanitize:false ~name:"lint"
+    ~doc:"Lint a query: stable diagnostic codes with source positions."
+    ~description:
+      "Checks a query (or a file of queries) for suspicious constructs and \
+       surfaces classification caveats: QL000/QL003 parse and self-join-pair \
+       errors, QL001 variables occurring only once, QL002 constants in key \
+       positions, QL006 identical atoms, QL005 triviality, QL007 \
+       coNP-completeness, and QL004 verdicts that rely on tripath \
+       non-existence within bounded search. With $(b,--db) the \
+       database-aware lints QL008-QL010 run as well. It is $(b,cqa analyze) \
+       without the plane checks. See the manual's \"Certificates and the \
+       linter\" section for the full table."
+    ~db_doc:
+      "Also run the database-aware lints (QL008 oversized blocks, QL009 \
+       unmatched relations, QL010 already-consistent instance) against this \
+       database; '-' reads stdin."
+
+let analyze_cmd =
+  analysis_cmd ~sanitize:true ~name:"analyze"
+    ~doc:
+      "Run the full static-analysis pass: source lints, plane sanitizer, and \
+       pattern-program verifier."
+    ~description:
+      "Lints the query source (QL codes), compiles the database (or the \
+       empty instance of the query's schema) into an execution plane, \
+       re-derives every plane layout invariant from first principles \
+       (PL100-PL107), verifies the compiled pattern programs with the \
+       abstract interpreter (PL110-PL113), and checks the solution graph \
+       against the independent substitution-based enumeration (PL108). With \
+       $(b,--db) the database-aware lints QL008-QL010 run as well. See the \
+       manual's \"Static analysis and sanitizers\" section for the full code \
+       tables."
+    ~db_doc:
+      "Compile this database and sanitize the resulting execution plane \
+       (instead of the empty instance), then run the database-aware lints \
+       QL008-QL010 as well; '-' reads stdin."
 
 (* ------------------------------------------------------------------ *)
 (* certain *)
@@ -450,26 +370,50 @@ let print_explain budget (attempts : Core.Solver.attempt list) =
       | sites -> Format.fprintf ppf " (%a)" Harness.Budget.pp_site_breakdown sites)
     (Harness.Budget.steps_by_site budget)
 
+(* A note on stderr for every tier that did not decide. *)
+let note_fallbacks attempts =
+  List.iter
+    (fun (a : Core.Solver.attempt) ->
+      match a.Core.Solver.status with
+      | Core.Solver.Attempt_decided _ -> ()
+      | _ -> Format.eprintf "note: %a@." Core.Solver.pp_attempt a)
+    attempts
+
+(* The verdict line of [cqa certain] and the REPL's [certain]. *)
+let print_outcome budget outcome =
+  match outcome with
+  | Harness.Outcome.Decided (answer, algorithm) ->
+      Format.printf "CERTAIN: %b (via %a)@." answer Core.Solver.pp_algorithm
+        algorithm
+  | Harness.Outcome.Estimated e ->
+      Format.printf "DEGRADED (Monte Carlo estimate, not a decision): %a@."
+        pp_estimate e
+  | Harness.Outcome.Timeout ->
+      Format.eprintf "timeout: no solver tier finished before the deadline@."
+  | Harness.Outcome.Budget_exhausted ->
+      Format.eprintf
+        "budget exhausted after %d steps%a: no solver tier finished (re-run \
+         with a larger --max-steps or with --estimate)@."
+        (Harness.Budget.steps budget)
+        (fun ppf -> function
+          | None -> ()
+          | Some (site, n) -> Format.fprintf ppf " (hottest site %s=%d)" site n)
+        (Harness.Budget.hottest_site budget)
+  | Harness.Outcome.Solver_error msg -> Format.eprintf "error: %s@." msg
+
 let certain_run query db_path k exact_only timeout max_steps estimate_flag
     trials seed verify verify_certificate no_sanitize chaos_corrupt trace_out
-    trace_capacity journal_out metrics_out explain =
+    journal_out metrics_out explain =
   let t0 = Harness.Clock.now () in
   guard @@ fun () ->
   if chaos_corrupt then
     Relational.Compiled.set_test_corruption
       (Some Relational.Compiled.Unsafe.corrupt_first_cell_out_of_domain);
-  if trace_capacity < 1 then
-    invalid_arg "--trace-capacity must be a positive integer";
-  if k < Core.Solver.min_k then
-    invalid_arg (Printf.sprintf "-k must be >= %d" Core.Solver.min_k);
-  if trials < 1 then invalid_arg "--trials must be a positive integer";
+  check_k k;
+  check_trials trials;
   with_db db_path @@ fun db ->
       let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_out in
-      let trace =
-        Option.map
-          (fun _ -> Obs.Trace.create ~capacity:trace_capacity ())
-          trace_out
-      in
+      let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
       let budget =
         Harness.Budget.make ?timeout ?max_steps
           ?sink:(Option.map Obs.Metrics.tick_sink metrics) ()
@@ -492,13 +436,7 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
       in
       let ms = (Harness.Clock.now () -. t0) *. 1000. in
       let code = Serve.Protocol.code_of_outcome outcome in
-      (* Surface degradation: any tier that did not decide is worth a note. *)
-      List.iter
-        (fun (a : Core.Solver.attempt) ->
-          match a.Core.Solver.status with
-          | Core.Solver.Attempt_decided _ -> ()
-          | _ -> Format.eprintf "note: %a@." Core.Solver.pp_attempt a)
-        attempts;
+      note_fallbacks attempts;
       if explain then print_explain budget attempts;
       (match (trace, trace_out) with
       | Some tr, Some path ->
@@ -525,9 +463,7 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
           Fun.protect
             ~finally:(fun () -> Obs.Journal.close journal)
             (fun () ->
-              let steps = Harness.Budget.steps budget in
-              let sites = Harness.Budget.steps_by_site budget in
-              Core.Solver.record_journal journal ~steps ~sites outcome attempts;
+              Core.Solver.record_journal journal ~budget outcome attempts;
               (* The daemon's completion fields, so `cqa obs report` reads a
                  CLI run's latency, code and site profile the same way. *)
               Obs.Journal.log journal "request.completed"
@@ -535,39 +471,20 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
                    ("op", Obs.Trace.String "certain");
                    ("code", Obs.Trace.String (Serve.Protocol.code_name code));
                    ("ms", Obs.Trace.Float ms);
-                   ("steps", Obs.Trace.Int steps);
+                   ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
                  ]
                 @ List.map
                     (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
-                    sites));
+                    (Harness.Budget.steps_by_site budget)));
           Format.eprintf "wrote journal to %s@." path
       | None -> ());
-      (match outcome with
-      | Harness.Outcome.Decided (answer, algorithm) ->
-          Format.printf "CERTAIN: %b (via %a)@." answer Core.Solver.pp_algorithm
-            algorithm
-      | Harness.Outcome.Estimated e ->
-          Format.printf "DEGRADED (Monte Carlo estimate, not a decision): %a@."
-            pp_estimate e
-      | Harness.Outcome.Timeout ->
-          Format.eprintf "timeout: no solver tier finished before the deadline@."
-      | Harness.Outcome.Budget_exhausted ->
-          Format.eprintf
-            "budget exhausted after %d steps%a: no solver tier finished \
-             (re-run with a larger --max-steps or with --estimate)@."
-            (Harness.Budget.steps budget)
-            (fun ppf -> function
-              | None -> ()
-              | Some (site, n) -> Format.fprintf ppf " (hottest site %s=%d)" site n)
-            (Harness.Budget.hottest_site budget)
-      | Harness.Outcome.Solver_error msg ->
-          Format.eprintf "error: %s@." msg);
+      print_outcome budget outcome;
       Serve.Protocol.exit_of_code code
 
 let certain_cmd =
   let k_arg =
     Arg.(
-      value & opt int 3
+      value & opt int default_k
       & info [ "k" ] ~docv:"K" ~doc:"Fixpoint parameter of Cert_k (at least 2).")
   in
   let exact_arg =
@@ -603,7 +520,7 @@ let certain_cmd =
   in
   let trials_arg =
     Arg.(
-      value & opt int 1000
+      value & opt int default_trials
       & info [ "trials" ] ~docv:"N" ~doc:"Sampled repairs for the $(b,--estimate) fallback.")
   in
   let seed_arg =
@@ -616,7 +533,8 @@ let certain_cmd =
           ~doc:
             "Run every solver tier (not just the first to finish) and check \
              that all decisions agree; a disagreement is reported as a solver \
-             error (exit 2).")
+             error (exit 2). A coNP-complete verdict has one decision tier, \
+             the SAT tier, so there it cross-checks nothing.")
   in
   let verify_certificate_arg =
     Arg.(
@@ -657,16 +575,6 @@ let certain_cmd =
             "Record the solver run as structured spans (which tier ran, why \
              it fell back, how long, where its budget steps went) and write \
              the schema-versioned JSON trace to $(docv); '-' writes to stdout.")
-  in
-  let trace_capacity_arg =
-    Arg.(
-      value
-      & opt int Obs.Trace.default_capacity
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:
-            "Span-ring capacity of the $(b,--trace) recorder: once $(docv) \
-             spans are retained the oldest are overwritten and the trace \
-             document reports the count as $(b,dropped).")
   in
   let journal_arg =
     Arg.(
@@ -730,8 +638,7 @@ let certain_cmd =
       const certain_run $ query_arg $ db_arg $ k_arg $ exact_arg $ timeout_arg
       $ max_steps_arg $ estimate_arg $ trials_arg $ seed_arg
       $ verify_arg $ verify_certificate_arg $ no_sanitize_arg
-      $ chaos_corrupt_arg $ trace_arg $ trace_capacity_arg $ journal_arg
-      $ metrics_arg $ explain_arg)
+      $ chaos_corrupt_arg $ trace_arg $ journal_arg $ metrics_arg $ explain_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tripath *)
@@ -876,30 +783,28 @@ let gadget_cmd =
 (* ------------------------------------------------------------------ *)
 (* answers *)
 
-let answers_run query db_path free_spec =
-  guard @@ fun () ->
-  with_db db_path @@ fun db -> (
-      let free =
-        String.split_on_char ',' free_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      try
-        let results = Core.Answers.evaluate ~free query db in
-        Format.printf "%-30s %s@." "tuple" "certain";
-        List.iter
-          (fun (a : Core.Answers.t) ->
-            Format.printf "%-30s %b@."
-              (String.concat ", " (List.map Relational.Value.to_string a.Core.Answers.tuple))
-              a.Core.Answers.certain)
-          results;
-        let certain = List.filter (fun (a : Core.Answers.t) -> a.Core.Answers.certain) results in
-        Format.printf "@.%d certain / %d possible answers@." (List.length certain)
-          (List.length results);
-        0
-      with Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        2)
+(* The bodies of [answers], [explain], [dot] and [estimate] take a query
+   and a database, so the REPL's commands of the same names run them. *)
+let answers_body ~free query db =
+  let free =
+    String.split_on_char ',' free |> List.map String.trim
+    |> List.filter (fun s -> s <> "")
+  in
+  let results = Core.Answers.evaluate ~free query db in
+  Format.printf "%-30s %s@." "tuple" "certain";
+  List.iter
+    (fun (a : Core.Answers.t) ->
+      Format.printf "%-30s %b@."
+        (String.concat ", " (List.map Relational.Value.to_string a.Core.Answers.tuple))
+        a.Core.Answers.certain)
+    results;
+  let certain = List.filter (fun (a : Core.Answers.t) -> a.Core.Answers.certain) results in
+  Format.printf "@.%d certain / %d possible answers@." (List.length certain)
+    (List.length results);
+  0
+
+let answers_run query db_path free =
+  guard @@ fun () -> with_db db_path (answers_body ~free query)
 
 let answers_cmd =
   let free_arg =
@@ -916,34 +821,43 @@ let answers_cmd =
 (* ------------------------------------------------------------------ *)
 (* explain *)
 
+(* Checks [k] before it takes the database, so [cqa explain] refuses a bad
+   -k before it reads DB. *)
+let explain_body ~k query =
+  check_k k;
+  fun db ->
+    let g = Qlang.Solution_graph.of_query query db in
+    match Cqa.Certk.certificate ~k g with
+    | Some cert ->
+        Format.printf "Cert_%d proves the query certain; derivation of {}:@.%a@." k
+          (Cqa.Certk.pp_certificate g) cert;
+        0
+    | None -> (
+        match Cqa.Satreduce.falsifying_repair g with
+        | Some picks ->
+            Format.printf "not certain; a falsifying repair:@.";
+            List.iter
+              (fun v ->
+                Format.printf "  %a@." Relational.Fact.pp
+                  g.Qlang.Solution_graph.facts.(v))
+              picks;
+            1
+        | None ->
+            Format.printf
+              "certain, but Cert_%d finds no derivation (raise -k, or the query \
+               needs the matching algorithm)@."
+              k;
+            0)
+
 let explain_run query db_path k =
-  guard @@ fun () ->
-  with_db db_path @@ fun db -> (
-      let g = Qlang.Solution_graph.of_query query db in
-      match Cqa.Certk.certificate ~k g with
-      | Some cert ->
-          Format.printf "Cert_%d proves the query certain; derivation of {}:@.%a@." k
-            (Cqa.Certk.pp_certificate g) cert;
-          0
-      | None -> (
-          match Cqa.Satreduce.falsifying_repair g with
-          | Some picks ->
-              Format.printf "not certain; a falsifying repair:@.";
-              List.iter
-                (fun v ->
-                  Format.printf "  %a@." Relational.Fact.pp
-                    g.Qlang.Solution_graph.facts.(v))
-                picks;
-              1
-          | None ->
-              Format.printf
-                "certain, but Cert_%d finds no derivation (raise -k, or the query \
-                 needs the matching algorithm)@."
-                k;
-              0))
+  guard @@ fun () -> with_db db_path (explain_body ~k query)
 
 let explain_cmd =
-  let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Cert_k parameter.") in
+  let k_arg =
+    Arg.(
+      value & opt int default_k
+      & info [ "k" ] ~docv:"K" ~doc:"Cert_k parameter (at least 2).")
+  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Explain certainty: print a Cert_k derivation certificate or a falsifying repair.")
@@ -952,12 +866,13 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 (* dot *)
 
+let dot_body ~directed query db =
+  print_string
+    (Qlang.Dot.solution_graph ~directed (Qlang.Solution_graph.of_query query db));
+  0
+
 let dot_run query db_path directed =
-  guard @@ fun () ->
-  with_db db_path @@ fun db ->
-      let g = Qlang.Solution_graph.of_query query db in
-      print_string (Qlang.Dot.solution_graph ~directed g);
-      0
+  guard @@ fun () -> with_db db_path (dot_body ~directed query)
 
 let dot_cmd =
   let directed_arg =
@@ -1005,31 +920,222 @@ let atlas_cmd =
 (* ------------------------------------------------------------------ *)
 (* estimate *)
 
+(* Checks [trials] before it takes the database, like [explain_body]. The
+   RNG is the caller's: [cqa estimate] seeds one per run, the REPL keeps one
+   across its [estimate] commands. *)
+let estimate_body rng ~trials query =
+  check_trials trials;
+  fun db ->
+    let e =
+      Cqa.Montecarlo.estimate_g rng ~trials (Qlang.Solution_graph.of_query query db)
+    in
+    Format.printf "sampled %d repairs: %d satisfied the query (frequency %.3f)@."
+      e.Cqa.Montecarlo.trials e.Cqa.Montecarlo.satisfying e.Cqa.Montecarlo.frequency;
+    (match e.Cqa.Montecarlo.counterexample with
+    | Some r ->
+        Format.printf "a sampled falsifying repair (disproves certainty):@.";
+        List.iter (fun f -> Format.printf "  %a@." Relational.Fact.pp f) r
+    | None -> Format.printf "no falsifying repair sampled (suggests certainty)@.");
+    0
+
 let estimate_run query db_path trials seed =
   guard @@ fun () ->
-  with_db db_path @@ fun db ->
-      let rng = Random.State.make [| seed |] in
-      let e =
-        Cqa.Montecarlo.estimate_g rng ~trials (Qlang.Solution_graph.of_query query db)
-      in
-      Format.printf "sampled %d repairs: %d satisfied the query (frequency %.3f)@."
-        e.Cqa.Montecarlo.trials e.Cqa.Montecarlo.satisfying e.Cqa.Montecarlo.frequency;
-      (match e.Cqa.Montecarlo.counterexample with
-      | Some r ->
-          Format.printf "a sampled falsifying repair (disproves certainty):@.";
-          List.iter (fun f -> Format.printf "  %a@." Relational.Fact.pp f) r
-      | None -> Format.printf "no falsifying repair sampled (suggests certainty)@.");
-      0
+  with_db db_path (estimate_body (Random.State.make [| seed |]) ~trials query)
 
 let estimate_cmd =
   let trials_arg =
-    Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N" ~doc:"Number of sampled repairs.")
+    Arg.(
+      value & opt int default_trials
+      & info [ "trials" ] ~docv:"N" ~doc:"Number of sampled repairs (at least 1).")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Monte-Carlo estimate of the fraction of repairs satisfying the query.")
     Term.(const estimate_run $ query_arg $ db_arg $ trials_arg $ seed_arg)
+
+(* ------------------------------------------------------------------ *)
+(* repl *)
+
+let repl_help =
+  String.concat "\n"
+    [
+      "commands:";
+      "  query <two-atom query>   set and classify the query, e.g.  query R(x | y) R(y | z)";
+      "  add <fact>               add a fact, e.g.  add R(1 2)";
+      "  del <fact>               remove a fact";
+      "  load <file>              load a database file (replaces the facts)";
+      "  show                     print query, verdict and database";
+      "  blocks                   print the blocks (key conflicts)";
+      "  certain                  decide CERTAIN with the designated algorithm";
+      "  explain                  print a Cert_k certificate or a falsifying repair";
+      "  answers <x,y,...>        certain/possible answer tuples";
+      "  estimate [trials]        Monte-Carlo repair sampling (default 1000)";
+      "  dot                      solution graph in Graphviz format";
+      "  help                     this text";
+      "  quit                     leave";
+    ]
+
+(* Once a query is set: its report, classified once, and the database the
+   commands read. *)
+type repl_state = { report : Core.Dichotomy.report; db : Relational.Database.t }
+
+(* One command. [certain] is [cqa certain] with its defaults on the kept
+   report; [explain], [answers], [estimate] and [dot] are the subcommands'
+   bodies; [add] and [del] parse facts as the daemon's update op does, and
+   [load] ingests a file as every subcommand does. *)
+let repl_exec state rng name arg =
+  let module Database = Relational.Database in
+  let with_state f =
+    match !state with
+    | None -> print_endline "no query set; use:  query <two-atom query>"
+    | Some s -> f s
+  in
+  let query s = s.report.Core.Dichotomy.query in
+  match name with
+  | "" -> ()
+  | "help" -> print_endline repl_help
+  | "query" -> (
+      match parse_query arg with
+      | Error msg -> print_endline msg
+      | Ok q ->
+          let report = Core.Dichotomy.classify q in
+          state := Some { report; db = Database.empty [ q.Qlang.Query.schema ] };
+          Format.printf "%a@.%s@." Qlang.Query.pp q
+            (Core.Dichotomy.verdict_summary report.Core.Dichotomy.verdict))
+  | ("add" | "del" | "remove") as op ->
+      with_state (fun s ->
+          let facts =
+            Result.bind (Serve.Ingest.facts arg) (fun parsed ->
+                Serve.Ingest.key_markers s.db parsed
+                |> Result.map (fun () -> List.map fst parsed))
+          in
+          match facts with
+          | Error e -> ignore (ingest_error e)
+          | Ok facts ->
+              let insert = op = "add" in
+              (* [Delta.apply] validates inserts only; [del] refuses a
+                 misfit fact with the same error. *)
+              List.iter (Database.check_fact s.db) facts;
+              if (not insert) && not (List.for_all (Database.mem s.db) facts)
+              then print_endline "no such fact"
+              else begin
+                let db =
+                  Relational.Delta.apply s.db
+                    (List.map
+                       (fun f ->
+                         if insert then Relational.Delta.Insert f
+                         else Relational.Delta.Retract f)
+                       facts)
+                in
+                state := Some { s with db };
+                Format.printf "%s; %d facts@."
+                  (if insert then "added" else "removed")
+                  (Database.size db)
+              end)
+  | "load" ->
+      with_state (fun s ->
+          (* A file, never stdin ('-'): the REPL reads its commands there. *)
+          match
+            Serve.Ingest.database (In_channel.with_open_bin arg In_channel.input_all)
+          with
+          | Error e -> ignore (ingest_error e)
+          | Ok db ->
+              let schema = (query s).Qlang.Query.schema in
+              let rel = schema.Relational.Schema.name in
+              let facts = Database.facts db in
+              if List.exists (fun (f : Relational.Fact.t) -> f.Relational.Fact.rel <> rel) facts
+              then
+                Format.printf "database contains facts of other relations than %s@." rel
+              else begin
+                let db = Database.of_facts [ schema ] facts in
+                state := Some { s with db };
+                Format.printf "loaded %d facts in %d blocks@." (Database.size db)
+                  (Database.block_count db)
+              end)
+  | "show" ->
+      with_state (fun s ->
+          Format.printf "%a@.%s@.%d facts, %d blocks, consistent: %b@.%a@."
+            Qlang.Query.pp (query s)
+            (Core.Dichotomy.verdict_summary s.report.Core.Dichotomy.verdict)
+            (Database.size s.db) (Database.block_count s.db)
+            (Database.is_consistent s.db) Database.pp s.db)
+  | "blocks" ->
+      with_state (fun s ->
+          if Database.is_empty s.db then print_endline "empty database"
+          else
+            Database.fold_blocks
+              (fun () b ->
+                Format.printf "%a%s@." Relational.Block.pp b
+                  (if Relational.Block.size b > 1 then "   <-- conflict" else ""))
+              () s.db)
+  | "certain" ->
+      with_state (fun s ->
+          let budget = Harness.Budget.make () in
+          let outcome, attempts =
+            Core.Solver.solve ~k:default_k ~check_plane:Analysis.Sanitize.gate
+              ~budget s.report s.db
+          in
+          note_fallbacks attempts;
+          print_outcome budget outcome)
+  | "explain" ->
+      with_state (fun s -> ignore (explain_body ~k:default_k (query s) s.db))
+  | "answers" -> with_state (fun s -> ignore (answers_body ~free:arg (query s) s.db))
+  | "estimate" ->
+      with_state (fun s ->
+          (* A count that is not a number is refused like 0. *)
+          let trials =
+            if arg = "" then default_trials
+            else Option.value ~default:0 (int_of_string_opt arg)
+          in
+          ignore (estimate_body rng ~trials (query s) s.db))
+  | "dot" -> with_state (fun s -> ignore (dot_body ~directed:false (query s) s.db))
+  | other -> Format.printf "unknown command %s (try: help)@." other
+
+let repl_run () =
+  print_endline "cqa repl — consistent query answering under primary keys";
+  print_endline "type 'help' for commands, 'quit' to leave";
+  let state = ref None and rng = Random.State.make [| 0x5EED |] in
+  let rec loop () =
+    print_string "> ";
+    flush stdout;
+    match In_channel.input_line stdin with
+    | None -> 0
+    | Some line -> (
+        let line = String.trim line in
+        let name, arg =
+          match String.index_opt line ' ' with
+          | None -> (line, "")
+          | Some i ->
+              ( String.sub line 0 i,
+                String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+        in
+        match String.lowercase_ascii name with
+        | "quit" | "exit" -> 0
+        | name ->
+            ignore (guard (fun () -> repl_exec state rng name arg; 0));
+            loop ())
+  in
+  loop ()
+
+let repl_cmd =
+  Cmd.v
+    (Cmd.info "repl"
+       ~doc:"Interactive shell: set a query, edit a database, decide and explain."
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "Reads one command per line from stdin; $(b,help) lists them. \
+              $(b,query) classifies the query once. $(b,certain) runs the \
+              degradation chain with $(b,cqa certain)'s defaults, and \
+              $(b,explain), $(b,answers), $(b,estimate) and $(b,dot) run the \
+              subcommands of the same names on the current database. \
+              $(b,add) and $(b,del) parse facts as the serve daemon's \
+              $(b,update) op does; $(b,load) reads a database file as every \
+              subcommand does.";
+         ])
+    Term.(const repl_run $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* serve *)
@@ -1429,6 +1535,7 @@ let main_cmd =
       estimate_cmd;
       serve_cmd;
       obs_cmd;
+      repl_cmd;
     ]
 
 (* Every command-line error exits with the usage code: cmdliner's own

@@ -53,15 +53,14 @@ let () =
      only@.possible: scanner 2 claims s2 departs from marseille, so in some \
      repairs the@.relay breaks. (s1, s4) is certain: s4 departs from paris \
      in every repair.@.@.";
-  (* The same data through a session: retract scanner 2's claim and watch
-     (s1, s2) become certain. *)
+  (* The same data, classified once and decided per database state: retract
+     scanner 2's claim and watch (s1, s2) become certain. *)
   let grounded =
     Core.Answers.ground ~free q [ V.str "s1"; V.str "s2" ]
   in
-  let session = Core.Session.create grounded db in
-  Format.printf "certain(q(s1, s2)) initially: %b@." (fst (Core.Session.certain session));
-  let session' =
-    Core.Session.remove_fact session (fact "s2" "marseille" "lille")
-  in
+  let report = Core.Dichotomy.classify grounded in
+  Format.printf "certain(q(s1, s2)) initially: %b@."
+    (fst (Core.Solver.certain report db));
+  let db' = Relational.Database.remove db (fact "s2" "marseille" "lille") in
   Format.printf "after retracting Route(s2 | marseille lille): %b@."
-    (fst (Core.Session.certain session'))
+    (fst (Core.Solver.certain report db'))

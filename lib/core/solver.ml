@@ -498,10 +498,10 @@ let record_metrics metrics outcome (attempts : attempt list) =
   Obs.Metrics.incr metrics ("solver.outcome." ^ outcome_label outcome)
 
 (* Journal a chain's degradation story: one [tier.fallback] per attempt that
-   did not decide, then the exhaustion with the hottest of the caller's
-   sites. Lives beside [record_metrics] so the CLI and the daemon journal
+   did not decide, then the exhaustion with the request budget's hottest
+   site. Lives beside [record_metrics] so the CLI and the daemon journal
    identically. *)
-let record_journal journal ~steps ~sites outcome (attempts : attempt list) =
+let record_journal journal ~budget outcome (attempts : attempt list) =
   List.iter
     (fun (a : attempt) ->
       match a.status with
@@ -520,11 +520,11 @@ let record_journal journal ~steps ~sites outcome (attempts : attempt list) =
   match outcome with
   | Harness.Outcome.Timeout | Harness.Outcome.Budget_exhausted ->
       let hottest =
-        match List.sort hottest_first sites with
-        | [] -> []
-        | (site, n) :: _ ->
+        match Harness.Budget.hottest_site budget with
+        | None -> []
+        | Some (site, n) ->
             [ ("site", Obs.Trace.String site); ("site_steps", Obs.Trace.Int n) ]
       in
       Obs.Journal.log journal "budget.exhausted"
-        (("steps", Obs.Trace.Int steps) :: hottest)
+        (("steps", Obs.Trace.Int (Harness.Budget.steps budget)) :: hottest)
   | _ -> ()

@@ -72,8 +72,9 @@ val min_k : int
 val certain : ?k:int -> Dichotomy.report -> Relational.Database.t -> bool * algorithm
 
 (** [certain_graph report ~plane ~graph] is {!certain} over a plane and a
-    solution graph that arrive as lazy values (typically cached in a
-    {!Session.t}); only what the designated algorithm needs is forced. *)
+    solution graph that arrive as lazy values ({!Answers.evaluate} shares
+    one plane across its candidate tuples); only what the designated
+    algorithm needs is forced. *)
 val certain_graph :
   ?k:int ->
   Dichotomy.report ->
@@ -151,15 +152,6 @@ val run_tiers :
   ?trace:Obs.Trace.t ->
   (tier * algorithm * (unit -> bool)) list ->
   outcome * attempt list
-
-(** [apply_plane_gate check_plane plane] runs the plane gate (see {!solve})
-    when one is given.
-    @raise Invalid_argument ["compiled plane rejected: ..."] when the
-    checker rejects [plane]. *)
-val apply_plane_gate :
-  (Relational.Compiled.t -> (unit, string) result) option ->
-  Relational.Compiled.t ->
-  unit
 
 (** [solve report db] runs the degradation chain for a classified query.
     [estimate_trials] enables the Monte Carlo fallback tier with that many
@@ -247,19 +239,15 @@ val solve_plane :
     bridge, so their names and bucket shapes agree. *)
 val record_metrics : Obs.Metrics.t -> outcome -> attempt list -> unit
 
-(** [record_journal j ~steps ~sites outcome attempts] journals one finished
+(** [record_journal j ~budget outcome attempts] journals one finished
     chain into [j]: a [tier.fallback] event (tier, algorithm, status,
     steps) per attempt that did not decide, then, when [outcome] is
     [Timeout] or [Budget_exhausted], one [budget.exhausted] event carrying
-    [steps] and the hottest of [sites] — most steps, ties broken by name,
-    the order of {!Harness.Budget.steps_by_site}. [steps] and [sites] are
-    the caller's totals: [cqa certain] passes its whole budget's, the
-    daemon the sum of the attempts'. Both front ends journal through this
-    one function; each logs its own [request.completed]. *)
+    [budget]'s steps and its hottest site ({!Harness.Budget.hottest_site}).
+    [budget] is the whole request's — the ticks before the chain (the
+    daemon's serve tick, a plane compile) included — so the event agrees
+    with the [steps] and [steps.<site>] fields of the front end's own
+    [request.completed]. Both front ends journal through this one
+    function. *)
 val record_journal :
-  Obs.Journal.t ->
-  steps:int ->
-  sites:(string * int) list ->
-  outcome ->
-  attempt list ->
-  unit
+  Obs.Journal.t -> budget:Harness.Budget.t -> outcome -> attempt list -> unit

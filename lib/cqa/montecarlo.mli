@@ -8,8 +8,8 @@
     any sampled falsifying repair disproves certainty.
 
     {!estimate_g} is the one sampler served code runs: the degradation
-    chain's fallback, the daemon's admission downgrade, sessions and
-    [cqa estimate]. {!estimate} is the reference it is held to. *)
+    chain's fallback, the daemon's admission downgrade and [cqa estimate]
+    (the REPL's [estimate] too). {!estimate} is the reference it is held to. *)
 
 type estimate = {
   trials : int;

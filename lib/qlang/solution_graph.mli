@@ -16,7 +16,7 @@
     {!Pattern.iter_pairs} over interned int tuples — no substitution maps,
     O(facts + pairs).
     {!of_atoms} compiles the database on the fly; callers holding a plane
-    (sessions, the degradation chain) use {!of_compiled} /
+    (the degradation chain, [Core.Answers]) use {!of_compiled} /
     {!of_query_compiled} to build the graph without recompiling. Both
     constructions produce a graph structurally identical to the frozen
     persistent-plane reference {!of_atoms_reference}, the oracle the

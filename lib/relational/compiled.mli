@@ -28,8 +28,9 @@
     never migrate between planes. An update patches the plane with
     {!apply_delta}, which shares the interner until an insert brings a
     value it lacks and then copies it; the solution graph over the patched
-    plane is rebuilt from scratch by whoever next needs it (sessions and
-    the serve plane cache build it lazily, once per database state). *)
+    plane is rebuilt from scratch by whoever next needs it (the serve
+    daemon's next read of the updated database builds it on the patched
+    plane). *)
 
 type t = private {
   interner : Interner.t;  (** Owns the id [<->] value bijection. *)
@@ -127,8 +128,8 @@ val pp : Format.formatter -> t -> unit
 (** [set_test_corruption f] installs (or with [None] removes) a global hook
     applied to every plane {!compile} produces, {e after} construction. This
     is the chaos-injection point for the sanitizer's end-to-end tests: a
-    corruption installed here flows through [Core.Session], the serve plane
-    cache, and every other compile site, exactly like a real invariant
+    corruption installed here flows through the solver chain, the serve
+    plane cache, and every other compile site, exactly like a real invariant
     violation would. Never installed in production code paths; the [cqa
     serve --chaos-corrupt] flag and the test suites are the only callers. *)
 val set_test_corruption : (t -> t) option -> unit

@@ -70,11 +70,11 @@ type t = {
          uptime and latency must not consume (and thus perturb) a virtual
          admission clock's readings *)
   (* Scratch for the request being handled (the loop is single-threaded):
-     the admission tier and decision and the per-site step profile, read
+     the admission tier and decision and the solved request's budget, read
      back by [finalize] for the latency histogram and the journal. *)
   mutable req_tier : string option;
   mutable req_decision : Admission.decision option;
-  mutable req_sites : (string * int) list;
+  mutable req_budget : Budget.t option;
   mutable requests : int;
   mutable stopped : bool;
 }
@@ -120,7 +120,7 @@ let create ?clock ?(sleep = Unix.sleepf) ?journal config =
     started = Harness.Clock.now ();
     req_tier = None;
     req_decision = None;
-    req_sites = [];
+    req_budget = None;
     requests = 0;
     stopped = false;
   }
@@ -273,7 +273,7 @@ type solved =
   | R_solved of {
       outcome : Core.Solver.outcome;
       attempts : Core.Solver.attempt list;
-      steps : int;
+      budget : Budget.t;
       hit : bool;
     }
   | R_downgraded of { est : Cqa.Montecarlo.estimate; hit : bool }
@@ -347,13 +347,7 @@ let do_certain t ~query ~db ~trials ~explain =
                             ~estimate_trials:trials ~seed:t.config.seed
                             ?trace:t.trace report entry.Plane_cache.plane
                         in
-                        R_solved
-                          {
-                            outcome;
-                            attempts;
-                            steps = Budget.steps budget;
-                            hit;
-                          }))
+                        R_solved { outcome; attempts; budget; hit }))
           in
           let count_plane hit =
             Obs.Metrics.incr t.metrics
@@ -372,33 +366,21 @@ let do_certain t ~query ~db ~trials ~explain =
                 @ estimate_fields ~reason:"admission" est
                 @ [ ("cache", Json.String (if hit then "hit" else "miss")) ]
                 @ retries_fields retries )
-          | Ok (R_solved { outcome; attempts; steps; hit }) ->
+          | Ok (R_solved { outcome; attempts; budget; hit }) ->
               count_plane hit;
               (* Meter and journal the chain like the CLI does, so the
                  daemon's stats carry the same per-tier histograms `cqa
-                 certain --metrics` would. *)
+                 certain --metrics` would. The journal reads the request's
+                 budget, serve tick and plane compile included. *)
               Core.Solver.record_metrics t.metrics outcome attempts;
-              let sites =
-                List.fold_left
-                  (fun acc (a : Core.Solver.attempt) ->
-                    List.fold_left
-                      (fun acc (site, n) ->
-                        let prev =
-                          Option.value ~default:0 (List.assoc_opt site acc)
-                        in
-                        (site, prev + n) :: List.remove_assoc site acc)
-                      acc a.Core.Solver.sites)
-                  [] attempts
-              in
-              t.req_sites <- List.sort compare sites;
+              t.req_budget <- Some budget;
               Option.iter
-                (fun j ->
-                  Core.Solver.record_journal j ~steps ~sites outcome attempts)
+                (fun j -> Core.Solver.record_journal j ~budget outcome attempts)
                 t.journal;
               let common =
                 [
                   ("cache", Json.String (if hit then "hit" else "miss"));
-                  ("steps", Json.Int steps);
+                  ("steps", Json.Int (Budget.steps budget));
                 ]
                 @ retries_fields retries
                 @ (if explain then [ attempts_field attempts ] else [])
@@ -512,27 +494,6 @@ type updated =
       patched : bool;  (* false: entry was evicted, fell back to recompile *)
     }
 
-let key_marker_mismatch db parsed =
-  List.find_map
-    (fun ((f : Relational.Fact.t), marker) ->
-      match marker with
-      | None -> None
-      | Some l -> (
-          match Relational.Database.schema_of db f with
-          | exception Invalid_argument _ ->
-              (* Undeclared relation: the delta application reports it with
-                 the structured Database error; don't pre-empt it here. *)
-              None
-          | s ->
-              if s.Relational.Schema.key_len = l then None
-              else
-                Some
-                  (Printf.sprintf
-                     "fact %s declares key length %d but schema %s has %d"
-                     (Relational.Fact.to_string f)
-                     l s.Relational.Schema.name s.Relational.Schema.key_len)))
-    parsed
-
 let do_update t ~name ~insert ~retract =
   match Hashtbl.find_opt t.named name with
   | None ->
@@ -542,10 +503,9 @@ let do_update t ~name ~insert ~retract =
       match (Ingest.facts insert, Ingest.facts retract) with
       | Error e, _ | _, Error e -> error_fields e
       | Ok ins, Ok rets -> (
-          match key_marker_mismatch old_db (ins @ rets) with
-          | Some msg ->
-              (Protocol.Bad_db, [ ("error", Json.String msg) ])
-          | None -> (
+          match Ingest.key_markers old_db (ins @ rets) with
+          | Error e -> error_fields e
+          | Ok () -> (
               let delta =
                 List.map
                   (fun (f, _) -> Relational.Delta.Insert f)
@@ -940,12 +900,14 @@ let finalize t ~t0 ?id ~op code fields =
         @ (match cache with
           | Some (Json.String c) -> [ ("cache", Obs.Trace.String c) ]
           | _ -> [])
-        @ (match List.assoc_opt "steps" fields with
-          | Some (Json.Int n) -> [ ("steps", Obs.Trace.Int n) ]
-          | _ -> [])
-        @ List.map
-            (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
-            t.req_sites));
+        @
+        match t.req_budget with
+        | None -> []
+        | Some b ->
+            ("steps", Obs.Trace.Int (Budget.steps b))
+            :: List.map
+                 (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
+                 (Budget.steps_by_site b)));
   let fields =
     match t.trace with
     | None -> fields
@@ -960,7 +922,7 @@ let handle_line t line =
     Obs.Metrics.incr t.metrics "serve.requests";
     t.req_tier <- None;
     t.req_decision <- None;
-    t.req_sites <- [];
+    t.req_budget <- None;
     let t0 = Harness.Clock.now () in
     let frame =
       match Protocol.decode ~max_bytes:t.config.max_frame_bytes line with

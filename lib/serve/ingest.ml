@@ -46,6 +46,31 @@ let facts text =
   in
   go [] 1 (String.split_on_char '\n' text)
 
+let key_markers db parsed =
+  match
+    List.find_map
+      (fun ((f : Relational.Fact.t), marker) ->
+        match marker with
+        | None -> None
+        | Some l -> (
+            match Relational.Database.schema_of db f with
+            | exception Invalid_argument _ ->
+                (* Undeclared relation: the delta application reports it with
+                   the structured Database error; don't pre-empt it here. *)
+                None
+            | s ->
+                if s.Relational.Schema.key_len = l then None
+                else
+                  Some
+                    (Printf.sprintf
+                       "fact %s declares key length %d but schema %s has %d"
+                       (Relational.Fact.to_string f)
+                       l s.Relational.Schema.name s.Relational.Schema.key_len)))
+      parsed
+  with
+  | None -> Ok ()
+  | Some message -> Error { Protocol.code = Protocol.Bad_db; message }
+
 let query src =
   match Qlang.Parse.query src with
   | Ok q -> Ok q

@@ -31,6 +31,15 @@ val facts :
   string ->
   ((Relational.Fact.t * int option) list, Protocol.error) result
 
+(** [key_markers db parsed] checks the key lengths that {!facts} inferred
+    from bar positions against [db]'s schemas: [Error {code = Bad_db; _}]
+    naming the first fact whose bar disagrees. Facts written without a bar,
+    and facts of undeclared relations (left to the delta's own error), pass. *)
+val key_markers :
+  Relational.Database.t ->
+  (Relational.Fact.t * int option) list ->
+  (unit, Protocol.error) result
+
 (** [query src] parses a two-atom self-join query;
     [Error {code = Bad_query; _}] with the parser's positioned message. *)
 val query : string -> (Qlang.Query.t, Protocol.error) result

@@ -1,9 +1,9 @@
 (** An LRU cache of compiled execution planes, keyed by database
     fingerprint.
 
-    The PR-5 two-plane architecture made compilation a one-shot cost
-    amortized over many queries {e within} one [Core.Session]; the daemon
-    amortizes it {e across requests}: the first request to mention a
+    The two-plane architecture makes compilation a one-shot cost per
+    solve ({!Core.Solver.solve} compiles once and shares the plane across
+    its tiers); the daemon amortizes it {e across requests}: the first request to mention a
     database pays the interning (charged to that request's budget at site
     ["compile"]), every later request — whether it named the database or
     inlined byte-identical facts — reuses the plane. The key is a

@@ -1005,11 +1005,11 @@ let test_request_isolation () =
   checki "responses counted by code" 2
     (Obs.Metrics.counter_value m "serve.response.ok")
 
-let test_daemon_latency () =
-  (* A served answer on a small database takes well under a millisecond;
-     the daemon's clock must still see every request, in the journal and in
-     the stats latency summary. *)
-  let path = Filename.temp_file "cqa-serve-latency" ".jsonl" in
+(* Drive a daemon journaling to a temporary file with [run], then hand
+   [check] what [run] returned and the journal's [request.completed]
+   events. *)
+let with_completions run check =
+  let path = Filename.temp_file "cqa-serve-journal" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
@@ -1017,12 +1017,32 @@ let test_daemon_latency () =
         Obs.Journal.create ~render:Analysis.Obs_codec.event_to_string path
       in
       let d = Serve.Daemon.create ~journal base_config in
-      for _ = 1 to 20 do
-        expect_code d "certain" Protocol.Ok_code
-          {|{"op": "certain", "query": "R(x | y) R(y | z)", "facts": "R(1 | 2)\nR(2 | 2)\nR(2 | 3)"}|}
-      done;
-      let _, j = handle d {|{"op": "stats"}|} in
+      let result = run d in
       Obs.Journal.close journal;
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+      |> List.filter_map (fun l ->
+             match Analysis.Obs_codec.event_of_string l with
+             | Ok ev when ev.Obs.Journal.kind = "request.completed" -> Some ev
+             | Ok _ -> None
+             | Error msg -> Alcotest.failf "bad journal line: %s" msg)
+      |> check result)
+
+let test_daemon_latency () =
+  (* A served answer on a small database takes well under a millisecond;
+     the daemon's clock must still see every request, in the journal and in
+     the stats latency summary. *)
+  let certain =
+    {|{"op": "certain", "query": "R(x | y) R(y | z)", "facts": "R(1 | 2)\nR(2 | 2)\nR(2 | 3)"}|}
+  in
+  with_completions
+    (fun d ->
+      for _ = 1 to 20 do
+        expect_code d "certain" Protocol.Ok_code certain
+      done;
+      snd (handle d {|{"op": "stats"}|}))
+    (fun j completed ->
       (match Json.member "fast" (field "latency" j) with
       | Some fast -> (
           match Json.member "mean_ms" fast with
@@ -1030,16 +1050,6 @@ let test_daemon_latency () =
               checkb "stats latency.fast.mean_ms > 0" true (ms > 0.)
           | _ -> Alcotest.fail "latency.fast lacks a float mean_ms")
       | None -> Alcotest.fail "stats lacks latency.fast");
-      let completed =
-        In_channel.with_open_text path In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-        |> List.filter_map (fun l ->
-               match Analysis.Obs_codec.event_of_string l with
-               | Ok ev when ev.Obs.Journal.kind = "request.completed" -> Some ev
-               | Ok _ -> None
-               | Error msg -> Alcotest.failf "bad journal line: %s" msg)
-      in
       checki "one completion per request" 21 (List.length completed);
       List.iter
         (fun (ev : Obs.Journal.event) ->
@@ -1051,6 +1061,50 @@ let test_daemon_latency () =
                 true (ms > 0.)
           | _ -> Alcotest.fail "request.completed lacks a float ms")
         completed)
+
+(* A completion's [steps] is the request's whole budget, and its
+   [steps.<site>] fields split it: the serve tick and a plane compile on a
+   cache miss, which run before the chain, count too. *)
+let test_daemon_completion_steps () =
+  with_completions
+    (fun d ->
+      List.iter
+        (expect_code d "request" Protocol.Ok_code)
+        [
+          {|{"op": "certain", "query": "R(x | y) R(y | z)", "facts": "R(1 | 2)\nR(2 | 3)"}|};
+          {|{"op": "load", "name": "d", "facts": "R(1 | 2)\nR(2 | 3)\nR(3 | 4)\nR(3 | 1)"}|};
+          {|{"op": "certain", "query": "R(x | y) R(y | z)", "db": "d"}|};
+          {|{"op": "certain", "query": "R(x | y) R(y | z)", "db": "d", "trials": 5}|};
+        ])
+    (fun () completed ->
+      let with_steps =
+        List.filter_map
+          (fun (ev : Obs.Journal.event) ->
+            match List.assoc_opt "steps" ev.Obs.Journal.fields with
+            | Some (Obs.Trace.Int n) -> Some (ev, n)
+            | _ -> None)
+          completed
+      in
+      checki "every certain completion carries steps" 3 (List.length with_steps);
+      List.iter
+        (fun ((ev : Obs.Journal.event), steps) ->
+          let sum =
+            List.fold_left
+              (fun acc (k, v) ->
+                match v with
+                | Obs.Trace.Int n
+                  when String.length k > 6 && String.sub k 0 6 = "steps." ->
+                    acc + n
+                | _ -> acc)
+              0 ev.Obs.Journal.fields
+          in
+          checki
+            (Printf.sprintf "request.completed #%d: steps = sum of steps.<site>"
+               ev.Obs.Journal.seq)
+            steps sum;
+          checkb "the serve tick is counted" true
+            (List.mem_assoc "steps.serve" ev.Obs.Journal.fields))
+        with_steps)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: ≥1000 randomized requests, faults at every site, zero
@@ -1223,6 +1277,8 @@ let () =
           Alcotest.test_case "request isolation" `Quick test_request_isolation;
           Alcotest.test_case "sub-millisecond latency" `Quick
             test_daemon_latency;
+          Alcotest.test_case "completion steps = site sum" `Quick
+            test_daemon_completion_steps;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Quick test_soak ]);
     ]

@@ -1,6 +1,7 @@
-(* Tests for non-Boolean certain answers, the session front-end, the random
-   query generator, and the end-to-end fuzz test: on random queries, the
-   algorithm designated by the dichotomy must agree with the exact solver. *)
+(* Tests for non-Boolean certain answers, classify-once answering over
+   changing databases, the random query generator, and the end-to-end fuzz
+   test: on random queries, the algorithm designated by the dichotomy must
+   agree with the exact solver. *)
 
 module Database = Relational.Database
 module Fact = Relational.Fact
@@ -8,7 +9,6 @@ module Value = Relational.Value
 module Query = Qlang.Query
 module Parse = Qlang.Parse
 module Answers = Core.Answers
-module Session = Core.Session
 
 let vi = Value.int
 let fact vs = Fact.make "R" (List.map vi vs)
@@ -112,71 +112,79 @@ let test_answers_pattern_cache_consistency () =
     (Answers.certain_answers ~free q db = certain_answers_oracle ~free q db)
 
 (* ------------------------------------------------------------------ *)
-(* Session *)
+(* What replaces a classify-once session: one report answers every
+   database state, the daemon's patch path re-solves a patched plane, and
+   the certificate and the estimate are read off the solution graph *)
+
+let certain report db = fst (Core.Solver.certain report db)
 
 let test_session_lifecycle () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ] ] in
-  let s = Session.create q3 db in
-  Alcotest.(check bool) "initially certain" true (fst (Session.certain s));
+  let report = Core.Dichotomy.classify q3 in
+  Alcotest.(check bool) "initially certain" true (certain report db);
   (* Introduce a conflicting fact for key 1: certainty is lost. *)
-  let s' = Session.add_fact s (fact [ 1; 9 ]) in
-  Alcotest.(check bool) "conflict breaks certainty" false (fst (Session.certain s'));
-  (* The original session is unaffected (immutability). *)
-  Alcotest.(check bool) "original unchanged" true (fst (Session.certain s));
-  let s'' = Session.remove_fact s' (fact [ 1; 9 ]) in
+  let db' = Database.add db (fact [ 1; 9 ]) in
+  Alcotest.(check bool) "conflict breaks certainty" false (certain report db');
+  (* The earlier state is unaffected (immutability). *)
+  Alcotest.(check bool) "original unchanged" true (certain report db);
   Alcotest.(check bool) "repairing the db restores certainty" true
-    (fst (Session.certain s''))
+    (certain report (Database.remove db' (fact [ 1; 9 ])))
 
-(* The batch-delta path: once the plane is forced, [update] patches it
-   with [Compiled.apply_delta] instead of recompiling — the patched
-   session must answer exactly like a session created fresh on the
-   updated database, and the patched plane must decompile to it. *)
+(* The daemon's update path: a plane patched with [Compiled.apply_delta]
+   and solved with [Solver.solve_plane] answers like a fresh solve of the
+   updated database, and decompiles to it. *)
 let test_session_update () =
   let db = db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ]; fact [ 5; 5 ] ] in
-  let s = Session.create q3 db in
-  (* Force the plane so the update takes the patch path, not a compile. *)
-  ignore (Session.compiled s);
+  let report = Core.Dichotomy.classify q3 in
+  let plane = Relational.Compiled.compile db in
+  let solve_plane plane =
+    match Core.Solver.solve_plane report plane with
+    | Harness.Outcome.Decided (b, _), _ -> b
+    | _ -> Alcotest.fail "the chain should decide"
+  in
   let delta =
     [
       Relational.Delta.Insert (fact [ 1; 9 ]);
       Relational.Delta.Retract (fact [ 5; 5 ]);
     ]
   in
-  let s' = Session.update s delta in
+  let plane' = Relational.Compiled.apply_delta plane delta in
   let new_db = Relational.Delta.apply db delta in
   Alcotest.(check bool) "patched plane decompiles to the updated db" true
-    (Relational.Database.equal
-       (Relational.Compiled.decompile (Session.compiled s'))
-       new_db);
-  let fresh = Session.create q3 new_db in
-  Alcotest.(check bool) "patched session agrees with a fresh one" true
-    (fst (Session.certain s') = fst (Session.certain fresh));
-  Alcotest.(check bool) "memo invalidated: answer reflects the delta" false
-    (fst (Session.certain s') = fst (Session.certain s));
-  (* A net no-op delta keeps the answer (and the classification). *)
-  let s'' =
-    Session.update s'
+    (Database.equal (Relational.Compiled.decompile plane') new_db);
+  Alcotest.(check bool) "patched plane agrees with a fresh solve" true
+    (solve_plane plane' = certain report new_db);
+  Alcotest.(check bool) "answer reflects the delta" false
+    (solve_plane plane' = solve_plane plane);
+  (* A net no-op delta keeps the answer. *)
+  let plane'' =
+    Relational.Compiled.apply_delta plane'
       [
         Relational.Delta.Retract (fact [ 7; 7 ]);
         Relational.Delta.Insert (fact [ 1; 9 ]);
       ]
   in
   Alcotest.(check bool) "no-op delta keeps the answer" true
-    (fst (Session.certain s'') = fst (Session.certain s'))
+    (solve_plane plane'' = solve_plane plane')
 
+(* What [cqa explain] prints on a certain database: a derivation of the
+   empty set, and no falsifying repair. *)
 let test_session_certificate () =
-  let s = Session.create q3 (db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ] ]) in
-  (match Session.certificate s with
-  | Some (_, c) -> Alcotest.(check bool) "derives empty set" true (c.Cqa.Certk.set = [])
+  let g = Qlang.Solution_graph.of_query q3 (db_of q3 [ fact [ 1; 2 ]; fact [ 2; 3 ] ]) in
+  (match Cqa.Certk.certificate ~k:3 g with
+  | Some c -> Alcotest.(check bool) "derives empty set" true (c.Cqa.Certk.set = [])
   | None -> Alcotest.fail "certificate expected");
-  match Session.falsifying_repair s with
+  match Cqa.Satreduce.falsifying_repair g with
   | None -> ()
   | Some _ -> Alcotest.fail "no falsifying repair exists"
 
 let test_session_estimate () =
   let rng = Random.State.make [| 17 |] in
-  let s = Session.create q3 (db_of q3 [ fact [ 1; 2 ]; fact [ 1; 9 ]; fact [ 2; 3 ] ]) in
-  let e = Session.estimate s rng ~trials:100 in
+  let g =
+    Qlang.Solution_graph.of_query q3
+      (db_of q3 [ fact [ 1; 2 ]; fact [ 1; 9 ]; fact [ 2; 3 ] ])
+  in
+  let e = Cqa.Montecarlo.estimate_g rng ~trials:100 g in
   Alcotest.(check bool) "frequency strictly between 0 and 1" true
     (e.Cqa.Montecarlo.frequency > 0.0 && e.Cqa.Montecarlo.frequency < 1.0)
 
