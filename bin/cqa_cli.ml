@@ -79,7 +79,10 @@ let merges_arg =
     value & opt int 2
     & info [ "merges" ] ~docv:"N" ~doc:"Centre-variable identification budget of the tripath search.")
 
+(* A negative budget would run no search at all (-1) or crash building the
+   merge sets (-2), and "no tripath" would then read as a PTIME verdict. *)
 let opts_of_merges merges =
+  if merges < 0 then invalid_arg "--merges must be a non-negative integer";
   { Core.Tripath_search.default_options with Core.Tripath_search.max_merges = merges }
 
 (* [cqa certain]'s defaults, which [cqa explain], [cqa estimate] and the
@@ -680,10 +683,11 @@ let tripath_cmd =
 
 let catalog_run merges =
   guard @@ fun () ->
+  let opts = opts_of_merges merges in
   Format.printf "%-18s %-40s %s@." "name" "query" "verdict";
   List.iter
     (fun (e : Workload.Catalog.entry) ->
-      let r = Core.Dichotomy.classify ~opts:(opts_of_merges merges) e.Workload.Catalog.query in
+      let r = Core.Dichotomy.classify ~opts e.Workload.Catalog.query in
       Format.printf "%-18s %-40s %s@." e.Workload.Catalog.name
         (Qlang.Query.to_string e.Workload.Catalog.query)
         (Core.Dichotomy.verdict_summary r.Core.Dichotomy.verdict))

@@ -94,10 +94,26 @@ let g_sym (q : Query.t) subst ~d ~e ~f =
 let endpoint_not_pruned (q : Query.t) subst ~d ~e ~f endpoint =
   not (Term.Set.subset (g_sym q subst ~d ~e ~f) (term_key_set q subst endpoint))
 
+(* [placed] holds one atom per tree block placed so far: the center's
+   [d], [e] and [f], each spine parent and the root, each arm's b fact and
+   the leaves. The blocks of a tripath have pairwise distinct keys, and a
+   unifier only ever identifies terms, so two key tuples that are equal
+   under [subst] stay equal in every extension of it, and every completion
+   fails {!Tripath.check} with "two tree blocks share a key". *)
+let keys_distinct (q : Query.t) subst placed =
+  let keys =
+    List.map (fun atom -> Atom.key_tuple q.Query.schema (Subst.apply_atom subst atom)) placed
+  in
+  List.length (List.sort_uniq (List.compare Term.compare) keys) = List.length keys
+
 (* ------------------------------------------------------------------ *)
 (* Instantiation and verification                                      *)
 
-let instantiate (q : Query.t) candidate =
+(* Grounds atoms under [subst], mapping each variable to a fresh constant
+   θi in order of first occurrence. The map is injective and no query
+   mentions a θ constant, so two terms denote the same element iff they are
+   syntactically equal, whichever grounder produced them. *)
+let grounder subst =
   let counter = ref 0 in
   let assignment = Hashtbl.create 32 in
   let value_of v =
@@ -109,13 +125,15 @@ let instantiate (q : Query.t) candidate =
         Hashtbl.add assignment v value;
         value
   in
-  let ground atom =
-    let atom = Subst.apply_atom candidate.subst atom in
+  fun atom ->
+    let atom = Subst.apply_atom subst atom in
     Fact.of_array atom.Atom.rel
       (Array.map
          (function Term.Cst value -> value | Term.Var v -> value_of v)
          atom.Atom.args)
-  in
+
+let instantiate (q : Query.t) candidate =
+  let ground = grounder candidate.subst in
   let ground_inner blk = { Tripath.fa = ground blk.sa; fb = ground blk.sb } in
   {
     Tripath.query = q;
@@ -128,36 +146,65 @@ let instantiate (q : Query.t) candidate =
     leaf2 = ground candidate.leaf2;
   }
 
+(* The candidate's kind, decided on its two center facts [d] and [f] alone,
+   exactly as {!Tripath.check} decides it on the instantiated tripath: the
+   solution q(f d) exists iff it exists on any injective grounding. *)
+let kind_of (q : Query.t) candidate =
+  let ground = grounder candidate.subst in
+  let first_b arm leaf = match arm with blk :: _ -> blk.sb | [] -> leaf in
+  let d = ground (first_b candidate.arm1 candidate.leaf1)
+  and f = ground (first_b candidate.arm2 candidate.leaf2) in
+  if Qlang.Solutions.query_solution_pair q f d then Tripath.Triangle else Tripath.Fork
+
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
+(* Negative depths or merges would silently shrink the search (no center
+   variant at all for [max_merges < 0]), and a budget below one ends it at
+   its first node; either way [Not_found] would read as "no tripath". *)
+let validate opts =
+  List.iter
+    (fun (name, value, least) ->
+      if value < least then
+        invalid_arg (Printf.sprintf "Tripath_search: %s must be >= %d" name least))
+    [
+      ("max_spine", opts.max_spine, 0);
+      ("max_arm", opts.max_arm, 0);
+      ("max_merges", opts.max_merges, 0);
+      ("max_candidates", opts.max_candidates, 1);
+    ]
+
 let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) =
+  validate opts;
   let gen = Unify.Fresh.create ~prefix:"\u{03C3}" () in
   let budget = ref opts.max_candidates in
   let spend () =
     decr budget;
     if !budget <= 0 then raise Budget_exhausted
   in
+  let wanted kind = match want with None -> true | Some k -> k = kind in
+  (* The kind is decided first, so a candidate of the wrong kind is skipped
+     without being instantiated or verified. *)
   let try_candidate candidate =
     spend ();
-    let tripath = instantiate q candidate in
-    match Tripath.check tripath with
-    | Error _ -> ()
-    | Ok kind -> (
-        let kind_ok = match want with None -> true | Some k -> k = kind in
-        if kind_ok then
+    if want = None || wanted (kind_of q candidate) then
+      let tripath = instantiate q candidate in
+      match Tripath.check tripath with
+      | Ok kind when wanted kind ->
           if require_nice then
             match Tripath.niceness tripath with
             | Ok (kind, witness) -> raise (Found_exn (tripath, kind, Some witness))
             | Error _ -> ()
-          else raise (Found_exn (tripath, kind, None)))
+          else raise (Found_exn (tripath, kind, None))
+      | Ok _ | Error _ -> ()
   in
-  (* Grow one arm downward. [on_done] receives (subst, blocks, leaf). *)
-  let rec grow_arm subst ~d ~e ~f cur_b blocks depth on_done =
+  (* Grow one arm downward from [cur_b], which [placed] already holds.
+     [on_done] receives (subst, placed, blocks, leaf). *)
+  let rec grow_arm subst ~d ~e ~f placed cur_b blocks depth on_done =
     spend ();
     (* Stop: the current block is the leaf, containing only [cur_b]. *)
     if endpoint_not_pruned q subst ~d ~e ~f cur_b then
-      on_done subst (List.rev blocks) cur_b;
+      on_done subst placed (List.rev blocks) cur_b;
     if depth < opts.max_arm then
       match sibling gen q subst cur_b with
       | None -> ()
@@ -175,13 +222,15 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
               | None -> ()
               | Some subst' ->
                   let child_b = Subst.apply_atom subst' child in
-                  grow_arm subst' ~d ~e ~f child_b (block :: blocks) (depth + 1)
-                    on_done)
+                  let placed = child_b :: placed in
+                  if keys_distinct q subst' placed then
+                    grow_arm subst' ~d ~e ~f placed child_b (block :: blocks) (depth + 1)
+                      on_done)
             [ `AB; `BA ]
   in
   (* Grow the spine upward from the center sibling. [on_done] receives
-     (subst, root, spine_top_down). *)
-  let rec grow_up subst ~d ~e ~f cur_b blocks depth on_done =
+     (subst, placed, root, spine_top_down). *)
+  let rec grow_up subst ~d ~e ~f placed cur_b blocks depth on_done =
     spend ();
     List.iter
       (fun orientation ->
@@ -195,16 +244,21 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
         | None -> ()
         | Some subst' ->
             let parent_a = Subst.apply_atom subst' parent in
-            (* Stop: parent is the root. *)
-            if endpoint_not_pruned q subst' ~d ~e ~f parent_a then
-              on_done subst' parent_a blocks;
-            (* Continue: the parent is an internal block. *)
-            if depth < opts.max_spine then
-              match sibling gen q subst' parent_a with
-              | None -> ()
-              | Some sib ->
-                  let block = { sa = Subst.apply_atom subst' parent_a; sb = sib } in
-                  grow_up subst' ~d ~e ~f sib (block :: blocks) (depth + 1) on_done)
+            (* The parent's block is the root or a spine block: either way
+               its key is placed. *)
+            let placed = parent_a :: placed in
+            if keys_distinct q subst' placed then begin
+              (* Stop: parent is the root. *)
+              if endpoint_not_pruned q subst' ~d ~e ~f parent_a then
+                on_done subst' placed parent_a blocks;
+              (* Continue: the parent is an internal block. *)
+              if depth < opts.max_spine then
+                match sibling gen q subst' parent_a with
+                | None -> ()
+                | Some sib ->
+                    let block = { sa = Subst.apply_atom subst' parent_a; sb = sib } in
+                    grow_up subst' ~d ~e ~f placed sib (block :: blocks) (depth + 1) on_done
+            end)
       [ `AB; `BA ]
   in
   (* Center variants: the mgu of the branching pattern, optionally with the
@@ -255,17 +309,21 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
       (Some subst) merges
   in
   let run_center subst d e f =
-    match sibling gen q subst e with
-    | None -> () (* the center block needs two facts *)
-    | Some e_sib ->
-        let center = { sa = Subst.apply_atom subst e; sb = e_sib } in
-        grow_up subst ~d ~e ~f e_sib [] 0 (fun subst root spine ->
-            grow_arm subst ~d ~e ~f (Subst.apply_atom subst d) [] 0
-              (fun subst arm1 leaf1 ->
-                grow_arm subst ~d ~e ~f (Subst.apply_atom subst f) [] 0
-                  (fun subst arm2 leaf2 ->
-                    try_candidate
-                      { subst; root; spine; center; arm1; leaf1; arm2; leaf2 })))
+    (* [d] and [f] sit in the arms' first blocks (or are the leaves), so
+       their keys are placed with the center's. *)
+    let placed = [ e; d; f ] in
+    if keys_distinct q subst placed then
+      match sibling gen q subst e with
+      | None -> () (* the center block needs two facts *)
+      | Some e_sib ->
+          let center = { sa = Subst.apply_atom subst e; sb = e_sib } in
+          grow_up subst ~d ~e ~f placed e_sib [] 0 (fun subst placed root spine ->
+              grow_arm subst ~d ~e ~f placed (Subst.apply_atom subst d) [] 0
+                (fun subst placed arm1 leaf1 ->
+                  grow_arm subst ~d ~e ~f placed (Subst.apply_atom subst f) [] 0
+                    (fun subst _ arm2 leaf2 ->
+                      try_candidate
+                        { subst; root; spine; center; arm1; leaf1; arm2; leaf2 })))
   in
   try
     (match base_center () with
@@ -304,6 +362,7 @@ let find_fork ?opts q = search ?opts ~want:Tripath.Fork q
 let find_triangle ?opts q = search ?opts ~want:Tripath.Triangle q
 
 let find_nice ?(opts = default_options) ~want q =
+  validate opts;
   (* Nice tripaths tend to need slightly longer arms; widen the bounds. *)
   let opts = { opts with max_spine = max 3 opts.max_spine; max_arm = max 4 opts.max_arm } in
   let result =

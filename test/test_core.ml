@@ -23,9 +23,6 @@ let q7 = Workload.Catalog.q7
 let vi = Value.int
 let fact vs = Fact.make "R" (List.map vi vs)
 
-(* Cheaper search options for tests that only need the paper's examples. *)
-let fast = { Search.default_options with Search.max_spine = 2; max_arm = 3; max_merges = 1 }
-
 (* ------------------------------------------------------------------ *)
 (* Syntactic tests *)
 
@@ -171,7 +168,7 @@ let test_g_set_incomparable () =
 (* Tripath search *)
 
 let test_search_q2_fork () =
-  match Search.find_fork ~opts:fast q2 with
+  match Search.find_fork q2 with
   | Search.Found (tp, Tripath.Fork) -> (
       match Tripath.check tp with
       | Ok Tripath.Fork -> ()
@@ -181,16 +178,16 @@ let test_search_q2_fork () =
   | Search.Not_found -> Alcotest.fail "q2 admits a fork-tripath"
 
 let test_search_q5_none () =
-  (match Search.find_any ~opts:fast q5 with
+  (match Search.find_any q5 with
   | Search.Not_found -> ()
   | Search.Found _ -> Alcotest.fail "q5 admits no tripath")
 
 let test_search_q6_triangle_only () =
-  (match Search.find_triangle ~opts:fast q6 with
+  (match Search.find_triangle q6 with
   | Search.Found (_, Tripath.Triangle) -> ()
   | Search.Found (_, Tripath.Fork) -> Alcotest.fail "kind mismatch"
   | Search.Not_found -> Alcotest.fail "q6 admits a triangle-tripath");
-  match Search.find_fork ~opts:fast q6 with
+  match Search.find_fork q6 with
   | Search.Not_found -> ()
   | Search.Found _ -> Alcotest.fail "q6 admits no fork-tripath"
 
@@ -198,7 +195,7 @@ let test_search_results_verified () =
   (* Whatever the search returns passes the independent verifier. *)
   List.iter
     (fun q ->
-      match Search.find_any ~opts:fast q with
+      match Search.find_any q with
       | Search.Not_found -> ()
       | Search.Found (tp, kind) -> (
           match Tripath.check tp with
@@ -209,9 +206,34 @@ let test_search_results_verified () =
 let test_search_budget_respected () =
   (* A tiny budget must terminate quickly with Not_found, never diverge. *)
   let opts = { Search.default_options with Search.max_candidates = 10 } in
-  match Search.find_any ~opts q5 with
+  (match Search.find_any ~opts q5 with
   | Search.Not_found -> ()
-  | Search.Found _ -> Alcotest.fail "budget 10 cannot find a tripath for q5"
+  | Search.Found _ -> Alcotest.fail "budget 10 cannot find a tripath for q5");
+  (* q2's fork is found at its seventh search node, so a budget of 5 nodes
+     cuts the search before it. *)
+  let opts = { Search.default_options with Search.max_candidates = 5 } in
+  match Search.find_fork ~opts q2 with
+  | Search.Not_found -> ()
+  | Search.Found _ -> Alcotest.fail "budget 5 stops before q2's fork"
+
+let test_search_invalid_options () =
+  List.iter
+    (fun (name, opts) ->
+      match Search.search ~opts q2 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (name ^ " accepted"))
+    [
+      ("max_spine -1", { Search.default_options with Search.max_spine = -1 });
+      ("max_arm -1", { Search.default_options with Search.max_arm = -1 });
+      ("max_merges -1", { Search.default_options with Search.max_merges = -1 });
+      ("max_merges -2", { Search.default_options with Search.max_merges = -2 });
+      ("max_candidates 0", { Search.default_options with Search.max_candidates = 0 });
+    ];
+  (* [find_nice] widens the depths before searching, so it checks first. *)
+  let opts = { Search.default_options with Search.max_spine = -1 } in
+  match Search.find_nice ~opts ~want:Tripath.Fork q2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "find_nice accepted max_spine -1"
 
 (* ------------------------------------------------------------------ *)
 (* Dichotomy *)
@@ -304,7 +326,7 @@ let test_solver_dispatch () =
   let rng = Random.State.make [| 99 |] in
   List.iter
     (fun (q, designated) ->
-      let report = Dichotomy.classify ~opts:fast q in
+      let report = Dichotomy.classify q in
       for _ = 1 to 10 do
         let db = Workload.Randdb.random_for_query rng q ~n_facts:10 ~domain:3 in
         let answer, alg = Solver.certain report db in
@@ -382,15 +404,16 @@ let () =
       ( "search",
         [
           Alcotest.test_case "q2 fork" `Quick test_search_q2_fork;
-          Alcotest.test_case "q5 none" `Slow test_search_q5_none;
-          Alcotest.test_case "q6 triangle only" `Slow test_search_q6_triangle_only;
-          Alcotest.test_case "results verified" `Slow test_search_results_verified;
+          Alcotest.test_case "q5 none" `Quick test_search_q5_none;
+          Alcotest.test_case "q6 triangle only" `Quick test_search_q6_triangle_only;
+          Alcotest.test_case "results verified" `Quick test_search_results_verified;
           Alcotest.test_case "budget respected" `Quick test_search_budget_respected;
+          Alcotest.test_case "invalid options" `Quick test_search_invalid_options;
         ] );
       ( "dichotomy",
         [
-          Alcotest.test_case "catalog" `Slow test_classify_catalog;
-          Alcotest.test_case "witnesses verified" `Slow test_classify_witnesses_verified;
+          Alcotest.test_case "catalog" `Quick test_classify_catalog;
+          Alcotest.test_case "witnesses verified" `Quick test_classify_witnesses_verified;
         ] );
       ( "solver",
         [

@@ -309,18 +309,7 @@ let prop_pairs_compiled =
    (unless a tier decides without ticking, as the one-atom test does) and
    both sides must return the same estimate. *)
 let catalog_reports =
-  (* Tighter tripath-search bounds than the default: they give every
-     catalogue entry its default verdict in a quarter of the time, and the
-     law compares the wrappers on whatever report it is handed. *)
-  let opts =
-    {
-      Core.Tripath_search.default_options with
-      Core.Tripath_search.max_spine = 2;
-      max_merges = 1;
-    }
-  in
-  lazy
-    (Array.map (fun e -> Core.Dichotomy.classify ~opts e.Catalog.query) catalog)
+  lazy (Array.map (fun e -> Core.Dichotomy.classify e.Catalog.query) catalog)
 
 let chain_estimates = ref 0
 

@@ -83,13 +83,10 @@ let test_all_solvers_agree_on_catalog () =
 
 let test_pipeline_agreement () =
   let rng = Random.State.make [| 271828 |] in
-  let fast =
-    { Core.Tripath_search.default_options with Core.Tripath_search.max_merges = 1 }
-  in
   List.iter
     (fun name ->
       let e = Catalog.find name in
-      let report = Core.Dichotomy.classify ~opts:fast e.Catalog.query in
+      let report = Core.Dichotomy.classify e.Catalog.query in
       for _ = 1 to 6 do
         let db = Workload.Randdb.random_for_query rng e.Catalog.query ~n_facts:10 ~domain:3 in
         let answer, alg = Core.Solver.certain report db in
