@@ -4,10 +4,10 @@
    Each case runs the same seeded Cert_k solve under four variants that
    differ only in the observability attached to it:
 
-   - [control]: no sink, no registry, no journal;
-   - [metrics]: an [Obs.Metrics.tick_sink] on the budget (one closure call
-     per budget tick) plus a per-solve counter bump and histogram
-     observation, i.e. what the daemon's registry costs;
+   - [control]: no registry, no journal;
+   - [metrics]: the budget's per-site ticks recorded into a registry
+     ([Obs.Metrics.record_ticks]) after the solve, plus a per-solve counter
+     bump and histogram observation, i.e. what the daemon's registry costs;
    - [journal]: one [Obs.Journal] [request.completed] event per solve,
      flushed to disk, i.e. what [--journal] costs;
    - [metrics+journal]: both.
@@ -114,16 +114,12 @@ let run_case ~rng ~journal spec =
       (Relational.Compiled.compile spec.db)
   in
   let registry = Metrics.create () in
-  (* One memoized sink per case, exactly like one per daemon request: the
-     timed region pays the per-tick closure, not the sink construction. *)
-  let sink = Metrics.tick_sink registry in
   let verdicts = List.map (fun v -> (v, ref None)) variants in
   (* One timed solve: the Cert_k run itself plus exactly the observability
      the variant attaches to it. Returns its wall time in ms, or None when
      the budget ran out. *)
   let timed_solve variant =
-    let sink = match variant with Metrics_v | Full -> Some sink | _ -> None in
-    let budget = Harness.Budget.make ~timeout:budget_s ?sink () in
+    let budget = Harness.Budget.make ~timeout:budget_s () in
     let t0 = Harness.Clock.now () in
     match Cqa.Certk.run ~budget ~k:spec.k g with
     | exception Harness.Budget.Budget_exceeded _ -> None
@@ -131,6 +127,7 @@ let run_case ~rng ~journal spec =
         let s = Harness.Budget.steps budget in
         (match variant with
         | Metrics_v | Full ->
+            Metrics.record_ticks registry budget;
             Metrics.incr registry "bench.solve";
             Metrics.observe registry "bench.solve.steps"
               ~bounds:[ 1.; 10.; 100.; 1_000.; 10_000.; 100_000. ]

@@ -172,9 +172,7 @@ let report_diagnostics ~json diagnostics =
     List.iter
       (fun d -> Format.printf "%a@." Analysis.Lint.pp_diagnostic d)
       diagnostics;
-  match Analysis.Lint.max_severity diagnostics with
-  | Some Analysis.Lint.Error | Some Analysis.Lint.Warning -> 1
-  | Some Analysis.Lint.Info | None -> 0
+  Serve.Protocol.exit_of_code (Serve.Protocol.code_of_diagnostics diagnostics)
 
 (* One analysis pass over one query source: the source lints, then — when
    the query parses — the database-aware lints when an instance was given,
@@ -417,10 +415,7 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
   with_db db_path @@ fun db ->
       let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_out in
       let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
-      let budget =
-        Harness.Budget.make ?timeout ?max_steps
-          ?sink:(Option.map Obs.Metrics.tick_sink metrics) ()
-      in
+      let budget = Harness.Budget.make ?timeout ?max_steps () in
       let estimate_trials = if estimate_flag then Some trials else None in
       let check_certificate =
         if verify_certificate then Some (fun r -> Analysis.Check.audit_report r)
@@ -453,6 +448,7 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
       | _ -> ());
       (match (metrics, metrics_out) with
       | Some m, Some path ->
+          Obs.Metrics.record_ticks m budget;
           Core.Solver.record_metrics m outcome attempts;
           Analysis.Obs_codec.write path Analysis.Obs_codec.metrics_to_string
             (Obs.Metrics.snapshot m);
@@ -467,18 +463,8 @@ let certain_run query db_path k exact_only timeout max_steps estimate_flag
             ~finally:(fun () -> Obs.Journal.close journal)
             (fun () ->
               Core.Solver.record_journal journal ~budget outcome attempts;
-              (* The daemon's completion fields, so `cqa obs report` reads a
-                 CLI run's latency, code and site profile the same way. *)
-              Obs.Journal.log journal "request.completed"
-                ([
-                   ("op", Obs.Trace.String "certain");
-                   ("code", Obs.Trace.String (Serve.Protocol.code_name code));
-                   ("ms", Obs.Trace.Float ms);
-                   ("steps", Obs.Trace.Int (Harness.Budget.steps budget));
-                 ]
-                @ List.map
-                    (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
-                    (Harness.Budget.steps_by_site budget)));
+              Core.Solver.record_completion journal ~op:"certain"
+                ~code:(Serve.Protocol.code_name code) ~ms [] (Some budget));
           Format.eprintf "wrote journal to %s@." path
       | None -> ());
       print_outcome budget outcome;

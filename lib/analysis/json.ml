@@ -294,4 +294,3 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None

@@ -52,4 +52,3 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 
 val to_string_opt : t -> string option
-val to_bool_opt : t -> bool option

@@ -64,9 +64,5 @@ let verify_pair plane p =
   let pa, pb, n_vars = Pattern.pair_programs p in
   verify_programs plane ~n_vars [ pa; pb ]
 
-let verify_single plane p =
-  let prog, n_vars = Pattern.single_program p in
-  verify_programs plane ~n_vars [ prog ]
-
 let verify_query plane (q : Qlang.Query.t) =
   verify_pair plane (Pattern.pair plane q.Qlang.Query.a q.Qlang.Query.b)

@@ -39,10 +39,6 @@ val verify_programs :
 val verify_pair :
   Relational.Compiled.t -> Qlang.Pattern.pair -> Lint.diagnostic list
 
-(** [verify_single plane p] verifies a single-atom pattern. *)
-val verify_single :
-  Relational.Compiled.t -> Qlang.Pattern.single -> Lint.diagnostic list
-
 (** [verify_query plane q] compiles [q]'s atom pair against [plane] and
     verifies the result — the form {!Sanitize.run} and the solver hooks
     use. *)

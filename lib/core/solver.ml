@@ -477,10 +477,10 @@ let solve_plane ?k ?budget ?estimate_trials ?seed ?trace report plane =
 
 (* Bridge a chain's attempts into a metrics registry: per-tier latency and
    step histograms plus status counters, alongside the per-site tick
-   counters the budget sink already recorded. Lives here (not in the
-   front-ends) so the CLI and the serve daemon meter identically under the
-   names documented in the manual's "Observability" section. Step
-   histograms bucket by decades from 1 to 10^6 steps. *)
+   counters [Obs.Metrics.record_ticks] reads from the budget. Lives here
+   (not in the front-ends) so the CLI and the serve daemon meter
+   identically under the names documented in the manual's "Observability"
+   section. Step histograms bucket by decades from 1 to 10^6 steps. *)
 let record_metrics metrics outcome (attempts : attempt list) =
   let bounds = [ 1.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. ] in
   List.iter
@@ -528,3 +528,20 @@ let record_journal journal ~budget outcome (attempts : attempt list) =
       Obs.Journal.log journal "budget.exhausted"
         (("steps", Obs.Trace.Int (Harness.Budget.steps budget)) :: hottest)
   | _ -> ()
+
+let record_completion journal ~op ~code ~ms fields budget =
+  Obs.Journal.log journal "request.completed"
+    ([
+       ("op", Obs.Trace.String op);
+       ("code", Obs.Trace.String code);
+       ("ms", Obs.Trace.Float ms);
+     ]
+    @ fields
+    @
+    match budget with
+    | None -> []
+    | Some b ->
+        ("steps", Obs.Trace.Int (Harness.Budget.steps b))
+        :: List.map
+             (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
+             (Harness.Budget.steps_by_site b))

@@ -251,3 +251,19 @@ val record_metrics : Obs.Metrics.t -> outcome -> attempt list -> unit
     function. *)
 val record_journal :
   Obs.Journal.t -> budget:Harness.Budget.t -> outcome -> attempt list -> unit
+
+(** [record_completion j ~op ~code ~ms fields budget] journals one
+    [request.completed] event: [op], the response [code] name and the
+    latency [ms], then [fields] (the daemon's [tier] and [cache]), then,
+    when a budget metered the request, its [steps] and one [steps.<site>]
+    per tick site, so [steps] is their sum. [cqa certain --journal] and
+    the serve daemon both write the event through this one function, so
+    [cqa obs report] reads their completions alike. *)
+val record_completion :
+  Obs.Journal.t ->
+  op:string ->
+  code:string ->
+  ms:float ->
+  (string * Obs.Trace.value) list ->
+  Harness.Budget.t option ->
+  unit

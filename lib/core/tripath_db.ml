@@ -143,5 +143,3 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
   | exception Budget_exhausted ->
       exhausted := true;
       (None, `Exhausted)
-
-let contains_tripath ?opts q db = Option.is_some (fst (find ?opts q db))

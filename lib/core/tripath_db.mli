@@ -27,6 +27,3 @@ val find :
   Qlang.Query.t ->
   Relational.Database.t ->
   (Tripath.t * Tripath.kind) option * [ `Complete | `Exhausted ]
-
-(** [contains_tripath ?opts q db] is [find] ignoring the witness. *)
-val contains_tripath : ?opts:options -> Qlang.Query.t -> Relational.Database.t -> bool

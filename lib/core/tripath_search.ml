@@ -160,8 +160,8 @@ let kind_of (q : Query.t) candidate =
 (* Search                                                              *)
 
 (* Negative depths or merges would silently shrink the search (no center
-   variant at all for [max_merges < 0]), and a budget below one ends it at
-   its first node; either way [Not_found] would read as "no tripath". *)
+   variant at all for [max_merges < 0]), and a budget below one runs no
+   node at all; either way [Not_found] would read as "no tripath". *)
 let validate opts =
   List.iter
     (fun (name, value, least) ->
@@ -177,10 +177,12 @@ let validate opts =
 let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) =
   validate opts;
   let gen = Unify.Fresh.create ~prefix:"\u{03C3}" () in
+  (* Nodes left to run: the [max_candidates]-th node still runs, the
+     next one stops the search. *)
   let budget = ref opts.max_candidates in
   let spend () =
-    decr budget;
-    if !budget <= 0 then raise Budget_exhausted
+    if !budget <= 0 then raise Budget_exhausted;
+    decr budget
   in
   let wanted kind = match want with None -> true | Some k -> k = kind in
   (* The kind is decided first, so a candidate of the wrong kind is skipped
@@ -351,12 +353,16 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
           merged @ triangle_enforced
         in
         List.iter (fun subst -> run_center subst d e f) variants);
-    Not_found
+    None
   with
-  | Found_exn (tripath, kind, _) -> Found (tripath, kind)
-  | Budget_exhausted -> Not_found
+  | Found_exn (tripath, kind, witness) -> Some (tripath, kind, witness)
+  | Budget_exhausted -> None
 
-let search ?opts ?want q = search_internal ?opts ?want ~require_nice:false q
+let search ?opts ?want q =
+  match search_internal ?opts ?want ~require_nice:false q with
+  | Some (tripath, kind, _) -> Found (tripath, kind)
+  | None -> Not_found
+
 let find_any ?opts q = search ?opts q
 let find_fork ?opts q = search ?opts ~want:Tripath.Fork q
 let find_triangle ?opts q = search ?opts ~want:Tripath.Triangle q
@@ -365,14 +371,6 @@ let find_nice ?(opts = default_options) ~want q =
   validate opts;
   (* Nice tripaths tend to need slightly longer arms; widen the bounds. *)
   let opts = { opts with max_spine = max 3 opts.max_spine; max_arm = max 4 opts.max_arm } in
-  let result =
-    try search_internal ~opts ~want ~require_nice:true q with Budget_exhausted -> Not_found
-  in
-  match result with
-  | Not_found -> None
-  | Found (tripath, kind) -> (
-      match Tripath.niceness tripath with
-      | Ok (kind', witness) ->
-          assert (kind' = kind);
-          Some (tripath, witness)
-      | Error _ -> None)
+  match search_internal ~opts ~want ~require_nice:true q with
+  | Some (tripath, _, Some witness) -> Some (tripath, witness)
+  | Some (_, _, None) | None -> None

@@ -56,9 +56,9 @@ type options = {
   max_merges : int;  (** Extra center-variable identifications (default 2). *)
   max_candidates : int;
       (** Budget in search nodes, not candidates (default 200_000): every
-          spine or arm growth step and every complete candidate spends one,
-          and the search returns [Not_found] at the [max_candidates]-th
-          node. *)
+          spine or arm growth step and every complete candidate spends one.
+          The search runs at most [max_candidates] nodes and returns
+          [Not_found] when it would need one more. *)
 }
 
 val default_options : options

@@ -14,7 +14,6 @@ type t = {
   max_steps : int;  (* [max_int] when unbounded *)
   check_every : int;  (* consult the clock every this many ticks *)
   chaos : Chaos.t option;
-  mutable sink : (string -> unit) option;
   site_steps : (string, int) Hashtbl.t;  (* flushed totals, excluding the run *)
   (* Run-length accounting: consecutive ticks almost always come from the
      same loop, and a literal site argument is physically the same string
@@ -33,7 +32,6 @@ let unlimited () =
     max_steps = max_int;
     check_every = 64;
     chaos = None;
-    sink = None;
     site_steps = Hashtbl.create 8;
     last_site = "";
     last_run = 0;
@@ -41,7 +39,7 @@ let unlimited () =
     exhausted = None;
   }
 
-let make ?timeout ?max_steps ?(check_every = 64) ?chaos ?sink () =
+let make ?timeout ?max_steps ?(check_every = 64) ?chaos () =
   (match timeout with
   | Some s when s < 0.0 -> invalid_arg "Budget.make: timeout must be >= 0"
   | Some _ | None -> ());
@@ -57,15 +55,12 @@ let make ?timeout ?max_steps ?(check_every = 64) ?chaos ?sink () =
     max_steps = Option.value ~default:max_int max_steps;
     check_every;
     chaos;
-    sink;
     site_steps = Hashtbl.create 8;
     last_site = "";
     last_run = 0;
     steps = 0;
     exhausted = None;
   }
-
-let set_sink b sink = b.sink <- sink
 
 let steps b = b.steps
 let exhausted b = b.exhausted
@@ -114,7 +109,6 @@ let tick ?(site = "") b =
   (match b.exhausted with Some reason -> raise (Budget_exceeded reason) | None -> ());
   b.steps <- b.steps + 1;
   count_site b site;
-  (match b.sink with None -> () | Some f -> f site);
   (match b.chaos with
   | None -> ()
   | Some c -> (

@@ -13,13 +13,12 @@
     deterministic delays, failures, and budget pressure at tick sites.
 
     Every tick carries a site label (the canonical names live in {!Sites});
-    the budget keeps an always-on per-site step breakdown — so exhaustion
-    diagnostics can say {e which} loop ate the budget — and forwards each
-    tick to an optional pluggable {e sink}, which is how the [Obs] metrics
-    registry meters every existing tick site without new call sites. An
-    absent sink costs one pattern match per tick; the per-site accounting
-    is a pointer comparison in the common case (consecutive ticks from the
-    same loop).
+    the budget keeps an always-on per-site step breakdown, so exhaustion
+    diagnostics can say {e which} loop ate the budget. That breakdown is
+    the only tick count: a metrics registry reads it once per finished
+    budget ([Obs.Metrics.record_ticks]), never per tick. The per-site
+    accounting is a pointer comparison in the common case (consecutive
+    ticks from the same loop).
 
     The deadline is read on {!Clock.now}, the monotonic clock, so a
     wall-clock step can neither exhaust a budget early nor extend it. *)
@@ -49,24 +48,19 @@ val unlimited : unit -> t
     [max_steps] caps the number of ticks; [check_every] is the
     clock-polling granularity in ticks (default 64 — deadline detection
     lags by at most that many ticks);
-    [chaos] attaches a fault-injection schedule; [sink] is called with the
-    site label on every tick (attach {!Obs.Metrics.tick_sink} here).
+    [chaos] attaches a fault-injection schedule.
     @raise Invalid_argument on a negative allowance or [check_every < 1]. *)
 val make :
   ?timeout:float ->
   ?max_steps:int ->
   ?check_every:int ->
   ?chaos:Chaos.t ->
-  ?sink:(string -> unit) ->
   unit ->
   t
 
-(** [set_sink b s] replaces the tick sink ([None] detaches it). *)
-val set_sink : t -> (string -> unit) option -> unit
-
 (** [tick ?site b] records one unit of work at the tick site [site] (used by
-    chaos targeting, the per-site step accounting, and the sink; default
-    [""] — real solver loops always pass a {!Sites} name).
+    chaos targeting and the per-site step accounting; default [""] — real
+    solver loops always pass a {!Sites} name).
     @raise Budget_exceeded when the budget is (or already was) exhausted, or
     when the chaos schedule injects budget pressure.
     @raise Chaos.Injected_fault when the chaos schedule injects a failure. *)

@@ -5,7 +5,6 @@ type ('decision, 'estimate) t =
   | Budget_exhausted
   | Solver_error of string
 
-let is_decided = function Decided _ -> true | _ -> false
 let is_degraded = function
   | Estimated _ | Timeout | Budget_exhausted -> true
   | Decided _ | Solver_error _ -> false

@@ -16,8 +16,6 @@ type ('decision, 'estimate) t =
   | Solver_error of string
       (** Every tier failed, or two tiers decided and disagreed. *)
 
-val is_decided : ('a, 'b) t -> bool
-
 (** An answer was not produced but the run terminated cleanly under budget
     (estimate, timeout, or step exhaustion). *)
 val is_degraded : ('a, 'b) t -> bool

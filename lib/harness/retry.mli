@@ -20,17 +20,15 @@ type 'a outcome = { result : ('a, exn) result; retries : int }
 (** [run ~retryable f] runs [f ()], re-running it up to [max_attempts]
     times total (default 3) while the raised exception satisfies
     [retryable]. Between attempts it sleeps [backoff_s] seconds (default 0),
-    doubling by [multiplier] (default 2.0) each retry; [sleep] defaults to
-    [Unix.sleepf]. [on_retry ~attempt exn] fires before each re-run with the
-    1-based number of the attempt that just failed. A non-retryable
-    exception — or exhausting the attempts — returns [Error exn]; nothing is
-    ever raised out of [run].
-    @raise Invalid_argument when [max_attempts < 1], [backoff_s < 0], or
-    [multiplier < 1]. *)
+    doubling each retry; [sleep] defaults to [Unix.sleepf].
+    [on_retry ~attempt exn] fires before each re-run with the 1-based number
+    of the attempt that just failed. A non-retryable exception — or
+    exhausting the attempts — returns [Error exn]; nothing is ever raised
+    out of [run].
+    @raise Invalid_argument when [max_attempts < 1] or [backoff_s < 0]. *)
 val run :
   ?max_attempts:int ->
   ?backoff_s:float ->
-  ?multiplier:float ->
   ?sleep:(float -> unit) ->
   ?on_retry:(attempt:int -> exn -> unit) ->
   retryable:(exn -> bool) ->

@@ -96,22 +96,11 @@ let observe ?bounds t name x =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. x
 
-(* Budget ticks are the hottest call site in the tree, and most runs tick
-   one site in long runs — memoize the last (site, counter) pair so the
-   steady state is a pointer compare and a ref bump, no string concat, no
-   hash. The counter is still created lazily on first tick so registries
-   that never tick stay empty. *)
-let tick_sink t =
-  let last = ref None in
-  fun site ->
-    match !last with
-    | Some (cached_site, r) when cached_site == site || String.equal cached_site site ->
-        Stdlib.incr r
-    | _ ->
-        let name = "budget.tick." ^ if site = "" then "unnamed" else site in
-        let r = counter_ref t name in
-        last := Some (site, r);
-        Stdlib.incr r
+let record_ticks t budget =
+  List.iter
+    (fun (site, n) ->
+      incr ~by:n t ("budget.tick." ^ if site = "" then "unnamed" else site))
+    (Harness.Budget.steps_by_site budget)
 
 type histogram_snapshot = {
   bounds : float list;

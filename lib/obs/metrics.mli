@@ -5,9 +5,9 @@
     state to bump from hot paths, {!snapshot} freezes it into plain data,
     and [Analysis.Obs_codec] serializes snapshots. The canonical metric
     names are documented in the manual's "Observability" section; the
-    producers in-tree are {!tick_sink} (per-site budget tick counters,
-    attached to {!Harness.Budget.make}'s [sink] so every existing tick site
-    is metered with zero new call sites), [Core.Solver.record_metrics]
+    producers in-tree are {!record_ticks} (per-site budget tick counters,
+    read once from a finished budget's own breakdown, so no tick site pays
+    for metering), [Core.Solver.record_metrics]
     (per-tier latency and step histograms derived from the degradation
     chain's attempts), and the serve daemon, which writes every request's
     counters, ticks and histograms straight into its one registry.
@@ -41,13 +41,13 @@ val default_bounds : float list
     in the original buckets. *)
 val observe : ?bounds:float list -> t -> string -> float -> unit
 
-(** [tick_sink t] is a budget sink counting each tick at [site] under the
-    counter ["budget.tick.<site>"] (the empty label counts as
-    ["budget.tick.unnamed"]). Partially applied, it is exactly the [sink]
-    {!Harness.Budget.make} expects: [Budget.make ~sink:(Metrics.tick_sink m) ()].
-    The closure memoizes the last site's counter, so a run that ticks one
-    site in a tight loop pays a pointer compare and a ref bump per tick. *)
-val tick_sink : t -> string -> unit
+(** [record_ticks t budget] adds [budget]'s per-site tick counts
+    ({!Harness.Budget.steps_by_site}) to the counters
+    ["budget.tick.<site>"] (the empty label counts as
+    ["budget.tick.unnamed"]). Call it once per budget, when the work it
+    metered has ended, returned or raised: the counts are read, not
+    reset, so a second call counts them again. *)
+val record_ticks : t -> Harness.Budget.t -> unit
 
 (** When the debug flag is set, a bounds mismatch in {!observe} raises
     [Invalid_argument] instead of warning — wire this on in tests and

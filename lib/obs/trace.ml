@@ -13,18 +13,6 @@ type span = {
   attrs : (string * value) list;
 }
 
-let pp_value ppf = function
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int n -> Format.pp_print_int ppf n
-  | Float f -> Format.fprintf ppf "%g" f
-  | String s -> Format.pp_print_string ppf s
-
-let pp_span ppf s =
-  Format.fprintf ppf "[%d%s] %s %.6fs+%.6fs" s.id
-    (match s.parent with None -> "" | Some p -> Printf.sprintf "<%d" p)
-    s.name s.start_s s.duration_s;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) s.attrs
-
 type open_span = {
   o_id : int;
   o_parent : int option;

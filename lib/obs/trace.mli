@@ -34,9 +34,6 @@ type span = {
   attrs : (string * value) list;  (** In attachment order. *)
 }
 
-val pp_value : Format.formatter -> value -> unit
-val pp_span : Format.formatter -> span -> unit
-
 type t
 
 (** Closed spans a recorder retains by default when no explicit [capacity]

@@ -16,8 +16,6 @@ let error_to_string e =
   | None -> e.message
   | Some p -> Format.asprintf "%a: %s" pp_position p e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let err ?pos ?(kind = Syntax) fmt =
   Format.kasprintf (fun message -> Error { message; position = pos; kind }) fmt
 

@@ -47,8 +47,6 @@ val pp_position : Format.formatter -> position -> unit
     position is known. *)
 val error_to_string : error -> string
 
-val pp_error : Format.formatter -> error -> unit
-
 (** [query s] parses a two-atom self-join query. *)
 val query : string -> (Query.t, error) result
 

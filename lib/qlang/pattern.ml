@@ -211,6 +211,3 @@ let program_of_atom (a : atom) : program =
 
 let pair_programs (p : pair) =
   (program_of_atom p.pa, program_of_atom p.pb, p.n_vars)
-
-let single_program (p : single) =
-  (program_of_atom p.satom, Array.length p.senv)

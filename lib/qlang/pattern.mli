@@ -79,6 +79,3 @@ type program = {
     pattern order and the size of the shared environment. The op arrays are
     fresh copies — mutating them cannot corrupt the matcher. *)
 val pair_programs : pair -> program * program * int
-
-(** [single_program p] is [(prog, n_vars)] for a single-atom pattern. *)
-val single_program : single -> program * int

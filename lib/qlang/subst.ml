@@ -24,8 +24,6 @@ let extend x t s =
         let rewritten = Term.Var_map.map (fun u -> apply_term single u) s in
         Some (Term.Var_map.add x t rewritten)
 
-let of_var_map m = m
-
 let pp ppf s =
   Format.fprintf ppf "@[<h>{%a}@]"
     (Format.pp_print_list

@@ -26,8 +26,4 @@ val apply_atom : t -> Atom.t -> Atom.t
     identity. Returns [None] if [x] is already bound to a different term. *)
 val extend : Term.var -> Term.t -> t -> t option
 
-(** [of_var_map m] builds a substitution from an association map produced by
-    e.g. {!Atom.homomorphism}. The map must already be idempotent. *)
-val of_var_map : Term.t Term.Var_map.t -> t
-
 val pp : Format.formatter -> t -> unit

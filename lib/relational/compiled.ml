@@ -266,7 +266,6 @@ let fact c i = c.facts.(i)
 let value c id = Interner.value c.interner id
 let find_value c v = Interner.find c.interner v
 
-let schema_of_fact c i = c.schemas.(c.rel_of.(i))
 let is_consistent c = Array.for_all (fun b -> Array.length b = 1) c.blocks
 
 let pp ppf c =

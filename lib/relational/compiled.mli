@@ -115,9 +115,6 @@ val find_value : t -> Value.t -> int option
 (** [rel_index c name] is the index of relation [name] into [schemas]. *)
 val rel_index : t -> string -> int option
 
-(** [schema_of_fact c i] is the schema governing vertex [i]. *)
-val schema_of_fact : t -> int -> Schema.t
-
 (** Consistency on the plane: every block is a singleton. Agrees with
     [Database.is_consistent] on the source database. *)
 val is_consistent : t -> bool

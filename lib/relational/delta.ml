@@ -46,6 +46,3 @@ let normalize db ops =
       final ([], [])
   in
   (List.rev ins, List.rev rets)
-
-let is_noop db ops =
-  match normalize db ops with [], [] -> true | _ -> false

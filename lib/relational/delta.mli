@@ -29,8 +29,5 @@ val apply : Database.t -> t -> Database.t
     exactly when {!apply} would. *)
 val normalize : Database.t -> t -> Fact.t list * Fact.t list
 
-(** [is_noop db d] — the delta leaves [db] unchanged. *)
-val is_noop : Database.t -> t -> bool
-
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

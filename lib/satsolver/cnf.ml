@@ -18,7 +18,6 @@ let make ~n_vars clauses =
 let falsum = { n_vars = 1; clauses = [ [ 1 ]; [ -1 ] ] }
 let verum = { n_vars = 0; clauses = [] }
 let n_clauses f = List.length f.clauses
-let var_of_lit l = abs l
 
 let eval f assignment =
   if Array.length assignment < f.n_vars + 1 then

@@ -25,9 +25,6 @@ val verum : t
 
 val n_clauses : t -> int
 
-(** [var_of_lit l] is [abs l]. *)
-val var_of_lit : int -> int
-
 (** [eval f assignment] evaluates under [assignment.(v)] for [v] in
     [1 .. n_vars] (index 0 unused).
     @raise Invalid_argument if the array is too short. *)

@@ -160,31 +160,6 @@ let tier_of_report (r : Core.Dichotomy.report) =
   | Core.Dichotomy.Ptime _ -> Admission.Fast
   | Core.Dichotomy.Conp_complete _ -> Admission.Heavy
 
-(* Run [f] under a fresh per-attempt budget (tier-derived caps, the
-   daemon's chaos schedule, the daemon's metrics registry as tick sink),
-   preceded by one tick at the serve admission site. Transient faults are
-   retried with backoff on a fresh budget — budgets are sticky, so reuse
-   would re-raise the stale exhaustion. *)
-let run_budgeted t ~tier f =
-  t.req_tier <- Some (Admission.tier_name tier);
-  let timeout, max_steps =
-    match tier with
-    | Admission.Fast -> (t.config.fast_timeout, t.config.fast_max_steps)
-    | Admission.Heavy -> (t.config.heavy_timeout, t.config.heavy_max_steps)
-  in
-  Harness.Retry.run
-    ~max_attempts:(t.config.retries + 1)
-    ~backoff_s:t.config.backoff_s ~sleep:t.sleep
-    ~on_retry:(fun ~attempt:_ _ -> Obs.Metrics.incr t.metrics "serve.retry")
-    ~retryable:Harness.Retry.transient
-    (fun () ->
-      let budget =
-        Budget.make ?timeout ?max_steps ?chaos:t.chaos
-          ~sink:(Obs.Metrics.tick_sink t.metrics) ()
-      in
-      Budget.tick ~site:Harness.Sites.serve budget;
-      f budget)
-
 let error_fields (e : Protocol.error) =
   (e.Protocol.code, [ ("error", Json.String e.Protocol.message) ])
 
@@ -239,9 +214,71 @@ let estimate_fields ~reason (e : Cqa.Montecarlo.estimate) =
     ("refuted", Json.Bool (e.Cqa.Montecarlo.counterexample <> None));
   ]
 
-let retries_fields = function
-  | 0 -> []
-  | n -> [ ("retries", Json.Int n) ]
+(* The fields of a finished chain's answer. *)
+let outcome_fields (attempts : Core.Solver.attempt list) = function
+  | Harness.Outcome.Decided (answer, alg) ->
+      [
+        ("answer", Json.Bool answer);
+        ("algorithm", Json.String (algorithm_name alg));
+      ]
+  | Harness.Outcome.Estimated est -> estimate_fields ~reason:"budget" est
+  | Harness.Outcome.Timeout ->
+      [ ("error", Json.String "wall-clock deadline passed") ]
+  | Harness.Outcome.Budget_exhausted ->
+      (* When injected pressure (rather than the step cap) stopped the
+         chain, the attempt records the site — surface it. *)
+      let pressure_site =
+        List.find_map
+          (fun (a : Core.Solver.attempt) ->
+            match a.Core.Solver.status with
+            | Core.Solver.Attempt_out_of_budget (Budget.Pressure site) ->
+                Some ("site", Json.String site)
+            | _ -> None)
+          attempts
+      in
+      ("error", Json.String "step budget exhausted")
+      :: Option.to_list pressure_site
+  | Harness.Outcome.Solver_error msg -> [ ("error", Json.String msg) ]
+
+let cache_field hit = ("cache", Json.String (if hit then "hit" else "miss"))
+
+(* Run one attempt of a handler under a fresh budget (tier-derived caps,
+   the daemon's chaos schedule), preceded by one tick at the serve
+   admission site, and answer the request. Transient faults are retried
+   with backoff on a fresh budget (budgets are sticky, so reuse would
+   re-raise the stale exhaustion); a fault that escapes every attempt is
+   answered with [code_of_exn]. Each attempt's ticks enter the registry
+   when it ends, returned or raised.
+
+   [attempt budget] does the work and returns how to answer it: a function
+   of the [retries] field, which the answer places itself ([certain] puts
+   it before [attempts]). Its work must run before it returns that
+   function, so that the retry loop sees the work's faults. *)
+let budgeted t ~tier attempt =
+  t.req_tier <- Some (Admission.tier_name tier);
+  let timeout, max_steps =
+    match tier with
+    | Admission.Fast -> (t.config.fast_timeout, t.config.fast_max_steps)
+    | Admission.Heavy -> (t.config.heavy_timeout, t.config.heavy_max_steps)
+  in
+  let { Harness.Retry.result; retries } =
+    Harness.Retry.run
+      ~max_attempts:(t.config.retries + 1)
+      ~backoff_s:t.config.backoff_s ~sleep:t.sleep
+      ~on_retry:(fun ~attempt:_ _ -> Obs.Metrics.incr t.metrics "serve.retry")
+      ~retryable:Harness.Retry.transient
+      (fun () ->
+        let budget = Budget.make ?timeout ?max_steps ?chaos:t.chaos () in
+        Fun.protect
+          ~finally:(fun () -> Obs.Metrics.record_ticks t.metrics budget)
+          (fun () ->
+            Budget.tick ~site:Harness.Sites.serve budget;
+            attempt budget))
+  in
+  match result with
+  | Error e -> code_of_exn e
+  | Ok answer ->
+      answer (if retries = 0 then [] else [ ("retries", Json.Int retries) ])
 
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)
@@ -268,16 +305,6 @@ let resolve_entry t ~tick db_ref =
         (fun db -> Plane_cache.find_or_compile ~tick t.planes db)
         (Ingest.database ~max_facts:t.config.max_facts text)
 
-type solved =
-  | R_error of Protocol.error
-  | R_solved of {
-      outcome : Core.Solver.outcome;
-      attempts : Core.Solver.attempt list;
-      budget : Budget.t;
-      hit : bool;
-    }
-  | R_downgraded of { est : Cqa.Montecarlo.estimate; hit : bool }
-
 let do_certain t ~query ~db ~trials ~explain =
   match Ingest.query query with
   | Error e -> error_fields e
@@ -303,172 +330,118 @@ let do_certain t ~query ~db ~trials ~explain =
               ("tier", Json.String (Admission.tier_name tier));
               ("error", Json.String "admission bucket empty; request shed");
             ] )
-      | Admission.Admit | Admission.Downgrade -> (
+      | Admission.Admit | Admission.Downgrade ->
           let trials =
             Option.value trials ~default:t.config.estimate_trials
           in
           (* Seed the estimate RNG per request index: deterministic given
              the request sequence, distinct across requests. *)
           let rng_seed = [| t.config.seed; t.requests |] in
-          let { Harness.Retry.result; retries } =
-            run_budgeted t ~tier (fun budget ->
-                let tick () =
-                  Budget.tick ~site:Harness.Sites.compile budget
-                in
-                let resolved =
-                  tspan t "cache" (fun () ->
-                      let r = resolve_entry t ~tick db in
-                      tattr t "result"
-                        (Obs.Trace.String
-                           (match r with
-                           | Ok (_, true) -> "hit"
-                           | Ok (_, false) -> "miss"
-                           | Error _ -> "error"));
-                      r)
-                in
-                match resolved with
-                | Error e -> R_error e
-                | Ok (entry, hit) -> (
-                    match decision with
-                    | Admission.Downgrade ->
+          budgeted t ~tier (fun budget ->
+              let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+              let resolved =
+                tspan t "cache" (fun () ->
+                    let r = resolve_entry t ~tick db in
+                    tattr t "result"
+                      (Obs.Trace.String
+                         (match r with
+                         | Ok (_, true) -> "hit"
+                         | Ok (_, false) -> "miss"
+                         | Error _ -> "error"));
+                    r)
+              in
+              match resolved with
+              | Error e -> fun _ -> error_fields e
+              | Ok (entry, hit) -> (
+                  match decision with
+                  | Admission.Downgrade ->
+                      let est =
                         tspan t "estimate" (fun () ->
                             let g =
                               Qlang.Solution_graph.of_query_compiled ~tick q
                                 entry.Plane_cache.plane
                             in
-                            let est =
-                              Cqa.Montecarlo.estimate_g ~budget
-                                (Random.State.make rng_seed) ~trials g
-                            in
-                            R_downgraded { est; hit })
-                    | _ ->
-                        let outcome, attempts =
-                          Core.Solver.solve_plane ~k:t.config.k ~budget
-                            ~estimate_trials:trials ~seed:t.config.seed
-                            ?trace:t.trace report entry.Plane_cache.plane
+                            Cqa.Montecarlo.estimate_g ~budget
+                              (Random.State.make rng_seed) ~trials g)
+                      in
+                      fun retries ->
+                        ( Protocol.Degraded_estimate,
+                          [
+                            ("tier", Json.String (Admission.tier_name tier));
+                            ("downgraded", Json.Bool true);
+                          ]
+                          @ estimate_fields ~reason:"admission" est
+                          @ (cache_field hit :: retries) )
+                  | _ ->
+                      let outcome, attempts =
+                        Core.Solver.solve_plane ~k:t.config.k ~budget
+                          ~estimate_trials:trials ~seed:t.config.seed
+                          ?trace:t.trace report entry.Plane_cache.plane
+                      in
+                      fun retries ->
+                        (* Meter and journal the chain like the CLI does, so
+                           the daemon's stats carry the same per-tier
+                           histograms `cqa certain --metrics` would. The
+                           journal reads the request's budget, serve tick
+                           and plane compile included. *)
+                        Core.Solver.record_metrics t.metrics outcome attempts;
+                        t.req_budget <- Some budget;
+                        Option.iter
+                          (fun j ->
+                            Core.Solver.record_journal j ~budget outcome
+                              attempts)
+                          t.journal;
+                        let common =
+                          cache_field hit
+                          :: ("steps", Json.Int (Budget.steps budget))
+                          :: retries
+                          @ if explain then [ attempts_field attempts ] else []
                         in
-                        R_solved { outcome; attempts; budget; hit }))
-          in
-          let count_plane hit =
-            Obs.Metrics.incr t.metrics
-              (if hit then "serve.plane.hit" else "serve.plane.miss")
-          in
-          match result with
-          | Error e -> code_of_exn e
-          | Ok (R_error e) -> error_fields e
-          | Ok (R_downgraded { est; hit }) ->
-              count_plane hit;
-              ( Protocol.Degraded_estimate,
-                [
-                  ("tier", Json.String (Admission.tier_name tier));
-                  ("downgraded", Json.Bool true);
-                ]
-                @ estimate_fields ~reason:"admission" est
-                @ [ ("cache", Json.String (if hit then "hit" else "miss")) ]
-                @ retries_fields retries )
-          | Ok (R_solved { outcome; attempts; budget; hit }) ->
-              count_plane hit;
-              (* Meter and journal the chain like the CLI does, so the
-                 daemon's stats carry the same per-tier histograms `cqa
-                 certain --metrics` would. The journal reads the request's
-                 budget, serve tick and plane compile included. *)
-              Core.Solver.record_metrics t.metrics outcome attempts;
-              t.req_budget <- Some budget;
-              Option.iter
-                (fun j -> Core.Solver.record_journal j ~budget outcome attempts)
-                t.journal;
-              let common =
-                [
-                  ("cache", Json.String (if hit then "hit" else "miss"));
-                  ("steps", Json.Int (Budget.steps budget));
-                ]
-                @ retries_fields retries
-                @ (if explain then [ attempts_field attempts ] else [])
-              in
-              let fields =
-                match outcome with
-                | Harness.Outcome.Decided (answer, alg) ->
-                    [
-                      ("answer", Json.Bool answer);
-                      ("algorithm", Json.String (algorithm_name alg));
-                    ]
-                | Harness.Outcome.Estimated est ->
-                    estimate_fields ~reason:"budget" est
-                | Harness.Outcome.Timeout ->
-                    [ ("error", Json.String "wall-clock deadline passed") ]
-                | Harness.Outcome.Budget_exhausted ->
-                    (* When injected pressure (rather than the step cap)
-                       stopped the chain, the attempt records the site —
-                       surface it. *)
-                    let pressure_site =
-                      List.find_map
-                        (fun (a : Core.Solver.attempt) ->
-                          match a.Core.Solver.status with
-                          | Core.Solver.Attempt_out_of_budget
-                              (Budget.Pressure site) ->
-                              Some ("site", Json.String site)
-                          | _ -> None)
-                        attempts
-                    in
-                    ("error", Json.String "step budget exhausted")
-                    :: Option.to_list pressure_site
-                | Harness.Outcome.Solver_error msg ->
-                    [ ("error", Json.String msg) ]
-              in
-              (Protocol.code_of_outcome outcome, fields @ common)))
+                        ( Protocol.code_of_outcome outcome,
+                          outcome_fields attempts outcome @ common ))))
 
 let do_classify t ~query =
   match Ingest.query query with
   | Error e -> error_fields e
-  | Ok q -> (
-      let { Harness.Retry.result; retries } =
-        run_budgeted t ~tier:Admission.Fast (fun _budget ->
-            classify_cached t q)
-      in
-      match result with
-      | Error e -> code_of_exn e
-      | Ok report ->
-          let tier = tier_of_report report in
-          ( Protocol.Ok_code,
-            [
-              ( "verdict",
-                Json.String
-                  (Core.Dichotomy.verdict_summary report.Core.Dichotomy.verdict)
-              );
-              ( "class",
-                Json.String
-                  (match report.Core.Dichotomy.verdict with
-                  | Core.Dichotomy.Ptime _ -> "ptime"
-                  | Core.Dichotomy.Conp_complete _ -> "conp-complete") );
-              ("tier", Json.String (Admission.tier_name tier));
-              ( "bounded_search",
-                Json.Bool report.Core.Dichotomy.bounded_search );
-            ]
-            @ retries_fields retries ))
+  | Ok q ->
+      budgeted t ~tier:Admission.Fast (fun _budget ->
+          let report = classify_cached t q in
+          fun retries ->
+            ( Protocol.Ok_code,
+              [
+                ( "verdict",
+                  Json.String
+                    (Core.Dichotomy.verdict_summary report.Core.Dichotomy.verdict)
+                );
+                ( "class",
+                  Json.String
+                    (match report.Core.Dichotomy.verdict with
+                    | Core.Dichotomy.Ptime _ -> "ptime"
+                    | Core.Dichotomy.Conp_complete _ -> "conp-complete") );
+                ( "tier",
+                  Json.String (Admission.tier_name (tier_of_report report)) );
+                ( "bounded_search",
+                  Json.Bool report.Core.Dichotomy.bounded_search );
+              ]
+              @ retries ))
 
 let do_load t ~name ~text =
   match Ingest.database ~max_facts:t.config.max_facts text with
   | Error e -> error_fields e
-  | Ok db -> (
-      let { Harness.Retry.result; retries } =
-        run_budgeted t ~tier:Admission.Heavy (fun budget ->
-            let tick () = Budget.tick ~site:Harness.Sites.compile budget in
-            Plane_cache.find_or_compile ~tick t.planes db)
-      in
-      match result with
-      | Error e -> code_of_exn e
-      | Ok (entry, hit) ->
-          Obs.Metrics.incr t.metrics
-            (if hit then "serve.plane.hit" else "serve.plane.miss");
-          Hashtbl.replace t.named name (entry.Plane_cache.fingerprint, db);
-          ( Protocol.Ok_code,
-            [
-              ("name", Json.String name);
-              ("fingerprint", Json.String entry.Plane_cache.fingerprint);
-              ("facts", Json.Int (Relational.Database.size db));
-              ("cache", Json.String (if hit then "hit" else "miss"));
-            ]
-            @ retries_fields retries ))
+  | Ok db ->
+      budgeted t ~tier:Admission.Heavy (fun budget ->
+          let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+          let entry, hit = Plane_cache.find_or_compile ~tick t.planes db in
+          fun retries ->
+            Hashtbl.replace t.named name (entry.Plane_cache.fingerprint, db);
+            ( Protocol.Ok_code,
+              [
+                ("name", Json.String name);
+                ("fingerprint", Json.String entry.Plane_cache.fingerprint);
+                ("facts", Json.Int (Relational.Database.size db));
+                cache_field hit;
+              ]
+              @ retries ))
 
 (* The update op: apply a fact delta to a named database without paying a
    recompile. The cached plane is patched with [Compiled.apply_delta]
@@ -484,16 +457,6 @@ let do_load t ~name ~text =
    state; any fault before that (chaos mid-patch, budget stop, corrupt
    plane) leaves both the cache and the name serving the pre-delta
    database, because [apply_delta] never mutates the plane it patches. *)
-type updated =
-  | U_error of Protocol.error
-  | U_applied of {
-      fingerprint : string;
-      facts : int;
-      inserted : int;
-      retracted : int;
-      patched : bool;  (* false: entry was evicted, fell back to recompile *)
-    }
-
 let do_update t ~name ~insert ~retract =
   match Hashtbl.find_opt t.named name with
   | None ->
@@ -505,107 +468,93 @@ let do_update t ~name ~insert ~retract =
       | Ok ins, Ok rets -> (
           match Ingest.key_markers old_db (ins @ rets) with
           | Error e -> error_fields e
-          | Ok () -> (
+          | Ok () ->
               let delta =
                 List.map
                   (fun (f, _) -> Relational.Delta.Insert f)
                   ins
                 @ List.map (fun (f, _) -> Relational.Delta.Retract f) rets
               in
-              let { Harness.Retry.result; retries } =
-                run_budgeted t ~tier:Admission.Heavy (fun budget ->
-                    let tick () =
-                      Budget.tick ~site:Harness.Sites.compile budget
-                    in
-                    match Relational.Delta.apply old_db delta with
-                    | exception Invalid_argument msg ->
-                        U_error { Protocol.code = Protocol.Bad_db; message = msg }
-                    | new_db -> (
-                        if Relational.Database.size new_db > t.config.max_facts
-                        then
-                          U_error
-                            {
-                              Protocol.code = Protocol.Db_too_large;
-                              message =
-                                Printf.sprintf
-                                  "database has %d facts, over the cap of %d"
-                                  (Relational.Database.size new_db)
-                                  t.config.max_facts;
-                            }
-                        else
-                          let net_ins, net_rets =
-                            Relational.Delta.normalize old_db delta
-                          in
-                          let finish entry ~patched =
-                            Hashtbl.replace t.named name
-                              (entry.Plane_cache.fingerprint, new_db);
-                            U_applied
+              budgeted t ~tier:Admission.Heavy (fun budget ->
+                  let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+                  match Relational.Delta.apply old_db delta with
+                  | exception Invalid_argument msg ->
+                      fun _ ->
+                        error_fields
+                          { Protocol.code = Protocol.Bad_db; message = msg }
+                  | new_db -> (
+                      if Relational.Database.size new_db > t.config.max_facts
+                      then fun _ ->
+                        error_fields
+                          {
+                            Protocol.code = Protocol.Db_too_large;
+                            message =
+                              Printf.sprintf
+                                "database has %d facts, over the cap of %d"
+                                (Relational.Database.size new_db)
+                                t.config.max_facts;
+                          }
+                      else
+                        let net_ins, net_rets =
+                          Relational.Delta.normalize old_db delta
+                        in
+                        (* [patched] is false when the entry was evicted
+                           and the update fell back to a recompile. *)
+                        let finish entry ~patched =
+                          Hashtbl.replace t.named name
+                            (entry.Plane_cache.fingerprint, new_db);
+                          fun retries ->
+                            ( Protocol.Ok_code,
+                              [
+                                ("name", Json.String name);
+                                ( "fingerprint",
+                                  Json.String entry.Plane_cache.fingerprint );
+                                ("facts", Json.Int (Relational.Database.size new_db));
+                                ("inserted", Json.Int (List.length net_ins));
+                                ("retracted", Json.Int (List.length net_rets));
+                                ( "cache",
+                                  Json.String
+                                    (if patched then "patched" else "recompiled")
+                                );
+                              ]
+                              @ retries )
+                        in
+                        match Plane_cache.find t.planes old_fp with
+                        | Some entry ->
+                            let plane =
+                              Relational.Compiled.apply_delta ~tick
+                                entry.Plane_cache.plane delta
+                            in
+                            (* Roll the key: fold the net-toggled facts'
+                               digests into the cached accumulator. *)
+                            let facts_xor =
+                              List.fold_left
+                                (fun acc f ->
+                                  Plane_cache.Fingerprint.xor acc
+                                    (Plane_cache.Fingerprint.fact_digest f))
+                                entry.Plane_cache.facts_xor
+                                (net_ins @ net_rets)
+                            in
+                            let entry =
                               {
-                                fingerprint = entry.Plane_cache.fingerprint;
-                                facts = Relational.Database.size new_db;
-                                inserted = List.length net_ins;
-                                retracted = List.length net_rets;
-                                patched;
+                                Plane_cache.fingerprint =
+                                  Plane_cache.Fingerprint.finish new_db
+                                    ~facts_xor;
+                                facts_xor;
+                                db = new_db;
+                                plane;
                               }
-                          in
-                          match Plane_cache.find t.planes old_fp with
-                          | Some entry ->
-                              let plane =
-                                Relational.Compiled.apply_delta ~tick
-                                  entry.Plane_cache.plane delta
-                              in
-                              (* Roll the key: fold the net-toggled facts'
-                                 digests into the cached accumulator. *)
-                              let facts_xor =
-                                List.fold_left
-                                  (fun acc f ->
-                                    Plane_cache.Fingerprint.xor acc
-                                      (Plane_cache.Fingerprint.fact_digest f))
-                                  entry.Plane_cache.facts_xor
-                                  (net_ins @ net_rets)
-                              in
-                              let entry =
-                                {
-                                  Plane_cache.fingerprint =
-                                    Plane_cache.Fingerprint.finish new_db
-                                      ~facts_xor;
-                                  facts_xor;
-                                  db = new_db;
-                                  plane;
-                                }
-                              in
-                              Plane_cache.replace t.planes
-                                ~old_fingerprint:old_fp entry;
-                              finish entry ~patched:true
-                          | None ->
-                              (* Evicted since load: recompile from the new
-                                 database like a cold [load] would. *)
-                              let entry, _hit =
-                                Plane_cache.find_or_compile ~tick t.planes
-                                  new_db
-                              in
-                              finish entry ~patched:false))
-              in
-              match result with
-              | Error e -> code_of_exn e
-              | Ok (U_error e) -> error_fields e
-              | Ok (U_applied { fingerprint; facts; inserted; retracted; patched })
-                ->
-                  Obs.Metrics.incr t.metrics
-                    (if patched then "serve.plane.patched"
-                     else "serve.plane.miss");
-                  ( Protocol.Ok_code,
-                    [
-                      ("name", Json.String name);
-                      ("fingerprint", Json.String fingerprint);
-                      ("facts", Json.Int facts);
-                      ("inserted", Json.Int inserted);
-                      ("retracted", Json.Int retracted);
-                      ( "cache",
-                        Json.String (if patched then "patched" else "recompiled")
-                      );
-                    ]
-                    @ retries_fields retries ))))
+                            in
+                            Plane_cache.replace t.planes
+                              ~old_fingerprint:old_fp entry;
+                            finish entry ~patched:true
+                        | None ->
+                            (* Evicted since load: recompile from the new
+                               database like a cold [load] would. *)
+                            let entry, _hit =
+                              Plane_cache.find_or_compile ~tick t.planes new_db
+                            in
+                            finish entry ~patched:false))))
 
 let diagnostics_fields diagnostics =
   let severity =
@@ -620,20 +569,14 @@ let diagnostics_fields diagnostics =
   in
   ("max_severity", Json.String severity) :: lint_fields
 
-let do_lint ~query =
-  (Protocol.Ok_code, diagnostics_fields (Analysis.Lint.lint_source query))
-
-(* The analyze op mirrors `cqa analyze`'s exit contract: warnings or errors
-   are code "diagnostics" (exit 1), infos alone are "ok" (exit 0), and
-   ingestion failures keep their own codes (exit 2). *)
+(* The lint and analyze ops keep `cqa lint`'s and `cqa analyze`'s exit
+   contract: warnings or errors are code "diagnostics" (exit 1), infos
+   alone are "ok" (exit 0), and ingestion failures keep their own codes
+   (exit 2). *)
 let diagnostics_response diagnostics =
-  let code =
-    match Analysis.Lint.max_severity diagnostics with
-    | Some Analysis.Lint.Error | Some Analysis.Lint.Warning ->
-        Protocol.Diagnostics
-    | Some Analysis.Lint.Info | None -> Protocol.Ok_code
-  in
-  (code, diagnostics_fields diagnostics)
+  (Protocol.code_of_diagnostics diagnostics, diagnostics_fields diagnostics)
+
+let do_lint ~query = diagnostics_response (Analysis.Lint.lint_source query)
 
 let do_analyze t ~query ~db =
   match Ingest.query query with
@@ -651,32 +594,20 @@ let do_analyze t ~query ~db =
             (Analysis.Lint.lint_source query
             @ Analysis.Sanitize.run ~query:q (Relational.Compiled.compile empty)
             )
-      | Some db_ref -> (
-          let { Harness.Retry.result; retries } =
-            run_budgeted t ~tier:Admission.Heavy (fun budget ->
-                let tick () = Budget.tick ~site:Harness.Sites.compile budget in
-                match resolve_entry t ~tick db_ref with
-                | Error e -> Error e
-                | Ok (entry, hit) ->
-                    let ds =
-                      Analysis.Lint.lint_source query
-                      @ Analysis.Sanitize.run ~query:q entry.Plane_cache.plane
-                      @ Analysis.Lint.lint_database ~query:q
-                          entry.Plane_cache.db
-                    in
-                    Ok (ds, hit))
-          in
-          match result with
-          | Error e -> code_of_exn e
-          | Ok (Error e) -> error_fields e
-          | Ok (Ok (ds, hit)) ->
-              Obs.Metrics.incr t.metrics
-                (if hit then "serve.plane.hit" else "serve.plane.miss");
-              let code, fields = diagnostics_response ds in
-              ( code,
-                fields
-                @ [ ("cache", Json.String (if hit then "hit" else "miss")) ]
-                @ retries_fields retries )))
+      | Some db_ref ->
+          budgeted t ~tier:Admission.Heavy (fun budget ->
+              let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+              match resolve_entry t ~tick db_ref with
+              | Error e -> fun _ -> error_fields e
+              | Ok (entry, hit) ->
+                  let ds =
+                    Analysis.Lint.lint_source query
+                    @ Analysis.Sanitize.run ~query:q entry.Plane_cache.plane
+                    @ Analysis.Lint.lint_database ~query:q entry.Plane_cache.db
+                  in
+                  fun retries ->
+                    let code, fields = diagnostics_response ds in
+                    (code, fields @ (cache_field hit :: retries))))
 
 (* The last [last] request traces, each re-encoded as a standalone
    Obs_codec trace document: a root "request" span plus every retained
@@ -847,8 +778,23 @@ let handle_request t = function
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
 
+(* Meter what a handler answered, for every handler: the response code,
+   the latency and the plane outcome go into the registry, and the
+   request's story into the journal. *)
 let finalize t ~t0 ?id ~op code fields =
   Obs.Metrics.incr t.metrics ("serve.response." ^ Protocol.code_name code);
+  (* The plane outcome is read back from the response's [cache] field: an
+     update's recompile counts as a miss. *)
+  let cache =
+    match List.assoc_opt "cache" fields with
+    | Some (Json.String c) -> Some c
+    | _ -> None
+  in
+  Option.iter
+    (fun c ->
+      Obs.Metrics.incr t.metrics
+        ("serve.plane." ^ if c = "recompiled" then "miss" else c))
+    cache;
   let ms = (Harness.Clock.now () -. t0) *. 1000. in
   (match t.req_tier with
   | Some tier ->
@@ -863,7 +809,7 @@ let finalize t ~t0 ?id ~op code fields =
      choke point. *)
   (match t.journal with
   | None -> ()
-  | Some _ ->
+  | Some j ->
       let opf = ("op", Obs.Trace.String op) in
       let tier_f =
         match t.req_tier with
@@ -875,11 +821,15 @@ let finalize t ~t0 ?id ~op code fields =
       | Some Admission.Downgrade -> jlog t "request.downgraded" (opf :: tier_f)
       | Some Admission.Shed -> jlog t "request.shed" (opf :: tier_f)
       | None -> ());
-      let cache = List.assoc_opt "cache" fields in
+      let cache_f =
+        Option.fold ~none:[]
+          ~some:(fun c -> [ ("cache", Obs.Trace.String c) ])
+          cache
+      in
       (match cache with
-      | Some (Json.String (("miss" | "recompiled") as c)) ->
-          jlog t "plane.compiled" ((opf :: tier_f) @ [ ("cache", Obs.Trace.String c) ])
-      | Some (Json.String "patched") -> jlog t "plane.patched" (opf :: tier_f)
+      | Some ("miss" | "recompiled") ->
+          jlog t "plane.compiled" ((opf :: tier_f) @ cache_f)
+      | Some "patched" -> jlog t "plane.patched" (opf :: tier_f)
       | _ -> ());
       (match code with
       | Protocol.Corrupt_plane ->
@@ -890,24 +840,8 @@ let finalize t ~t0 ?id ~op code fields =
             | Some (Json.String m) -> [ ("error", Obs.Trace.String m) ]
             | _ -> []))
       | _ -> ());
-      jlog t "request.completed"
-        ([
-           opf;
-           ("code", Obs.Trace.String (Protocol.code_name code));
-           ("ms", Obs.Trace.Float ms);
-         ]
-        @ tier_f
-        @ (match cache with
-          | Some (Json.String c) -> [ ("cache", Obs.Trace.String c) ]
-          | _ -> [])
-        @
-        match t.req_budget with
-        | None -> []
-        | Some b ->
-            ("steps", Obs.Trace.Int (Budget.steps b))
-            :: List.map
-                 (fun (site, n) -> ("steps." ^ site, Obs.Trace.Int n))
-                 (Budget.steps_by_site b)));
+      Core.Solver.record_completion j ~op ~code:(Protocol.code_name code) ~ms
+        (tier_f @ cache_f) t.req_budget);
   let fields =
     match t.trace with
     | None -> fields

@@ -11,12 +11,16 @@
       fault raised while serving it — chaos injections, budget exhaustion,
       schema violations, oversized databases — produces exactly one
       well-formed response frame with a stable {!Protocol.code}.
-    - {b Requests are budgeted.} Each request runs under its own
-      {!Harness.Budget} (timeout and step caps derived from its dichotomy
-      tier). Its counters, ticks and histograms go straight into the one
-      daemon-wide {!Obs.Metrics} registry; a fault raised mid-request is
-      answered by the same loop, so its metrics are those of a completed
-      request with an error code.
+    - {b Requests are budgeted.} Each attempt at a request runs under its
+      own {!Harness.Budget} (timeout and step caps derived from its
+      dichotomy tier), whose per-site ticks enter the one daemon-wide
+      {!Obs.Metrics} registry once, when the attempt ends, returned or
+      raised ({!Obs.Metrics.record_ticks}). Everything else about a request
+      is metered in one place after its handler answers: the response
+      code, the latency, the plane outcome ([serve.plane.hit], [.miss],
+      [.patched], read from the response's [cache] field) and its journal
+      events. A fault raised mid-request is answered by the same loop, so
+      its metrics are those of a completed request with an error code.
     - {b Transient faults are retried.} A {!Harness.Chaos.Injected_fault}
       raised outside the degradation chain (at the serve admission point,
       or while compiling a plane) is retried with exponential backoff on a

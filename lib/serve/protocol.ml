@@ -54,6 +54,11 @@ let code_of_outcome : Core.Solver.outcome -> code = function
   | Harness.Outcome.Budget_exhausted -> Budget_exhausted
   | Harness.Outcome.Solver_error _ -> Solver_error
 
+let code_of_diagnostics diagnostics =
+  match Analysis.Lint.max_severity diagnostics with
+  | Some (Analysis.Lint.Error | Analysis.Lint.Warning) -> Diagnostics
+  | Some Analysis.Lint.Info | None -> Ok_code
+
 let status_of_code c =
   match exit_of_code c with
   | 0 | 1 -> "ok"

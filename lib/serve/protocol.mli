@@ -29,8 +29,9 @@ type code =
   | Ok_code  (** The request succeeded; for [certain], the answer is yes. *)
   | Not_certain  (** [certain] decided no (exit 1, mirroring the CLI). *)
   | Diagnostics
-      (** [analyze] produced warnings or errors (exit 1, mirroring
-          [cqa analyze]'s exit contract; infos alone are [Ok_code]). *)
+      (** [lint] or [analyze] produced warnings or errors (exit 1, mirroring
+          [cqa lint]'s and [cqa analyze]'s exit contract; infos alone are
+          [Ok_code]). *)
   | Bad_frame  (** Not JSON, not an object, or over the frame size cap. *)
   | Bad_request  (** Unknown op, or a missing / ill-typed field. *)
   | Bad_query  (** The query source failed to parse. *)
@@ -64,6 +65,12 @@ val exit_of_code : code -> int
     [Solver_error] otherwise. The daemon's [certain] responses and
     [cqa certain]'s exit status both read it. *)
 val code_of_outcome : Core.Solver.outcome -> code
+
+(** The code of a diagnostics list: [Diagnostics] when one is a warning or
+    an error, [Ok_code] otherwise (infos only, or none). The daemon's
+    [lint] and [analyze] responses and the exit status of [cqa lint] and
+    [cqa analyze] all read it. *)
+val code_of_diagnostics : Analysis.Lint.diagnostic list -> code
 
 (** ["ok"] for exits 0/1, ["degraded"] for 3, ["timeout"] for 124,
     ["error"] for 2. *)

@@ -1005,6 +1005,61 @@ let test_request_isolation () =
   checki "responses counted by code" 2
     (Obs.Metrics.counter_value m "serve.response.ok")
 
+(* Every attempt ticks the serve site once, a faulted one included, and
+   each attempt's ticks reach the registry whether it returned or raised:
+   so after [n] requests the serve tick counter reads [n] plus the
+   retries. *)
+let test_daemon_attempt_ticks () =
+  let d =
+    Serve.Daemon.create
+      ~sleep:(fun _ -> ())
+      {
+        base_config with
+        Serve.Daemon.retries = 2;
+        chaos =
+          Some
+            {
+              Serve.Daemon.fail_p = 0.3;
+              delay_p = 0.0;
+              delay_s = 0.0;
+              pressure_p = 0.0;
+              chaos_seed = 7;
+              sites = [ Harness.Sites.serve ];
+            };
+      }
+  in
+  for _ = 1 to 200 do
+    ignore (handle d {|{"op": "classify", "query": "R(x | y) R(y | x)"}|})
+  done;
+  let m = Serve.Daemon.metrics d in
+  let retries = Obs.Metrics.counter_value m "serve.retry" in
+  checkb "chaos forced retries" true (retries > 0);
+  checkb "some requests failed every attempt" true
+    (Obs.Metrics.counter_value m "serve.response.fault-injected" > 0);
+  checki "one serve tick per attempt" (200 + retries)
+    (Obs.Metrics.counter_value m "budget.tick.serve")
+
+(* The lint op keeps `cqa lint`'s exit contract, as analyze does: a warning
+   or an error is code diagnostics (exit 1), infos alone are ok. *)
+let test_daemon_lint () =
+  let d = Serve.Daemon.create base_config in
+  let lint query =
+    handle d
+      (Json.to_string
+         (Json.Obj [ ("op", Json.String "lint"); ("query", Json.String query) ]))
+  in
+  let code, j = lint "R(x | y) R(y | x)" in
+  checks "info-only lint ok" "ok" (Protocol.code_name code);
+  checks "info only" "info" (str_field "max_severity" j);
+  let code, j = lint "R(x u | x y) R(u y | x z)" in
+  checks "a warning is diagnostics" "diagnostics" (Protocol.code_name code);
+  checks "warning" "warning" (str_field "max_severity" j);
+  let code, j = lint "R(x | y" in
+  checks "an error is diagnostics" "diagnostics" (Protocol.code_name code);
+  checks "error" "error" (str_field "max_severity" j);
+  expect_code d "analyze agrees" Protocol.Diagnostics
+    {|{"op": "analyze", "query": "R(x u | x y) R(u y | x z)"}|}
+
 (* Drive a daemon journaling to a temporary file with [run], then hand
    [check] what [run] returned and the journal's [request.completed]
    events. *)
@@ -1277,6 +1332,9 @@ let () =
           Alcotest.test_case "request isolation" `Quick test_request_isolation;
           Alcotest.test_case "sub-millisecond latency" `Quick
             test_daemon_latency;
+          Alcotest.test_case "every attempt's ticks metered" `Quick
+            test_daemon_attempt_ticks;
+          Alcotest.test_case "lint exit contract" `Quick test_daemon_lint;
           Alcotest.test_case "completion steps = site sum" `Quick
             test_daemon_completion_steps;
         ] );

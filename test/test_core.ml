@@ -209,12 +209,19 @@ let test_search_budget_respected () =
   (match Search.find_any ~opts q5 with
   | Search.Not_found -> ()
   | Search.Found _ -> Alcotest.fail "budget 10 cannot find a tripath for q5");
-  (* q2's fork is found at its seventh search node, so a budget of 5 nodes
-     cuts the search before it. *)
-  let opts = { Search.default_options with Search.max_candidates = 5 } in
-  match Search.find_fork ~opts q2 with
-  | Search.Not_found -> ()
-  | Search.Found _ -> Alcotest.fail "budget 5 stops before q2's fork"
+  (* q2's fork is found at its seventh search node: a budget of N nodes
+     runs exactly N, so 7 reach it and 6 or 5 stop just before it. *)
+  List.iter
+    (fun (n, found) ->
+      let opts = { Search.default_options with Search.max_candidates = n } in
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %d %s q2's fork" n
+           (if found then "reaches" else "stops before"))
+        found
+        (match Search.find_fork ~opts q2 with
+        | Search.Found _ -> true
+        | Search.Not_found -> false))
+    [ (5, false); (6, false); (7, true) ]
 
 let test_search_invalid_options () =
   List.iter

@@ -1,7 +1,8 @@
 (* The observability layer: trace recorder semantics under a deterministic
    clock, metrics registry arithmetic, the budget's per-site accounting and
-   sink, solver-chain span shape (including under injected chaos), and
-   QCheck round-trips through the Obs_codec JSON schemas. *)
+   the registry's reading of it, solver-chain span shape (including under
+   injected chaos), and QCheck round-trips through the Obs_codec JSON
+   schemas. *)
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
@@ -158,22 +159,35 @@ let test_metrics_bounds_mismatch () =
         | exception Invalid_argument _ -> true
         | () -> false))
 
-let test_metrics_tick_sink () =
+let test_metrics_record_ticks () =
+  (* The registry's tick counters are read from a finished budget's own
+     per-site breakdown, one call per budget. *)
   let m = Metrics.create () in
-  let sink = Metrics.tick_sink m in
-  sink "certk";
-  sink "certk";
-  sink "";
-  check "sink counts per site" (Metrics.counter_value m "budget.tick.certk" = 2);
+  let b = Budget.make () in
+  Budget.tick ~site:Harness.Sites.certk b;
+  Budget.tick ~site:Harness.Sites.certk b;
+  Budget.tick b;
+  check "nothing counted before the budget is recorded"
+    ((Metrics.snapshot m).Metrics.counters = []);
+  Metrics.record_ticks m b;
+  check "ticks counted per site"
+    (Metrics.counter_value m "budget.tick.certk" = 2);
   check "empty site counts as unnamed"
-    (Metrics.counter_value m "budget.tick.unnamed" = 1)
+    (Metrics.counter_value m "budget.tick.unnamed" = 1);
+  let b' = Budget.make () in
+  Budget.tick ~site:Harness.Sites.certk b';
+  Metrics.record_ticks m b';
+  check "a second budget adds its own"
+    (Metrics.counter_value m "budget.tick.certk" = 3);
+  Metrics.record_ticks m (Budget.make ());
+  check "a budget that never ticked creates no counter"
+    (List.length (Metrics.snapshot m).Metrics.counters = 2)
 
 (* ------------------------------------------------------------------ *)
-(* Budget per-site accounting and sink *)
+(* Budget per-site accounting, as the registry reads it *)
 
 let test_budget_sites () =
-  let seen = ref [] in
-  let b = Budget.make ~sink:(fun s -> seen := s :: !seen) () in
+  let b = Budget.make () in
   for _ = 1 to 40 do
     Budget.tick ~site:Harness.Sites.certk b
   done;
@@ -185,12 +199,20 @@ let test_budget_sites () =
   check "breakdown hottest-first and summing to steps"
     (Budget.steps_by_site b = [ ("certk", 40); ("dpll", 2); ("", 1) ]);
   check "hottest site" (Budget.hottest_site b = Some ("certk", 40));
-  check "sink saw every tick" (List.length !seen = 43);
-  Budget.set_sink b None;
+  let m = Metrics.create () in
+  Metrics.record_ticks m b;
+  check "the registry reads every tick"
+    ((Metrics.snapshot m).Metrics.counters
+    = [
+        ("budget.tick.certk", 40);
+        ("budget.tick.dpll", 2);
+        ("budget.tick.unnamed", 1);
+      ]);
   Budget.tick ~site:Harness.Sites.dpll b;
-  check "detached sink is silent" (List.length !seen = 43);
-  check "accounting continues after detach"
+  check "accounting continues after a reading"
     (List.assoc_opt Harness.Sites.dpll (Budget.steps_by_site b) = Some 3);
+  check "a reading is a copy, not a live view"
+    (Metrics.counter_value m "budget.tick.dpll" = 2);
   let breakdown = Format.asprintf "%a" Budget.pp_site_breakdown (Budget.steps_by_site b) in
   check "pp breakdown names the unnamed site"
     (breakdown = "certk=40, dpll=3, (unnamed)=1")
@@ -525,7 +547,7 @@ let () =
           Alcotest.test_case "histograms" `Quick test_metrics_histograms;
           Alcotest.test_case "quantile estimator" `Quick test_metrics_quantile;
           Alcotest.test_case "bounds mismatch" `Quick test_metrics_bounds_mismatch;
-          Alcotest.test_case "tick sink" `Quick test_metrics_tick_sink;
+          Alcotest.test_case "tick sink" `Quick test_metrics_record_ticks;
         ] );
       ( "journal",
         [
