@@ -19,12 +19,21 @@ let exit_error = 2
 (* Command bodies run under this guard so malformed input ([-k 0], an
    unreadable database file, ...) prints a one-line error and exits with the
    usage/input code instead of dumping an uncaught-exception backtrace. The
-   REPL runs each of its commands under it too. *)
+   REPL runs each of its commands under it too. The solver chain turns its
+   own budget's exhaustion into an outcome, so a budget that escapes a body
+   is a tripath search's (a classification's, or [cqa tripath]'s and
+   [cqa gadget]'s own): no command gives it a deadline, and every command
+   searches at the default node cap. *)
 let guard f =
   try f () with
   | Invalid_argument msg | Sys_error msg | Failure msg ->
       Format.eprintf "error: %s@." msg;
       exit_error
+  | Harness.Budget.Budget_exceeded reason ->
+      Format.eprintf "error: the tripath search ran out of its %a (%d nodes); no verdict@."
+        Harness.Budget.pp_exhaustion reason
+        Core.Tripath_search.default_options.Core.Tripath_search.max_candidates;
+      Serve.Protocol.exit_of_code Serve.Protocol.Budget_exhausted
 
 (* "-" reads the database from stdin, so [cqa gadget --emit-db | cqa certain]
    pipelines work without a temporary file. *)

@@ -7,63 +7,99 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escaped buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* The C primitive behind [Printf]'s [%g]: the same text, without
+   interpreting a format at each call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let g_formats = Array.init 18 (fun p -> "%." ^ string_of_int p ^ "g")
 
 (* Shortest decimal representation that reads back as exactly the same
-   float, always containing '.' or 'e' so a reader keeps it a Float. *)
+   float, always containing '.' or 'e' so a reader keeps it a Float: the
+   text a scan of precisions 1, 2, ..., 17 stops at (17 digits always read
+   back). Up to 15 digits, read-back is monotone in the precision, so when
+   15 digits read back the shortest precision is bisected below them. From
+   15 to 16 it is not: at eight powers of two (2^149, ...), whose lower
+   neighbour is nearer than the upper one, 15 digits read back and 16 do
+   not. Measured times need 16 or 17 digits, so they take two or three
+   probes. *)
 let float_repr f =
-  let rec try_prec p =
-    if p > 17 then Printf.sprintf "%.17g" f
-    else
-      let s = Printf.sprintf "%.*g" p f in
-      if float_of_string s = f then s else try_prec (p + 1)
+  let probe p =
+    let s = format_float g_formats.(p) f in
+    if float_of_string s = f then Some s else None
   in
-  let s = try_prec 1 in
+  (* [hi] reads back as [s_hi]; no precision below [lo] does. *)
+  let rec shortest lo hi s_hi =
+    if lo >= hi then s_hi
+    else
+      let mid = (lo + hi) / 2 in
+      match probe mid with
+      | Some s -> shortest lo mid s
+      | None -> shortest (mid + 1) hi s_hi
+  in
+  let s =
+    match probe 15 with
+    | Some s -> shortest 1 15 s
+    | None -> ( match probe 16 with Some s -> s | None -> format_float g_formats.(17) f)
+  in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
 
-let rec pp ppf = function
-  | Null -> Format.pp_print_string ppf "null"
-  | Bool b -> Format.pp_print_string ppf (if b then "true" else "false")
-  | Int n -> Format.pp_print_int ppf n
+let rec render buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
       (* JSON has no literal for nan/infinity; null is the conventional
          degradation. *)
-      if Float.is_finite f then Format.pp_print_string ppf (float_repr f)
-      else Format.pp_print_string ppf "null"
-  | String s -> Format.fprintf ppf "\"%s\"" (escape s)
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
+  | String s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
   | List items ->
-      Format.pp_print_char ppf '[';
+      Buffer.add_char buf '[';
       List.iteri
         (fun i item ->
-          if i > 0 then Format.pp_print_string ppf ", ";
-          pp ppf item)
+          if i > 0 then Buffer.add_string buf ", ";
+          render buf item)
         items;
-      Format.pp_print_char ppf ']'
+      Buffer.add_char buf ']'
   | Obj fields ->
-      Format.pp_print_char ppf '{';
+      Buffer.add_char buf '{';
       List.iteri
         (fun i (key, value) ->
-          if i > 0 then Format.pp_print_string ppf ", ";
-          Format.fprintf ppf "\"%s\": %a" (escape key) pp value)
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_char buf '"';
+          add_escaped buf key;
+          Buffer.add_string buf "\": ";
+          render buf value)
         fields;
-      Format.pp_print_char ppf '}'
+      Buffer.add_char buf '}'
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string v =
+  let buf = Buffer.create 256 in
+  render buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (* Recursive-descent parser, the inverse of [pp]. It accepts standard JSON
    (RFC 8259) documents; numbers with '.', 'e' or 'E', or too large for a

@@ -18,7 +18,7 @@ type report = {
   bounded_search : bool;
 }
 
-let classify ?(opts = Tripath_search.default_options) q =
+let classify ?(opts = Tripath_search.default_options) ?timeout q =
   match Query.triviality q with
   | Some t ->
       {
@@ -55,7 +55,10 @@ let classify ?(opts = Tripath_search.default_options) q =
         (* 2way-determined: tripaths decide. *)
         assert (Syntactic.two_way_determined q);
         let bounds = Certificate.bounds_of_options opts in
-        match Tripath_search.find_fork ~opts q with
+        (* One budget for both searches: a classification runs at most
+           [max_candidates] nodes in all. *)
+        let budget = Tripath_search.budget ?timeout opts in
+        match Tripath_search.find_fork ~opts ~budget q with
         | Tripath_search.Found (tp, _) ->
             {
               query = q;
@@ -65,7 +68,7 @@ let classify ?(opts = Tripath_search.default_options) q =
               bounded_search = false;
             }
         | Tripath_search.Not_found -> (
-            match Tripath_search.find_triangle ~opts q with
+            match Tripath_search.find_triangle ~opts ~budget q with
             | Tripath_search.Found (tp, _) ->
                 {
                   query = q;

@@ -20,7 +20,8 @@
     {!Tripath_search}; a [No_tripath]-based verdict therefore carries a
     [bounded_search = true] flag: it is exact for every query of the paper's
     catalogue, and in general sound for "Found" and bounded-complete for
-    "not found". *)
+    "not found". A search that runs out of budget raises instead of
+    returning "not found", so no verdict rests on an exhausted budget. *)
 
 type ptime_method =
   | Trivial of Qlang.Query.triviality
@@ -51,8 +52,14 @@ type report = {
           bounds. *)
 }
 
-(** [classify ?opts q] runs the decision procedure. *)
-val classify : ?opts:Tripath_search.options -> Qlang.Query.t -> report
+(** [classify ?opts ?timeout q] runs the decision procedure. A
+    2way-determined query runs its fork search, then its triangle search,
+    on one {!Tripath_search.budget}: at most [opts.max_candidates] nodes in
+    all and, with [timeout], a deadline that many seconds from now.
+    @raise Harness.Budget.Budget_exceeded ([Steps] or [Deadline]) when
+    that budget runs out before the searches end. *)
+val classify :
+  ?opts:Tripath_search.options -> ?timeout:float -> Qlang.Query.t -> report
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -31,7 +31,10 @@ type t = private {
 val of_tripath : Tripath.t -> (t, string) result
 
 (** [create q] searches for a nice fork-tripath of [q] (Proposition 8
-    guarantees one whenever [q] admits any fork-tripath). *)
+    guarantees one whenever [q] admits any fork-tripath). [Error] means the
+    search ended without one.
+    @raise Harness.Budget.Budget_exceeded when the search runs out of its
+    node budget ({!Tripath_search.find_nice}). *)
 val create : ?opts:Tripath_search.options -> Qlang.Query.t -> (t, string) result
 
 (** [database g φ] builds [D(φ)].

@@ -5,6 +5,7 @@ module Subst = Qlang.Subst
 module Unify = Qlang.Unify
 module Fact = Relational.Fact
 module Value = Relational.Value
+module Budget = Harness.Budget
 
 type options = {
   max_spine : int;
@@ -33,7 +34,6 @@ type candidate = {
 }
 
 exception Found_exn of Tripath.t * Tripath.kind * Tripath.nice_witness option
-exception Budget_exhausted
 
 (* ------------------------------------------------------------------ *)
 (* Fresh copies and siblings                                           *)
@@ -146,15 +146,23 @@ let instantiate (q : Query.t) candidate =
     leaf2 = ground candidate.leaf2;
   }
 
-(* The candidate's kind, decided on its two center facts [d] and [f] alone,
-   exactly as {!Tripath.check} decides it on the instantiated tripath: the
-   solution q(f d) exists iff it exists on any injective grounding. *)
+(* The kind of the center facts [d] and [f] under [subst], exactly as
+   {!Tripath.check} decides it on the instantiated tripath: the solution
+   q(f d) exists iff it exists on any injective grounding. A unifier only
+   identifies terms, so a solution q(f d) found here stays one in every
+   extension of [subst]: a triangle stays a triangle. *)
+let kind_at (q : Query.t) subst ~d ~f =
+  let ground = grounder subst in
+  if Qlang.Solutions.query_solution_pair q (ground f) (ground d) then Tripath.Triangle
+  else Tripath.Fork
+
+(* A candidate's [d] and [f] are the b facts of its arms' first blocks, or
+   its leaves. *)
 let kind_of (q : Query.t) candidate =
-  let ground = grounder candidate.subst in
   let first_b arm leaf = match arm with blk :: _ -> blk.sb | [] -> leaf in
-  let d = ground (first_b candidate.arm1 candidate.leaf1)
-  and f = ground (first_b candidate.arm2 candidate.leaf2) in
-  if Qlang.Solutions.query_solution_pair q f d then Tripath.Triangle else Tripath.Fork
+  kind_at q candidate.subst
+    ~d:(first_b candidate.arm1 candidate.leaf1)
+    ~f:(first_b candidate.arm2 candidate.leaf2)
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -174,21 +182,23 @@ let validate opts =
       ("max_candidates", opts.max_candidates, 1);
     ]
 
-let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) =
+(* [Budget.tick] raises on the tick that brings its count up to
+   [max_steps], so the [max_candidates]-th node still runs and the next one
+   stops the search. *)
+let budget ?timeout opts =
+  Budget.make ?timeout ~max_steps:(opts.max_candidates + 1) ()
+
+let search_internal ?(opts = default_options) ?budget:shared ?want ~require_nice
+    (q : Query.t) =
   validate opts;
+  let budget = match shared with Some b -> b | None -> budget opts in
+  let tick () = Budget.tick ~site:Harness.Sites.tripath budget in
   let gen = Unify.Fresh.create ~prefix:"\u{03C3}" () in
-  (* Nodes left to run: the [max_candidates]-th node still runs, the
-     next one stops the search. *)
-  let budget = ref opts.max_candidates in
-  let spend () =
-    if !budget <= 0 then raise Budget_exhausted;
-    decr budget
-  in
   let wanted kind = match want with None -> true | Some k -> k = kind in
   (* The kind is decided first, so a candidate of the wrong kind is skipped
      without being instantiated or verified. *)
   let try_candidate candidate =
-    spend ();
+    tick ();
     if want = None || wanted (kind_of q candidate) then
       let tripath = instantiate q candidate in
       match Tripath.check tripath with
@@ -203,7 +213,7 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
   (* Grow one arm downward from [cur_b], which [placed] already holds.
      [on_done] receives (subst, placed, blocks, leaf). *)
   let rec grow_arm subst ~d ~e ~f placed cur_b blocks depth on_done =
-    spend ();
+    tick ();
     (* Stop: the current block is the leaf, containing only [cur_b]. *)
     if endpoint_not_pruned q subst ~d ~e ~f cur_b then
       on_done subst placed (List.rev blocks) cur_b;
@@ -233,7 +243,7 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
   (* Grow the spine upward from the center sibling. [on_done] receives
      (subst, placed, root, spine_top_down). *)
   let rec grow_up subst ~d ~e ~f placed cur_b blocks depth on_done =
-    spend ();
+    tick ();
     List.iter
       (fun orientation ->
         let a_copy, b_copy = copy_query gen q in
@@ -312,9 +322,12 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
   in
   let run_center subst d e f =
     (* [d] and [f] sit in the arms' first blocks (or are the leaves), so
-       their keys are placed with the center's. *)
+       their keys are placed with the center's. A fork search skips a
+       center whose q(f d) already holds: every completion is a triangle. *)
     let placed = [ e; d; f ] in
-    if keys_distinct q subst placed then
+    if keys_distinct q subst placed
+       && not (want = Some Tripath.Fork && kind_at q subst ~d ~f = Tripath.Triangle)
+    then
       match sibling gen q subst e with
       | None -> () (* the center block needs two facts *)
       | Some e_sib ->
@@ -354,18 +367,16 @@ let search_internal ?(opts = default_options) ?want ~require_nice (q : Query.t) 
         in
         List.iter (fun subst -> run_center subst d e f) variants);
     None
-  with
-  | Found_exn (tripath, kind, witness) -> Some (tripath, kind, witness)
-  | Budget_exhausted -> None
+  with Found_exn (tripath, kind, witness) -> Some (tripath, kind, witness)
 
-let search ?opts ?want q =
-  match search_internal ?opts ?want ~require_nice:false q with
+let search ?opts ?budget ?want q =
+  match search_internal ?opts ?budget ?want ~require_nice:false q with
   | Some (tripath, kind, _) -> Found (tripath, kind)
   | None -> Not_found
 
 let find_any ?opts q = search ?opts q
-let find_fork ?opts q = search ?opts ~want:Tripath.Fork q
-let find_triangle ?opts q = search ?opts ~want:Tripath.Triangle q
+let find_fork ?opts ?budget q = search ?opts ?budget ~want:Tripath.Fork q
+let find_triangle ?opts ?budget q = search ?opts ?budget ~want:Tripath.Triangle q
 
 let find_nice ?(opts = default_options) ~want q =
   validate opts;

@@ -1,3 +1,4 @@
+let tripath = "tripath"
 let compile = "compile"
 let certk = "certk"
 let certk_rounds = "certk-rounds"
@@ -12,6 +13,7 @@ let serve = "serve"
 let all =
   [
     serve;
+    tripath;
     compile;
     certk;
     certk_rounds;

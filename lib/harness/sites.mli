@@ -10,6 +10,13 @@
 
     The loops behind each site:
 
+    - {!tripath} — the bounded tripath search of [Core.Tripath_search]
+      (one tick per search node: every spine or arm growth step and every
+      complete candidate). A classification runs its fork search and its
+      triangle search on one budget of its own, capped at the search's
+      [max_candidates] nodes and, in the daemon, at the fast tier's
+      deadline; it carries no chaos schedule, and its ticks are not
+      recorded in a metrics registry.
     - {!compile} — construction of the compiled execution plane
       ([Relational.Compiled.compile] ticks once per fact) and of the solution
       graph built on it (the keyed join of [Qlang.Pattern.iter_pairs], the
@@ -53,6 +60,7 @@
     linter for that is the [@obs-smoke] alias plus the site table in the
     manual. *)
 
+val tripath : string
 val compile : string
 val certk : string
 val certk_rounds : string
@@ -65,6 +73,7 @@ val montecarlo : string
 val serve : string
 
 (** All canonical site names, in request order (the serve admission point
-    first, then the shared compilation, then PTIME loops, then SAT, then
+    first, then the classification's tripath search, then the shared
+    compilation, then PTIME loops, then SAT, then
     exact, then the estimate fallback). *)
 val all : string list

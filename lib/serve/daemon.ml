@@ -146,12 +146,15 @@ let jlog t kind fields =
 (* ------------------------------------------------------------------ *)
 (* Request plumbing                                                    *)
 
+(* A query's first classification runs its tripath search under the fast
+   tier's deadline. A search that runs out raises, which the request
+   answers with [code_of_exn], and caches nothing. *)
 let classify_cached t q =
   let key = Qlang.Query.to_string q in
   match Hashtbl.find_opt t.reports key with
   | Some r -> r
   | None ->
-      let r = Core.Dichotomy.classify q in
+      let r = Core.Dichotomy.classify ?timeout:t.config.fast_timeout q in
       Hashtbl.replace t.reports key r;
       r
 

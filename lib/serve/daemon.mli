@@ -62,7 +62,11 @@ type chaos_spec = {
 }
 
 type config = {
-  fast_timeout : float option;  (** Per-request deadline, PTIME tier. *)
+  fast_timeout : float option;
+      (** Per-request deadline, PTIME tier. It also bounds a query's first
+          classification (its tripath search), in the [classify] op and in
+          a [certain] whose query is not classified yet; a search that runs
+          out answers [timeout] and caches nothing. *)
   fast_max_steps : int option;
   heavy_timeout : float option;  (** Per-request deadline, coNP tier. *)
   heavy_max_steps : int option;

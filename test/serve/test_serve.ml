@@ -627,6 +627,29 @@ let test_daemon_smoke () =
   checkb "blank frames are skipped" true (Serve.Daemon.handle_line d "" = None);
   expect_code d "still alive" Protocol.Ok_code {|{"op": "ping"}|}
 
+(* A query's first classification runs under the fast tier's deadline:
+   this query's two tripath searches run 120 nodes, past the deadline's
+   clock poll at node 64, so a zero deadline stops them. The request
+   answers [timeout], caches no report (the next request searches again)
+   and leaves the loop alive; the default deadline classifies it. *)
+let test_daemon_classify_deadline () =
+  let query = "R(v0 v1 | v2 v1) R(v2 v1 | v3 v0)" in
+  let classify = Printf.sprintf {|{"op": "classify", "query": "%s"}|} query in
+  let d =
+    Serve.Daemon.create { base_config with Serve.Daemon.fast_timeout = Some 0. }
+  in
+  let code, j = handle d classify in
+  checks "classify past the deadline" "timeout" (Protocol.code_name code);
+  checki "exit 124" 124 (int_field "exit" j);
+  expect_code d "nothing cached" Protocol.Timeout classify;
+  expect_code d "certain classifies under the deadline" Protocol.Timeout
+    (Printf.sprintf {|{"op": "certain", "query": "%s", "facts": "R(1 2 | 3 4)"}|} query);
+  expect_code d "still alive" Protocol.Ok_code {|{"op": "ping"}|};
+  let code, j = handle (Serve.Daemon.create base_config) classify in
+  checks "default deadline classifies" "ok" (Protocol.code_name code);
+  checks "no tripath" "PTIME (Theorem 9: no tripath, Cert_k exact)"
+    (str_field "verdict" j)
+
 let test_daemon_limits () =
   let d =
     Serve.Daemon.create
@@ -1320,6 +1343,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "pipeline smoke" `Quick test_daemon_smoke;
+          Alcotest.test_case "classification deadline" `Quick
+            test_daemon_classify_deadline;
           Alcotest.test_case "frame and fact caps" `Quick test_daemon_limits;
           Alcotest.test_case "degradation ladder" `Quick test_daemon_degradation;
           Alcotest.test_case "faults and pressure" `Quick

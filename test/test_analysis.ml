@@ -441,6 +441,59 @@ let prop_json_round_trip =
   QCheck2.Test.make ~name:"pp/of_string round-trip" ~count:300 gen (fun v ->
       match of_string (to_string v) with Ok v' -> v = v' | Error _ -> false)
 
+(* The float printer's oracle: the shortest precision that reads back,
+   scanned from 1 digit upward. *)
+let scan_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else
+    let rec try_prec p =
+      if p > 17 then Printf.sprintf "%.17g" f
+      else
+        let s = Printf.sprintf "%.*g" p f in
+        if float_of_string s = f then s else try_prec (p + 1)
+    in
+    let s = try_prec 1 in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
+
+let printed f = Analysis.Json.to_string (Analysis.Json.Float f)
+
+(* Every power of two and its two neighbours, both signs. Eight powers of
+   two (2^-645, 2^149, ...) read back at 15 digits but not at 16, so a
+   printer that assumes read-back is monotone in the precision can differ
+   from the scan there. *)
+let test_json_float_binade_edges () =
+  for k = -1074 to 1023 do
+    let edge = Float.ldexp 1.0 k in
+    List.iter
+      (fun f ->
+        Alcotest.(check string) (Printf.sprintf "%h" f) (scan_float_repr f) (printed f))
+      [ edge; Float.pred edge; Float.succ edge; -.edge; -.Float.pred edge; -.Float.succ edge ]
+  done
+
+let prop_json_float_scan =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          (* random bit patterns, non-finite ones included *)
+          map Int64.float_of_bits int64;
+          (* binade edges and their neighbours *)
+          map2
+            (fun k step ->
+              let edge = Float.ldexp 1.0 k in
+              match step with 0 -> edge | 1 -> Float.pred edge | _ -> Float.succ edge)
+            (int_range (-1074) 1023) (int_range 0 2);
+          (* t_s-like: seconds since start, on a monotone clock *)
+          float_range 0. 100_000.;
+          (* short decimals *)
+          map2
+            (fun n d -> float_of_int n /. (10. ** float_of_int d))
+            (int_range (-99_999) 99_999) (int_range 0 6);
+        ])
+  in
+  QCheck2.Test.make ~name:"float printer = precision scan" ~count:20_000
+    ~print:(Printf.sprintf "%h") gen (fun f -> printed f = scan_float_repr f)
+
 let qt = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -468,7 +521,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "rendering" `Quick test_json_rendering;
+          Alcotest.test_case "float binade edges" `Quick test_json_float_binade_edges;
           Alcotest.test_case "parser" `Quick test_json_parser;
         ]
-        @ qt [ prop_json_round_trip ] );
+        @ qt [ prop_json_round_trip; prop_json_float_scan ] );
     ]

@@ -203,25 +203,73 @@ let test_search_results_verified () =
           | Error errs -> Alcotest.fail (String.concat "; " errs)))
     [ q2; q5; q6; Workload.Catalog.(find "fork-2").Workload.Catalog.query ]
 
+(* The outcome of a search, or the way its budget ran out. *)
+let search_result f =
+  match f () with
+  | Search.Found (_, kind) -> Format.asprintf "found a %a" Tripath.pp_kind kind
+  | Search.Not_found -> "not found"
+  | exception Harness.Budget.Budget_exceeded reason ->
+      Format.asprintf "ran out: %a" Harness.Budget.pp_exhaustion reason
+
 let test_search_budget_respected () =
-  (* A tiny budget must terminate quickly with Not_found, never diverge. *)
+  (* A tiny budget must terminate quickly, never diverge. q5's search ends
+     within 10 nodes, so its Not_found is an answer. *)
   let opts = { Search.default_options with Search.max_candidates = 10 } in
-  (match Search.find_any ~opts q5 with
-  | Search.Not_found -> ()
-  | Search.Found _ -> Alcotest.fail "budget 10 cannot find a tripath for q5");
+  Alcotest.(check string) "q5 within 10 nodes" "not found"
+    (search_result (fun () -> Search.find_any ~opts q5));
   (* q2's fork is found at its seventh search node: a budget of N nodes
-     runs exactly N, so 7 reach it and 6 or 5 stop just before it. *)
+     runs exactly N, so 7 reach it and 6 or 5 run out just before it. *)
   List.iter
-    (fun (n, found) ->
+    (fun (n, expected) ->
       let opts = { Search.default_options with Search.max_candidates = n } in
-      Alcotest.(check bool)
-        (Printf.sprintf "budget %d %s q2's fork" n
-           (if found then "reaches" else "stops before"))
-        found
-        (match Search.find_fork ~opts q2 with
-        | Search.Found _ -> true
-        | Search.Not_found -> false))
-    [ (5, false); (6, false); (7, true) ]
+      Alcotest.(check string)
+        (Printf.sprintf "budget %d on q2's fork" n)
+        expected
+        (search_result (fun () -> Search.find_fork ~opts q2)))
+    [ (5, "ran out: step budget"); (6, "ran out: step budget"); (7, "found a fork") ]
+
+(* The center cut: a fork search skips every center variant whose q(f d)
+   already holds. On these triangle-only queries that is every variant, so
+   the fork search ends before its first node, and a one-node budget
+   neither runs out nor ticks. Before the cut they ran 13,965 (q6,
+   triangle-2), 55,860 (triangle-41) and 153,025 nodes, and the other five
+   [4,x] queries ran out of 200,000. *)
+let test_search_center_cut () =
+  let opts = { Search.default_options with Search.max_candidates = 1 } in
+  List.iter
+    (fun (name, q) ->
+      let budget = Search.budget opts in
+      Alcotest.(check string) (name ^ ": no fork") "not found"
+        (search_result (fun () -> Search.find_fork ~opts ~budget q));
+      Alcotest.(check int) (name ^ ": no fork node") 0 (Harness.Budget.steps budget))
+    ([ ("q6", q6) ]
+    @ List.map
+        (fun name -> (name, (Workload.Catalog.find name).Workload.Catalog.query))
+        [ "triangle-2"; "triangle-41" ]
+    @ List.map
+        (fun s -> (s, Parse.query_exn s))
+        [
+          "R(v0 | v1 v2 v3) R(v2 | v4 v3 v0)";
+          "R(v0 | v1 v2 v3) R(v1 | v3 v4 v0)";
+          "R(v0 v1 | v2 v3) R(v1 v2 | v0 v4)";
+          "R(v0 v1 | v2 v3) R(v1 v3 | v2 v0)";
+          "R(v0 | v1 v2 v3) R(v1 | v2 v0 v4)";
+          "R(v0 v1 | v2 v3) R(v1 v3 | v4 v0)";
+        ])
+
+(* Exhaustion is not absence. fork-41's triangle search at the default
+   bounds visits the merge variants first and runs out before it reaches
+   the triangle-enforced ones; at [max_merges = 0] it reaches them and
+   finds a triangle at node 13,969. So the search must raise, not answer
+   "no triangle-tripath". *)
+let test_search_exhaustion_not_absence () =
+  let fork41 = (Workload.Catalog.find "fork-41").Workload.Catalog.query in
+  let opts = { Search.default_options with Search.max_candidates = 20_000 } in
+  Alcotest.(check string) "default bounds run out" "ran out: step budget"
+    (search_result (fun () -> Search.find_triangle ~opts fork41));
+  Alcotest.(check string) "no merges find it" "found a triangle"
+    (search_result (fun () ->
+         Search.find_triangle ~opts:{ opts with Search.max_merges = 0 } fork41))
 
 let test_search_invalid_options () =
   List.iter
@@ -415,6 +463,9 @@ let () =
           Alcotest.test_case "q6 triangle only" `Quick test_search_q6_triangle_only;
           Alcotest.test_case "results verified" `Quick test_search_results_verified;
           Alcotest.test_case "budget respected" `Quick test_search_budget_respected;
+          Alcotest.test_case "center cut" `Quick test_search_center_cut;
+          Alcotest.test_case "exhaustion is not absence" `Quick
+            test_search_exhaustion_not_absence;
           Alcotest.test_case "invalid options" `Quick test_search_invalid_options;
         ] );
       ( "dichotomy",
