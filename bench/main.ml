@@ -821,6 +821,61 @@ let e26_conp () =
   List.iter (row ~cell:(capped_ms ~cap:5.)) randoms
 
 (* ------------------------------------------------------------------ *)
+(* E33: the graph layer and the Matching tier on graph-bound's shapes   *)
+
+(* [median_ms] of [f], then the minor words of one more call (counted
+   apart from the timing, whose own allocation would blur it) and what
+   [ticks] reads after it. *)
+let call_cost ~runs f ticks =
+  let ms = Option.get (median_ms ~runs f) in
+  let words0 = Gc.minor_words () in
+  let result = Sys.opaque_identity (f ()) in
+  (ms, Gc.minor_words () -. words0, ticks result)
+
+let compile_site = Some Harness.Sites.compile
+
+(* The seven databases of bench/e2e's graph-bound workload as drawn,
+   before the seed renames their values. Per shape: [of_query_compiled]
+   on the compiled plane, ticking a fresh budget at [compile] as the
+   degradation chain does, and on q6 [Matching_alg.run] on that graph. *)
+let e33_graph () =
+  section "E33 Graph build and Matching: median time, minor words and ticks (graph-bound)";
+  let shape = Random.State.make [| Hashtbl.hash "graph-bound" |] in
+  let runs = 101 in
+  Format.printf "%-8s %6s %6s %10s %10s %7s %10s %10s %7s@." "shape" "facts" "pairs"
+    "graph(ms)" "words" "ticks" "match(ms)" "words" "ticks";
+  List.iter
+    (fun (name, q, n) ->
+      let db = Workload.Randdb.random_for_query shape q ~n_facts:n ~domain:(n / 8) in
+      let plane = Relational.Compiled.compile db in
+      let build () =
+        let budget = Harness.Budget.unlimited () in
+        let tick () = Harness.Budget.tick ?site:compile_site budget in
+        (Solution_graph.of_query_compiled ~tick q plane, budget)
+      in
+      let steps (_, budget) = Harness.Budget.steps budget in
+      let graph_ms, graph_words, graph_ticks = call_cost ~runs build steps in
+      let g = fst (build ()) in
+      Format.printf "%-8s %6d %6d %10.3f %10.0f %7d" name (Solution_graph.n_facts g)
+        (List.length g.Solution_graph.directed) graph_ms graph_words graph_ticks;
+      if q == Catalog.q6 then begin
+        let matching () =
+          let budget = Harness.Budget.unlimited () in
+          ignore (Sys.opaque_identity (Cqa.Matching_alg.run ~budget g));
+          budget
+        in
+        let ms, words, ticks = call_cost ~runs matching Harness.Budget.steps in
+        Format.printf " %10.3f %10.0f %7d@." ms words ticks
+      end
+      else Format.printf " %10s %10s %7s@." "-" "-" "-")
+    [
+      ("q5-1200", Catalog.q5, 1200); ("q5-1600", Catalog.q5, 1600);
+      ("q5-2400", Catalog.q5, 2400); ("q5-3200", Catalog.q5, 3200);
+      ("q6-600", Catalog.q6, 600); ("q6-1200", Catalog.q6, 1200);
+      ("q6-1600", Catalog.q6, 1600);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let experiments =
@@ -841,6 +896,7 @@ let experiments =
     ("compile", e24_compile);
     ("certk", e25_certk);
     ("conp", e26_conp);
+    ("graph", e33_graph);
   ]
 
 let usage () =

@@ -417,6 +417,9 @@ let memo build =
         cache := Some v;
         v
 
+(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
+let compile_site = Some Harness.Sites.compile
+
 (* The one chain body behind [solve] and [solve_plane]. [plane ?tick ()]
    yields the gated plane. The whole chain shares ONE plane and ONE
    solution graph, built on first demand {e inside} the tier that needs
@@ -438,7 +441,7 @@ let chain ?k ?(exact_only = false) ?check_certificate
             Qlang.Solution_graph.of_query_compiled ?tick report.Dichotomy.query
               p))
   in
-  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
+  let tick () = Harness.Budget.tick ?site:compile_site budget in
   let fallback =
     Option.map
       (fun trials () ->

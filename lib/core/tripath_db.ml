@@ -9,13 +9,15 @@ type options = { max_blocks : int; max_candidates : int }
 let default_options = { max_blocks = 12; max_candidates = 200_000 }
 
 exception Found_exn of Tripath.t * Tripath.kind
-exception Budget_exhausted
 
 module Key_set = Set.Make (struct
   type t = Value.t list
 
   let compare = List.compare Value.compare
 end)
+
+(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
+let tripath_site = Some Harness.Sites.tripath
 
 let find ?(opts = default_options) ?want (q : Query.t) db =
   let schema = q.Query.schema in
@@ -42,18 +44,16 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
       end)
     (Solutions.query_pairs q db);
   Array.iteri (fun i l -> sym_edges.(i) <- List.sort_uniq Int.compare l) sym_edges;
-  let budget = ref opts.max_candidates in
-  let exhausted = ref false in
-  let spend () =
-    decr budget;
-    if !budget <= 0 then raise Budget_exhausted
-  in
+  (* As in [Tripath_search.budget]: the tick that would start node
+     [max_candidates + 1] raises, so exactly [max_candidates] nodes run. *)
+  let budget = Harness.Budget.make ~max_steps:(max 0 opts.max_candidates + 1) () in
+  let tick () = Harness.Budget.tick ?site:tripath_site budget in
   let siblings i =
     Database.siblings db facts.(i)
     |> List.filter_map (fun f -> Fact.Map.find_opt f index)
   in
   let try_candidate candidate =
-    spend ();
+    tick ();
     match Tripath.check candidate with
     | Error _ -> ()
     | Ok kind ->
@@ -63,7 +63,7 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
   (* Grow one arm downward from the fact [cur_b] (already placed as the b of
      the current block). *)
   let rec grow_arm g_set cur_b used blocks n_blocks on_done =
-    spend ();
+    tick ();
     if not (Value.Set.subset g_set (Fact.key_set schema facts.(cur_b)))
     then on_done used (List.rev blocks) cur_b n_blocks;
     if n_blocks < opts.max_blocks then
@@ -83,7 +83,7 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
   (* Grow the spine upward from [cur_b] (the b-fact of the current top
      block). *)
   let rec grow_up g_set cur_b used blocks n_blocks on_done =
-    spend ();
+    tick ();
     List.iter
       (fun parent ->
         let parent_key = key facts.(parent) in
@@ -138,8 +138,6 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
         in_edges.(e)
     done
   with
-  | () -> (None, if !exhausted then `Exhausted else `Complete)
+  | () -> (None, `Complete)
   | exception Found_exn (tp, kind) -> (Some (tp, kind), `Complete)
-  | exception Budget_exhausted ->
-      exhausted := true;
-      (None, `Exhausted)
+  | exception Harness.Budget.Budget_exceeded _ -> (None, `Exhausted)

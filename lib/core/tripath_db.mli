@@ -12,7 +12,10 @@
 
 type options = {
   max_blocks : int;  (** Total block budget per candidate tree (default 12). *)
-  max_candidates : int;  (** Global work budget (default 200_000). *)
+  max_candidates : int;
+      (** Search nodes (default 200_000): exactly this many run, ticking a
+          [Harness.Budget] at the [tripath] site, before the search stops and
+          reports [`Exhausted]. *)
 }
 
 val default_options : options

@@ -21,5 +21,9 @@
 val run : ?budget:Harness.Budget.t -> Qlang.Solution_graph.t -> bool
 
 (** [bipartite g] exposes the graph [H(D, q)] for inspection: the left side
-    indexes blocks, the right side indexes cliques. *)
+    indexes blocks, the right side indexes cliques (numbered by first
+    appearance over the facts). Its CSR rows are filled straight from the
+    blocks and clique ids, by two counting passes, with no edge list; row
+    [b] lists the clique ids of [b]'s facts [a] with [D ⊭ q(aa)], ascending
+    and without repeats. *)
 val bipartite : Qlang.Solution_graph.t -> Graphs.Bipartite.t

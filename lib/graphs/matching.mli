@@ -3,7 +3,13 @@
     Two implementations with identical specifications: {!hopcroft_karp} in
     [O(E sqrt V)] (the algorithm cited as [5] in the paper) and the textbook
     augmenting-path algorithm {!augmenting} in [O(V E)], kept as an
-    independent oracle for tests. *)
+    independent oracle for tests. This is the only Hopcroft–Karp in the
+    system: [Cqa.Matching_alg] runs it on the graph [H(D, q)].
+
+    Both walk the CSR rows of {!Bipartite.t} in ascending order; the
+    Hopcroft–Karp BFS queue is an int array, and neither search allocates
+    per vertex visit (the result arrays and, for Hopcroft–Karp, the
+    distance array and queue are allocated once per call). *)
 
 type t = {
   pair_left : int array;  (** [pair_left.(u)] is the partner of [u], or -1. *)
@@ -12,8 +18,10 @@ type t = {
 }
 
 (** Maximum matching via Hopcroft–Karp. [tick] (default: no-op) is called
-    once per vertex visit in the BFS layering and DFS augmenting phases; pass
-    a closure that raises to make long runs interruptible — the [graphs]
+    once per vertex visit in the BFS layering (each left vertex popped from
+    the queue) and DFS augmenting phases (each call on a left vertex). The
+    rows' order fixes the visit order, and so the tick count. Pass a
+    closure that raises to make long runs interruptible — the [graphs]
     library stays dependency-free, so metering (e.g. [Harness.Budget]) plugs
     in from the caller's side. *)
 val hopcroft_karp : ?tick:(unit -> unit) -> Bipartite.t -> t

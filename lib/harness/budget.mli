@@ -60,7 +60,9 @@ val make :
 
 (** [tick ?site b] records one unit of work at the tick site [site] (used by
     chaos targeting and the per-site step accounting; default [""] — real
-    solver loops always pass a {!Sites} name).
+    solver loops always pass a {!Sites} name). [~site:s] allocates [Some s]
+    on every call, so a hot loop passes an option built once,
+    [?site:s_opt] with [let s_opt = Some Sites.x] at top level.
     @raise Budget_exceeded when the budget is (or already was) exhausted, or
     when the chaos schedule injects budget pressure.
     @raise Chaos.Injected_fault when the chaos schedule injects a failure. *)

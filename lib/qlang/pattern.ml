@@ -3,7 +3,7 @@ module Compiled = Relational.Compiled
 (* One tuple position of a compiled atom. [Bind] is the first occurrence of
    a variable anywhere in the pattern (claims its environment slot); [Check]
    is every later occurrence. Environment slots hold interned value ids,
-   [-1] when unbound. *)
+   [-1] until a row first writes them. *)
 type slot = Const of int | Bind of int | Check of int
 
 type atom = {
@@ -52,45 +52,38 @@ let pair plane a b =
   let pb = compile_atom plane vars b in
   { plane; pa; pb; n_vars = Hashtbl.length vars }
 
-(* Match one atom against the interned tuple, binding fresh variables into
-   [env] and recording them on [trail] so the caller can undo. *)
-let match_atom p (tuple : int array) env trail =
-  Array.length tuple = Array.length p.slots
-  &&
-  let n = Array.length tuple in
-  let rec go i =
-    i >= n
-    ||
-    let v = tuple.(i) in
-    (match p.slots.(i) with
-    | Const c -> v = c
-    | Check x -> env.(x) = v
-    | Bind x ->
-        if env.(x) = -1 then begin
-          env.(x) <- v;
-          trail := x :: !trail;
-          true
-        end
-        else env.(x) = v)
-    && go (i + 1)
-  in
-  go 0
+(* Match slots [i ..] of an atom against the interned tuple. A [Bind]
+   writes its slot unconditionally: it is the first occurrence of its
+   variable in the pattern (Verify_pattern's PL111), so every [Check]
+   reads a slot that this row, or the [a]-row being probed, has just
+   written, and a value left over from an earlier row is overwritten
+   before anything reads it, so no slot is reset between rows. *)
+let rec match_from slots (tuple : int array) env i =
+  i >= Array.length slots
+  ||
+  let v = tuple.(i) in
+  (match slots.(i) with
+  | Const c -> v = c
+  | Check x -> env.(x) = v
+  | Bind x ->
+      env.(x) <- v;
+      true)
+  && match_from slots tuple env (i + 1)
 
-let undo env trail = List.iter (fun x -> env.(x) <- -1) !trail
+let match_atom p (tuple : int array) env =
+  Array.length tuple = Array.length p.slots && match_from p.slots tuple env 0
 
 (* The filters of [match_atom] that hold for every environment: the arity
    and the constants. *)
+let rec admits_from slots (tuple : int array) i =
+  i >= Array.length slots
+  || (match slots.(i) with
+     | Const c -> tuple.(i) = c
+     | Bind _ | Check _ -> true)
+     && admits_from slots tuple (i + 1)
+
 let admits a (tuple : int array) =
-  Array.length tuple = Array.length a.slots
-  &&
-  let rec go i =
-    i >= Array.length tuple
-    || (match a.slots.(i) with
-       | Const c -> tuple.(i) = c
-       | Bind _ | Check _ -> true)
-       && go (i + 1)
-  in
-  go 0
+  Array.length tuple = Array.length a.slots && admits_from a.slots tuple 0
 
 (* The join key: every position of [b] holding a [Check] of a variable that
    [a] binds, paired with that variable's slot. Once an [a]-row matches, a
@@ -156,10 +149,13 @@ let index_b p cols blo bhi =
    bindings hash to; every row there is re-checked by [match_atom], so a
    hash collision costs a failed match, never a wrong pair. Rows inside a
    bucket ascend, so pairs come out in lexicographic order, exactly as a
-   nested loop over both ranges would emit them. *)
+   nested loop over both ranges would emit them. A [b]-row writes only
+   the slots of variables [a] does not hold, so the [a]-row's bindings
+   stay intact from one candidate to the next. *)
 let iter_pairs ?tick p f =
   if p.pa.ok && p.pb.ok then begin
     let plane = p.plane in
+    let tuples = plane.Compiled.tuples in
     let env = Array.make (max 1 p.n_vars) (-1) in
     let alo, ahi = plane.Compiled.rel_range.(p.pa.rel) in
     let blo, bhi = plane.Compiled.rel_range.(p.pb.rel) in
@@ -167,17 +163,13 @@ let iter_pairs ?tick p f =
     let start, rows, mask = index_b p cols blo bhi in
     for i = alo to ahi - 1 do
       (match tick with Some tick -> tick () | None -> ());
-      let trail_a = ref [] in
-      if match_atom p.pa plane.Compiled.tuples.(i) env trail_a then begin
+      if match_atom p.pa tuples.(i) env then begin
         let h = key_hash env vars land mask in
         for s = start.(h) to start.(h + 1) - 1 do
           let j = rows.(s) in
-          let trail_b = ref [] in
-          if match_atom p.pb plane.Compiled.tuples.(j) env trail_b then f i j;
-          undo env trail_b
+          if match_atom p.pb tuples.(j) env then f i j
         done
-      end;
-      undo env trail_a
+      end
     done
   end
 
@@ -189,11 +181,7 @@ let single plane a =
 let matches p i =
   p.satom.ok
   && p.splane.Compiled.rel_of.(i) = p.satom.rel
-  &&
-  let trail = ref [] in
-  let r = match_atom p.satom p.splane.Compiled.tuples.(i) p.senv trail in
-  undo p.senv trail;
-  r
+  && match_atom p.satom p.splane.Compiled.tuples.(i) p.senv
 
 (* Read-only program view for the static analyzer. [op] mirrors [slot]
    constructor for constructor; the copy through [op_of_slot] keeps the

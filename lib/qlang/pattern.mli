@@ -37,6 +37,14 @@ val pair : Relational.Compiled.t -> Atom.t -> Atom.t -> pair
     collision never yields a pair. The cost is O(facts + pairs), plus one
     failed check per colliding candidate.
 
+    Nothing is allocated per row: the index is two arrays built per call,
+    the matcher is a top-level recursion over the slot program, and the
+    one environment array is never reset. A [Bind] always writes its slot,
+    which is sound because it is the variable's first occurrence in the
+    pattern (the static analyzer's PL111): every [Check] reads a slot that
+    the current row, or the [a]-row being probed, has already written, so
+    a value left from an earlier row is overwritten before it is read.
+
     [tick] is invoked once per row of [a]'s relation range, matched or not
     (a pattern whose relation or constants are unknown to the plane ticks
     nothing); building the index ticks nothing. The degradation chain
@@ -64,9 +72,9 @@ val matches : single -> int -> bool
     matcher's internal representation stays private. *)
 
 (** One tuple position of a compiled atom. [Const id] matches the interned
-    id; [Bind x] claims environment slot [x] (first occurrence of the
-    variable anywhere in the pattern); [Check x] reads slot [x] (every later
-    occurrence). *)
+    id; [Bind x] writes environment slot [x], unconditionally (first
+    occurrence of the variable anywhere in the pattern); [Check x] reads
+    slot [x] (every later occurrence). *)
 type op = Const of int | Bind of int | Check of int
 
 type program = {

@@ -16,20 +16,26 @@ type t = {
    in exactly the order this graph needs (sorted fact order; (relation, key)
    block order), so construction is nothing but the solution enumeration —
    no [Fact.Map] index preamble. The arrays are shared with the plane, not
-   copied; both structures are read-only after construction. *)
+   copied; both structures are read-only after construction. The adjacency
+   lists are sorted in place, and only those with two or more entries: an
+   empty or one-entry list is already sorted and duplicate-free. *)
 let of_compiled ?tick a b plane =
   let n = Compiled.n_facts plane in
   let self = Array.make n false in
-  let adj_sets = Array.make n [] in
+  let adj = Array.make n [] in
   let directed = ref [] in
   Pattern.iter_pairs ?tick (Pattern.pair plane a b) (fun i j ->
       if i = j then self.(i) <- true
       else begin
-        adj_sets.(i) <- j :: adj_sets.(i);
-        adj_sets.(j) <- i :: adj_sets.(j)
+        adj.(i) <- j :: adj.(i);
+        adj.(j) <- i :: adj.(j)
       end;
       directed := (i, j) :: !directed);
-  let adj = Array.map (List.sort_uniq Int.compare) adj_sets in
+  for v = 0 to n - 1 do
+    match adj.(v) with
+    | [] | [ _ ] -> ()
+    | ns -> adj.(v) <- List.sort_uniq Int.compare ns
+  done;
   {
     facts = plane.Compiled.facts;
     block_of = plane.Compiled.block_of;
@@ -106,30 +112,49 @@ let index g f =
 
 let edge g i j = i <> j && List.mem j g.adj.(i)
 
+(* Label with [c] every unlabelled vertex of [ws], appending each to the
+   breadth-first queue at [tail]; the new tail. *)
+let rec enqueue comp c queue tail = function
+  | [] -> tail
+  | w :: ws ->
+      if comp.(w) < 0 then begin
+        comp.(w) <- c;
+        queue.(tail) <- w;
+        enqueue comp c queue (tail + 1) ws
+      end
+      else enqueue comp c queue tail ws
+
+(* Every vertex enters the queue once, so one array of n slots holds it;
+   each component's breadth-first search reuses it from slot 0. *)
 let components g =
   let n = n_facts g in
   let comp = Array.make n (-1) in
+  let queue = Array.make (max n 1) 0 in
   let next = ref 0 in
-  let queue = Queue.create () in
   for start = 0 to n - 1 do
     if comp.(start) < 0 then begin
       let c = !next in
       incr next;
       comp.(start) <- c;
-      Queue.add start queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        List.iter
-          (fun w ->
-            if comp.(w) < 0 then begin
-              comp.(w) <- c;
-              Queue.add w queue
-            end)
-          g.adj.(v)
+      queue.(0) <- start;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        tail := enqueue comp c queue !tail g.adj.(v)
       done
     end
   done;
   (comp, !next)
+
+(* The neighbours in [ws] that lie in component [c] outside block [b],
+   added to [k]. *)
+let rec across member block_of c b k = function
+  | [] -> k
+  | w :: ws ->
+      across member block_of c b
+        (if member.(w) = c && block_of.(w) <> b then k + 1 else k)
+        ws
 
 (* Vertex [v] of component [c] meets the quasi-clique condition iff its
    neighbours outside its own block and inside [c] are all of [c] outside
@@ -145,20 +170,19 @@ let quasi_cliques g ~member ~n_comps =
   let mates = Array.make n_comps 0 in
   Array.iter
     (fun block ->
-      Array.iter (fun v -> mates.(member.(v)) <- mates.(member.(v)) + 1) block;
-      Array.iter
-        (fun v ->
-          let c = member.(v) in
-          let across =
-            List.fold_left
-              (fun k w ->
-                if member.(w) = c && g.block_of.(w) <> g.block_of.(v) then k + 1
-                else k)
-              0 g.adj.(v)
-          in
-          if across <> size.(c) - mates.(c) then flags.(c) <- false)
-        block;
-      Array.iter (fun v -> mates.(member.(v)) <- 0) block)
+      for k = 0 to Array.length block - 1 do
+        let c = member.(block.(k)) in
+        mates.(c) <- mates.(c) + 1
+      done;
+      for k = 0 to Array.length block - 1 do
+        let v = block.(k) in
+        let c = member.(v) in
+        if across member g.block_of c g.block_of.(v) 0 g.adj.(v) <> size.(c) - mates.(c)
+        then flags.(c) <- false
+      done;
+      for k = 0 to Array.length block - 1 do
+        mates.(member.(block.(k))) <- 0
+      done)
     g.blocks;
   flags
 

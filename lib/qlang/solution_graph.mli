@@ -14,7 +14,10 @@
     shared with the plane (which stores them in exactly the order this
     graph defines), and the solution enumeration is the keyed join of
     {!Pattern.iter_pairs} over interned int tuples — no substitution maps,
-    O(facts + pairs).
+    O(facts + pairs). Nothing is allocated per candidate row: the join
+    allocates per call, and assembly allocates per solution pair (a
+    [directed] entry and two adjacency cells) and sorts in place only the
+    adjacency lists with two or more entries.
     {!of_atoms} compiles the database on the fly; callers holding a plane
     (the degradation chain, [Core.Answers]) use {!of_compiled} /
     {!of_query_compiled} to build the graph without recompiling. Both
@@ -74,16 +77,17 @@ val edge : t -> int -> int -> bool
 
 (** Connected components (ignoring self-loops): [components g] assigns a
     component id to every vertex, ids numbered [0 .. c-1] in order of first
-    appearance. *)
+    appearance. Breadth-first, on one int-array queue of [n] slots; no
+    allocation per vertex. *)
 val components : t -> int array * int
 
 (** [quasi_cliques g ~member ~n_comps] flags every component of the
     assignment [member] (ids [0 .. n_comps-1], as {!components} returns
     them): [flags.(c)] holds iff component [c] is a quasi-clique, that is,
     any two non-key-equal facts in it are adjacent (Section 10.1). One
-    pass for all components, O(facts + edges): each vertex's neighbours
-    outside its block are counted against the size of its component less
-    its block-mates there. *)
+    pass for all components, O(facts + edges), with no allocation per
+    vertex: each vertex's neighbours outside its block are counted against
+    the size of its component less its block-mates there. *)
 val quasi_cliques : t -> member:int array -> n_comps:int -> bool array
 
 (** [is_clique_database g] decides whether every connected component is a

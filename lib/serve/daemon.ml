@@ -286,6 +286,9 @@ let budgeted t ~tier attempt =
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)
 
+(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
+let compile_site = Some Harness.Sites.compile
+
 (* Resolve a db reference to a cached plane entry. Compilation on a miss
    is charged to [tick] (site "compile"), so oversized work is bounded by
    the per-request budget and a mid-compile fault caches nothing. *)
@@ -341,7 +344,7 @@ let do_certain t ~query ~db ~trials ~explain =
              the request sequence, distinct across requests. *)
           let rng_seed = [| t.config.seed; t.requests |] in
           budgeted t ~tier (fun budget ->
-              let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+              let tick () = Budget.tick ?site:compile_site budget in
               let resolved =
                 tspan t "cache" (fun () ->
                     let r = resolve_entry t ~tick db in
@@ -433,7 +436,7 @@ let do_load t ~name ~text =
   | Error e -> error_fields e
   | Ok db ->
       budgeted t ~tier:Admission.Heavy (fun budget ->
-          let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+          let tick () = Budget.tick ?site:compile_site budget in
           let entry, hit = Plane_cache.find_or_compile ~tick t.planes db in
           fun retries ->
             Hashtbl.replace t.named name (entry.Plane_cache.fingerprint, db);
@@ -479,7 +482,7 @@ let do_update t ~name ~insert ~retract =
                 @ List.map (fun (f, _) -> Relational.Delta.Retract f) rets
               in
               budgeted t ~tier:Admission.Heavy (fun budget ->
-                  let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+                  let tick () = Budget.tick ?site:compile_site budget in
                   match Relational.Delta.apply old_db delta with
                   | exception Invalid_argument msg ->
                       fun _ ->
@@ -574,16 +577,19 @@ let diagnostics_fields diagnostics =
 
 (* The lint and analyze ops keep `cqa lint`'s and `cqa analyze`'s exit
    contract: warnings or errors are code "diagnostics" (exit 1), infos
-   alone are "ok" (exit 0), and ingestion failures keep their own codes
+   alone are "ok" (exit 0), and a query that does not parse is the QL000
+   error diagnostic. A database that fails ingestion keeps its own code
    (exit 2). *)
 let diagnostics_response diagnostics =
   (Protocol.code_of_diagnostics diagnostics, diagnostics_fields diagnostics)
 
 let do_lint ~query = diagnostics_response (Analysis.Lint.lint_source query)
 
+(* An unparsable query answers as `cqa analyze` and the lint op do: the
+   QL000 error diagnostic (exit 1), whatever the database. *)
 let do_analyze t ~query ~db =
   match Ingest.query query with
-  | Error e -> error_fields e
+  | Error _ -> do_lint ~query
   | Ok q -> (
       match db with
       | None ->
@@ -599,7 +605,7 @@ let do_analyze t ~query ~db =
             )
       | Some db_ref ->
           budgeted t ~tier:Admission.Heavy (fun budget ->
-              let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+              let tick () = Budget.tick ?site:compile_site budget in
               match resolve_entry t ~tick db_ref with
               | Error e -> fun _ -> error_fields e
               | Ok (entry, hit) ->

@@ -794,9 +794,21 @@ let test_daemon_analyze () =
             | _ -> false)
           ds
     | _ -> false);
-  (* Ingestion failures keep their own codes (exit 2). *)
-  expect_code d "analyze bad query" Protocol.Bad_query
-    {|{"op": "analyze", "query": "R("}|};
+  (* A query that does not parse is the QL000 error diagnostic (exit 1),
+     as `cqa analyze` and the lint op report it, with or without an
+     instance. *)
+  let code, j = handle d {|{"op": "analyze", "query": "R("}|} in
+  checks "analyze bad query" "diagnostics" (Protocol.code_name code);
+  checkb "QL000 reported" true
+    (match field "diagnostics" j with
+    | Json.List ds ->
+        List.exists
+          (fun d -> Json.member "code" d = Some (Json.String "QL000"))
+          ds
+    | _ -> false);
+  expect_code d "analyze bad query with an instance" Protocol.Diagnostics
+    {|{"op": "analyze", "query": "R(", "facts": "R(1 | 2)"}|};
+  (* Database ingestion failures keep their own codes (exit 2). *)
   expect_code d "analyze bad db" Protocol.Bad_db
     {|{"op": "analyze", "query": "R(x | y) R(y | x)", "facts": "gibberish"}|};
   expect_code d "analyze unknown db" Protocol.Unknown_db

@@ -208,6 +208,96 @@ let prop_matching_exact_on_clique_query =
       Alcotest.(check bool) "q6 yields clique databases" true (Solution_graph.is_clique_database g);
       (not (Cqa.Matching_alg.run g)) = Cqa.Exact.certain g)
 
+(* H(D, q) read off its definition: an edge from the block of every fact a
+   with D ⊭ q(aa) to clique(a), given to [Bipartite.make] as an edge list.
+   Clique ids are numbered by first appearance over the facts, a
+   quasi-clique component sharing one id, as [Matching_alg] numbers
+   them. *)
+let h_by_definition g =
+  let member, n_comps = Solution_graph.components g in
+  let is_qc = Solution_graph.quasi_cliques g ~member ~n_comps in
+  let comp_id = Array.make n_comps (-1) and next = ref 0 in
+  let fresh () =
+    incr next;
+    !next - 1
+  in
+  let edges =
+    List.filter_map
+      (fun v ->
+        let c = member.(v) in
+        let clique =
+          if not is_qc.(c) then fresh ()
+          else begin
+            if comp_id.(c) < 0 then comp_id.(c) <- fresh ();
+            comp_id.(c)
+          end
+        in
+        if g.Solution_graph.self.(v) then None
+        else Some (g.Solution_graph.block_of.(v), clique))
+      (List.init (Solution_graph.n_facts g) Fun.id)
+  in
+  Graphs.Bipartite.make ~n_left:(Solution_graph.n_blocks g) ~n_right:!next edges
+
+let prop_bipartite_is_the_definition =
+  QCheck2.Test.make ~name:"H(D, q) rows = the definition's edge list" ~count:200
+    QCheck2.Gen.(
+      let* q = oneofl Workload.Catalog.[ q3; q5; q6 ] in
+      let* n = int_range 0 40 in
+      let* domain = int_range 2 6 in
+      let* seed = int in
+      return (q, n, domain, seed))
+    (fun (q, n, domain, seed) ->
+      let db =
+        Workload.Randdb.random_for_query (Random.State.make [| seed |]) q ~n_facts:n ~domain
+      in
+      let g = Solution_graph.of_query q db in
+      let h = Cqa.Matching_alg.bipartite g and h' = h_by_definition g in
+      h.Graphs.Bipartite.n_right = h'.Graphs.Bipartite.n_right
+      && h.Graphs.Bipartite.offsets = h'.Graphs.Bipartite.offsets
+      && h.Graphs.Bipartite.targets = h'.Graphs.Bipartite.targets)
+
+(* [Matching_alg.run]'s verdicts and tick counts, recorded before H(D, q)
+   became CSR rows and Hopcroft–Karp an int-array search: equal counts
+   hold the BFS and DFS to that visit order. The graph-bound workload's
+   three q6 databases (its shapes, before the seed renames their values),
+   a seeded Randdb pool of q6 databases, and the Theorem 14 designs, whose
+   matchings fail. *)
+let matching_steps g =
+  let budget = Harness.Budget.unlimited () in
+  let saturated = Cqa.Matching_alg.run ~budget g in
+  (saturated, Harness.Budget.steps budget)
+
+let check_steps name expected graphs =
+  Alcotest.(check (list (pair bool int))) name expected (List.map matching_steps graphs)
+
+let test_matching_steps_pinned () =
+  let module C = Workload.Catalog in
+  let shape = Random.State.make [| Hashtbl.hash "graph-bound" |] in
+  let graph_bound =
+    List.filter_map
+      (fun (q, n) ->
+        let db = Workload.Randdb.random_for_query shape q ~n_facts:n ~domain:(n / 8) in
+        if q == C.q6 then Some (Solution_graph.of_query q db) else None)
+      [
+        (C.q5, 1200); (C.q5, 1600); (C.q5, 2400); (C.q5, 3200);
+        (C.q6, 600); (C.q6, 1200); (C.q6, 1600);
+      ]
+  in
+  check_steps "graph-bound q6" [ (true, 151); (true, 301); (true, 401) ] graph_bound;
+  let pool = Random.State.make [| 0x6A7C |] in
+  check_steps "Randdb q6 pool"
+    (List.map
+       (fun s -> (true, s))
+       [ 9; 7; 9; 11; 13; 5; 7; 9; 11; 13; 5; 7; 9; 11; 13; 5; 7; 9; 11; 13; 5; 7; 9; 11 ])
+    (List.init 24 (fun i ->
+         Solution_graph.of_query C.q6
+           (Workload.Randdb.random_for_query pool C.q6 ~n_facts:(8 + (i * 12))
+              ~domain:(2 + (i mod 5)))));
+  check_steps "designs"
+    (List.map (fun s -> (false, s)) [ 10; 36; 36; 22; 22; 22; 22; 22 ])
+    (List.map (Solution_graph.of_query C.q6)
+       (Workload.Designs.two_orientations :: List.init 7 Workload.Designs.fano_minus))
+
 (* ------------------------------------------------------------------ *)
 (* Combined and SAT *)
 
@@ -303,8 +393,14 @@ let () =
         [
           Alcotest.test_case "self-loop block" `Quick test_matching_simple;
           Alcotest.test_case "bipartite shape" `Quick test_matching_bipartite_shape;
+          Alcotest.test_case "tick counts pinned" `Quick test_matching_steps_pinned;
         ]
-        @ qt [ prop_matching_sound; prop_matching_exact_on_clique_query ] );
+        @ qt
+            [
+              prop_matching_sound;
+              prop_matching_exact_on_clique_query;
+              prop_bipartite_is_the_definition;
+            ] );
       ( "combined+sat",
         qt
           [

@@ -318,6 +318,23 @@ let test_tripath_db_budget () =
   | None, `Exhausted -> ()
   | None, `Complete -> Alcotest.fail "tiny budget must be reported as exhausted"
 
+(* [max_candidates = N] runs exactly N search nodes, as the symbolic
+   search's cap does: q2's nice fork is found in its own database at node
+   11, so a cap of 11 finds it and a cap of 10 runs out. *)
+let test_tripath_db_node_cap () =
+  let db = Core.Tripath.database Catalog.q2_nice_fork_tripath in
+  let find n =
+    Core.Tripath_db.find
+      ~opts:{ Core.Tripath_db.max_blocks = 12; max_candidates = n }
+      Catalog.q2 db
+  in
+  (match find 11 with
+  | Some (_, Core.Tripath.Fork), `Complete -> ()
+  | _ -> Alcotest.fail "11 nodes find the fork");
+  match find 10 with
+  | None, `Exhausted -> ()
+  | _ -> Alcotest.fail "10 nodes run out"
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "extensions"
@@ -363,5 +380,6 @@ let () =
           Alcotest.test_case "gadget fork" `Quick test_tripath_db_gadget_contains_fork;
           Alcotest.test_case "fano triangle" `Quick test_tripath_db_fano_triangle;
           Alcotest.test_case "budget reporting" `Quick test_tripath_db_budget;
+          Alcotest.test_case "node cap" `Quick test_tripath_db_node_cap;
         ] );
     ]

@@ -284,6 +284,36 @@ let test_join_tick_cadence () =
       Alcotest.(check int) (Query.to_string q) (hi - lo) !ticks)
     Workload.Catalog.[ q3; q4; q5; q6 ]
 
+(* Building the solution graph allocates nothing per row: the keyed join
+   binds into one environment array with no record of what to reset, and
+   the adjacency lists are sorted in place. On a 3,200-fact q5 plane of
+   the graph-bound workload's shape (domain n/8), ticking a budget at
+   [compile] as the degradation chain does, through a site option built
+   once, the minor heap grows by fewer words than the plane has facts.
+   The per-call arrays, sized to the plane, are beyond the minor heap's
+   256-word limit and are not counted: what shows is per-row and per-pair
+   allocation. Counting words rather than timing keeps the bound
+   deterministic. *)
+let test_graph_build_allocation () =
+  let q = Workload.Catalog.q5 in
+  let db =
+    Workload.Randdb.random_for_query (Random.State.make [| 42 |]) q ~n_facts:3200
+      ~domain:400
+  in
+  let plane = Relational.Compiled.compile db in
+  let n = Relational.Compiled.n_facts plane in
+  Alcotest.(check bool) "a large plane" true (n > 3000);
+  let budget = Harness.Budget.unlimited () in
+  let site = Some Harness.Sites.compile in
+  let tick () = Harness.Budget.tick ?site budget in
+  let before = Gc.minor_words () in
+  let g = Solution_graph.of_query_compiled ~tick q plane in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some pairs" true (g.Solution_graph.directed <> []);
+  Alcotest.(check int) "one tick per candidate row" n (Harness.Budget.steps budget);
+  if words >= float_of_int n then
+    Alcotest.failf "building the graph of %d facts allocated %.0f minor words" n words
+
 (* ------------------------------------------------------------------ *)
 (* Sjf *)
 
@@ -486,6 +516,7 @@ let () =
           Alcotest.test_case "non-clique db" `Quick test_not_clique_database;
           Alcotest.test_case "quasi-clique flags" `Quick test_quasi_clique_flags;
           Alcotest.test_case "join tick cadence" `Quick test_join_tick_cadence;
+          Alcotest.test_case "no allocation per row" `Quick test_graph_build_allocation;
         ] );
       ( "sjf",
         [
