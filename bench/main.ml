@@ -832,8 +832,6 @@ let call_cost ~runs f ticks =
   let result = Sys.opaque_identity (f ()) in
   (ms, Gc.minor_words () -. words0, ticks result)
 
-let compile_site = Some Harness.Sites.compile
-
 (* The seven databases of bench/e2e's graph-bound workload as drawn,
    before the seed renames their values. Per shape: [of_query_compiled]
    on the compiled plane, ticking a fresh budget at [compile] as the
@@ -850,7 +848,7 @@ let e33_graph () =
       let plane = Relational.Compiled.compile db in
       let build () =
         let budget = Harness.Budget.unlimited () in
-        let tick () = Harness.Budget.tick ?site:compile_site budget in
+        let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
         (Solution_graph.of_query_compiled ~tick q plane, budget)
       in
       let steps (_, budget) = Harness.Budget.steps budget in

@@ -183,43 +183,13 @@ let report_diagnostics ~json diagnostics =
       diagnostics;
   Serve.Protocol.exit_of_code (Serve.Protocol.code_of_diagnostics diagnostics)
 
-(* One analysis pass over one query source: the source lints, then — when
-   the query parses — the database-aware lints when an instance was given,
-   and with [sanitize] the full plane sanitizer (PL100-PL108 plus the
-   pattern-program verifier PL110-PL113) on a compiled plane. Without --db
-   the plane is the empty instance of the query's own schema: the plane and
-   pattern checks still exercise the whole pipeline (this is what the @lint
-   alias runs over the example catalogue), while the instance-dependent QL
-   lints stay out of the way. *)
-let analyze_source ~opts ~block_threshold ~sanitize ?db src =
-  let source_diags = Analysis.Lint.lint_source ~opts src in
-  match Qlang.Parse.query src with
-  | Error _ -> source_diags (* nothing to compile; QL000/QL003 already said so *)
-  | Ok q ->
-      let plane_diags =
-        if not sanitize then []
-        else
-          let instance =
-            match db with
-            | Some db -> db
-            | None -> Relational.Database.of_facts [ q.Qlang.Query.schema ] []
-          in
-          Analysis.Sanitize.run ~query:q (Relational.Compiled.compile instance)
-      in
-      let db_diags =
-        match db with
-        | None -> []
-        | Some db -> Analysis.Lint.lint_database ~block_threshold ~query:q db
-      in
-      source_diags @ plane_diags @ db_diags
-
 (* The body of [cqa lint] (no plane checks) and [cqa analyze]. *)
 let analysis_run ~sanitize query_opt file_opt db_path merges block_threshold
     json =
   guard @@ fun () ->
   let opts = opts_of_merges merges in
   let report = report_diagnostics ~json in
-  let analyze = analyze_source ~opts ~block_threshold ~sanitize in
+  let analyze = Analysis.Sanitize.analyze ~opts ~block_threshold ~sanitize in
   match (query_opt, file_opt) with
   | Some _, Some _ ->
       Format.eprintf "error: pass either a query argument or --file, not both@.";
@@ -746,7 +716,11 @@ let gadget_run query n_vars n_clauses seed emit_db =
                 Format.printf "database: %d facts in %d blocks@."
                   (Relational.Database.size db)
                   (Relational.Database.block_count db);
-                let sat = Satsolver.Dpll.is_sat phi in
+                let sat =
+                  match Satsolver.Cdcl.solve (Satsolver.Cdcl.of_cnf phi) with
+                  | Satsolver.Cdcl.Sat _ -> true
+                  | Satsolver.Cdcl.Unsat -> false
+                in
                 let certain =
                   Cqa.Satreduce.certain (Qlang.Solution_graph.of_query query db)
                 in

@@ -28,9 +28,6 @@ type verdict_class = Ptime | Conp_complete
 
 val verdict_class_to_string : verdict_class -> string
 
-(** The class claimed by a certificate's kind (independent of validity). *)
-val claimed_class : Core.Certificate.t -> verdict_class
-
 (** [check ?expected_bounds q cert] re-validates every claim of [cert]
     against [q] in one pass and returns the complexity class the certificate
     licenses, or the list of violated conditions. [expected_bounds] (default:

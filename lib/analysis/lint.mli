@@ -50,18 +50,11 @@ val severity_to_string : severity -> string
     unknown). *)
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
-(** [lint_query ?opts ?spans q] lints a parsed query. [spans] (from
-    {!Qlang.Parse.query_spanned}) anchors per-argument diagnostics to source
-    positions. Classification-driven diagnostics (QL004/QL005/QL007) run the
-    {!Core.Dichotomy} classifier under [opts]. *)
-val lint_query :
-  ?opts:Core.Tripath_search.options ->
-  ?spans:Qlang.Parse.query_spans ->
-  Qlang.Query.t ->
-  diagnostic list
-
 (** [lint_source ?opts s] parses [s] and lints the result; parse failures
-    become a single QL000 (or QL003, for self-join mismatches) diagnostic. *)
+    become a single QL000 (or QL003, for self-join mismatches) diagnostic.
+    Per-argument diagnostics carry source positions, and the
+    classification-driven ones (QL004/QL005/QL007) run the
+    {!Core.Dichotomy} classifier under [opts]. *)
 val lint_source : ?opts:Core.Tripath_search.options -> string -> diagnostic list
 
 (** [lint_database ?block_threshold ~query db] runs the database-aware

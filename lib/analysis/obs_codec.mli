@@ -1,10 +1,10 @@
 (** JSON serialization of [Obs] traces and metrics snapshots.
 
-    Both documents are schema-versioned and round-trip parsed: {!decode_*}
-    is the strict inverse of {!encode_*}, and every [cqa certain --trace /
-    --metrics] emission is validated by the [@obs-smoke] alias. The codec
-    lives in [analysis] (not [obs]) so that [obs] stays dependency-light
-    enough for [core] to emit spans.
+    Every document is schema-versioned and round-trip parsed: each
+    [*_of_string] is the strict inverse of its [*_to_string], and every
+    [cqa certain --trace / --metrics] emission is validated by the
+    [@obs-smoke] alias. The codec lives in [analysis] (not [obs]) so that
+    [obs] stays dependency-light enough for [core] to emit spans.
 
     Trace schema (version 1, one object per file):
     {v
@@ -40,7 +40,6 @@ type trace = {
 }
 
 val encode_trace : trace -> Json.t
-val decode_trace : Json.t -> (trace, string) result
 val trace_to_string : trace -> string
 val trace_of_string : string -> (trace, string) result
 
@@ -63,14 +62,9 @@ val validate_trace : trace -> (unit, string) result
     field values are all errors. [Obs.Journal.create ~render:event_to_string]
     is the writing half of the contract. *)
 
-val journal_version : int
-val encode_event : Obs.Journal.event -> Json.t
-val decode_event : Json.t -> (Obs.Journal.event, string) result
 val event_to_string : Obs.Journal.event -> string
 val event_of_string : string -> (Obs.Journal.event, string) result
 
-val encode_metrics : Obs.Metrics.snapshot -> Json.t
-val decode_metrics : Json.t -> (Obs.Metrics.snapshot, string) result
 val metrics_to_string : Obs.Metrics.snapshot -> string
 val metrics_of_string : string -> (Obs.Metrics.snapshot, string) result
 

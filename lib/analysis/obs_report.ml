@@ -43,8 +43,7 @@ let sorted_counts tbl =
 
 let by_heat tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, na) (b, nb) ->
-         match compare (nb : int) na with 0 -> compare (a : string) b | c -> c)
+  |> List.sort Harness.Budget.hottest_first
 
 (* Quantiles come from histogram buckets, not the raw samples — the same
    estimator the serve [stats] op uses, so online and offline numbers agree

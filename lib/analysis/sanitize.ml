@@ -444,6 +444,29 @@ let run ?query c =
       in
       base @ patterns @ graph
 
+let analyze ?opts ?block_threshold ?(sanitize = true) ?db ?plane src =
+  let source = Lint.lint_source ?opts src in
+  match Qlang.Parse.query src with
+  | Error _ -> source (* nothing to compile; QL000/QL003 already said so *)
+  | Ok q ->
+      let planes =
+        if not sanitize then []
+        else
+          run ~query:q
+            (match (plane, db) with
+            | Some plane, _ -> plane
+            | None, Some db -> Compiled.compile db
+            | None, None ->
+                Compiled.compile
+                  (Relational.Database.of_facts [ q.Query.schema ] []))
+      in
+      let instance =
+        match db with
+        | None -> []
+        | Some db -> Lint.lint_database ?block_threshold ~query:q db
+      in
+      source @ planes @ instance
+
 exception Gate of string
 
 (* The gate runs on every plane-cache insert, so its loops are written for

@@ -52,6 +52,26 @@
     (PL108). Returns [[]] on a healthy plane. *)
 val run : ?query:Qlang.Query.t -> Relational.Compiled.t -> Lint.diagnostic list
 
+(** [analyze ?opts ?block_threshold ?sanitize ?db ?plane src] is the one
+    static-analysis pass over a query source, the body of [cqa lint],
+    [cqa analyze] and the serve [lint] and [analyze] ops. In order: the
+    source lints of [src] ({!Lint.lint_source} under [opts]); when [src]
+    parses and [sanitize] holds (the default), {!run} with the query on
+    [plane]; with [db], the database-aware lints ({!Lint.lint_database}
+    under [block_threshold]). [plane] defaults to [db] compiled, or else to
+    the empty instance of the query's schema, which still compiles the
+    pattern programs and checks the whole pipeline; a caller that already
+    holds the compiled plane of [db] passes both. An unparsable [src] is
+    its QL000 or QL003 diagnostic alone, and nothing is compiled. *)
+val analyze :
+  ?opts:Core.Tripath_search.options ->
+  ?block_threshold:int ->
+  ?sanitize:bool ->
+  ?db:Relational.Database.t ->
+  ?plane:Relational.Compiled.t ->
+  string ->
+  Lint.diagnostic list
+
 (** [check_graph plane q g] checks an already-built solution graph [g] of
     [q] over [plane] against the independent substitution-based enumeration
     (PL108 only). *)

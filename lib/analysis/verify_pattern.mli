@@ -34,11 +34,6 @@ val verify_programs :
   Qlang.Pattern.program list ->
   Lint.diagnostic list
 
-(** [verify_pair plane p] verifies both programs of a compiled pair against
-    [plane] (which must be the plane [p] was compiled on). *)
-val verify_pair :
-  Relational.Compiled.t -> Qlang.Pattern.pair -> Lint.diagnostic list
-
 (** [verify_query plane q] compiles [q]'s atom pair against [plane] and
     verifies the result — the form {!Sanitize.run} and the solver hooks
     use. *)

@@ -75,16 +75,8 @@ type summary = {
   sjf_hard : int;
 }
 
-let bulk_options =
-  {
-    Tripath_search.max_spine = 2;
-    max_arm = 2;
-    max_merges = 1;
-    max_candidates = 50_000;
-  }
-
-let classify_all ?(opts = bulk_options) queries =
-  List.map (fun query -> { query; report = Dichotomy.classify ~opts query }) queries
+let classify_all ?opts queries =
+  List.map (fun query -> { query; report = Dichotomy.classify ?opts query }) queries
 
 let summarize entries =
   List.fold_left

@@ -31,15 +31,10 @@ type summary = {
   sjf_hard : int;  (** coNP-complete via Theorem 3. *)
 }
 
-(** [classify_all ?opts queries] classifies every query (the tripath-search
-    options default to a reduced budget suitable for bulk runs — see
-    {!bulk_options}). *)
+(** [classify_all ?opts queries] classifies every query with
+    {!Dichotomy.classify} under the tripath-search options [opts] (default
+    {!Tripath_search.default_options}). *)
 val classify_all : ?opts:Tripath_search.options -> Qlang.Query.t list -> entry list
-
-(** Reduced search bounds used for bulk classification: spine/arm depth 2,
-    one extra identification. Within these bounds the atlas verdicts agree
-    with the default-bound classifier on the whole catalogue (tested). *)
-val bulk_options : Tripath_search.options
 
 val summarize : entry list -> summary
 val pp_summary : Format.formatter -> summary -> unit

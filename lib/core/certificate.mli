@@ -87,5 +87,4 @@ val kind_name : t -> string
 
 val pp_orientation : Format.formatter -> thm4_orientation -> unit
 val pp_bounds : Format.formatter -> bounds -> unit
-val pp_inclusions : Format.formatter -> inclusions -> unit
 val pp : Format.formatter -> t -> unit

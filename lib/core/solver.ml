@@ -1,6 +1,4 @@
 module Query = Qlang.Query
-module Atom = Qlang.Atom
-module Term = Qlang.Term
 module Database = Relational.Database
 module Compiled = Relational.Compiled
 
@@ -18,61 +16,12 @@ let pp_algorithm ppf = function
   | Alg_combined k -> Format.fprintf ppf "Cert_%d \u{2228} \u{00AC}Matching" k
   | Alg_exact_sat -> Format.pp_print_string ppf "exact (SAT)"
 
-(* A fact [a] satisfies [∃μ. μ(A) = a = μ(B)] iff its positions respect the
-   equalities forced by ONE assignment matching both atoms: [a_i = μ(A[i])]
-   and [a_i = μ(B[i])], so two positions must be equal whenever they are
-   connected through shared variables of either atom (e.g. in
-   [R(x | y z) ∧ R(x | z y)], positions 1 and 2 are linked through [y] and
-   [z] jointly). Union-find over positions, linking every position to a
-   representative position of each variable it carries in A or in B;
-   constants constrain their class. *)
+(* A fact [a] matches σ(A), for σ the most general unifier of the two
+   atoms, iff some μ has μ(A) = a = μ(B): every such μ factors through σ. *)
 let conjunction_atom (q : Query.t) =
-  let arity = Atom.arity q.Query.a in
-  let parent = Array.init arity (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  let var_position = Hashtbl.create 8 in
-  let link_var i t =
-    match t with
-    | Term.Cst _ -> ()
-    | Term.Var v -> (
-        match Hashtbl.find_opt var_position v with
-        | None -> Hashtbl.add var_position v i
-        | Some j -> union i j)
-  in
-  for i = 0 to arity - 1 do
-    link_var i (Atom.nth q.Query.a i);
-    link_var i (Atom.nth q.Query.b i)
-  done;
-  (* Collect the constant constraint of each class. *)
-  let exception Conflict in
-  try
-    let constants = Hashtbl.create 8 in
-    let record i t =
-      match t with
-      | Term.Var _ -> ()
-      | Term.Cst v -> (
-          let r = find i in
-          match Hashtbl.find_opt constants r with
-          | None -> Hashtbl.add constants r v
-          | Some v' -> if not (Relational.Value.equal v v') then raise Conflict)
-    in
-    for i = 0 to arity - 1 do
-      record i (Atom.nth q.Query.a i);
-      record i (Atom.nth q.Query.b i)
-    done;
-    let args =
-      Array.init arity (fun i ->
-          let r = find i in
-          match Hashtbl.find_opt constants r with
-          | Some v -> Term.cst v
-          | None -> Term.var (Printf.sprintf "c%d" r))
-    in
-    Some (Atom.of_array q.Query.a.Atom.rel args)
-  with Conflict -> None
+  Option.map
+    (fun s -> Qlang.Subst.apply_atom s q.Query.a)
+    (Qlang.Unify.atoms Qlang.Subst.empty q.Query.a q.Query.b)
 
 let certain_one_atom atom plane =
   let p = Qlang.Pattern.single plane atom in
@@ -180,10 +129,6 @@ let status_label = function
   | Attempt_out_of_budget Harness.Budget.Steps -> "out-of-budget-steps"
   | Attempt_out_of_budget (Harness.Budget.Pressure _) -> "out-of-budget-pressure"
 
-(* [Budget.steps_by_site]'s order: most steps first, ties by name. *)
-let hottest_first (s1, n1) (s2, n2) =
-  match compare (n2 : int) n1 with 0 -> compare (s1 : string) s2 | c -> c
-
 (* Per-site step deltas between two [Budget.steps_by_site] snapshots: what
    this tier alone burned, hottest first. *)
 let diff_sites ~before ~after =
@@ -192,7 +137,7 @@ let diff_sites ~before ~after =
       let n0 = match List.assoc_opt site before with Some n0 -> n0 | None -> 0 in
       if n > n0 then Some (site, n - n0) else None)
     after
-  |> List.sort hottest_first
+  |> List.sort Harness.Budget.hottest_first
 
 (* Run the tiers in order. Without [verify], the first tier to complete
    decides and the rest are skipped; a tier that fails (injected fault,
@@ -417,9 +362,6 @@ let memo build =
         cache := Some v;
         v
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let compile_site = Some Harness.Sites.compile
-
 (* The one chain body behind [solve] and [solve_plane]. [plane ?tick ()]
    yields the gated plane. The whole chain shares ONE plane and ONE
    solution graph, built on first demand {e inside} the tier that needs
@@ -441,7 +383,7 @@ let chain ?k ?(exact_only = false) ?check_certificate
             Qlang.Solution_graph.of_query_compiled ?tick report.Dichotomy.query
               p))
   in
-  let tick () = Harness.Budget.tick ?site:compile_site budget in
+  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
   let fallback =
     Option.map
       (fun trials () ->

@@ -41,12 +41,12 @@ val build_query_graph :
   Relational.Compiled.t ->
   Qlang.Solution_graph.t
 
-(** [conjunction_atom q] is the single most general atom [C] equivalent to
-    [q = A ∧ B] over consistent databases when [key-bar(A) = key-bar(B)]:
-    a fact [a] matches [C] iff a {e single} assignment [μ] satisfies
-    [μ(A) = a = μ(B)] (positions connected through the shared variables of
-    the two atoms must hold equal values). [None] when no single fact can
-    match (conflicting constants). *)
+(** [conjunction_atom q] is [σ(A)] for [σ] the most general unifier of
+    the two atoms of [q = A ∧ B] ({!Qlang.Unify.atoms}), the one atom
+    equivalent to [q] over consistent databases when
+    [key-bar(A) = key-bar(B)]: a fact [a] matches [σ(A)] iff some
+    assignment [μ] has [μ(A) = a = μ(B)]. [None] when the atoms do not
+    unify (two constants in conflict), so no single fact can match. *)
 val conjunction_atom : Qlang.Query.t -> Qlang.Atom.t option
 
 (** [certain_one_atom atom plane] decides certainty of the one-atom query

@@ -16,9 +16,6 @@ module Key_set = Set.Make (struct
   let compare = List.compare Value.compare
 end)
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let tripath_site = Some Harness.Sites.tripath
-
 let find ?(opts = default_options) ?want (q : Query.t) db =
   let schema = q.Query.schema in
   let key f = Fact.key schema f in
@@ -47,7 +44,7 @@ let find ?(opts = default_options) ?want (q : Query.t) db =
   (* As in [Tripath_search.budget]: the tick that would start node
      [max_candidates + 1] raises, so exactly [max_candidates] nodes run. *)
   let budget = Harness.Budget.make ~max_steps:(max 0 opts.max_candidates + 1) () in
-  let tick () = Harness.Budget.tick ?site:tripath_site budget in
+  let tick () = Harness.Budget.tick ~site:Harness.Sites.tripath budget in
   let siblings i =
     Database.siblings db facts.(i)
     |> List.filter_map (fun f -> Fact.Map.find_opt f index)

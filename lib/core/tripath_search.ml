@@ -188,14 +188,11 @@ let validate opts =
 let budget ?timeout opts =
   Budget.make ?timeout ~max_steps:(opts.max_candidates + 1) ()
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let tripath_site = Some Harness.Sites.tripath
-
 let search_internal ?(opts = default_options) ?budget:shared ?want ~require_nice
     (q : Query.t) =
   validate opts;
   let budget = match shared with Some b -> b | None -> budget opts in
-  let tick () = Budget.tick ?site:tripath_site budget in
+  let tick () = Budget.tick ~site:Harness.Sites.tripath budget in
   let gen = Unify.Fresh.create ~prefix:"\u{03C3}" () in
   let wanted kind = match want with None -> true | Some k -> k = kind in
   (* The kind is decided first, so a candidate of the wrong kind is skipped

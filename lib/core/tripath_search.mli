@@ -57,10 +57,10 @@
     complete up to its bounds: [Not_found] means no tripath with at most
     [max_spine] spine blocks, [max_arm] blocks per arm and [max_merges]
     center identifications. With the three cuts, every classification over
-    the query catalogue (the paper's q1–q7 and nine more), over the
-    signature atlases [\[2,1\]], [\[3,1\]], [\[2,2\]] and [\[3,2\]] (at
-    {!Atlas.bulk_options}) and over [\[4,1\]] and [\[4,2\]] at the default
-    bounds runs at most 120 nodes in all: the largest, that of
+    the query catalogue (the paper's q1–q7 and nine more) and over the
+    signature atlases [\[2,1\]], [\[3,1\]], [\[2,2\]], [\[3,2\]],
+    [\[4,1\]] and [\[4,2\]] at the default bounds runs at most 120 nodes
+    in all: the largest, that of
     [R(v0 v1 | v2 v1) R(v2 v1 | v3 v0)], runs 60 fork and 60 triangle nodes. *)
 
 type options = {

@@ -350,7 +350,6 @@ let install st id =
     st.minimal.(id) <- true
   end
 
-let certk_site = Some Harness.Sites.certk
 let visited_slot st key = mix key land ((Array.length st.visited / 2) - 1)
 
 (* Memoise a (remaining facts, partial union) key in the current
@@ -393,7 +392,7 @@ let rec choose st budget members block depth acc =
     end
   end
   else begin
-    Harness.Budget.tick ?site:certk_site budget;
+    Harness.Budget.tick ~site:Harness.Sites.certk budget;
     let key = (acc * (n + 1)) + depth in
     if visit st key (visited_slot st key) then begin
       let u = members.(depth) in

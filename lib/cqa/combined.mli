@@ -8,16 +8,9 @@
     under-approximation of CERTAIN(q) for {e every} query, because both
     disjuncts are. *)
 
-(** [run ~k g] is [Cert_k(q) ∨ ¬Matching(q)] on a solution graph. Both
-    disjuncts run under [budget]: [Cert_k] ticks at site ["certk"], the
-    matching disjunct at site ["matching"].
+(** [run ~k g] is [Cert_k(q) ∨ ¬Matching(q)] on a solution graph, both
+    disjuncts under [budget]: [Cert_k] runs first, ticking at site
+    ["certk"], and the matching disjunct, at site ["matching"], only when
+    [Cert_k] answers no.
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val run : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> bool
-
-(** Which disjunct answered, for explanation output. *)
-type witness =
-  | Via_certk  (** [Cert_k] derived the empty set. *)
-  | Via_matching  (** No saturating matching exists. *)
-  | Neither  (** Both algorithms answered no. *)
-
-val explain : ?budget:Harness.Budget.t -> k:int -> Qlang.Solution_graph.t -> witness

@@ -79,11 +79,8 @@ let bipartite (g : Solution_graph.t) =
       targets.(offsets.(b)) <- r);
   Graphs.Bipartite.of_csr ~n_right:n_cliques ~offsets ~targets
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let matching_site = Some Harness.Sites.matching
-
 let run ?(budget = Harness.Budget.unlimited ()) g =
-  Harness.Budget.tick ?site:matching_site budget;
+  Harness.Budget.tick ~site:Harness.Sites.matching budget;
   let h = bipartite g in
-  let tick () = Harness.Budget.tick ?site:matching_site budget in
+  let tick () = Harness.Budget.tick ~site:Harness.Sites.matching budget in
   Graphs.Matching.saturates_left h (Graphs.Matching.hopcroft_karp ~tick h)

@@ -7,13 +7,10 @@ type estimate = {
   counterexample : Repair.t option;
 }
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let montecarlo_site = Some Harness.Sites.montecarlo
-
 let tick budget =
   match budget with
   | None -> ()
-  | Some b -> Harness.Budget.tick ?site:montecarlo_site b
+  | Some b -> Harness.Budget.tick ~site:Harness.Sites.montecarlo b
 
 let estimate rng ~trials q db =
   (* [trials = 0] would report frequency 1.0 — reading as "certain" with

@@ -15,11 +15,6 @@
     no tripath or is a clique-database; the integration tests check the
     behavioural consequences on the paper's examples. *)
 
-(** [block_components g] maps each block of the solution graph to a
-    component id, and returns the number of components. Blocks with no
-    solution edges form singleton components. *)
-val block_components : Qlang.Solution_graph.t -> int array * int
-
 (** [split q db] materialises the components as sub-databases (whole blocks,
     in component order). Their union is [db]. *)
 val split : Qlang.Query.t -> Relational.Database.t -> Relational.Database.t list

@@ -72,13 +72,15 @@ let flush_run b =
     b.last_run <- 0
   end
 
+let hottest_first (s1, n1) (s2, n2) =
+  match compare (n2 : int) n1 with 0 -> compare (s1 : string) s2 | c -> c
+
 let steps_by_site b =
   flush_run b;
   Hashtbl.fold
     (fun site n acc -> if n > 0 then (site, n) :: acc else acc)
     b.site_steps []
-  |> List.sort (fun (s1, n1) (s2, n2) ->
-         match compare (n2 : int) n1 with 0 -> compare s1 s2 | c -> c)
+  |> List.sort hottest_first
 
 let hottest_site b = match steps_by_site b with [] -> None | top :: _ -> Some top
 
@@ -105,7 +107,7 @@ let[@inline] count_site b site =
     b.last_run <- b.last_run + 1
   else change_site b site
 
-let tick ?(site = "") b =
+let tick ~site b =
   (match b.exhausted with Some reason -> raise (Budget_exceeded reason) | None -> ());
   b.steps <- b.steps + 1;
   count_site b site;

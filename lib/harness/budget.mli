@@ -58,23 +58,24 @@ val make :
   unit ->
   t
 
-(** [tick ?site b] records one unit of work at the tick site [site] (used by
-    chaos targeting and the per-site step accounting; default [""] — real
-    solver loops always pass a {!Sites} name). [~site:s] allocates [Some s]
-    on every call, so a hot loop passes an option built once,
-    [?site:s_opt] with [let s_opt = Some Sites.x] at top level.
+(** [tick ~site b] records one unit of work at the tick site [site] (used by
+    chaos targeting and the per-site step accounting; solver loops pass a
+    {!Sites} name).
     @raise Budget_exceeded when the budget is (or already was) exhausted, or
     when the chaos schedule injects budget pressure.
     @raise Chaos.Injected_fault when the chaos schedule injects a failure. *)
-val tick : ?site:string -> t -> unit
+val tick : site:string -> t -> unit
 
 (** Ticks recorded so far. *)
 val steps : t -> int
 
 (** [steps_by_site b] is the per-site breakdown of {!steps}: every site
-    that ticked at least once with its tick count, hottest first (ties
-    broken by name). The lists always sum to [steps b]. *)
+    that ticked at least once with its tick count, in {!hottest_first}
+    order. The lists always sum to [steps b]. *)
 val steps_by_site : t -> (string * int) list
+
+(** The order of a site profile: most steps first, ties broken by name. *)
+val hottest_first : string * int -> string * int -> int
 
 (** The site that burned the most ticks, with its count. [None] before the
     first tick. *)

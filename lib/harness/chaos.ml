@@ -25,6 +25,13 @@ let make ?(seed = 0) ?(fail_p = 0.0) ?(delay_p = 0.0) ?(delay_s = 0.001)
   check "delay_p" delay_p;
   check "pressure_p" pressure_p;
   if delay_s < 0.0 then invalid_arg "Chaos.make: delay_s must be >= 0";
+  List.iter
+    (fun site ->
+      if not (List.mem site Sites.all) then
+        invalid_arg
+          (Printf.sprintf "Chaos.make: unknown site %S (known sites: %s)" site
+             (String.concat ", " Sites.all)))
+    sites;
   {
     rng = Random.State.make [| seed; 0x51CA05 |];
     fail_p;

@@ -24,7 +24,8 @@ type t
     [~sites:["dpll"]] makes only the SAT tier fail. Draws at non-targeted
     sites consume no randomness, so the schedule at targeted sites does not
     depend on what other solvers ran.
-    @raise Invalid_argument on probabilities outside [0, 1]. *)
+    @raise Invalid_argument on probabilities outside [0, 1], or on a site
+    that is not in {!Sites.all} (a schedule that could never fire). *)
 val make :
   ?seed:int ->
   ?fail_p:float ->

@@ -55,10 +55,10 @@
       chaos schedules can fault the service loop itself, not just the
       solvers it drives.
 
-    The empty string is the default label of a {!Budget.tick} call that
-    does not name a site; no loop in this repository uses it, and the
-    linter for that is the [@obs-smoke] alias plus the site table in the
-    manual. *)
+    {!Budget.tick} requires a label. The empty string is a legal one,
+    which only tests use; reports print it as [(unnamed)] and the metrics
+    registry counts it as [budget.tick.unnamed]. A {!Chaos} schedule may
+    target only the names in {!all}. *)
 
 val tripath : string
 val compile : string

@@ -41,8 +41,6 @@ type error_kind = Lex | Syntax | Mismatch
 
 type error = { message : string; position : position option; kind : error_kind }
 
-val pp_position : Format.formatter -> position -> unit
-
 (** ["line 2, col 7: unexpected character '%'"] — or the bare message when no
     position is known. *)
 val error_to_string : error -> string

@@ -6,15 +6,6 @@
     a {!Query.t} so they also serve the self-join-free variant of the query
     used by Proposition 2, where [A] and [B] use different relation symbols. *)
 
-(** [solution_pair a b f g] decides whether [(f, g)] is a solution to [a ∧ b]
-    — i.e. whether some mapping sends [a] to [f] and [b] to [g]. This is a
-    property of the four terms only; the paper writes it [q(fg)]. *)
-val solution_pair : Atom.t -> Atom.t -> Relational.Fact.t -> Relational.Fact.t -> bool
-
-(** [solution_pair_sym a b f g] is the paper's [q{fg}]:
-    [q(fg)] or [q(gf)]. *)
-val solution_pair_sym : Atom.t -> Atom.t -> Relational.Fact.t -> Relational.Fact.t -> bool
-
 (** [pairs a b db] lists all solutions to [a ∧ b] in [db], without duplicates,
     in lexicographic fact order. Pairs [(f, f)] appear when one fact matches
     both atoms. *)
@@ -32,8 +23,9 @@ val pairs_compiled :
     a list (e.g. a repair). *)
 val satisfies : Atom.t -> Atom.t -> Relational.Fact.t list -> bool
 
-(** [holds a b db f g] is [solution_pair a b f g] with both facts required to
-    be in [db]. *)
+(** [holds a b db f g] decides whether [(f, g)] is a solution to [a ∧ b]
+    in [db]: both facts are in [db] and some mapping sends [a] to [f] and
+    [b] to [g]. *)
 val holds : Atom.t -> Atom.t -> Relational.Database.t -> Relational.Fact.t -> Relational.Fact.t -> bool
 
 (** [assignments a b db] lists the witnessing matches behind {!pairs}: every
@@ -50,5 +42,12 @@ val assignments :
 
 val query_pairs : Query.t -> Relational.Database.t -> (Relational.Fact.t * Relational.Fact.t) list
 val query_satisfies : Query.t -> Relational.Fact.t list -> bool
+
+(** [query_solution_pair q f g] decides whether [(f, g)] is a solution to
+    [q = A ∧ B]: some mapping sends [A] to [f] and [B] to [g]. This is a
+    property of the four terms only; the paper writes it [q(fg)]. *)
 val query_solution_pair : Query.t -> Relational.Fact.t -> Relational.Fact.t -> bool
+
+(** [query_solution_pair_sym q f g] is the paper's [q{fg}]: [q(fg)] or
+    [q(gf)]. *)
 val query_solution_pair_sym : Query.t -> Relational.Fact.t -> Relational.Fact.t -> bool

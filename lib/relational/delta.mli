@@ -13,7 +13,6 @@
 type op = Insert of Fact.t | Retract of Fact.t
 type t = op list
 
-val fact_of : op -> Fact.t
 val op_name : op -> string
 
 (** [apply db d] folds the delta over the database.
@@ -29,5 +28,4 @@ val apply : Database.t -> t -> Database.t
     exactly when {!apply} would. *)
 val normalize : Database.t -> t -> Fact.t list * Fact.t list
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

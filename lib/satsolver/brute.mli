@@ -5,15 +5,9 @@
 
 (** [is_sat f] decides satisfiability by enumeration. One budget tick (site
     ["brute"]) is spent per assignment.
-    @raise Invalid_argument if [f] has more than [max_vars] variables.
+    @raise Invalid_argument if [f] has more than 25 variables.
     @raise Harness.Budget.Budget_exceeded when [budget] runs out. *)
 val is_sat : ?budget:Harness.Budget.t -> Cnf.t -> bool
 
-(** [find_model f] returns a model if one exists. Same guards as {!is_sat}. *)
-val find_model : ?budget:Harness.Budget.t -> Cnf.t -> bool array option
-
 (** [count_models f] counts the satisfying assignments. Same guards. *)
 val count_models : ?budget:Harness.Budget.t -> Cnf.t -> int
-
-(** The enumeration guard (25). *)
-val max_vars : int

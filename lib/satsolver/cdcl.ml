@@ -362,13 +362,10 @@ let rec pick_branch t =
     let v = heap_pop t in
     if t.vals.(2 * v) = 0 then v else pick_branch t
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let dpll_site = Some Harness.Sites.dpll
-
 let solve ?(budget = Harness.Budget.unlimited ()) t =
   if t.solved then invalid_arg "Cdcl.solve: the solver was already used";
   t.solved <- true;
-  let tick () = Harness.Budget.tick ?site:dpll_site budget in
+  let tick () = Harness.Budget.tick ~site:Harness.Sites.dpll budget in
   tick ();
   let restarts = ref 0 and until_restart = ref restart_unit in
   let rec search () =

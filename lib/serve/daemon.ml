@@ -286,9 +286,6 @@ let budgeted t ~tier attempt =
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)
 
-(* Built once: [Budget.tick ~site:s] would allocate [Some s] per tick. *)
-let compile_site = Some Harness.Sites.compile
-
 (* Resolve a db reference to a cached plane entry. Compilation on a miss
    is charged to [tick] (site "compile"), so oversized work is bounded by
    the per-request budget and a mid-compile fault caches nothing. *)
@@ -344,7 +341,7 @@ let do_certain t ~query ~db ~trials ~explain =
              the request sequence, distinct across requests. *)
           let rng_seed = [| t.config.seed; t.requests |] in
           budgeted t ~tier (fun budget ->
-              let tick () = Budget.tick ?site:compile_site budget in
+              let tick () = Budget.tick ~site:Harness.Sites.compile budget in
               let resolved =
                 tspan t "cache" (fun () ->
                     let r = resolve_entry t ~tick db in
@@ -436,7 +433,7 @@ let do_load t ~name ~text =
   | Error e -> error_fields e
   | Ok db ->
       budgeted t ~tier:Admission.Heavy (fun budget ->
-          let tick () = Budget.tick ?site:compile_site budget in
+          let tick () = Budget.tick ~site:Harness.Sites.compile budget in
           let entry, hit = Plane_cache.find_or_compile ~tick t.planes db in
           fun retries ->
             Hashtbl.replace t.named name (entry.Plane_cache.fingerprint, db);
@@ -482,7 +479,7 @@ let do_update t ~name ~insert ~retract =
                 @ List.map (fun (f, _) -> Relational.Delta.Retract f) rets
               in
               budgeted t ~tier:Admission.Heavy (fun budget ->
-                  let tick () = Budget.tick ?site:compile_site budget in
+                  let tick () = Budget.tick ~site:Harness.Sites.compile budget in
                   match Relational.Delta.apply old_db delta with
                   | exception Invalid_argument msg ->
                       fun _ ->
@@ -583,40 +580,23 @@ let diagnostics_fields diagnostics =
 let diagnostics_response diagnostics =
   (Protocol.code_of_diagnostics diagnostics, diagnostics_fields diagnostics)
 
-let do_lint ~query = diagnostics_response (Analysis.Lint.lint_source query)
-
-(* An unparsable query answers as `cqa analyze` and the lint op do: the
-   QL000 error diagnostic (exit 1), whatever the database. *)
+(* The query is parsed before any database is resolved, so an unparsable
+   query answers its QL000 diagnostic, as `cqa analyze` does, without
+   compiling anything. With a database, the pass reads the cached plane. *)
 let do_analyze t ~query ~db =
-  match Ingest.query query with
-  | Error _ -> do_lint ~query
-  | Ok q -> (
-      match db with
-      | None ->
-          (* No instance: lint the query and sanitize the plane of the empty
-             database over the query's schema (which also verifies the
-             compiled pattern programs). *)
-          let empty =
-            Relational.Database.of_facts [ q.Qlang.Query.schema ] []
-          in
-          diagnostics_response
-            (Analysis.Lint.lint_source query
-            @ Analysis.Sanitize.run ~query:q (Relational.Compiled.compile empty)
-            )
-      | Some db_ref ->
-          budgeted t ~tier:Admission.Heavy (fun budget ->
-              let tick () = Budget.tick ?site:compile_site budget in
-              match resolve_entry t ~tick db_ref with
-              | Error e -> fun _ -> error_fields e
-              | Ok (entry, hit) ->
-                  let ds =
-                    Analysis.Lint.lint_source query
-                    @ Analysis.Sanitize.run ~query:q entry.Plane_cache.plane
-                    @ Analysis.Lint.lint_database ~query:q entry.Plane_cache.db
-                  in
-                  fun retries ->
-                    let code, fields = diagnostics_response ds in
-                    (code, fields @ (cache_field hit :: retries))))
+  match (Qlang.Parse.query query, db) with
+  | Error _, _ | Ok _, None ->
+      diagnostics_response (Analysis.Sanitize.analyze query)
+  | Ok _, Some db_ref ->
+      budgeted t ~tier:Admission.Heavy (fun budget ->
+          let tick () = Budget.tick ~site:Harness.Sites.compile budget in
+          match resolve_entry t ~tick db_ref with
+          | Error e -> fun _ -> error_fields e
+          | Ok ({ Plane_cache.db; plane; _ }, hit) ->
+              let ds = Analysis.Sanitize.analyze ~db ~plane query in
+              fun retries ->
+                let code, fields = diagnostics_response ds in
+                (code, fields @ (cache_field hit :: retries)))
 
 (* The last [last] request traces, each re-encoded as a standalone
    Obs_codec trace document: a root "request" span plus every retained
@@ -776,7 +756,8 @@ let handle_request t = function
       t.stopped <- true;
       (Protocol.Ok_code, [ ("stopping", Json.Bool true) ])
   | Protocol.Classify { query } -> do_classify t ~query
-  | Protocol.Lint { query } -> do_lint ~query
+  | Protocol.Lint { query } ->
+      diagnostics_response (Analysis.Sanitize.analyze ~sanitize:false query)
   | Protocol.Analyze { query; db } -> do_analyze t ~query ~db
   | Protocol.Load { name; text } -> do_load t ~name ~text
   | Protocol.Update { db; insert; retract } ->

@@ -132,9 +132,6 @@ val stopped : t -> bool
 (** The daemon-wide metrics registry (what [stats] reports). *)
 val metrics : t -> Obs.Metrics.t
 
-(** Seconds since {!create}, on {!Harness.Clock.now}. *)
-val uptime_s : t -> float
-
 (** [run_pipe t ic oc] serves frames from [ic] to [oc] (one response per
     request, flushed) until EOF or [shutdown]. *)
 val run_pipe : t -> in_channel -> out_channel -> unit

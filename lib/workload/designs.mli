@@ -11,10 +11,9 @@
     is exactly what Theorem 14 needs: instances where CERTAIN holds but
     [Cert_k] answers no. *)
 
-(** [triple_facts (a, b, c)] is the rotation 3-clique of a triple. *)
-val triple_facts : int * int * int -> Relational.Fact.t list
-
-(** [db_of_triples ts] is the [q6]-database of all rotation cliques. *)
+(** [db_of_triples ts] is the [q6]-database of all rotation cliques: for
+    each triple [(a, b, c)], the facts [R(a | b c)], [R(c | a b)] and
+    [R(b | c a)]. *)
 val db_of_triples : (int * int * int) list -> Relational.Database.t
 
 (** The seven lines of the Fano plane (each point on three lines). *)

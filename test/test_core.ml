@@ -435,6 +435,51 @@ let prop_one_atom_tier_exact =
       Solver.certain report db
       = (Cqa.Exact.certain_query q db, Solver.Alg_one_atom))
 
+(* The conjunction atom's law: a fact matches [conjunction_atom q] iff it
+   alone satisfies [q], for every fact over a three-value domain. Queries
+   are random; up to two of their variables are grounded to values of the
+   same domain, so constants and constant conflicts (no atom at all) are
+   drawn too. *)
+let prop_conjunction_atom_law =
+  QCheck2.Test.make ~name:"conjunction atom = one-fact solutions" ~count:300
+    QCheck2.Gen.(int_range 0 99999)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let arity = 1 + Random.State.int rng 4 in
+      let key_len = Random.State.int rng (arity + 1) in
+      let q =
+        Workload.Randquery.random rng ~arity ~key_len
+          ~n_vars:(1 + Random.State.int rng arity)
+      in
+      let q =
+        let vars = Qlang.Term.Var_set.elements (Query.vars q) in
+        let n = Random.State.int rng 3 in
+        match List.filteri (fun i _ -> i < n) vars with
+        | [] -> q
+        | free ->
+            Core.Answers.ground ~free q
+              (List.map (fun _ -> vi (Random.State.int rng 3)) free)
+      in
+      let rec facts n =
+        if n = 0 then [ [] ]
+        else
+          List.concat_map
+            (fun rest -> List.init 3 (fun v -> vi v :: rest))
+            (facts (n - 1))
+      in
+      let atom = Solver.conjunction_atom q in
+      List.for_all
+        (fun args ->
+          let f = Fact.make q.Query.a.Qlang.Atom.rel args in
+          let matches =
+            match atom with
+            | None -> false
+            | Some c ->
+                Option.is_some (Qlang.Unify.match_fact Qlang.Subst.empty c f)
+          in
+          matches = Qlang.Solutions.query_satisfies q [ f ])
+        (facts arity))
+
 let () =
   Alcotest.run "core"
     [
@@ -477,6 +522,7 @@ let () =
         [
           Alcotest.test_case "conjunction atom" `Quick test_conjunction_atom;
           Alcotest.test_case "conjunction conflict" `Quick test_conjunction_atom_conflict;
+          QCheck_alcotest.to_alcotest prop_conjunction_atom_law;
           Alcotest.test_case "one-atom certain" `Quick test_certain_one_atom;
           Alcotest.test_case "dispatch" `Slow test_solver_dispatch;
           Alcotest.test_case "trivial queries" `Quick test_solver_trivial_queries;

@@ -31,7 +31,7 @@ let check_raises_budget name reason f =
 let test_budget_unlimited () =
   let b = Budget.unlimited () in
   for _ = 1 to 10_000 do
-    Budget.tick b
+    Budget.tick ~site:"" b
   done;
   Alcotest.(check int) "steps counted" 10_000 (Budget.steps b);
   Alcotest.(check bool) "not exhausted" true (Budget.exhausted b = None)
@@ -39,28 +39,30 @@ let test_budget_unlimited () =
 let test_budget_max_steps () =
   let b = Budget.make ~max_steps:5 () in
   for _ = 1 to 4 do
-    Budget.tick b
+    Budget.tick ~site:"" b
   done;
-  check_raises_budget "raises at cap" Budget.Steps (fun () -> Budget.tick b);
+  check_raises_budget "raises at cap" Budget.Steps (fun () ->
+      Budget.tick ~site:"" b);
   Alcotest.(check bool) "exhausted is sticky" true
     (Budget.exhausted b = Some Budget.Steps);
   (* Sticky: further ticks re-raise without advancing the counter. *)
-  check_raises_budget "re-raises" Budget.Steps (fun () -> Budget.tick b);
+  check_raises_budget "re-raises" Budget.Steps (fun () ->
+      Budget.tick ~site:"" b);
   Alcotest.(check int) "counter frozen" 5 (Budget.steps b)
 
 let test_budget_deadline () =
   let b = Budget.make ~timeout:0.0 ~check_every:1 () in
   check_raises_budget "deadline already passed" Budget.Deadline (fun () ->
-      Budget.tick b)
+      Budget.tick ~site:"" b)
 
 let test_budget_deadline_granularity () =
   (* With check_every = 4 the clock is only consulted on multiples of 4. *)
   let b = Budget.make ~timeout:0.0 ~check_every:4 () in
   for _ = 1 to 3 do
-    Budget.tick b
+    Budget.tick ~site:"" b
   done;
   check_raises_budget "raises on the polling tick" Budget.Deadline (fun () ->
-      Budget.tick b)
+      Budget.tick ~site:"" b)
 
 let test_clock () =
   let prev = ref (Harness.Clock.now ()) and backwards = ref 0 in
@@ -115,7 +117,7 @@ let test_chaos_pressure () =
     (Budget.Pressure "certk") (fun () -> Budget.tick ~site:"certk" b);
   Alcotest.(check int) "pressure counted" 1 (Chaos.pressures c);
   check_raises_budget "and it is sticky" (Budget.Pressure "certk") (fun () ->
-      Budget.tick b)
+      Budget.tick ~site:"" b)
 
 let test_chaos_determinism () =
   let run seed =
@@ -136,6 +138,18 @@ let test_chaos_validation () =
   Alcotest.check_raises "fail_p out of range"
     (Invalid_argument "Chaos.make: fail_p must be in [0, 1]") (fun () ->
       ignore (Chaos.make ~fail_p:1.5 ()))
+
+(* A schedule aimed at a site no loop ticks would never fire, so it is
+   refused, and the message names the sites that exist. *)
+let test_chaos_unknown_site () =
+  Alcotest.check_raises "unknown site refused"
+    (Invalid_argument
+       (Printf.sprintf "Chaos.make: unknown site \"typo\" (known sites: %s)"
+          (String.concat ", " Harness.Sites.all)))
+    (fun () -> ignore (Chaos.make ~fail_p:1.0 ~sites:[ "dpll"; "typo" ] ()));
+  List.iter
+    (fun site -> ignore (Chaos.make ~fail_p:1.0 ~sites:[ site ] ()))
+    Harness.Sites.all
 
 (* ------------------------------------------------------------------ *)
 (* Montecarlo regression: trials = 0 must be rejected, not read as
@@ -344,6 +358,7 @@ let () =
           Alcotest.test_case "pressure" `Quick test_chaos_pressure;
           Alcotest.test_case "determinism" `Quick test_chaos_determinism;
           Alcotest.test_case "validation" `Quick test_chaos_validation;
+          Alcotest.test_case "unknown site refused" `Quick test_chaos_unknown_site;
         ] );
       ( "montecarlo",
         [ Alcotest.test_case "zero trials rejected" `Quick test_montecarlo_zero_trials ] );

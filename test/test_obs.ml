@@ -166,7 +166,7 @@ let test_metrics_record_ticks () =
   let b = Budget.make () in
   Budget.tick ~site:Harness.Sites.certk b;
   Budget.tick ~site:Harness.Sites.certk b;
-  Budget.tick b;
+  Budget.tick ~site:"" b;
   check "nothing counted before the budget is recorded"
     ((Metrics.snapshot m).Metrics.counters = []);
   Metrics.record_ticks m b;
@@ -194,7 +194,7 @@ let test_budget_sites () =
   for _ = 1 to 2 do
     Budget.tick ~site:Harness.Sites.dpll b
   done;
-  Budget.tick b;
+  Budget.tick ~site:"" b;
   check "steps total" (Budget.steps b = 43);
   check "breakdown hottest-first and summing to steps"
     (Budget.steps_by_site b = [ ("certk", 40); ("dpll", 2); ("", 1) ]);

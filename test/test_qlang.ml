@@ -288,8 +288,8 @@ let test_join_tick_cadence () =
    binds into one environment array with no record of what to reset, and
    the adjacency lists are sorted in place. On a 3,200-fact q5 plane of
    the graph-bound workload's shape (domain n/8), ticking a budget at
-   [compile] as the degradation chain does, through a site option built
-   once, the minor heap grows by fewer words than the plane has facts.
+   [compile] as the degradation chain does (a required label, never
+   boxed), the minor heap grows by fewer words than the plane has facts.
    The per-call arrays, sized to the plane, are beyond the minor heap's
    256-word limit and are not counted: what shows is per-row and per-pair
    allocation. Counting words rather than timing keeps the bound
@@ -304,8 +304,7 @@ let test_graph_build_allocation () =
   let n = Relational.Compiled.n_facts plane in
   Alcotest.(check bool) "a large plane" true (n > 3000);
   let budget = Harness.Budget.unlimited () in
-  let site = Some Harness.Sites.compile in
-  let tick () = Harness.Budget.tick ?site budget in
+  let tick () = Harness.Budget.tick ~site:Harness.Sites.compile budget in
   let before = Gc.minor_words () in
   let g = Solution_graph.of_query_compiled ~tick q plane in
   let words = Gc.minor_words () -. before in
