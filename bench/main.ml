@@ -663,36 +663,88 @@ let bechamel_suite () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E24: compile time per fact, which a linear partition pass keeps flat *)
+(* E24: the miss path and the patch path in process                    *)
 
+(* The median µs of [runs] calls after one warm-up, then the minor words
+   and the words allocated straight on the major heap (major minus
+   promoted) by one more call, counted apart from the timing. The minor
+   count is [Gc.minor_words]: OCaml 5.1's [Gc.counters] undercounts the
+   minor heap's current fill eightfold. *)
+let alloc_cost ~runs f =
+  ignore (Sys.opaque_identity (f ()));
+  let times = List.init runs (fun _ -> snd (timed f)) |> List.sort Float.compare in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  ( 1e6 *. List.nth times (runs / 2),
+    minor1 -. minor0,
+    major1 -. promoted1 -. (major0 -. promoted0) )
+
+(* A database as the daemon receives it: one [R(k | v)] line per fact. *)
+let facts_text db =
+  String.concat "\n"
+    (List.map
+       (fun f -> Format.asprintf "%a" (Relational.Fact.pp_with_key (Db.schema_of db f)) f)
+       (Db.facts db))
+
+(* bench/e2e's ingest-update shapes, drawn with seed [|42; n|]: inline q3
+   reads of 150, 300 and 450 facts at domain n and the resident 1,600-fact
+   plane at domain 4n, each through ingest, fingerprint, compile and the
+   sanitize gate; on the resident plane, [apply_delta] of one fresh insert
+   and of one retract. Then a plane-cache hit on q5 planes of graph-bound's
+   1,200 and 3,200 facts (domain n/8): it re-derives the key in
+   O(relations), so its µs/fact falls with size. *)
 let e24_compile () =
-  section "E24 Compiling to the plane: time per fact from 200 to 3200 facts (q3)";
-  let rows =
-    List.map
-      (fun n ->
-        let db =
-          Workload.Randdb.random_for_query
-            (Random.State.make [| 42; n |])
-            Catalog.q3 ~n_facts:n ~domain:(4 * n)
-        in
-        ignore (Relational.Compiled.compile db);
-        let times =
-          List.init 30 (fun _ ->
-              snd (timed (fun () -> Relational.Compiled.compile db)))
-          |> List.sort Float.compare
-        in
-        let median_ms = 1000. *. List.nth times 15 in
-        (n, Db.size db, median_ms, 1000. *. median_ms /. float_of_int (Db.size db)))
-      [ 200; 400; 800; 1600; 3200 ]
+  section "E24 The miss path in process: median µs, µs per fact, minor and major words per call";
+  let runs = 31 in
+  Format.printf "%-14s %6s %-12s %11s %9s %10s %10s@." "shape" "facts" "call" "median(us)"
+    "us/fact" "minor(w)" "major(w)";
+  let row shape facts call f =
+    let us, minor, major = alloc_cost ~runs f in
+    Format.printf "%-14s %6d %-12s %11.1f %9.3f %10.0f %10.0f@." shape facts call us
+      (us /. float_of_int facts) minor major
   in
-  let _, _, _, per_fact_400 = List.find (fun (n, _, _, _) -> n = 400) rows in
-  Format.printf "%8s %8s %12s %12s %10s@." "n" "facts" "median(ms)" "us/fact"
-    "vs n=400";
+  let q3 = Catalog.q3 in
   List.iter
-    (fun (n, facts, median_ms, per_fact) ->
-      Format.printf "%8d %8d %12.3f %12.3f %9.2fx@." n facts median_ms per_fact
-        (per_fact /. per_fact_400))
-    rows
+    (fun (shape, n, domain) ->
+      let rng = Random.State.make [| 42; n |] in
+      let drawn = Workload.Randdb.random_for_query rng q3 ~n_facts:n ~domain in
+      let text = facts_text drawn in
+      let db = Result.get_ok (Serve.Ingest.database text) in
+      let facts = Db.size db in
+      let plane = Relational.Compiled.compile db in
+      row shape facts "ingest" (fun () -> Serve.Ingest.database text);
+      row shape facts "fingerprint" (fun () -> Serve.Plane_cache.Fingerprint.of_db db);
+      row shape facts "compile" (fun () -> Relational.Compiled.compile db);
+      row shape facts "gate" (fun () -> Analysis.Sanitize.gate plane);
+      if shape = "resident-1600" then begin
+        let rec fresh () =
+          let f =
+            List.hd (Db.facts (Workload.Randdb.random_for_query rng q3 ~n_facts:1 ~domain))
+          in
+          if Db.mem db f then fresh () else f
+        in
+        let insert = [ Relational.Delta.Insert (fresh ()) ]
+        and retract = [ Relational.Delta.Retract (List.nth (Db.facts db) (facts / 2)) ] in
+        row shape facts "insert" (fun () -> Relational.Compiled.apply_delta plane insert);
+        row shape facts "retract" (fun () -> Relational.Compiled.apply_delta plane retract)
+      end)
+    [
+      ("inline-150", 150, 150); ("inline-300", 300, 300); ("inline-450", 450, 450);
+      ("resident-1600", 1600, 6400);
+    ];
+  let shape = Random.State.make [| Hashtbl.hash "graph-bound" |] in
+  List.iter
+    (fun n ->
+      let db = Workload.Randdb.random_for_query shape Catalog.q5 ~n_facts:n ~domain:(n / 8) in
+      let cache = Serve.Plane_cache.make () in
+      let entry, _ = Serve.Plane_cache.find_or_compile cache db in
+      let fp = entry.Serve.Plane_cache.fingerprint in
+      row (Printf.sprintf "q5-%d" n) (Db.size db) "hit" (fun () ->
+          Serve.Plane_cache.find cache fp))
+    [ 1200; 3200 ]
 
 (* ------------------------------------------------------------------ *)
 (* E25: the Cert_2 fixpoint alone, in time and minor allocation         *)

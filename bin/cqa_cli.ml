@@ -189,7 +189,10 @@ let analysis_run ~sanitize query_opt file_opt db_path merges block_threshold
   guard @@ fun () ->
   let opts = opts_of_merges merges in
   let report = report_diagnostics ~json in
-  let analyze = Analysis.Sanitize.analyze ~opts ~block_threshold ~sanitize in
+  let analyze ?db src =
+    Analysis.Sanitize.analyze ~opts ~block_threshold ~sanitize ?db
+      (Qlang.Parse.query_spanned src)
+  in
   match (query_opt, file_opt) with
   | Some _, Some _ ->
       Format.eprintf "error: pass either a query argument or --file, not both@.";

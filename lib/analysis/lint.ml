@@ -242,8 +242,8 @@ let lint_database ?(block_threshold = 32) ~(query : Query.t) db =
   in
   ql008 @ ql009 @ ql010
 
-let lint_source ?opts s =
-  match Parse.query_spanned s with
+let lint_spanned ?opts parsed =
+  match parsed with
   | Ok (q, spans) -> lint_query ?opts ~spans q
   | Error e ->
       let code = match e.Parse.kind with Parse.Mismatch -> "QL003" | _ -> "QL000" in

@@ -50,12 +50,17 @@ val severity_to_string : severity -> string
     unknown). *)
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
-(** [lint_source ?opts s] parses [s] and lints the result; parse failures
-    become a single QL000 (or QL003, for self-join mismatches) diagnostic.
-    Per-argument diagnostics carry source positions, and the
-    classification-driven ones (QL004/QL005/QL007) run the
-    {!Core.Dichotomy} classifier under [opts]. *)
-val lint_source : ?opts:Core.Tripath_search.options -> string -> diagnostic list
+(** [lint_spanned ?opts parsed] lints a query source from its
+    {!Qlang.Parse.query_spanned} result, so a caller that needs the query
+    too parses the source once; a parse failure becomes a single QL000 (or
+    QL003, for self-join mismatches) diagnostic. Per-argument diagnostics
+    carry source positions, and the classification-driven ones
+    (QL004/QL005/QL007) run the {!Core.Dichotomy} classifier under
+    [opts]. *)
+val lint_spanned :
+  ?opts:Core.Tripath_search.options ->
+  (Qlang.Query.t * Qlang.Parse.query_spans, Qlang.Parse.error) result ->
+  diagnostic list
 
 (** [lint_database ?block_threshold ~query db] runs the database-aware
     lints (QL008/QL009/QL010) of [query] over the instance [db] — the

@@ -444,11 +444,11 @@ let run ?query c =
       in
       base @ patterns @ graph
 
-let analyze ?opts ?block_threshold ?(sanitize = true) ?db ?plane src =
-  let source = Lint.lint_source ?opts src in
-  match Qlang.Parse.query src with
+let analyze ?opts ?block_threshold ?(sanitize = true) ?db ?plane parsed =
+  let source = Lint.lint_spanned ?opts parsed in
+  match parsed with
   | Error _ -> source (* nothing to compile; QL000/QL003 already said so *)
-  | Ok q ->
+  | Ok (q, _) ->
       let planes =
         if not sanitize then []
         else

@@ -52,16 +52,18 @@
     (PL108). Returns [[]] on a healthy plane. *)
 val run : ?query:Qlang.Query.t -> Relational.Compiled.t -> Lint.diagnostic list
 
-(** [analyze ?opts ?block_threshold ?sanitize ?db ?plane src] is the one
+(** [analyze ?opts ?block_threshold ?sanitize ?db ?plane parsed] is the one
     static-analysis pass over a query source, the body of [cqa lint],
-    [cqa analyze] and the serve [lint] and [analyze] ops. In order: the
-    source lints of [src] ({!Lint.lint_source} under [opts]); when [src]
+    [cqa analyze] and the serve [lint] and [analyze] ops. It takes the
+    source's {!Qlang.Parse.query_spanned} result, so the source is parsed
+    once for the lints, the compile and the caller's own choices. In order:
+    the source lints ({!Lint.lint_spanned} under [opts]); when the source
     parses and [sanitize] holds (the default), {!run} with the query on
     [plane]; with [db], the database-aware lints ({!Lint.lint_database}
     under [block_threshold]). [plane] defaults to [db] compiled, or else to
     the empty instance of the query's schema, which still compiles the
     pattern programs and checks the whole pipeline; a caller that already
-    holds the compiled plane of [db] passes both. An unparsable [src] is
+    holds the compiled plane of [db] passes both. An unparsable source is
     its QL000 or QL003 diagnostic alone, and nothing is compiled. *)
 val analyze :
   ?opts:Core.Tripath_search.options ->
@@ -69,7 +71,7 @@ val analyze :
   ?sanitize:bool ->
   ?db:Relational.Database.t ->
   ?plane:Relational.Compiled.t ->
-  string ->
+  (Qlang.Query.t * Qlang.Parse.query_spans, Qlang.Parse.error) result ->
   Lint.diagnostic list
 
 (** [check_graph plane q g] checks an already-built solution graph [g] of

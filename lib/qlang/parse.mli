@@ -62,12 +62,27 @@ val query_spanned : string -> (Query.t * query_spans, error) result
 val query_exn : string -> Query.t
 
 (** [fact s] parses a single fact such as [R(1 2 | a b)], returning the fact
-    and its inferred key length (position of the bar), if a bar is present. *)
+    and its inferred key length (position of the bar), if a bar is present.
+    It is the reader {!database} runs on each fact line: each value is
+    built from its identifier's bytes, with no token list. As if [s] were
+    lexed whole before it is parsed, an illegal character anywhere in [s]
+    is the error, over any earlier syntax error. *)
 val fact : string -> (Relational.Fact.t * int option, error) result
+
+(** [key_marker_error schema f bar] is the message refusing fact [f] when
+    its bar (the key length {!fact} read) disagrees with [schema]:
+    ["fact R(1 2) declares key length 2 but schema R has 1"]. [None] when
+    they agree or [f] has no bar. *)
+val key_marker_error :
+  Relational.Schema.t -> Relational.Fact.t -> int option -> string option
 
 (** [database s] parses a database file: one fact per line, [#] comments,
     optional [R\[k,l\]] schema declarations. Errors point at the offending
-    line of the file. *)
+    line of the file. A fact's bar must agree with its relation's schema,
+    declared or inferred from the relation's first barred fact: a fact of
+    the schema's arity that contradicts it is refused at its line, column
+    1, in {!key_marker_error}'s words (a fact of another arity keeps the
+    database's wrong-arity error). *)
 val database : string -> (Relational.Database.t, error) result
 
 val database_exn : string -> Relational.Database.t

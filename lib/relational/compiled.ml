@@ -18,56 +18,81 @@ let set_test_corruption f = test_corruption := f
 (* The relation ranges and the block partition of a sorted plane, shared by
    [compile] and [apply_delta]. Sorted fact order is (relation, tuple) order
    and keys are tuple prefixes, so both are consecutive runs of the fact
-   array: one forward walk finds the ranges, another the blocks, numbered
-   in the (relation, key) order of [Database.blocks]. *)
+   array: one forward walk finds the ranges, another numbers the blocks in
+   the (relation, key) order of [Database.blocks], and a third fills each
+   block's array once their count is known. *)
 let partition schemas tuples rel_of =
   let n = Array.length tuples in
   let rel_range = Array.make (Array.length schemas) (0, 0) in
   let cursor = ref 0 in
-  Array.iteri
-    (fun r _ ->
-      let start = !cursor in
-      while !cursor < n && rel_of.(!cursor) = r do
-        incr cursor
-      done;
-      rel_range.(r) <- (start, !cursor))
-    schemas;
-  let same_block i j =
-    rel_of.(i) = rel_of.(j)
-    &&
-    let l = schemas.(rel_of.(i)).Schema.key_len in
-    let rec eq p = p >= l || (tuples.(i).(p) = tuples.(j).(p) && eq (p + 1)) in
-    eq 0
-  in
+  for r = 0 to Array.length schemas - 1 do
+    let start = !cursor in
+    while !cursor < n && rel_of.(!cursor) = r do
+      incr cursor
+    done;
+    rel_range.(r) <- (start, !cursor)
+  done;
   let block_of = Array.make n (-1) in
-  let blocks = ref [] and n_blocks = ref 0 in
+  let n_blocks = ref 0 in
+  for i = 0 to n - 1 do
+    let same_block =
+      i > 0
+      && rel_of.(i) = rel_of.(i - 1)
+      &&
+      let l = schemas.(rel_of.(i)).Schema.key_len in
+      let a = tuples.(i) and b = tuples.(i - 1) in
+      let p = ref 0 in
+      while !p < l && a.(!p) = b.(!p) do
+        incr p
+      done;
+      !p >= l
+    in
+    if not same_block then incr n_blocks;
+    block_of.(i) <- !n_blocks - 1
+  done;
+  let blocks = Array.make !n_blocks [||] in
   let i = ref 0 in
   while !i < n do
     let start = !i in
-    incr i;
-    while !i < n && same_block start !i do
+    while !i < n && block_of.(!i) = block_of.(start) do
       incr i
     done;
-    for v = start to !i - 1 do
-      block_of.(v) <- !n_blocks
+    let b = Array.make (!i - start) start in
+    for d = 1 to !i - start - 1 do
+      b.(d) <- start + d
     done;
-    incr n_blocks;
-    blocks := Array.init (!i - start) (fun d -> start + d) :: !blocks
+    blocks.(block_of.(start)) <- b
   done;
-  (rel_range, Array.of_list (List.rev !blocks), block_of)
+  (rel_range, blocks, block_of)
 
-let compile ?tick db =
+(* [tuples.(i)] is [facts.(i)]'s values interned, one tick per fact. *)
+let intern_tuples tick interner facts =
+  Array.map
+    (fun (f : Fact.t) ->
+      tick ();
+      let tuple = f.Fact.tuple in
+      let ids = Array.make (Array.length tuple) 0 in
+      for p = 0 to Array.length tuple - 1 do
+        ids.(p) <- Interner.intern interner tuple.(p)
+      done;
+      ids)
+    facts
+
+let no_tick () = ()
+
+let compile ?(tick = no_tick) db =
   let schemas = Array.of_list (Database.schemas db) in
-  let facts = Array.of_list (Database.facts db) in
-  let n = Array.length facts in
-  let interner = Interner.create ~initial_size:(max 64 (2 * n)) () in
-  let tuples =
-    Array.map
-      (fun (f : Fact.t) ->
-        (match tick with Some tick -> tick () | None -> ());
-        Array.map (Interner.intern interner) f.Fact.tuple)
-      facts
-  in
+  let n = Database.size db in
+  let set = Database.fact_set db in
+  let facts = if n = 0 then [||] else Array.make n (Fact.Set.min_elt set) in
+  let w = ref 0 in
+  Fact.Set.iter
+    (fun f ->
+      facts.(!w) <- f;
+      incr w)
+    set;
+  let interner = Interner.create () in
+  let tuples = intern_tuples tick interner facts in
   (* [schemas] is sorted by name, so one forward walk over the sorted facts
      assigns [rel_of]. *)
   let rel_of = Array.make n (-1) in

@@ -48,7 +48,10 @@ type t = private {
 (** [compile ?tick db] compiles the database; [tick] (when given) is invoked
     once per fact, which is how the degradation chain charges compilation to
     its step budget (site ["compile"]) without this library depending on the
-    harness. *)
+    harness. It is per-fact work: the fact array is filled from the
+    database's set, each value is interned into an {!Interner} grown with
+    the active domain (a hit allocates nothing), and the block partition
+    is counted, then filled, with no list or closure per block. *)
 val compile : ?tick:(unit -> unit) -> Database.t -> t
 
 (** [decompile c] reconstructs the persistent database from the interned
@@ -81,7 +84,8 @@ val decompile : t -> Database.t
 (** [apply_delta c d] patches [c] under the net effect of [d]. [tick] is
     invoked once per net insert and once per net retract; surviving facts
     are moved in runs without ticks, and a net no-op ticks nothing and
-    returns [c] itself.
+    returns [c] itself. Copying the interner for a fresh value is two
+    array copies ({!Interner.copy}).
     @raise Invalid_argument on an insert whose relation is undeclared or
     whose arity is wrong (the same structured error [Database.add] raises);
     deltas cannot change the schema set. *)

@@ -11,6 +11,7 @@ end)
 type t = {
   schemas : Schema.t String_map.t;
   facts : Fact.Set.t;
+  size : int;  (* [Fact.Set.cardinal facts], kept so [size] is O(1) *)
   by_key : Fact.Set.t Key_map.t;  (* index: (rel, key tuple) -> facts *)
 }
 
@@ -25,7 +26,7 @@ let empty schemas =
         else String_map.add s.Schema.name s acc)
       String_map.empty schemas
   in
-  { schemas = map; facts = Fact.Set.empty; by_key = Key_map.empty }
+  { schemas = map; facts = Fact.Set.empty; size = 0; by_key = Key_map.empty }
 
 let schema db rel =
   match String_map.find_opt rel db.schemas with
@@ -38,15 +39,16 @@ let schema db rel =
 
 let schema_of db (f : Fact.t) = schema db f.Fact.rel
 
-let fact_key db (f : Fact.t) =
+let checked_schema db (f : Fact.t) =
   let s = schema db f.Fact.rel in
   if Schema.(s.arity) <> Fact.arity f then
     invalid_arg
       (Format.asprintf "Database: fact %a has wrong arity for schema %a" Fact.pp
          f Schema.pp s);
-  (f.Fact.rel, Fact.key s f)
+  s
 
-let check_fact db f = ignore (fact_key db f)
+let fact_key db (f : Fact.t) = (f.Fact.rel, Fact.key (checked_schema db f) f)
+let check_fact db f = ignore (checked_schema db f)
 
 let add db f =
   let k = fact_key db f in
@@ -56,6 +58,7 @@ let add db f =
     {
       db with
       facts = Fact.Set.add f db.facts;
+      size = db.size + 1;
       by_key = Key_map.add k (Fact.Set.add f bucket) db.by_key;
     }
 
@@ -68,14 +71,42 @@ let remove db f =
     {
       db with
       facts = Fact.Set.remove f db.facts;
+      size = db.size - 1;
       by_key =
         (if Fact.Set.is_empty bucket then Key_map.remove k db.by_key
          else Key_map.add k bucket db.by_key);
     }
 
-let of_facts schemas facts = List.fold_left add (empty schemas) facts
+(* The fold of [add], in one sort: every fact is validated first, in input
+   order, so the first bad one raises what its [add] would; then
+   [Fact.Set.of_list] sorts and deduplicates once. Sorted fact order is
+   (relation, tuple) order and keys are tuple prefixes, so each block is a
+   run of the sorted facts and the index is built run by run. *)
+let of_facts schemas facts =
+  let db = empty schemas in
+  List.iter (check_fact db) facts;
+  let set = Fact.Set.of_list facts in
+  let run = ref [] and size = ref 0 and by_key = ref Key_map.empty in
+  let close () =
+    match !run with
+    | [] -> ()
+    | f :: _ ->
+        by_key := Key_map.add (fact_key db f) (Fact.Set.of_list !run) !by_key;
+        run := []
+  in
+  Fact.Set.iter
+    (fun (f : Fact.t) ->
+      incr size;
+      (match !run with
+      | g :: _ when Fact.key_equal (schema_of db f) f g -> ()
+      | _ -> close ());
+      run := f :: !run)
+    set;
+  close ();
+  { db with facts = set; size = !size; by_key = !by_key }
+
 let mem db f = Fact.Set.mem f db.facts
-let size db = Fact.Set.cardinal db.facts
+let size db = db.size
 let is_empty db = Fact.Set.is_empty db.facts
 let facts db = Fact.Set.elements db.facts
 let fact_set db = db.facts
@@ -121,9 +152,11 @@ let union d1 d2 =
      redundant membership test and [fact_key] revalidation a re-[add] of
      every fact would pay. Key collisions across the two databases merge
      buckets — same relation, same schema (checked above), same key. *)
+  let facts = Fact.Set.union d1.facts d2.facts in
   {
     schemas;
-    facts = Fact.Set.union d1.facts d2.facts;
+    facts;
+    size = Fact.Set.cardinal facts;
     by_key =
       Key_map.union
         (fun _ b1 b2 -> Some (Fact.Set.union b1 b2))
@@ -133,9 +166,11 @@ let union d1 d2 =
 let filter p db =
   (* Filter the index buckets in place (dropping emptied keys) rather than
      re-validating and re-indexing every surviving fact through [add]. *)
+  let facts = Fact.Set.filter p db.facts in
   {
     db with
-    facts = Fact.Set.filter p db.facts;
+    facts;
+    size = Fact.Set.cardinal facts;
     by_key =
       Key_map.filter_map
         (fun _ bucket ->

@@ -30,7 +30,7 @@ val of_facts : Schema.t list -> Fact.t list -> t
 
 val mem : t -> Fact.t -> bool
 
-(** Number of facts. *)
+(** Number of facts, in O(1): the count is kept by every constructor. *)
 val size : t -> int
 
 val is_empty : t -> bool

@@ -1,10 +1,11 @@
 type t = { rel : string; tuple : Value.t array }
 
-let of_array rel tuple =
+let own rel tuple =
   if Array.length tuple = 0 then invalid_arg "Fact.of_array: empty tuple";
-  { rel; tuple = Array.copy tuple }
+  { rel; tuple }
 
-let make rel values = of_array rel (Array.of_list values)
+let of_array rel tuple = own rel (Array.copy tuple)
+let make rel values = own rel (Array.of_list values)
 let arity f = Array.length f.tuple
 
 let nth f i =
@@ -24,9 +25,16 @@ let key s f =
 let key_set s f = Value.Set.of_list (key s f)
 let adom f = Array.fold_left (fun acc v -> Value.Set.add v acc) Value.Set.empty f.tuple
 
+(* Keys are tuple prefixes, so [f ~ g] compares the first [key_len] cells
+   in place. *)
+let rec same_prefix a b l p =
+  p >= l || (Value.equal a.(p) b.(p) && same_prefix a b l (p + 1))
+
 let key_equal s f g =
   String.equal f.rel g.rel && arity f = arity g
-  && List.for_all2 Value.equal (key s f) (key s g)
+  &&
+  (check_schema s f;
+   same_prefix f.tuple g.tuple s.Schema.key_len 0)
 
 let compare f g =
   let c = String.compare f.rel g.rel in

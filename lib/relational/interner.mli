@@ -8,15 +8,22 @@
     array] indexed by id is a valid side table for the whole domain.
 
     An interner is a mutable append-only table: values are never forgotten,
-    and an id, once assigned, always resolves to the same value. *)
+    and an id, once assigned, always resolves to the same value.
+
+    The reverse map is open addressing over two flat arrays: a slot array
+    of [id + 1] entries ([0] is empty), probed linearly from
+    {!Value.hash} and doubled whenever its load would pass 1/2, and the
+    value array indexed by id. A table starts small and grows with what is
+    interned, so a plane's interner is sized by its active domain, not by
+    its fact count. *)
 
 type t
 
 (** [create ()] is an empty interner. *)
-val create : ?initial_size:int -> unit -> t
+val create : unit -> t
 
 (** [intern t v] is the id of [v], assigning the next dense id on first
-    sight. *)
+    sight. A value already interned allocates nothing. *)
 val intern : t -> Value.t -> int
 
 (** [find t v] is the id of [v] if it has been interned, without assigning
@@ -26,7 +33,9 @@ val intern : t -> Value.t -> int
 val find : t -> Value.t -> int option
 
 (** [copy t] is an independent interner with the same id [<->] value
-    assignment: interning new values in the copy never disturbs [t]. This is
+    assignment: interning new values in the copy never disturbs [t]. It is
+    two array copies (the slots and the values), allocating no cell per
+    value. This is
     how {!Compiled.apply_delta} minds the copy-on-patch discipline — a delta
     that mints fresh ids works on a copied interner, so the pre-delta plane
     (whose [adom] length must equal its interner's size) stays valid even if

@@ -37,5 +37,9 @@ val to_string : t -> string
     parses back with the same key-equality structure. *)
 val to_token : t -> string
 
+(** [add_token buf v] appends [to_token v] to [buf] without building the
+    string: a nonnegative [Int]'s digits are written one by one. *)
+val add_token : Buffer.t -> t -> unit
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -584,16 +584,17 @@ let diagnostics_response diagnostics =
    query answers its QL000 diagnostic, as `cqa analyze` does, without
    compiling anything. With a database, the pass reads the cached plane. *)
 let do_analyze t ~query ~db =
-  match (Qlang.Parse.query query, db) with
+  let parsed = Qlang.Parse.query_spanned query in
+  match (parsed, db) with
   | Error _, _ | Ok _, None ->
-      diagnostics_response (Analysis.Sanitize.analyze query)
+      diagnostics_response (Analysis.Sanitize.analyze parsed)
   | Ok _, Some db_ref ->
       budgeted t ~tier:Admission.Heavy (fun budget ->
           let tick () = Budget.tick ~site:Harness.Sites.compile budget in
           match resolve_entry t ~tick db_ref with
           | Error e -> fun _ -> error_fields e
           | Ok ({ Plane_cache.db; plane; _ }, hit) ->
-              let ds = Analysis.Sanitize.analyze ~db ~plane query in
+              let ds = Analysis.Sanitize.analyze ~db ~plane parsed in
               fun retries ->
                 let code, fields = diagnostics_response ds in
                 (code, fields @ (cache_field hit :: retries)))
@@ -757,7 +758,8 @@ let handle_request t = function
       (Protocol.Ok_code, [ ("stopping", Json.Bool true) ])
   | Protocol.Classify { query } -> do_classify t ~query
   | Protocol.Lint { query } ->
-      diagnostics_response (Analysis.Sanitize.analyze ~sanitize:false query)
+      diagnostics_response
+        (Analysis.Sanitize.analyze ~sanitize:false (Qlang.Parse.query_spanned query))
   | Protocol.Analyze { query; db } -> do_analyze t ~query ~db
   | Protocol.Load { name; text } -> do_load t ~name ~text
   | Protocol.Update { db; insert; retract } ->

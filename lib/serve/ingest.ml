@@ -50,22 +50,12 @@ let key_markers db parsed =
   match
     List.find_map
       (fun ((f : Relational.Fact.t), marker) ->
-        match marker with
-        | None -> None
-        | Some l -> (
-            match Relational.Database.schema_of db f with
-            | exception Invalid_argument _ ->
-                (* Undeclared relation: the delta application reports it with
-                   the structured Database error; don't pre-empt it here. *)
-                None
-            | s ->
-                if s.Relational.Schema.key_len = l then None
-                else
-                  Some
-                    (Printf.sprintf
-                       "fact %s declares key length %d but schema %s has %d"
-                       (Relational.Fact.to_string f)
-                       l s.Relational.Schema.name s.Relational.Schema.key_len)))
+        match Relational.Database.schema_of db f with
+        | exception Invalid_argument _ ->
+            (* Undeclared relation: the delta application reports it with
+               the structured Database error; don't pre-empt it here. *)
+            None
+        | s -> Qlang.Parse.key_marker_error s f marker)
       parsed
   with
   | None -> Ok ()

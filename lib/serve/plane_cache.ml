@@ -13,35 +13,61 @@
    is the rolling fingerprint the daemon's [update] op patches entries
    under. *)
 module Fingerprint = struct
+  (* A nonnegative int's decimal digits, written without a string. *)
+  let rec add_digits buf n =
+    if n >= 10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
   let frame buf s =
-    Buffer.add_string buf (string_of_int (String.length s));
+    add_digits buf (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
 
   (* [Value.to_token] is injective on values (unlike [Value.pp], which
      renders [Int 1] and [Str "1"] identically), and the frames make the
-     concatenation of relation symbol and cells injective on facts. *)
-  let fact_digest (f : Relational.Fact.t) =
-    let buf = Buffer.create 64 in
+     concatenation of relation symbol and cells injective on facts. A fact
+     renders into [buf] (cleared first); [tok] holds one cell's token while
+     its frame length is written. *)
+  let render buf tok (f : Relational.Fact.t) =
+    Buffer.clear buf;
     frame buf f.Relational.Fact.rel;
-    Array.iter
-      (fun v -> frame buf (Relational.Value.to_token v))
-      f.Relational.Fact.tuple;
+    let tuple = f.Relational.Fact.tuple in
+    for p = 0 to Array.length tuple - 1 do
+      Buffer.clear tok;
+      Relational.Value.add_token tok tuple.(p);
+      add_digits buf (Buffer.length tok);
+      Buffer.add_char buf ':';
+      Buffer.add_buffer buf tok
+    done;
     Digest.string (Buffer.contents buf)
+
+  let fact_digest f = render (Buffer.create 64) (Buffer.create 16) f
+
+  (* [acc] XOR= [d], in place; [d] is at least as long as [acc]. *)
+  let xor_into acc d =
+    for i = 0 to Bytes.length acc - 1 do
+      Bytes.unsafe_set acc i
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get acc i) lxor Char.code (String.unsafe_get d i)))
+    done
 
   let xor a b =
     let n = String.length a in
     if String.length b <> n then
       invalid_arg "Plane_cache.Fingerprint.xor: length mismatch";
-    String.init n (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
+    let acc = Bytes.of_string a in
+    xor_into acc b;
+    Bytes.unsafe_to_string acc
 
   let empty = String.make 16 '\000'
 
   let facts_xor db =
-    List.fold_left
-      (fun acc f -> xor acc (fact_digest f))
-      empty
-      (Relational.Database.facts db)
+    let acc = Bytes.of_string empty in
+    let buf = Buffer.create 64 and tok = Buffer.create 16 in
+    Relational.Fact.Set.iter
+      (fun f -> xor_into acc (render buf tok f))
+      (Relational.Database.fact_set db);
+    Bytes.unsafe_to_string acc
 
   (* Schemas and the fact count round out the digest input: the XOR
      accumulator alone is blind to both (and maps the empty fact set and

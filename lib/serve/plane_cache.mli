@@ -27,7 +27,9 @@
     {b Trust boundary.} A lookup re-derives the key from the entry's
     stored accumulator — [Fingerprint.finish entry.db
     ~facts_xor:entry.facts_xor] — and compares it with the key the entry
-    is stored under: O(relations), never one digest per fact. The check
+    is stored under: O(relations), never one digest per fact, and no walk
+    of the facts either, since {!Relational.Database.size} is a kept
+    count. The check
     catches any entry filed under a key its own fields do not produce (a
     wedged {!inject}, a wrong key handed to {!replace}). It trusts one
     invariant: an entry's [facts_xor] is the XOR of {!Fingerprint.fact_digest}
@@ -45,7 +47,9 @@
 module Fingerprint : sig
   (** Raw 16-byte digest of one fact's length-prefixed canonical
       rendering (relation symbol, then each value via
-      {!Relational.Value.to_token}, which is injective). *)
+      {!Relational.Value.to_token}, which is injective). The rendering is
+      written into a buffer in place, each cell's token and frame length
+      without an intermediate string. *)
   val fact_digest : Relational.Fact.t -> string
 
   (** Byte-wise XOR (self-inverse: folding a digest in twice removes it).
@@ -55,7 +59,9 @@ module Fingerprint : sig
   (** The accumulator of the empty fact set (16 zero bytes). *)
   val empty : string
 
-  (** XOR of {!fact_digest} over [Database.facts]. *)
+  (** XOR of {!fact_digest} over [Database.facts], rendered into one
+      scratch buffer and folded into one accumulator in place: a digest
+      per fact is all it allocates. *)
   val facts_xor : Relational.Database.t -> string
 
   (** Final hex key: digest over the framed schemas of [db], the

@@ -495,6 +495,146 @@ let test_fingerprint_unambiguous () =
   checks "rolled key = from-scratch key" (Serve.Plane_cache.fingerprint grown)
     rolled
 
+(* The fingerprint renderer that rendered in place replaced, kept as the
+   oracle: a fresh [Buffer] and a [to_token] string per cell, frame
+   lengths through [string_of_int]. The digest input must stay
+   byte-identical. *)
+module Fingerprint_oracle = struct
+  module Value = Relational.Value
+
+  let to_token v =
+    let buf = Buffer.create 16 in
+    let escape c = Buffer.add_string buf (Printf.sprintf "'%02X" (Char.code c)) in
+    let add_str s =
+      let all_digits = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+      String.iteri
+        (fun i c ->
+          let plain =
+            (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+          in
+          if plain && not (all_digits && i = 0) then Buffer.add_char buf c else escape c)
+        s
+    in
+    let rec go = function
+      | Value.Int n -> Buffer.add_string buf (string_of_int n)
+      | Value.Str s -> add_str s
+      | Value.Pair (a, b) ->
+          Buffer.add_char buf '<';
+          go a;
+          Buffer.add_char buf '-';
+          go b;
+          Buffer.add_char buf '>'
+    in
+    go v;
+    Buffer.contents buf
+
+  let frame buf s =
+    Buffer.add_string buf (string_of_int (String.length s));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+
+  let fact_digest (f : Relational.Fact.t) =
+    let buf = Buffer.create 64 in
+    frame buf f.Relational.Fact.rel;
+    Array.iter (fun v -> frame buf (to_token v)) f.Relational.Fact.tuple;
+    Digest.string (Buffer.contents buf)
+
+  let xor a b = String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
+
+  let of_db db =
+    let acc =
+      List.fold_left
+        (fun acc f -> xor acc (fact_digest f))
+        (String.make 16 '\000')
+        (Relational.Database.facts db)
+    in
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun (s : Relational.Schema.t) ->
+        frame buf s.Relational.Schema.name;
+        frame buf (string_of_int s.Relational.Schema.arity);
+        frame buf (string_of_int s.Relational.Schema.key_len))
+      (Relational.Database.schemas db);
+    Buffer.add_string buf acc;
+    frame buf (string_of_int (Relational.Database.size db));
+    (acc, Digest.to_hex (Digest.string (Buffer.contents buf)))
+end
+
+let test_fingerprint_oracle () =
+  let module V = Relational.Value in
+  let module F = Serve.Plane_cache.Fingerprint in
+  let values =
+    [
+      V.Int 0; V.Int 7; V.Int 10; V.Int (-1); V.Int (-42); V.Int min_int; V.Int max_int;
+      V.Str ""; V.Str "0"; V.Str "007"; V.Str "123"; V.Str "a"; V.Str "A_z9"; V.Str "a b";
+      V.Str "x)\nR(y"; V.Str "'"; V.Str "\xc3\xa9"; V.Str "-<>"; V.Pair (V.Int 0, V.Str "0");
+      V.Pair (V.Pair (V.Int (-1), V.Str "x y"), V.Int max_int);
+      V.triple (V.Str "C") (V.Int 12) (V.Pair (V.Str "", V.Int min_int));
+    ]
+  in
+  List.iter
+    (fun v -> checks "token" (Fingerprint_oracle.to_token v) (V.to_token v))
+    values;
+  let values = Array.of_list values and rng = Random.State.make [| 29 |] in
+  let value () = values.(Random.State.int rng (Array.length values)) in
+  List.iter
+    (fun (name, arity, key_len) ->
+      let schema = Relational.Schema.make ~name ~arity ~key_len in
+      for size = 0 to 12 do
+        let facts =
+          List.init size (fun _ -> Relational.Fact.of_array name (Array.init arity (fun _ -> value ())))
+        in
+        let db = Relational.Database.of_facts [ schema ] facts in
+        List.iter
+          (fun f -> checks "fact digest" (Fingerprint_oracle.fact_digest f) (F.fact_digest f))
+          facts;
+        let acc, key = F.of_db db in
+        let oracle_acc, oracle_key = Fingerprint_oracle.of_db db in
+        checks "accumulator" oracle_acc acc;
+        checks "key" oracle_key key;
+        checks "facts_xor is the fold of xor over fact_digest"
+          (List.fold_left
+             (fun acc f -> F.xor acc (F.fact_digest f))
+             F.empty (Relational.Database.facts db))
+          (F.facts_xor db)
+      done)
+    [ ("R", 1, 1); ("R", 2, 1); ("S_2", 3, 2); ("T", 3, 0) ]
+
+(* The 300-fact q3 database bench/main.ml's E24 measures as inline-300,
+   as the daemon receives it. *)
+let inline_300 () =
+  let db =
+    Workload.Randdb.random_for_query (Random.State.make [| 42; 300 |]) Workload.Catalog.q3
+      ~n_facts:300 ~domain:300
+  in
+  String.concat "\n"
+    (List.map
+       (fun f ->
+         Format.asprintf "%a"
+           (Relational.Fact.pp_with_key (Relational.Database.schema_of db f))
+           f)
+       (Relational.Database.facts db))
+
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Before ingest and the fingerprint did per-fact work, ingesting that
+   text took 144,202 minor words (a token list per line, a tree insert
+   per fact) and fingerprinting it 31,286 (a buffer and a string per
+   cell). *)
+let test_miss_path_allocation () =
+  let text = inline_300 () in
+  let db = Result.get_ok (Serve.Ingest.database text) in
+  let ingest = minor_words (fun () -> Serve.Ingest.database text) in
+  if ingest >= 144_202. /. 2. then
+    Alcotest.failf "ingesting 300 facts allocated %.0f minor words" ingest;
+  let fingerprint = minor_words (fun () -> Serve.Plane_cache.Fingerprint.of_db db) in
+  if fingerprint >= 31_286. /. 4. then
+    Alcotest.failf "fingerprinting 300 facts allocated %.0f minor words" fingerprint
+
 (* ------------------------------------------------------------------ *)
 (* Retry *)
 
@@ -1350,6 +1490,10 @@ let () =
             test_plane_cache_hit_does_not_rehash;
           Alcotest.test_case "wrong replace key never answers" `Quick
             test_plane_cache_replace_wrong_key;
+          Alcotest.test_case "fingerprint bytes = reference renderer" `Quick
+            test_fingerprint_oracle;
+          Alcotest.test_case "miss path allocates per fact" `Quick
+            test_miss_path_allocation;
         ] );
       ("retry", [ Alcotest.test_case "backoff + transience" `Quick test_retry ]);
       ( "daemon",

@@ -293,10 +293,11 @@ let test_solver_gate_degrades_on_tampered_certificate () =
 (* Linter. *)
 
 let codes ds = List.map (fun d -> d.Lint.code) ds |> List.sort_uniq String.compare
+let lint_source src = Lint.lint_spanned (Parse.query_spanned src)
 
 let test_lint_codes () =
   let check_codes src expected =
-    let got = codes (Lint.lint_source src) in
+    let got = codes (lint_source src) in
     if got <> List.sort_uniq String.compare expected then
       Alcotest.failf "lint %S: got [%s], expected [%s]" src
         (String.concat "; " got)
@@ -320,7 +321,7 @@ let test_lint_codes () =
   check_codes "R(x u | x y) R(u y | x z)" [ "QL001"; "QL007" ]
 
 let test_lint_positions_and_severities () =
-  match Lint.lint_source "R(x u | x y) R(u y | x z)" with
+  match lint_source "R(x u | x y) R(u y | x z)" with
   | ds -> (
       let ql001 = List.filter (fun d -> d.Lint.code = "QL001") ds in
       match ql001 with
@@ -336,7 +337,7 @@ let test_lint_positions_and_severities () =
       | _ -> Alcotest.failf "expected exactly one QL001, got %d" (List.length ql001))
 
 let test_lint_exit_severity () =
-  let sev src = Lint.max_severity (Lint.lint_source src) in
+  let sev src = Lint.max_severity (lint_source src) in
   (match sev "R(x | y z) R(z | x y)" with
   | Some Lint.Info -> ()
   | _ -> Alcotest.fail "clean bounded-search query should cap at info");

@@ -475,6 +475,250 @@ let test_parse_database_errors () =
   | Ok _ -> Alcotest.fail "empty file rejected"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The fact reader against the token-list parser it replaced           *)
+
+(* The token-list fact path the fact reader replaced, kept as the oracle:
+   [tokenize] lexes the whole input into a list, [parse_tuple] and
+   [fact_of_tokens] read a fact off it, and [database] runs them line by
+   line. Its [database] has one rule that path lacked: a fact's bar must
+   agree with its relation's schema when the arity does. *)
+module Oracle = struct
+  open Parse
+
+  let ( let* ) = Result.bind
+
+  let err ?pos ?(kind = Syntax) fmt =
+    Format.kasprintf (fun message -> Error { message; position = pos; kind }) fmt
+
+  let error_at_line line e =
+    { e with position = Option.map (fun p -> { p with line }) e.position }
+
+  type token = Ident of string | Lpar | Rpar | Bar | Lbracket | Rbracket | Comma
+
+  let is_ident_char c =
+    (c >= 'a' && c <= 'z')
+    || (c >= 'A' && c <= 'Z')
+    || (c >= '0' && c <= '9')
+    || c = '_' || c = '\'' || c = '-' || c = '<' || c = '>'
+
+  let tokenize s =
+    let n = String.length s in
+    let rec go i line col acc =
+      if i >= n then Ok (List.rev acc)
+      else
+        let pos = { line; col } in
+        let punct k tok = go (i + k) line (col + k) ((tok, pos) :: acc) in
+        match s.[i] with
+        | '\n' -> go (i + 1) (line + 1) 1 acc
+        | ' ' | '\t' | '\r' -> go (i + 1) line (col + 1) acc
+        | '(' -> punct 1 Lpar
+        | ')' -> punct 1 Rpar
+        | '|' -> punct 1 Bar
+        | '[' -> punct 1 Lbracket
+        | ']' -> punct 1 Rbracket
+        | ',' -> punct 1 Comma
+        | '&' when i + 1 < n && s.[i + 1] = '&' -> go (i + 2) line (col + 2) acc
+        | '/' when i + 1 < n && s.[i + 1] = '\\' -> go (i + 2) line (col + 2) acc
+        | '\xe2' when i + 2 < n && s.[i + 1] = '\x88' && s.[i + 2] = '\xa7' ->
+            go (i + 3) line (col + 1) acc
+        | c when is_ident_char c ->
+            let j = ref i in
+            while !j < n && is_ident_char s.[!j] do
+              incr j
+            done;
+            go !j line (col + (!j - i)) ((Ident (String.sub s i (!j - i)), pos) :: acc)
+        | c -> err ~pos ~kind:Lex "unexpected character %C" c
+    in
+    go 0 1 1 []
+
+  let value_of_ident id =
+    match int_of_string_opt id with Some n -> Value.int n | None -> Value.str id
+
+  let parse_tuple tokens =
+    match tokens with
+    | (Ident name, name_pos) :: (Lpar, _) :: rest ->
+        let rec args acc bar i = function
+          | (Rpar, _) :: rest -> Ok ((name, name_pos, List.rev acc, bar), rest)
+          | (Bar, pos) :: rest ->
+              if bar = None then args acc (Some i) i rest
+              else err ~pos "duplicate key separator '|'"
+          | (Ident id, pos) :: rest -> args ((id, pos) :: acc) bar (i + 1) rest
+          | (Comma, _) :: rest -> args acc bar i rest
+          | ((Lpar | Lbracket | Rbracket), pos) :: _ -> err ~pos "malformed tuple"
+          | [] -> err "unexpected end of input, expected ')'"
+        in
+        args [] None 0 rest
+    | (_, pos) :: _ -> err ~pos "expected an atom of the form Name(...)"
+    | [] -> err "expected an atom of the form Name(...)"
+
+  let fact_of_tokens tokens =
+    let* (name, _, args, bar), rest = parse_tuple tokens in
+    let* () =
+      match rest with [] -> Ok () | (_, pos) :: _ -> err ~pos "trailing input after fact"
+    in
+    let* () = if args <> [] then Ok () else err "facts must have arity >= 1" in
+    Ok (Fact.make name (List.map (fun (id, _) -> value_of_ident id) args), bar)
+
+  let fact s =
+    let* tokens = tokenize s in
+    fact_of_tokens tokens
+
+  let strip_comment line =
+    match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i
+
+  let parse_schema_decl tokens =
+    match List.map fst tokens with
+    | [ Ident name; Lbracket; Ident k; Comma; Ident l; Rbracket ] -> (
+        match (int_of_string_opt k, int_of_string_opt l) with
+        | Some arity, Some key_len -> Some (Schema.make ~name ~arity ~key_len)
+        | _, _ -> None)
+    | _ -> None
+
+  let database s =
+    let lines =
+      String.split_on_char '\n' s
+      |> List.mapi (fun i l -> (i + 1, String.trim (strip_comment l)))
+      |> List.filter (fun (_, l) -> l <> "")
+    in
+    let rec go schemas pending = function
+      | [] -> Ok (List.rev schemas, List.rev pending)
+      | (lineno, text) :: rest -> (
+          let* tokens = Result.map_error (error_at_line lineno) (tokenize text) in
+          match parse_schema_decl tokens with
+          | Some sc -> go (sc :: schemas) pending rest
+          | None ->
+              let* f, bar = Result.map_error (error_at_line lineno) (fact_of_tokens tokens) in
+              go schemas ((f, bar, lineno) :: pending) rest)
+    in
+    let* schemas, facts = go [] [] lines in
+    let* schemas =
+      List.fold_left
+        (fun acc (f, bar, lineno) ->
+          let* acc = acc in
+          let rel = f.Fact.rel in
+          match List.find_opt (fun (sc : Schema.t) -> String.equal sc.Schema.name rel) acc with
+          | Some sc -> (
+              (* The one rule added to the replaced code. *)
+              match bar with
+              | Some l when sc.Schema.arity = Fact.arity f && l <> sc.Schema.key_len ->
+                  err
+                    ~pos:{ line = lineno; col = 1 }
+                    "fact %s declares key length %d but schema %s has %d" (Fact.to_string f) l
+                    sc.Schema.name sc.Schema.key_len
+              | _ -> Ok acc)
+          | None -> (
+              match bar with
+              | Some key_len -> Ok (Schema.make ~name:rel ~arity:(Fact.arity f) ~key_len :: acc)
+              | None ->
+                  err
+                    ~pos:{ line = lineno; col = 1 }
+                    "no schema for relation %s: declare %s[k,l] or use a '|'" rel rel))
+        (Ok schemas) facts
+    in
+    let* () = if schemas <> [] then Ok () else err "empty database file" in
+    try Ok (Database.of_facts schemas (List.map (fun (f, _, _) -> f) facts))
+    with Invalid_argument msg -> err "%s" msg
+end
+
+(* Pieces of fact lines: identifiers and ints of every spelling
+   [int_of_string] knows, the punctuation, blanks, the conjunction signs
+   and their broken halves, and characters the lexer refuses. *)
+let line_pieces =
+  [|
+    "R"; "S"; "r_1"; "1"; "-2"; "007"; "12"; "0x1F"; "1_000"; "99999999999999999999";
+    "123456789012345678"; "4611686018427387903"; "9999999999999999999"; "a"; "x'"; "<a>"; "-"; "|"; "|"; ","; "("; "("; ")"; ")"; "[";
+    "]"; " "; " "; "\t"; "\r"; "&&"; "&"; "/\\"; "/"; "\xe2\x88\xa7"; "\xe2"; "%"; "@";
+    "\012"; "#";
+  |]
+
+let line_gen ~newlines =
+  let open QCheck2.Gen in
+  let piece =
+    if newlines then frequency [ (12, oneofa line_pieces); (1, return "\n") ]
+    else oneofa line_pieces
+  in
+  let* prefix = oneofl [ ""; "R("; "R(1 | "; "S(a, b"; " R ( 1 2 | 3 ) " ] in
+  let* pieces = list_size (int_range 0 8) piece in
+  let* suffix = oneofl [ ""; ")"; " )"; "| 4)"; ") # c" ] in
+  return (String.concat "" ((prefix :: pieces) @ [ suffix ]))
+
+let pp_result pp_ok = function
+  | Ok x -> "Ok " ^ pp_ok x
+  | Error e ->
+      Printf.sprintf "Error %S (%s)" (Parse.error_to_string e)
+        (match e.Parse.kind with Parse.Lex -> "lex" | Syntax -> "syntax" | Mismatch -> "mismatch")
+
+let prop_fact_reader_oracle =
+  QCheck2.Test.make ~name:"fact reader = token-list parser" ~count:3000 ~print:(Printf.sprintf "%S")
+    (line_gen ~newlines:true)
+    (fun line ->
+      let pp (f, bar) =
+        Fact.to_string f ^ match bar with None -> "" | Some l -> Printf.sprintf " bar %d" l
+      in
+      let got = Parse.fact line and want = Oracle.fact line in
+      let same =
+        match (got, want) with
+        | Ok (f, b), Ok (f', b') -> Fact.equal f f' && b = b'
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      same || QCheck2.Test.fail_reportf "reader %s, oracle %s" (pp_result pp got) (pp_result pp want))
+
+let prop_database_reader_oracle =
+  QCheck2.Test.make ~name:"database reader = token-list parser" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      let line =
+        frequency
+          [
+            (6, line_gen ~newlines:false);
+            (2, oneofl [ "R(1 | 2)"; "R(3 4 |)"; "R(5 6)"; "S(1 | 2 3)"; "R(1, 2)" ]);
+            (1, oneofl [ "R[2,1]"; "S[3,1]"; "R[a,1]"; "R[2 , 2]"; "R[1,2]"; "R[2,1"; "" ]);
+          ]
+      in
+      let* lines = list_size (int_range 1 5) line in
+      let* blanks = oneofl [ ""; " "; "\t"; "  \r" ] in
+      let* comment = oneofl [ ""; " # note"; "#" ] in
+      return (String.concat "\n" (List.map (fun l -> blanks ^ l ^ comment) lines)))
+    (fun text ->
+      let run f = match f text with r -> `R r | exception Invalid_argument m -> `Raised m in
+      let pp db = Format.asprintf "%a" Database.pp db in
+      let show = function `R r -> pp_result pp r | `Raised m -> "raised " ^ m in
+      let got = run Parse.database and want = run Oracle.database in
+      let same =
+        match (got, want) with
+        | `R (Ok d), `R (Ok d') -> Database.equal d d'
+        | `R (Error e), `R (Error e') -> e = e'
+        | `Raised m, `Raised m' -> String.equal m m'
+        | _ -> false
+      in
+      same || QCheck2.Test.fail_reportf "reader %s, oracle %s" (show got) (show want))
+
+let test_parse_database_bar_conflict () =
+  let refused text ~line ~message =
+    match Parse.database text with
+    | Ok _ -> Alcotest.failf "%S loaded" text
+    | Error e ->
+        Alcotest.(check string) "message" message e.Parse.message;
+        Alcotest.(check (option (pair int int)))
+          "position" (Some (line, 1))
+          (Option.map (fun p -> (p.Parse.line, p.Parse.col)) e.Parse.position)
+  in
+  let message = "fact R(1 2) declares key length 2 but schema R has 1" in
+  refused "R(1 | 2)\nR(1 2 |)\nR(2 | 1)\n" ~line:2 ~message;
+  refused "R[2,1]\nR(1 2 |)" ~line:2 ~message;
+  refused "R(1 2 |)\n# declared on a later line\nR[2,1]\n" ~line:1 ~message;
+  (* A bar that agrees, or none, still loads; a fact of another arity keeps
+     the wrong-arity error. *)
+  Alcotest.(check int) "agreeing bars" 2
+    (Database.size (Parse.database_exn "R[2,1]\nR(1 | 2)\nR(1 3)"));
+  match Parse.database "R(1 | 2)\nR(1 2 | 3)\n" with
+  | Error { Parse.message; position = None; _ } ->
+      Alcotest.(check string)
+        "wrong arity" "Database: fact R(1 2 3) has wrong arity for schema R[2,1]" message
+  | _ -> Alcotest.fail "a fact of the wrong arity must keep its error"
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "qlang"
@@ -531,12 +775,13 @@ let () =
           Alcotest.test_case "database" `Quick test_parse_database;
           Alcotest.test_case "schema inference" `Quick test_parse_database_infer_schema;
           Alcotest.test_case "database errors" `Quick test_parse_database_errors;
+          Alcotest.test_case "bar conflicts with schema" `Quick test_parse_database_bar_conflict;
           Alcotest.test_case "error positions" `Quick test_parse_error_positions;
           Alcotest.test_case "argument spans" `Quick test_parse_spans;
           Alcotest.test_case "csv" `Quick test_parse_csv;
           Alcotest.test_case "csv header/errors" `Quick test_parse_csv_header_and_errors;
         ]
-        @ qt [ prop_parse_roundtrip_random ]
+        @ qt [ prop_parse_roundtrip_random; prop_fact_reader_oracle; prop_database_reader_oracle ]
         @ [
         ] );
     ]

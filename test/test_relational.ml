@@ -330,6 +330,172 @@ let prop_compile_round_trip_randdb =
       in
       Database.equal (Compiled.decompile (Compiled.compile db)) db)
 
+(* ------------------------------------------------------------------ *)
+(* Database.of_facts against its definition, the fold of [add]          *)
+
+let schema_s = Schema.make ~name:"S" ~arity:3 ~key_len:2
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let outcome f = match f () with db -> Ok db | exception Invalid_argument m -> Error m
+
+let same_db d1 d2 =
+  List.equal Fact.equal (Database.facts d1) (Database.facts d2)
+  && List.equal Block.equal (Database.blocks d1) (Database.blocks d2)
+  && Database.block_count d1 = Database.block_count d2
+  && Database.is_consistent d1 = Database.is_consistent d2
+  && Database.size d1 = Database.size d2
+
+(* Randdb facts of q3 (R[2,1]) and, with [two], of S[3,2], repeated in
+   part and shuffled; [bad] undeclared-relation or wrong-arity facts are
+   put at random places, so the first bad one in input order must raise. *)
+let of_facts_input (seed, n, two, bad) =
+  let rng = Random.State.make [| seed |] in
+  let q3 = Workload.Catalog.q3 in
+  let draw schema =
+    Database.facts (Workload.Randdb.random rng schema ~n_facts:n ~domain:(1 + (n / 4)))
+  in
+  let r = Database.facts (Workload.Randdb.random_for_query rng q3 ~n_facts:n ~domain:(1 + (n / 3))) in
+  let schemas, facts =
+    if two then ([ q3.Qlang.Query.schema; schema_s ], r @ draw schema_s)
+    else ([ q3.Qlang.Query.schema ], r)
+  in
+  let facts = facts @ List.filteri (fun i _ -> i mod 3 = 0) facts in
+  let facts = if seed mod 4 = 0 then facts else shuffle rng facts in
+  let wrong =
+    [| Fact.make "T" [ vi 1 ]; Fact.make "R" [ vi 1; vi 2; vi 3 ]; Fact.make "S" [ vi 1 ] |]
+  in
+  let facts =
+    List.fold_left
+      (fun facts k ->
+        let i = Random.State.int rng (List.length facts + 1) in
+        List.filteri (fun j _ -> j < i) facts
+        @ (wrong.(k mod Array.length wrong) :: List.filteri (fun j _ -> j >= i) facts))
+      facts (List.init bad (fun k -> k + seed))
+  in
+  (schemas, facts)
+
+let prop_of_facts_is_fold_add =
+  QCheck2.Test.make ~name:"of_facts = fold of add" ~count:300
+    ~print:(fun (seed, n, two, bad) -> Printf.sprintf "seed %d, %d facts, two %b, bad %d" seed n two bad)
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 0 80) bool
+        (frequency [ (3, return 0); (1, int_range 1 2) ]))
+    (fun input ->
+      let schemas, facts = of_facts_input input in
+      match
+        ( outcome (fun () -> Database.of_facts schemas facts),
+          outcome (fun () -> List.fold_left Database.add (Database.empty schemas) facts) )
+      with
+      | Ok d1, Ok d2 -> same_db d1 d2
+      | Error m1, Error m2 -> String.equal m1 m2
+      | Ok _, Error m | Error m, Ok _ -> QCheck2.Test.fail_reportf "only one side raised: %s" m)
+
+(* ------------------------------------------------------------------ *)
+(* Database.size is the kept count                                     *)
+
+type db_op =
+  | Add of int * int
+  | Remove of int * int
+  | Union of (int * int) list
+  | Filter of int
+  | Of_facts of (int * int) list
+
+let db_op_gen =
+  let open QCheck2.Gen in
+  let pair = pair (int_range 0 3) (int_range 0 3) in
+  frequency
+    [
+      (4, map (fun (k, v) -> Add (k, v)) pair);
+      (3, map (fun (k, v) -> Remove (k, v)) pair);
+      (1, map (fun l -> Union l) (list_size (int_range 0 6) pair));
+      (1, map (fun k -> Filter k) (int_range 0 3));
+      (1, map (fun l -> Of_facts l) (list_size (int_range 0 8) pair));
+    ]
+
+let prop_size_is_count =
+  QCheck2.Test.make ~name:"size = length of facts" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 40) db_op_gen)
+    (fun ops ->
+      let facts l = List.map (fun (k, v) -> fact [ k; v ]) l in
+      let step db = function
+        | Add (k, v) -> Database.add db (fact [ k; v ])
+        | Remove (k, v) -> Database.remove db (fact [ k; v ])
+        | Union l -> Database.union db (Database.of_facts [ schema_r2 ] (facts l))
+        | Filter k -> Database.filter (fun f -> not (Value.equal (Fact.nth f 1) (vi k))) db
+        | Of_facts l -> Database.of_facts [ schema_r2 ] (facts (l @ l))
+      in
+      let rec go db = function
+        | [] -> true
+        | op :: ops ->
+            let db = step db op in
+            Database.size db = List.length (Database.facts db) && go db ops
+      in
+      go (Database.empty [ schema_r2 ]) ops)
+
+(* ------------------------------------------------------------------ *)
+(* Interner against a Hashtbl model                                    *)
+
+module Interner = Relational.Interner
+
+(* Values enough to cross several doublings of the table. *)
+let interned_value_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (4, map Value.int (int_range (-50) 400));
+      (1, map Value.str (string_size ~gen:(char_range 'a' 'c') (int_range 0 3)));
+      (1, value_gen);
+    ]
+
+let prop_interner_model =
+  QCheck2.Test.make ~name:"interner = Hashtbl model" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 700) (pair bool interned_value_gen))
+    (fun ops ->
+      let t = Interner.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (intern, v) ->
+          let expected = Hashtbl.find_opt model v in
+          let ok =
+            if intern then begin
+              let id = Interner.intern t v in
+              if expected = None then Hashtbl.replace model v id;
+              id = Option.value expected ~default:(Hashtbl.length model - 1)
+            end
+            else Interner.find t v = expected
+          in
+          ok
+          && Interner.size t = Hashtbl.length model
+          && Hashtbl.fold (fun v id ok -> ok && Value.equal (Interner.value t id) v) model true)
+        ops)
+
+let prop_interner_copy =
+  QCheck2.Test.make ~name:"interning into a copy leaves the original" ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 200) interned_value_gen)
+        (list_size (int_range 1 200) interned_value_gen))
+    (fun (before, after) ->
+      let t = Interner.create () in
+      List.iter (fun v -> ignore (Interner.intern t v)) before;
+      let size = Interner.size t in
+      let snapshot = List.init size (Interner.value t) in
+      let finds = List.map (Interner.find t) after in
+      let c = Interner.copy t in
+      List.iter (fun v -> ignore (Interner.intern c v)) after;
+      Interner.size t = size
+      && List.equal Value.equal (List.init size (Interner.value t)) snapshot
+      && List.equal ( = ) (List.map (Interner.find t) after) finds
+      && List.for_all (fun v -> Interner.find c v <> None) after)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "relational"
@@ -376,6 +542,8 @@ let () =
             test_compiled_tick_per_fact;
         ]
         @ qt [ prop_compile_round_trip; prop_compile_round_trip_randdb ] );
+      ("of_facts", qt [ prop_of_facts_is_fold_add; prop_size_is_count ]);
+      ("interner", qt [ prop_interner_model; prop_interner_copy ]);
       ( "repair",
         [
           Alcotest.test_case "count" `Quick test_repair_count;
