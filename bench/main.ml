@@ -747,53 +747,79 @@ let e24_compile () =
     [ 1200; 3200 ]
 
 (* ------------------------------------------------------------------ *)
-(* E25: the Cert_2 fixpoint alone, in time and minor allocation         *)
+(* E25: the Cert_k fixpoint alone, in time and allocation               *)
 
-(* [runs] timed [Certk.run ~k:2] calls after one warm-up: the median in ms
-   and the minor heap allocated per run in MB. *)
-let certk_cost ~runs g =
-  let run () = ignore (Sys.opaque_identity (Cqa.Certk.run ~k:2 g)) in
+(* [runs] timed [Certk.run ~k] calls after one warm-up: the median in ms,
+   the minor heap allocated per run in MB, and the words per run
+   allocated directly on the major heap (promotions excluded), which stay
+   at zero while the domain's pooled state fits [retain_words]. *)
+let certk_cost ~runs ~k g =
+  let run () = ignore (Sys.opaque_identity (Cqa.Certk.run ~k g)) in
   run ();
+  let _, promoted0, major0 = Gc.counters () in
   let words0 = Gc.minor_words () in
   let times = List.init runs (fun _ -> snd (timed run)) |> List.sort Float.compare in
   let words = (Gc.minor_words () -. words0) /. float_of_int runs in
-  (1000. *. List.nth times (runs / 2), words *. float_of_int (Sys.word_size / 8) /. 1e6)
+  let _, promoted1, major1 = Gc.counters () in
+  ( 1000. *. List.nth times (runs / 2),
+    words *. float_of_int (Sys.word_size / 8) /. 1e6,
+    (major1 -. promoted1 -. (major0 -. promoted0)) /. float_of_int runs )
 
+(* Cert_2 on q3: bench/e2e's fixpoint-bound components (drawn as there,
+   before the seed renames their values), ingest-update's inline reads
+   and the explain repro; then Cert_3, the run graph-bound serves, on
+   that workload's seven q5/q6 databases (E33's shapes). *)
 let e25_certk () =
-  section "E25 Cert_2 fixpoint: median time and minor allocation per run (q3)";
+  section "E25 Cert_k fixpoint: median time, minor and major allocation per run";
   let shape = Random.State.make [| Hashtbl.hash "fixpoint-bound" |] in
   let fixpoint =
     List.map
       (fun c ->
-        (Printf.sprintf "components-%d" c, Workload.Randdb.q3_components shape ~components:c))
+        ( Printf.sprintf "components-%d" c,
+          Catalog.q3,
+          Workload.Randdb.q3_components shape ~components:c ))
       [ 2; 4; 6; 8; 10; 12; 16 ]
   in
   let inline =
     List.map
       (fun n ->
         ( Printf.sprintf "inline-%d" n,
+          Catalog.q3,
           Workload.Randdb.random_for_query
             (Random.State.make [| 42; n |])
             Catalog.q3 ~n_facts:n ~domain:n ))
       [ 150; 250; 350; 450 ]
   in
-  Format.printf "%-16s %6s %7s %6s %11s %13s@." "graph" "facts" "steps" "runs" "median(ms)"
-    "minor MB/run";
-  let row ~runs (name, db) =
-    let g = Solution_graph.of_query Catalog.q3 db in
+  Format.printf "%-16s %2s %6s %7s %6s %11s %13s %12s@." "graph" "k" "facts" "steps" "runs"
+    "median(ms)" "minor MB/run" "major w/run";
+  let row ~runs ~k (name, q, db) =
+    let g = Solution_graph.of_query q db in
     let budget = Harness.Budget.unlimited () in
-    ignore (Cqa.Certk.run ~budget ~k:2 g);
-    let median_ms, minor_mb = certk_cost ~runs g in
-    Format.printf "%-16s %6d %7d %6d %11.3f %13.3f@." name (Solution_graph.n_facts g)
-      (Harness.Budget.steps budget) runs median_ms minor_mb
+    ignore (Cqa.Certk.run ~budget ~k g);
+    let median_ms, minor_mb, major_words = certk_cost ~runs ~k g in
+    Format.printf "%-16s %2d %6d %7d %6d %11.4f %13.3f %12.0f@." name k
+      (Solution_graph.n_facts g) (Harness.Budget.steps budget) runs median_ms minor_mb
+      major_words
   in
-  List.iter (row ~runs:30) (fixpoint @ inline);
+  List.iter (row ~runs:30 ~k:2) (fixpoint @ inline);
   (* The explain repro: a 378-fact q3 database whose Cert_2 derivation
      shares premises heavily. *)
-  row ~runs:3
+  row ~runs:3 ~k:2
     ( "repro-600/25",
+      Catalog.q3,
       Workload.Randdb.random_for_query (Random.State.make [| 42 |]) Catalog.q3 ~n_facts:600
-        ~domain:25 )
+        ~domain:25 );
+  let shape = Random.State.make [| Hashtbl.hash "graph-bound" |] in
+  List.iter
+    (fun (name, q, n) ->
+      row ~runs:30 ~k:3
+        (name, q, Workload.Randdb.random_for_query shape q ~n_facts:n ~domain:(n / 8)))
+    [
+      ("q5-1200", Catalog.q5, 1200); ("q5-1600", Catalog.q5, 1600);
+      ("q5-2400", Catalog.q5, 2400); ("q5-3200", Catalog.q5, 3200);
+      ("q6-600", Catalog.q6, 600); ("q6-1200", Catalog.q6, 1200);
+      ("q6-1600", Catalog.q6, 1600);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E26: the coNP tier on Theorem-12 gadgets                             *)

@@ -545,11 +545,11 @@ let gate (c : Compiled.t) =
       &&
       let l = Array.unsafe_get key_lens ri in
       let ti = Array.unsafe_get tuples i and tj = Array.unsafe_get tuples j in
-      let rec eq p =
-        p >= l
-        || (Array.unsafe_get ti p = Array.unsafe_get tj p && eq (p + 1))
-      in
-      eq 0
+      let p = ref 0 in
+      while !p < l && Array.unsafe_get ti !p = Array.unsafe_get tj !p do
+        incr p
+      done;
+      !p >= l
     in
     (* PL105 + PL106 + PL107: partition, inverse, key homogeneity. *)
     if Array.length block_of <> n then

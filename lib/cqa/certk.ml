@@ -21,42 +21,69 @@ type certificate = { set : int list; why : reason; premises : certificate list }
    alone.
 
    The antichain of minimal derived sets is the ids whose [minimal] flag
-   is set; [by_vertex.(v)] lists those containing [v] as an ascending id
-   array. A bucket is never edited in place: a change installs a new
-   array. [derive_for_block] walks the bucket of [u] while the admissions
-   it makes prune and extend buckets (admitting [S] can prune [S ∪ {u}]
-   from the very bucket being walked), and the walk must see the bucket as
-   it was when the walk began.
+   is set. The bucket of [v] lists the ascending ids of those containing
+   [v]: [by_vertex.(v).(0)] is their count n and [.(1 .. n)] the ids,
+   followed by spare capacity. [derive_for_block] walks the bucket of [u]
+   while the admissions it makes prune and extend buckets (admitting [S]
+   can prune [S ∪ {u}] from the very bucket being walked), and the walk
+   must see the bucket as it was when the walk began. So a walk reads the
+   array and its count once, at its node, and the ids below a count are
+   never edited in place: a prune or an insertion below the largest id
+   builds a new array. Only an id above every entry is written in place,
+   into the spare capacity just past the count, which is then raised; a
+   walk of that array stops below it, since one array's count only grows
+   (a shrink builds a new array). Admitted ids are not all increasing (a
+   partial union interned by an earlier derivation can be admitted
+   later), so both kinds of insertion occur. In fact no insertion reaches
+   a walked bucket at all: every walk in progress is over the bucket of
+   a member of the block being derived, and a set derived there meets
+   that block nowhere (each premise [T_u] is a k-set holding [u], so
+   [T_u \ {u}] holds no other member). The prunes are what the copies
+   guard against. Every empty bucket is the shared [no_ids], which has
+   no spare capacity and so is never written.
 
    [subsumed S] asks whether a minimal set is a subset of [S]. It takes the
-   cheaper of two exact checks: look each nonempty subset of [S] up in
-   [table] and test its [minimal] flag (2^|S| - 1 lookups), or scan the
-   buckets of [S]'s vertices for a subset (their summed length). Both give
-   the same answer, so the choice changes only the time.
+   cheaper of two exact checks: look each subset of [S] with at least two
+   vertices up in [table] and test its [minimal] flag (2^|S| - 1 - |S|
+   lookups), or scan the buckets of [S]'s vertices for a subset (their
+   summed length). Both give the same answer, so the choice changes only
+   the time. A one-vertex subset is never looked up: [single.(v)] is set
+   to the run's stamp when {v} is admitted, and only ∅ can prune {v},
+   which [empty_derived] answers first.
 
-   [prov.(id)] records how an admitted set was derived and never shrinks,
-   so certificates survive antichain pruning. The worklist [queue] holds
-   the dirty blocks: a block re-derives only when a new minimal set
-   touching one of its vertices was admitted since its last run.
-   [visited] memoises [derive_for_block]'s exploration on (remaining
-   facts, partial union) keys; a slot counts only when its stamp is the
-   current block derivation's generation, so no derivation clears it.
+   How an admitted set was derived never changes, so certificates survive
+   antichain pruning. [prov.(id)] is the position of the set's record in
+   [slab], or [-1] before it is admitted. A derivation's record is its
+   block, then one (u, premise id) pair per member of the block; a seed's
+   is [-1 - i], then [j], for the solution pair (i, j) it covers. The slab
+   is a list of fixed-size chunks, so it grows without copying: a
+   doubling array would hold its old and new copies at once, and on a
+   large fixpoint that peak exceeds all the rest of the state. The worklist
+   is a ring of [Array.length ring] slots holding the dirty blocks, from
+   [ring_head] on for [ring_len]: a block re-derives only when a new
+   minimal set touching one of its vertices was admitted since its last
+   run, and [queued] keeps each block in the ring at most once, so a ring
+   of one slot per block never overflows. [visited] memoises
+   [derive_for_block]'s exploration on (remaining facts, partial union)
+   keys; a slot counts only when its stamp is the current block
+   derivation's generation, so no derivation clears it.
 
    Each domain keeps one state between runs, so a run allocates no array
    above the minor-heap limit once that state fits it; a fresh state per
    run would allocate its arrays on the major heap every run, and pay for
    the major collections that drives. [reset] empties the pooled state in
    time proportional to the graph, not to the arrays an earlier, larger
-   run grew: [base] moves past every id interned before, and the visited
-   and block stamps only grow. [release] pools a state only once it holds
-   nothing of its run (no provenance, no bucket, not the graph's
-   [block_of]), and only while all its arrays together stay within
-   [retain_words]. *)
+   run grew: [base] moves past every id interned before, and the run,
+   visited and block stamps only grow. The int arrays and slab chunks keep
+   stale entries, which no run reads before writing them: [intern] writes
+   an id's [prov], the ring and the slab start empty, and every bucket
+   starts as [no_ids]. [release] pools a state only once it references
+   nothing of its run (no bucket array, not the graph's [block_of]), and
+   only while all its arrays together stay within [retain_words]. *)
 
-type provenance =
-  | Unadmitted
-  | Seed of int * int  (* the solution pair the set covers *)
-  | Derived of int * int array  (* block, flat (u, premise id) pairs *)
+let no_ids = [| 0 |]
+let chunk_bits = 12
+let chunk_mask = (1 lsl chunk_bits) - 1
 
 type state = {
   mutable k : int;
@@ -64,11 +91,15 @@ type state = {
   mutable arena : int array;
   mutable off : int array;  (* id -> offset in [arena] *)
   mutable minimal : bool array;  (* id -> in the antichain *)
-  mutable prov : provenance array;
+  mutable prov : int array;  (* id -> its record's position in [slab], or -1 *)
+  mutable slab : int array array;  (* chunks of [1 lsl chunk_bits] ints *)
+  mutable slab_len : int;
   mutable n_sets : int;
   mutable table : int array;  (* slot i: base + id at 2i, hash at 2i + 1 *)
   mutable base : int;
-  mutable by_vertex : int array array;  (* copy-on-write, ascending ids *)
+  mutable by_vertex : int array array;  (* count, ascending ids, spare capacity *)
+  mutable single : int array;  (* vertex v -> [run] when {v} was admitted *)
+  mutable run : int;
   mutable empty_derived : bool;
   mutable cand : int array;  (* work buffer: a candidate union or seed *)
   mutable sub : int array;  (* work buffer: a subset of a candidate *)
@@ -78,7 +109,9 @@ type state = {
   mutable visited : int array;  (* slot i: key at 2i, generation at 2i + 1 *)
   mutable n_visited : int;
   mutable generation : int;
-  queue : int Queue.t;  (* dirty blocks, FIFO *)
+  mutable ring : int array;  (* dirty blocks, FIFO *)
+  mutable ring_head : int;
+  mutable ring_len : int;
   mutable queued : bool array;
 }
 
@@ -159,13 +192,13 @@ let intern st l =
     let id = st.n_sets and p = st.off.(st.n_sets) in
     if id + 1 = Array.length st.off then begin
       st.off <- grow st.off ~used:(id + 1) ~need:0 0;
-      st.prov <- grow st.prov ~used:id ~need:0 Unadmitted;
+      st.prov <- grow st.prov ~used:id ~need:0 (-1);
       st.minimal <- grow st.minimal ~used:id ~need:0 false
     end;
     if p + l > Array.length st.arena then st.arena <- grow st.arena ~used:p ~need:(p + l) 0;
     Array.blit cand 0 st.arena p l;
     st.off.(id + 1) <- p + l;
-    st.prov.(id) <- Unadmitted;
+    st.prov.(id) <- -1;
     st.minimal.(id) <- false;
     st.n_sets <- id + 1;
     st.table.(2 * i) <- st.base + id;
@@ -184,20 +217,23 @@ let id_subset st tid a o l =
   done;
   !i = n
 
-(* Some minimal set among the nonempty subsets of the slice, by lookup. *)
+(* Some minimal set among the subsets of the slice with at least two
+   vertices, by lookup. *)
 let subset_minimal st a o l =
   let sub = st.sub and last = (1 lsl l) - 1 in
-  let found = ref false and m = ref 1 in
+  let found = ref false and m = ref 3 in
   while (not !found) && !m <= last do
-    let n = ref 0 in
-    for i = 0 to l - 1 do
-      if !m land (1 lsl i) <> 0 then begin
-        sub.(!n) <- a.(o + i);
-        incr n
-      end
-    done;
-    let id = find st sub 0 !n in
-    found := id >= 0 && st.minimal.(id);
+    if !m land (!m - 1) <> 0 then begin
+      let n = ref 0 in
+      for i = 0 to l - 1 do
+        if !m land (1 lsl i) <> 0 then begin
+          sub.(!n) <- a.(o + i);
+          incr n
+        end
+      done;
+      let id = find st sub 0 !n in
+      found := id >= 0 && st.minimal.(id)
+    end;
     incr m
   done;
   !found
@@ -208,8 +244,8 @@ let bucket_subset st a o l =
   let found = ref false and i = ref 0 in
   while (not !found) && !i < l do
     let bucket = st.by_vertex.(a.(o + !i)) in
-    let j = ref 0 in
-    while (not !found) && !j < Array.length bucket do
+    let j = ref 1 in
+    while (not !found) && !j <= bucket.(0) do
       found := id_subset st bucket.(!j) a o l;
       incr j
     done;
@@ -218,16 +254,21 @@ let bucket_subset st a o l =
   !found
 
 (* Is the sorted slice a superset of some derived set? The empty set is
-   covered by the [empty_derived] flag. *)
+   covered by the [empty_derived] flag, a singleton by [single]. *)
 let subsumed st a o l =
   st.empty_derived
   ||
-  let scan = ref 0 in
+  let scan = ref 0 and one = ref false in
   for i = o to o + l - 1 do
-    scan := !scan + Array.length st.by_vertex.(a.(i))
+    let v = a.(i) in
+    scan := !scan + st.by_vertex.(v).(0);
+    if st.single.(v) = st.run then one := true
   done;
-  if l < Sys.int_size - 2 && (1 lsl l) - 1 <= !scan then subset_minimal st a o l
-  else bucket_subset st a o l
+  !one
+  || l > 1
+     &&
+     if l < Sys.int_size - 2 && (1 lsl l) - 1 - l <= !scan then subset_minimal st a o l
+     else bucket_subset st a o l
 
 (* A set of vertices is a k-set iff it has at most k elements and at most
    one vertex per block (so it extends to a repair); [cand.(0 .. l - 1)]
@@ -274,34 +315,70 @@ let union_without st acc tid u =
   done;
   !n
 
-(* [bucket] without the sets pruned from the antichain; [bucket] itself
-   when it has none. *)
-let without_pruned st bucket =
+(* Drop the sets pruned from the antichain from [v]'s bucket, into a new
+   array; the bucket stays as it is when it has none. *)
+let drop_pruned st v =
+  let bucket = st.by_vertex.(v) in
+  let n = bucket.(0) in
   let live = ref 0 in
-  for j = 0 to Array.length bucket - 1 do
+  for j = 1 to n do
     if st.minimal.(bucket.(j)) then incr live
   done;
-  if !live = Array.length bucket then bucket
-  else begin
-    let b = Array.make !live 0 and n = ref 0 in
-    for j = 0 to Array.length bucket - 1 do
+  if !live = 0 then st.by_vertex.(v) <- no_ids
+  else if !live < n then begin
+    let b = Array.make (!live + 1) !live and m = ref 1 in
+    for j = 1 to n do
       if st.minimal.(bucket.(j)) then begin
-        b.(!n) <- bucket.(j);
-        incr n
+        b.(!m) <- bucket.(j);
+        incr m
       end
     done;
-    b
+    st.by_vertex.(v) <- b
   end
 
-let with_id bucket id =
-  let n = Array.length bucket in
-  let at = ref 0 in
-  while !at < n && bucket.(!at) < id do
-    incr at
-  done;
-  let b = Array.make (n + 1) id in
-  Array.blit bucket 0 b 0 !at;
-  Array.blit bucket !at b (!at + 1) (n - !at);
+(* Add [id] to [v]'s bucket: in place when it is above every entry and
+   the array has room, else into a new array. *)
+let add_id st v (id : int) =
+  let bucket = st.by_vertex.(v) in
+  let n = bucket.(0) in
+  if n = 0 || bucket.(n) < id then begin
+    if n + 1 < Array.length bucket then begin
+      bucket.(n + 1) <- id;
+      bucket.(0) <- n + 1
+    end
+    else begin
+      let b = Array.make (max 5 ((2 * n) + 1)) (n + 1) in
+      Array.blit bucket 1 b 1 n;
+      b.(n + 1) <- id;
+      st.by_vertex.(v) <- b
+    end
+  end
+  else begin
+    let at = ref 1 in
+    while bucket.(!at) < id do
+      incr at
+    done;
+    let b = Array.make (n + 2) id in
+    b.(0) <- n + 1;
+    Array.blit bucket 1 b 1 (!at - 1);
+    Array.blit bucket !at b (!at + 1) (n + 1 - !at);
+    st.by_vertex.(v) <- b
+  end
+
+let enqueue st b =
+  if not st.queued.(b) then begin
+    st.queued.(b) <- true;
+    let cap = Array.length st.ring in
+    let i = st.ring_head + st.ring_len in
+    st.ring.(if i >= cap then i - cap else i) <- b;
+    st.ring_len <- st.ring_len + 1
+  end
+
+let dequeue st =
+  let b = st.ring.(st.ring_head) in
+  st.ring_head <- (if st.ring_head + 1 = Array.length st.ring then 0 else st.ring_head + 1);
+  st.ring_len <- st.ring_len - 1;
+  st.queued.(b) <- false;
   b
 
 (* Make set [id], which no derived set subsumes, a member of the
@@ -314,38 +391,41 @@ let install st id =
     (* ∅ subsumes everything: collapse the antichain and stop. *)
     Array.fill st.minimal 0 st.n_sets false;
     st.minimal.(id) <- true;
-    Array.fill st.by_vertex 0 (Array.length st.block_of) [||];
+    Array.fill st.by_vertex 0 (Array.length st.block_of) no_ids;
     st.empty_derived <- true
   end
   else begin
     (* Remove supersets of the new minimal set from the antichain (their
        provenance is kept for certificate reconstruction). Every superset
-       contains the first vertex, so its bucket lists all candidates. *)
-    let bucket = st.by_vertex.(st.arena.(p)) in
-    let pruned = ref false in
-    for j = 0 to Array.length bucket - 1 do
-      if id_subset st id st.arena st.off.(bucket.(j)) (size st bucket.(j)) then begin
-        st.minimal.(bucket.(j)) <- false;
-        pruned := true
-      end
-    done;
-    if !pruned then
-      for j = 0 to Array.length bucket - 1 do
+       contains the first vertex, so its bucket lists all candidates; only
+       an entry larger than the new set can strictly contain it, so a
+       k-set prunes nothing. *)
+    if l < st.k then begin
+      let bucket = st.by_vertex.(st.arena.(p)) in
+      let n = bucket.(0) in
+      let pruned = ref false in
+      for j = 1 to n do
         let tid = bucket.(j) in
-        if not (st.minimal.(tid)) then
-          for i = st.off.(tid) to st.off.(tid + 1) - 1 do
-            let v = st.arena.(i) in
-            st.by_vertex.(v) <- without_pruned st st.by_vertex.(v)
-          done
+        let size_t = size st tid in
+        if size_t > l && id_subset st id st.arena st.off.(tid) size_t then begin
+          st.minimal.(tid) <- false;
+          pruned := true
+        end
       done;
+      if !pruned then
+        for j = 1 to n do
+          let tid = bucket.(j) in
+          if not st.minimal.(tid) then
+            for i = st.off.(tid) to st.off.(tid + 1) - 1 do
+              drop_pruned st st.arena.(i)
+            done
+        done
+    end;
+    if l = 1 then st.single.(st.arena.(p)) <- st.run;
     for i = p to p + l - 1 do
       let v = st.arena.(i) in
-      st.by_vertex.(v) <- with_id st.by_vertex.(v) id;
-      let b = st.block_of.(v) in
-      if not st.queued.(b) then begin
-        st.queued.(b) <- true;
-        Queue.add b st.queue
-      end
+      add_id st v id;
+      enqueue st st.block_of.(v)
     done;
     st.minimal.(id) <- true
   end
@@ -374,6 +454,17 @@ and grow_visited st =
       ignore (visit st old.(2 * j) (visited_slot st old.(2 * j)))
   done
 
+(* Append [x] to the slab. *)
+let push st x =
+  let p = st.slab_len in
+  let c = p lsr chunk_bits in
+  if c = Array.length st.slab then st.slab <- grow st.slab ~used:c ~need:(c + 1) [||];
+  if Array.length st.slab.(c) = 0 then st.slab.(c) <- Array.make (1 lsl chunk_bits) 0;
+  st.slab.(c).(p land chunk_mask) <- x;
+  st.slab_len <- p + 1
+
+let slab_get st p = st.slab.(p lsr chunk_bits).(p land chunk_mask)
+
 (* The inductive step for one block: derive S = union over u in B of
    (T_u \ {u}) for each choice of T_u in Delta containing u. Choices where
    T_u does not contain u are redundant: T_u ⊆ S then, so S is subsumed by
@@ -388,7 +479,11 @@ let rec choose st budget members block depth acc =
   if depth = n then begin
     if not (subsumed st st.arena st.off.(acc) (size st acc)) then begin
       install st acc;
-      st.prov.(acc) <- Derived (block, Array.sub st.chosen 0 (2 * n))
+      st.prov.(acc) <- st.slab_len;
+      push st block;
+      for i = 0 to (2 * n) - 1 do
+        push st st.chosen.(i)
+      done
     end
   end
   else begin
@@ -397,7 +492,7 @@ let rec choose st budget members block depth acc =
     if visit st key (visited_slot st key) then begin
       let u = members.(depth) in
       let bucket = st.by_vertex.(u) in
-      for j = 0 to Array.length bucket - 1 do
+      for j = 1 to bucket.(0) do
         let tid = bucket.(j) in
         let l = union_without st acc tid u in
         if l >= 0 && distinct_blocks st l && not (subsumed st st.cand 0 l) then begin
@@ -423,11 +518,15 @@ let fresh_state () =
     arena = Array.make 256 0;
     off = Array.make 64 0;
     minimal = Array.make 64 false;
-    prov = Array.make 64 Unadmitted;
+    prov = Array.make 64 (-1);
+    slab = [||];
+    slab_len = 0;
     n_sets = 0;
     table = Array.make 256 (-1);
     base = 0;
     by_vertex = [||];
+    single = [||];
+    run = 0;
     empty_derived = false;
     cand = [||];
     sub = [||];
@@ -437,7 +536,9 @@ let fresh_state () =
     visited = Array.make 256 0;
     n_visited = 0;
     generation = 0;
-    queue = Queue.create ();
+    ring = [||];
+    ring_head = 0;
+    ring_len = 0;
     queued = [||];
   }
 
@@ -451,9 +552,14 @@ let reset st (g : Solution_graph.t) ~k =
   st.base <- st.base + st.n_sets;
   st.n_sets <- 0;
   st.off.(0) <- 0;
+  st.slab_len <- 0;
   st.empty_derived <- false;
-  Queue.clear st.queue;
-  if Array.length st.by_vertex < n then st.by_vertex <- Array.make n [||];
+  st.ring_head <- 0;
+  st.ring_len <- 0;
+  st.run <- st.run + 1;
+  if Array.length st.by_vertex < n then st.by_vertex <- Array.make n no_ids;
+  if Array.length st.single < n then st.single <- Array.make n 0;
+  if Array.length st.ring < n_blocks then st.ring <- Array.make n_blocks 0;
   if Array.length st.queued < n_blocks then st.queued <- Array.make n_blocks false
   else Array.fill st.queued 0 n_blocks false;
   if Array.length st.block_seen < n_blocks then st.block_seen <- Array.make n_blocks 0;
@@ -468,7 +574,9 @@ let seed_set st l i j =
   if not (subsumed st st.cand 0 l) then begin
     let id = intern st l in
     install st id;
-    st.prov.(id) <- Seed (i, j)
+    st.prov.(id) <- st.slab_len;
+    push st (-1 - i);
+    push st j
   end
 
 (* Initial sets: minimal k-sets satisfying q — solution pairs across
@@ -482,8 +590,8 @@ let rec seed_initial st = function
         seed_set st 1 i j
       end
       else if st.block_of.(i) <> st.block_of.(j) && st.k >= 2 then begin
-        st.cand.(0) <- min i j;
-        st.cand.(1) <- max i j;
+        st.cand.(0) <- Int.min i j;
+        st.cand.(1) <- Int.max i j;
         seed_set st 2 i j
       end;
       seed_initial st rest
@@ -493,14 +601,13 @@ let rec seed_initial st = function
    only becomes derivable once a set touching it is admitted — which
    enqueues it. *)
 let drain ?(budget = Harness.Budget.unlimited ()) (g : Solution_graph.t) st =
-  while (not st.empty_derived) && not (Queue.is_empty st.queue) do
-    let b = Queue.pop st.queue in
-    st.queued.(b) <- false;
-    derive_for_block g ~budget st b
+  while (not st.empty_derived) && st.ring_len > 0 do
+    derive_for_block g ~budget st (dequeue st)
   done
 
-(* About three times the state the largest fixpoint-bound graph (16 q3
-   components, 673 facts) leaves after Cert_2. *)
+(* About twice the 118,458 words the state holds after Cert_2 on the
+   largest fixpoint-bound graph (16 q3 components, 673 facts), slab chunks
+   included. *)
 let retain_words = 1 lsl 18
 
 let pool = Domain.DLS.new_key (fun () -> ref None)
@@ -508,13 +615,16 @@ let pool = Domain.DLS.new_key (fun () -> ref None)
 let release slot st =
   let words =
     Array.length st.arena + Array.length st.off + Array.length st.minimal
-    + Array.length st.prov + Array.length st.table + Array.length st.by_vertex
+    + Array.length st.prov
+    + Array.fold_left (fun w chunk -> w + Array.length chunk) (Array.length st.slab) st.slab
+    + Array.length st.table
+    + Array.length st.by_vertex + Array.length st.single
     + Array.length st.cand + Array.length st.sub + Array.length st.chosen
-    + Array.length st.block_seen + Array.length st.visited + Array.length st.queued
+    + Array.length st.block_seen + Array.length st.visited + Array.length st.ring
+    + Array.length st.queued
   in
   if words <= retain_words then begin
-    Array.fill st.prov 0 st.n_sets Unadmitted;
-    Array.fill st.by_vertex 0 (Array.length st.block_of) [||];
+    Array.fill st.by_vertex 0 (Array.length st.block_of) no_ids;
     st.block_of <- [||];
     slot := Some st
   end
@@ -559,25 +669,31 @@ let certificate ~k g =
         let rec build id =
           if not built.(id) then begin
             built.(id) <- true;
+            let p = st.prov.(id) in
             memo.(id) <-
-              (match st.prov.(id) with
-              | Unadmitted -> None
-              | Seed (i, j) -> Some { set = set_list st id; why = Initial (i, j); premises = [] }
-              | Derived (b, choices) ->
-                  let n = Array.length choices / 2 in
-                  let premises = List.init n (fun c -> build choices.((2 * c) + 1)) in
-                  if List.exists Option.is_none premises then None
-                  else
-                    Some
-                      {
-                        set = set_list st id;
-                        why =
-                          Via_block
-                            ( b,
-                              List.init n (fun c ->
-                                  (choices.(2 * c), set_list st choices.((2 * c) + 1))) );
-                        premises = List.filter_map Fun.id premises;
-                      })
+              (if p < 0 then None
+               else
+                 let b = slab_get st p in
+                 if b < 0 then
+                   Some
+                     {
+                       set = set_list st id;
+                       why = Initial (-1 - b, slab_get st (p + 1));
+                       premises = [];
+                     }
+                 else
+                   let n = Array.length g.Solution_graph.blocks.(b) in
+                   let u c = slab_get st (p + 1 + (2 * c))
+                   and t c = slab_get st (p + 2 + (2 * c)) in
+                   let premises = List.init n (fun c -> build (t c)) in
+                   if List.exists Option.is_none premises then None
+                   else
+                     Some
+                       {
+                         set = set_list st id;
+                         why = Via_block (b, List.init n (fun c -> (u c, set_list st (t c))));
+                         premises = List.filter_map Fun.id premises;
+                       })
           end;
           memo.(id)
         in

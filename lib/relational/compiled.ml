@@ -264,7 +264,11 @@ let apply_delta ?tick c (ops : Delta.t) =
         rel_range;
         blocks;
         block_of;
-        adom = Array.init (Interner.size interner) Fun.id;
+        (* An interner that was not copied minted no id, so the old active
+           domain is still exact. *)
+        adom =
+          (if interner == c.interner then c.adom
+           else Array.init (Interner.size interner) Fun.id);
       }
     in
     match !test_corruption with None -> plane | Some f -> f plane

@@ -96,8 +96,18 @@ let component_cases () =
       let rng = Random.State.make [| 17; components |] in
       let db = q3_components rng ~components in
       case ~name:(Printf.sprintf "q3-components-%d" components) Catalog.q3 ~k:2 db)
-    [ 2; 4; 8 ]
+    [ 2; 4; 8; 16 ]
+
+(* The [cqa explain] repro: 378 q3 facts, certain under Cert_2 through a
+   large derivation whose premises are shared many times over. *)
+let repro_case () =
+  let db =
+    Workload.Randdb.random_for_query (Random.State.make [| 42 |]) Catalog.q3 ~n_facts:600
+      ~domain:25
+  in
+  case ~name:"q3-repro-600/25" Catalog.q3 ~k:2 db
 
 let () =
   random_cases ();
-  component_cases ()
+  component_cases ();
+  repro_case ()

@@ -171,6 +171,68 @@ let test_bad_insert_raises () =
     (Invalid_argument "Database: undeclared relation NoSuchRel")
     (fun () -> ignore (Compiled.apply_delta plane [ Delta.Insert ghost ]))
 
+(* [Sanitize.gate] allocates a bounded number of minor words whatever the
+   plane's size: on a 300-fact and a 1,600-fact q3 plane (ingest-update's
+   inline-read and resident shapes) at most 64 each, so its key
+   comparison allocates nothing per fact (a closure per call cost 12
+   words per fact). *)
+let test_gate_allocation () =
+  List.iter
+    (fun (n, domain) ->
+      let db =
+        Randdb.random_for_query (Random.State.make [| 42; n |]) Catalog.q3 ~n_facts:n ~domain
+      in
+      let plane = Compiled.compile db in
+      Alcotest.(check bool) "gate accepts" true (Result.is_ok (Analysis.Sanitize.gate plane));
+      let before = Gc.minor_words () in
+      let verdict = Analysis.Sanitize.gate plane in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "gate accepts again" true (Result.is_ok verdict);
+      if words > 64. then
+        Alcotest.failf "gate on %d facts allocated %.0f minor words" (Compiled.n_facts plane)
+          words)
+    [ (300, 300); (1600, 6400) ]
+
+(* A patch keeps the plane's [adom] when it interns nothing (a retract, or
+   an insert of values already interned) and builds a fresh one, as long
+   as the grown interner, when it does; the gate accepts all three. *)
+let test_adom_reuse () =
+  let q = Catalog.q3 in
+  let db = Randdb.random_for_query (Random.State.make [| 11 |]) q ~n_facts:200 ~domain:50 in
+  let plane = Compiled.compile db in
+  let facts = Database.facts db in
+  let r = q.Qlang.Query.schema.Relational.Schema.name in
+  let known = List.map (fun f -> f.Fact.tuple.(0)) facts in
+  let a = List.hd known in
+  let b =
+    List.find
+      (fun v -> not (Fact.Set.mem (Fact.make r [ a; v ]) (Database.fact_set db)))
+      known
+  in
+  let fresh = Relational.Value.Int (-1) in
+  Alcotest.(check bool) "fresh value is not interned" true (Compiled.find_value plane fresh = None);
+  let gate label p =
+    Alcotest.(check bool) (label ^ ": gate accepts") true (Result.is_ok (Analysis.Sanitize.gate p))
+  in
+  let retracted = Compiled.apply_delta plane [ Delta.Retract (List.nth facts 100) ] in
+  Alcotest.(check bool) "retract keeps adom" true
+    (retracted.Compiled.adom == plane.Compiled.adom);
+  gate "retract" retracted;
+  let known_insert = Compiled.apply_delta plane [ Delta.Insert (Fact.make r [ a; b ]) ] in
+  Alcotest.(check int) "known insert adds a fact" (Compiled.n_facts plane + 1)
+    (Compiled.n_facts known_insert);
+  Alcotest.(check bool) "known insert keeps adom" true
+    (known_insert.Compiled.adom == plane.Compiled.adom);
+  gate "known insert" known_insert;
+  let new_insert = Compiled.apply_delta plane [ Delta.Insert (Fact.make r [ a; fresh ]) ] in
+  Alcotest.(check bool) "new value gets a fresh adom" false
+    (new_insert.Compiled.adom == plane.Compiled.adom);
+  Alcotest.(check int) "one entry per interned value" (Compiled.n_values new_insert)
+    (Array.length new_insert.Compiled.adom);
+  Alcotest.(check int) "the interner grew by one" (Compiled.n_values plane + 1)
+    (Compiled.n_values new_insert);
+  gate "new-value insert" new_insert
+
 (* Copy-on-patch: a fault raised from the tick callback mid-patch must
    leave the pre-delta plane fully intact — same decompiled database, same
    verdict, clean sanitizer — because apply_delta never mutates its input. *)
@@ -232,6 +294,9 @@ let () =
             test_undeclared_retract;
           Alcotest.test_case "undeclared insert raises" `Quick
             test_bad_insert_raises;
+          Alcotest.test_case "gate allocation bound" `Quick test_gate_allocation;
+          Alcotest.test_case "adom kept when nothing is interned" `Quick
+            test_adom_reuse;
         ] );
       ( "chaos",
         [ Alcotest.test_case "fault mid-patch" `Quick test_fault_mid_patch ]

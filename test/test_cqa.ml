@@ -121,6 +121,26 @@ let test_certk_pool_drops_graph () =
   Gc.full_major ();
   Alcotest.(check bool) "graph collected after the run" false (Weak.check w 0)
 
+(* Cert_2 on certk_golden's q3-components-8 graph (334 facts, 3,654
+   ticks), after one warm-up run has sized the domain's pooled state: the
+   run allocates under 60% of the 78,617 minor words it took when every
+   admitted set boxed its provenance, every bucket insertion copied the
+   bucket and the worklist consed a cell per dirty block. *)
+let test_certk_allocation () =
+  let db = Workload.Randdb.q3_components (Random.State.make [| 17; 8 |]) ~components:8 in
+  let g = Solution_graph.of_query q3 db in
+  Alcotest.(check int) "the golden graph" 334 (Solution_graph.n_facts g);
+  ignore (Cqa.Certk.run ~k:2 g);
+  let budget = Harness.Budget.unlimited () in
+  let before = Gc.minor_words () in
+  let certain = Cqa.Certk.run ~budget ~k:2 g in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "not certain" false certain;
+  Alcotest.(check int) "the golden ticks" 3654 (Harness.Budget.steps budget);
+  if words >= 0.6 *. 78_617. then
+    Alcotest.failf "Cert_2 on %d facts allocated %.0f minor words" (Solution_graph.n_facts g)
+      words
+
 let prop_certk_sound =
   (* Cert_k is an under-approximation of CERTAIN for every k and query. *)
   QCheck2.Test.make ~name:"Cert_k implies CERTAIN (q3, q6; k in 1..3)" ~count:120
@@ -387,6 +407,7 @@ let () =
           Alcotest.test_case "simple yes" `Quick test_certk_simple_yes;
           Alcotest.test_case "minimal sets" `Quick test_certk_derived_minimal_sets;
           Alcotest.test_case "pooled state drops the graph" `Quick test_certk_pool_drops_graph;
+          Alcotest.test_case "allocation bound" `Quick test_certk_allocation;
         ]
         @ qt [ prop_certk_sound; prop_cert2_exact_on_thm4_class; prop_cert2_exact_on_q4 ] );
       ( "matching",
